@@ -13,12 +13,12 @@ from .config import (ConfigError, RunConfig, SchedulerConfig, Toggles,
 from .data import CorpusConfig, SyntheticBatch, export_corpus, make_batch
 from .gradcheck import GradCheckFailure, check_gradients
 from .losses import (CtcInfeasibleError, ce_loss, consistency_loss,
-                     contrastive_loss, ctc_loss, total_loss)
+                     contrastive_loss, ctc_loss, task_loss, total_loss)
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .optim import Adam
 from .scheduler import TaskWeights, schedule_step, task_impact, verify_history
 from .shrink import ShrunkSequence, shrink_batch, shrink_sequence
-from .train import NanAbort, TrainResult, train
+from .train import NanAbort, TrainResult
 
 __all__ = [
     "Adam", "ConfigError", "CorpusConfig", "CtcInfeasibleError",
@@ -29,5 +29,5 @@ __all__ = [
     "consistency_loss", "contrastive_loss", "ctc_loss", "default_config",
     "export_corpus", "load_checkpoint", "load_config", "make_batch",
     "save_checkpoint", "save_config", "schedule_step", "shrink_batch",
-    "shrink_sequence", "task_impact", "total_loss", "train", "verify_history",
+    "shrink_sequence", "task_impact", "task_loss", "total_loss", "verify_history",
 ]

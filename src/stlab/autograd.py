@@ -11,15 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Enable NaN/Inf guards after every forward primitive (slow)."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
-
-
 class ShapeError(ValueError):
     """Raised when a primitive receives incompatible shapes."""
 
@@ -39,8 +30,6 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
         self._consumed = False
-        if _DEBUG_CHECKS and not np.all(np.isfinite(self.data)):
-            raise FloatingPointError("non-finite values in forward result")
 
     @property
     def shape(self):
@@ -443,7 +432,6 @@ def layer_norm(a, eps=LAYERNORM_EPS):
     out = xc * inv
 
     def bwd(g):
-        n = a.data.shape[-1]
         gm = g.mean(axis=-1, keepdims=True)
         gym = (g * out).mean(axis=-1, keepdims=True)
         _acc(a, inv * (g - gm - out * gym))

@@ -103,6 +103,24 @@ def ctc_loss(log_probs: Tensor, target) -> Tensor:
     return ag._make(np.asarray(-log_z), (log_probs,), bwd)
 
 
+def task_loss(out, batch, task: str, asr_variant: str = "ctc") -> Tensor:
+    """A task's own unweighted loss from its forward outputs (TaskOutputs).
+
+    CE on the logits for ST and MT. For ASR: the batch mean of the CTC loss
+    over each item's valid frames (`ctc`), CE on the decoded source (`ce`),
+    or their sum (`ctc+ce`).
+    """
+    if task != "asr" or asr_variant == "ce":
+        return ce_loss(out.logits, out.targets, batch.pad_id)
+    terms = [ctc_loss(out.ctc_log_probs[b][(slice(0, int(n)),)],
+                      batch.src_tokens[b, : batch.src_lens[b]])
+             for b, n in enumerate(batch.speech_lens)]
+    ctc = sum(terms[1:], terms[0]) / len(terms)
+    if asr_variant == "ctc":
+        return ctc
+    return ctc + ce_loss(out.logits, out.targets, batch.pad_id)
+
+
 def ctc_loss_bruteforce(log_probs, target) -> float:
     """Oracle: enumerate every frame labelling and sum the ones that
     collapse (merge repeats, drop blanks) to the target."""

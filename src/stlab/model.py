@@ -7,10 +7,16 @@ Forward paths:
   asr/ctc speech -> A-Enc -> CTC head (A-Enc parameters only)
   asr/ce  speech -> A-Enc -> (shrink) -> T-Enc(speech) -> decoder -> src
   mt      src + noise -> embed -> T-Enc(text) -> decoder -> tgt
+
+The trainer encodes speech once per step: `asr_outputs` reads ASR off the
+ST pass (its CTC log-probs, and the source decoded from its T-Enc memory).
+A standalone `forward_task("asr")`, as the impact probes run it, encodes
+the batch itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from dataclasses import dataclass, field, asdict
@@ -212,6 +218,7 @@ class TaskOutputs:
     ctc_log_probs: Tensor | None = None
     tenc_input: Tensor | None = None
     tenc_mask: np.ndarray | None = None
+    memory: Tensor | None = None    # T-Enc output the decoder attends to
     extractor_outs: list = field(default_factory=list)
     attention_outs: list = field(default_factory=list)
     attention_weights: list = field(default_factory=list)
@@ -390,8 +397,8 @@ class Model:
     def encode_speech(self, batch: SyntheticBatch, use_shrink: bool, use_lbm: bool = True):
         """A-Enc, optional CTC-driven shrinking, then T-Enc on the speech stream.
 
-        Returns (outputs, memory, memory_mask) where outputs carries the CTC
-        log-probs, T-Enc intermediates and the measured length ratio.
+        Returns the outputs: CTC log-probs, T-Enc input, mask, memory and
+        intermediates, and the measured length ratio.
         """
         feats, mask, _ = self.a_enc_forward(batch.speech, batch.speech_lens)
         ctc_lp = self.ctc_log_probs(feats)
@@ -404,44 +411,55 @@ class Model:
         else:
             out.tenc_input, out.tenc_mask = feats, mask
             out.length_ratio = 1.0
-        memory, ext, attn, w = self.t_enc_forward(out.tenc_input, out.tenc_mask)
-        out.extractor_outs, out.attention_outs, out.attention_weights = ext, attn, w
-        return out, memory, out.tenc_mask
+        out.memory, out.extractor_outs, out.attention_outs, out.attention_weights = \
+            self.t_enc_forward(out.tenc_input, out.tenc_mask)
+        return out
+
+    def _teacher_logits(self, enc: TaskOutputs, tokens, lens, pad_id):
+        """Teacher-forced decoder logits for `tokens`, attending to enc.memory
+        (BOS is pad + 1 in the symbol table)."""
+        prefix = self._teacher_prefix(tokens, lens, pad_id + 1, pad_id)
+        return self.decoder_forward(prefix, enc.memory, enc.tenc_mask, pad_id)
+
+    def asr_outputs(self, speech: TaskOutputs, batch: SyntheticBatch,
+                    asr_variant: str = "ctc") -> TaskOutputs:
+        """ASR outputs on already-encoded speech (an ST forward's outputs or
+        encode_speech's): its CTC log-probs for `ctc`, the source decoded
+        from its T-Enc memory for `ce`, both for `ctc+ce`."""
+        if asr_variant not in ASR_VARIANTS:
+            raise ValueError(f"unknown asr_variant {asr_variant!r}")
+        logits = None
+        if asr_variant != "ctc":
+            logits = self._teacher_logits(speech, batch.src_tokens, batch.src_lens,
+                                          batch.pad_id)
+        return dataclasses.replace(
+            speech, logits=logits, targets=batch.src_tokens,
+            ctc_log_probs=None if asr_variant == "ce" else speech.ctc_log_probs)
 
     # -- task forwards -------------------------------------------------------
 
     def forward_task(self, batch: SyntheticBatch, task: str, *,
                      asr_variant: str = "ctc", use_shrink: bool = False,
-                     use_lbm: bool = True, bos_id: int | None = None,
+                     use_lbm: bool = True,
                      mt_noise_rng: np.random.Generator | None = None,
                      mt_noise_p: float = 0.2) -> TaskOutputs:
         if task not in TASKS:
             raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
         pad = batch.pad_id
-        if bos_id is None:
-            bos_id = pad + 1
 
         if task == "st":
-            out, memory, mem_mask = self.encode_speech(batch, use_shrink, use_lbm)
-            prefix = self._teacher_prefix(batch.tgt_tokens, batch.tgt_lens, bos_id, pad)
-            out.logits = self.decoder_forward(prefix, memory, mem_mask, pad)
+            out = self.encode_speech(batch, use_shrink, use_lbm)
+            out.logits = self._teacher_logits(out, batch.tgt_tokens, batch.tgt_lens, pad)
             out.targets = batch.tgt_tokens
             return out
 
         if task == "asr":
-            if asr_variant not in ASR_VARIANTS:
-                raise ValueError(f"unknown asr_variant {asr_variant!r}")
-            if asr_variant == "ctc":
+            if asr_variant == "ctc":  # the CTC head alone reads only the A-Enc
                 feats, _, _ = self.a_enc_forward(batch.speech, batch.speech_lens)
-                return TaskOutputs(ctc_log_probs=self.ctc_log_probs(feats),
-                                   targets=batch.src_tokens)
-            out, memory, mem_mask = self.encode_speech(batch, use_shrink, use_lbm)
-            prefix = self._teacher_prefix(batch.src_tokens, batch.src_lens, bos_id, pad)
-            out.logits = self.decoder_forward(prefix, memory, mem_mask, pad)
-            out.targets = batch.src_tokens
-            if asr_variant == "ce":
-                out.ctc_log_probs = None
-            return out
+                speech = TaskOutputs(ctc_log_probs=self.ctc_log_probs(feats))
+            else:
+                speech = self.encode_speech(batch, use_shrink, use_lbm)
+            return self.asr_outputs(speech, batch, asr_variant)
 
         # mt: noisy text -> shared T-Enc -> decoder
         if mt_noise_rng is None:
@@ -457,12 +475,10 @@ class Model:
         for b, n in enumerate(noisy):
             noisy_tok[b, : len(n)] = n
         mask = np.arange(Ln)[None, :] < np.asarray(noisy_lens)[:, None]
-        emb = self.embed_src(noisy_tok, pad)
-        out = TaskOutputs(tenc_input=emb, tenc_mask=mask)
-        memory, ext, attn, w = self.t_enc_forward(emb, mask)
-        out.extractor_outs, out.attention_outs, out.attention_weights = ext, attn, w
-        prefix = self._teacher_prefix(batch.tgt_tokens, batch.tgt_lens, bos_id, pad)
-        out.logits = self.decoder_forward(prefix, memory, mask, pad)
+        out = TaskOutputs(tenc_input=self.embed_src(noisy_tok, pad), tenc_mask=mask)
+        out.memory, out.extractor_outs, out.attention_outs, out.attention_weights = \
+            self.t_enc_forward(out.tenc_input, mask)
+        out.logits = self._teacher_logits(out, batch.tgt_tokens, batch.tgt_lens, pad)
         out.targets = batch.tgt_tokens
         return out
 
@@ -477,17 +493,15 @@ class Model:
         return np.where(cols < np.asarray(lens)[:, None], prefix, pad_id)
 
     def greedy_decode(self, batch: SyntheticBatch, *, use_shrink: bool = False,
-                      use_lbm: bool = True, bos_id: int | None = None) -> np.ndarray:
+                      use_lbm: bool = True) -> np.ndarray:
         """Greedy autoregressive ST decode for exactly tgt_lens steps."""
         pad = batch.pad_id
-        if bos_id is None:
-            bos_id = pad + 1
-        _, memory, mem_mask = self.encode_speech(batch, use_shrink, use_lbm)
-        memory = memory.detach()
+        enc = self.encode_speech(batch, use_shrink, use_lbm)
+        memory, mem_mask = enc.memory.detach(), enc.tenc_mask
         B = batch.batch_size
         L = int(batch.tgt_lens.max())
         prefix = np.full((B, L), pad, dtype=np.int64)
-        prefix[:, 0] = bos_id
+        prefix[:, 0] = pad + 1  # BOS
         out = np.full((B, L), pad, dtype=np.int64)
         for i in range(L):
             logits = self.decoder_forward(prefix[:, : i + 1], memory, mem_mask, pad)

@@ -40,12 +40,6 @@ def _load(checkpoint, config: RunConfig):
     return model
 
 
-def _probe_kwargs(config: RunConfig, task: str, shrunk: bool):
-    if task == "st" or (task == "asr" and config.toggles.asr_variant != "ctc"):
-        return {"use_shrink": shrunk, "use_lbm": config.toggles.use_lbm}
-    return {}
-
-
 def preset_modules_bar(config: RunConfig, checkpoint, out_dir, *, n=32, repeats=5,
                        seed=0, shrunk=True, asr_variant="ce"):
     """One cosine per (partition, sublayer kind) for ASR-ST and MT-ST.

@@ -6,10 +6,11 @@ Per probe instance j the impact of auxiliary task i is
 over flattened self-attention gradients of the relevant module; weights
 update as w_i <- w_i * m_i^(u/s) and the task is dropped below threshold.
 
-Dropping a task removes its weighted term and its own forward pass. For
-ASR that is the second A-Enc pass; the CTC objective that shrinking reads
-stays, on the ST pass's log-probs at weight 1 (see train.compute_losses),
-so the segmenter does not freeze once ASR is gone.
+Dropping a task removes its weighted term, and for MT its forward pass too.
+ASR reads the ST pass's speech encoding, so dropping it saves only its
+loss (and, for the `ce` variants, the source decode). The CTC objective
+that shrinking reads stays, on the ST pass's log-probs at weight 1 (see
+train.compute_losses), so the segmenter does not freeze once ASR is gone.
 """
 
 from __future__ import annotations

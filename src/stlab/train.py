@@ -19,7 +19,9 @@ import numpy as np
 from . import analysis, scheduler as sched
 from .config import RunConfig, save_config
 from .data import make_batch
-from .losses import ce_loss, consistency_loss, contrastive_loss, ctc_loss, total_loss
+# ce_loss and ctc_loss are looked up here by name (perfbench/tracer.py)
+from .losses import (ce_loss, consistency_loss, contrastive_loss,  # noqa: F401
+                     ctc_loss, task_loss, total_loss)
 from .model import Model, load_checkpoint, save_checkpoint
 from .optim import Adam
 
@@ -84,36 +86,24 @@ def greedy_st_accuracy(model, batch, use_shrink, use_lbm) -> float:
     return token_accuracy(pred, batch.tgt_tokens, batch.pad_id)
 
 
-def _ctc_batch_loss(out, batch):
-    terms = []
-    for b in range(batch.batch_size):
-        lp = out.ctc_log_probs[b][(slice(0, int(batch.speech_lens[b])),)]
-        terms.append(ctc_loss(lp, batch.src_tokens[b, : batch.src_lens[b]]))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total / len(terms)
-
-
 def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWeights,
-                   step: int, shrink_active: bool, forward_counter=None):
+                   step: int, shrink_active: bool):
     """Forward every active task once and assemble the weighted bundle.
 
-    Pruning ASR removes its weighted term and its A-Enc pass, but not the
-    CTC objective that shrinking reads: while shrinking is active, a pruned
-    CTC-variant ASR leaves the CTC loss on the ST pass's own log-probs at
-    weight 1, so the segmenter keeps training.
+    Speech is encoded once per step. ASR reads the ST pass's outputs: its
+    CTC log-probs, and for the `ce` variants the source decoded from its
+    T-Enc memory. With dropout > 0, ST and ASR therefore share dropout masks.
+    While active, the ASR loss enters at weight w_asr, reported as "asr".
+
+    Shrinking reads the CTC head, so whenever the ASR term holds no CTC
+    (ASR pruned, or the `ce` variant) and shrinking is active, the CTC loss
+    on the ST pass's log-probs enters at weight 1, reported as "ctc", and
+    the segmenter keeps training. Pruning MT removes its forward pass.
     """
     tg = config.toggles
-
-    def count(task):
-        if forward_counter is not None:
-            forward_counter[task] = forward_counter.get(task, 0) + 1
-
-    count("st")
     st_out = model.forward_task(batch, "st", use_shrink=shrink_active,
                                 use_lbm=tg.use_lbm)
-    l_st = ce_loss(st_out.logits, st_out.targets, batch.pad_id)
+    l_st = task_loss(st_out, batch, "st")
 
     cons_terms = []
     if tg.use_l2g:
@@ -122,27 +112,18 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
 
     l_asr = l_ctc = None
     if tg.use_asr and weights.active("asr"):
-        count("asr")
-        asr_out = model.forward_task(batch, "asr", asr_variant=tg.asr_variant,
-                                     use_shrink=shrink_active, use_lbm=tg.use_lbm)
-        if tg.asr_variant == "ctc":
-            l_asr = _ctc_batch_loss(asr_out, batch)
-        elif tg.asr_variant == "ce":
-            l_asr = ce_loss(asr_out.logits, asr_out.targets, batch.pad_id)
-        else:
-            l_asr = _ctc_batch_loss(asr_out, batch) + ce_loss(
-                asr_out.logits, asr_out.targets, batch.pad_id)
-    elif tg.use_asr and shrink_active and "ctc" in tg.asr_variant:
-        l_ctc = _ctc_batch_loss(st_out, batch)
+        asr_out = model.asr_outputs(st_out, batch, tg.asr_variant)
+        l_asr = task_loss(asr_out, batch, "asr", tg.asr_variant)
+    if tg.use_asr and shrink_active and (l_asr is None or tg.asr_variant == "ce"):
+        l_ctc = task_loss(st_out, batch, "asr", "ctc")
 
     l_mt = None
     if tg.use_mt and weights.active("mt"):
-        count("mt")
         noise_p = tg.mt_noise_p if tg.use_l2g else 0.0
         mt_rng = np.random.default_rng((config.training.seed, _STREAM_NOISE, step))
         mt_out = model.forward_task(batch, "mt", mt_noise_rng=mt_rng,
                                     mt_noise_p=noise_p)
-        l_mt = ce_loss(mt_out.logits, mt_out.targets, batch.pad_id)
+        l_mt = task_loss(mt_out, batch, "mt")
         if tg.use_l2g:
             cons_terms.append(consistency_loss(
                 mt_out.extractor_outs, mt_out.attention_outs, mt_out.tenc_mask))
@@ -192,7 +173,6 @@ def make_probe_fn(model: Model, config: RunConfig, weights: sched.TaskWeights,
                 model, batch, "st", use_shrink=shrink_active, use_lbm=tg.use_lbm)
             entry["st"] = atten_vectors(st_snap)
             for task in weights.active_tasks():
-                kw = {}
                 if task == "asr":
                     kw = {"asr_variant": "ctc", "use_shrink": shrink_active,
                           "use_lbm": tg.use_lbm}

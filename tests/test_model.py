@@ -194,8 +194,8 @@ def test_greedy_decode_matches_teacher_forcing_argmax(model, batch):
     prefix[:, 1:] = pred[:, :-1]
     cols = np.arange(pred.shape[1])[None, :]
     prefix = np.where(cols < batch.tgt_lens[:, None], prefix, pad)
-    _, memory, mem_mask = model.encode_speech(batch, use_shrink=False)
-    logits = model.decoder_forward(prefix, memory, mem_mask, pad)
+    enc = model.encode_speech(batch, use_shrink=False)
+    logits = model.decoder_forward(prefix, enc.memory, enc.tenc_mask, pad)
     again = np.argmax(logits.data, axis=-1)
     valid = cols < batch.tgt_lens[:, None]
     np.testing.assert_array_equal(again[valid], pred[valid])

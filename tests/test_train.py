@@ -2,16 +2,16 @@
 
 import importlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-# the package re-exports the train() function under the same name, so fetch
-# the module explicitly
-train_mod = importlib.import_module("stlab.train")
+import stlab.train as train_mod
+from stlab import analysis
 from stlab.config import (RunConfig, SchedulerConfig, Toggles, TrainingConfig)
 from stlab.data import CorpusConfig
-from stlab.model import ModelConfig
+from stlab.model import ASR_VARIANTS, Model, ModelConfig
 from stlab.train import (NanAbort, batch_for_step, compute_losses,
                          copy_baseline_accuracy, eval_batch, make_task_weights,
                          token_accuracy, train)
@@ -36,6 +36,30 @@ def tiny_config(steps=8, **toggle_over):
 
 def read_metrics(path):
     return [json.loads(ln) for ln in path.read_text().splitlines()]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts Model.forward_task calls by task, and Model.a_enc_forward
+    calls under "a_enc"."""
+    counts = Counter()
+    forward_task, a_enc_forward = Model.forward_task, Model.a_enc_forward
+
+    def counting_forward_task(self, batch, task, **kw):
+        counts[task] += 1
+        return forward_task(self, batch, task, **kw)
+
+    def counting_a_enc_forward(self, *args):
+        counts["a_enc"] += 1
+        return a_enc_forward(self, *args)
+
+    monkeypatch.setattr(Model, "forward_task", counting_forward_task)
+    monkeypatch.setattr(Model, "a_enc_forward", counting_a_enc_forward)
+    return counts
+
+
+def test_package_attribute_is_train_module():
+    assert importlib.import_module("stlab").train is importlib.import_module("stlab.train")
 
 
 def test_token_accuracy_and_baseline():
@@ -118,32 +142,31 @@ def test_losses_respect_toggles(tmp_path):
     assert s2["total"] == pytest.approx(s2["st"])
 
 
-def test_pruned_task_not_forwarded():
+def test_pruned_task_not_forwarded(calls):
     cfg = tiny_config(steps=2)
     model = train_mod.build_model(cfg)
     weights = make_task_weights(cfg)
     weights.pruned.add("asr")
-    counter = {}
     batch = batch_for_step(cfg, 1, 3)
-    compute_losses(model, batch, cfg, weights, 1, False, forward_counter=counter)
-    assert "asr" not in counter and counter["st"] == 1 and counter["mt"] == 1
+    compute_losses(model, batch, cfg, weights, 1, False)
+    assert "asr" not in calls and calls["st"] == 1 and calls["mt"] == 1
 
 
-def test_pruned_asr_keeps_ctc_head_training():
+def test_pruned_asr_keeps_ctc_head_training(calls):
     """Shrinking reads the CTC head's greedy path, so pruning ASR must not
-    freeze the head; without ASR at all the head gets no gradient."""
-    cfg = tiny_config(steps=2)
-    batch = batch_for_step(cfg, 1, 3)
-    model = train_mod.build_model(cfg)
-    weights = make_task_weights(cfg)
-    weights.pruned.add("asr")
-    counter = {}
-    bundle, _ = compute_losses(model, batch, cfg, weights, 1, True,
-                               forward_counter=counter)
-    bundle.total.backward()
-    assert "asr" not in counter
-    assert bundle.scalars()["asr"] is None
-    assert all(p.grad is not None for p in model.ctc_head.tensors)
+    freeze the head, nor may the `ce` variant leave it untrained; without
+    ASR at all the head gets no gradient."""
+    batch = batch_for_step(tiny_config(steps=2), 1, 3)
+    for variant in ("ctc", "ce"):
+        cfg = tiny_config(steps=2, asr_variant=variant)
+        model = train_mod.build_model(cfg)
+        weights = make_task_weights(cfg)
+        weights.pruned.add("asr")
+        bundle, _ = compute_losses(model, batch, cfg, weights, 1, True)
+        bundle.total.backward()
+        assert "asr" not in calls
+        assert bundle.scalars()["asr"] is None
+        assert all(p.grad is not None for p in model.ctc_head.tensors), variant
 
     off = tiny_config(steps=2, use_asr=False)
     model2 = train_mod.build_model(off)
@@ -153,13 +176,37 @@ def test_pruned_asr_keeps_ctc_head_training():
     assert all(p.grad is None for p in model2.ctc_head.tensors)
 
 
+@pytest.mark.parametrize("pruned", [False, True])
+@pytest.mark.parametrize("variant", ASR_VARIANTS)
+def test_one_a_enc_pass_per_step(calls, variant, pruned):
+    cfg = tiny_config(steps=2, asr_variant=variant)
+    model = train_mod.build_model(cfg)
+    weights = make_task_weights(cfg)
+    if pruned:
+        weights.pruned.add("asr")
+    bundle, _ = compute_losses(model, batch_for_step(cfg, 1, 3), cfg, weights, 1, True)
+    assert calls["a_enc"] == 1
+    s = bundle.scalars()
+    assert (s["asr"] is None) == pruned
+    # the segmenter CTC term fills in whenever the ASR term holds no CTC
+    assert (s["ctc"] is None) == (not pruned and variant != "ce")
+
+
 def test_asr_variant_paths():
-    for variant in ("ctc", "ce", "ctc+ce"):
+    """The trainer's ASR term, read off the ST pass, equals the probes'
+    standalone ASR loss on the same model and batch."""
+    for variant in ASR_VARIANTS:
         cfg = tiny_config(steps=2, asr_variant=variant)
         model = train_mod.build_model(cfg)
         batch = batch_for_step(cfg, 1, 3)
-        bundle, _ = compute_losses(model, batch, cfg, make_task_weights(cfg), 1, False)
-        assert np.isfinite(bundle.scalars()["asr"])
+        for shrink in (False, True):
+            bundle, _ = compute_losses(model, batch, cfg, make_task_weights(cfg), 1,
+                                       shrink)
+            l_asr = bundle.scalars()["asr"]
+            assert np.isfinite(l_asr)
+            probe = analysis.task_probe_loss(model, batch, "asr", asr_variant=variant,
+                                             use_shrink=shrink, use_lbm=cfg.toggles.use_lbm)
+            assert abs(l_asr - probe.item()) <= 1e-12, (variant, shrink)
 
 
 def test_shrink_warmup_disable():
