@@ -35,12 +35,10 @@ class ConsistencyRow:
     repeats: int
 
 
-def task_probe_loss(model, batch, task: str, *, asr_variant="ctc",
-                    use_shrink=False, use_lbm=True, mt_noise_rng=None):
-    """The probed task's own unweighted loss (no CL/consistency terms)."""
-    out = model.forward_task(batch, task, asr_variant=asr_variant,
-                             use_shrink=use_shrink, use_lbm=use_lbm,
-                             mt_noise_rng=mt_noise_rng)
+def task_probe_loss(model, batch, task: str, *, asr_variant="ctc", **forward_kw):
+    """The probed task's own unweighted loss (no CL/consistency terms);
+    forward_kw go to Model.forward_task."""
+    out = model.forward_task(batch, task, asr_variant=asr_variant, **forward_kw)
     return task_loss(out, batch, task, asr_variant)
 
 
@@ -179,16 +177,15 @@ def stream_entropy_report(attention_weights, mask, stream: str):
     return rows
 
 
-def consistency_over_training(checkpoints, corpus: CorpusConfig, task_pair, *,
+def consistency_over_training(checkpoints, corpus: CorpusConfig, task_pair, load_fn, *,
                               n=32, repeats=3, seed=0, kinds=("ATTEN", "FFN"),
-                              load_fn=None, **proto_kwargs):
+                              **proto_kwargs):
     """Run the consistency protocol at each checkpoint.
 
-    checkpoints: list of (step, path). Missing checkpoints are skipped with
-    a warning entry. Returns (series rows, warnings); each series row is
-    (step, partition, kind, layer, mean)."""
-    from .model import load_checkpoint
-    load_fn = load_fn or (lambda p: load_checkpoint(p)[0])
+    checkpoints: list of (step, path); load_fn(path) gives the model to
+    probe. Missing checkpoints are skipped with a warning entry. Returns
+    (series rows, warnings); each series row is (step, partition, kind,
+    layer, mean)."""
     series, warnings = [], []
     for step, path in sorted(checkpoints):
         try:

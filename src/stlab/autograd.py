@@ -248,24 +248,6 @@ def relu(a):
     return _make(out, (a,), bwd)
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
-
-
-def gelu(a):
-    # tanh approximation; derivative computed from the same closed form
-    x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
-
-    def bwd(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        _acc(a, g * d)
-
-    return _make(out, (a,), bwd)
-
-
 # -- reductions / shape ---------------------------------------------------
 
 
@@ -526,10 +508,6 @@ class ParamGroup:
     key: GroupKey
     tensors: list = field(default_factory=list)
 
-    @property
-    def n_params(self):
-        return sum(t.data.size for t in self.tensors)
-
     def flat_grad(self) -> np.ndarray:
         """Concatenate member grads in construction order."""
         for t in self.tensors:
@@ -539,12 +517,3 @@ class ParamGroup:
 
     def has_grads(self) -> bool:
         return all(t.grad is not None for t in self.tensors)
-
-
-def flatten_grads(groups, predicate=None):
-    """Flat gradient vector per matching group, keyed by GroupKey."""
-    out = {}
-    for g in groups:
-        if predicate is None or predicate(g.key):
-            out[g.key] = g.flat_grad()
-    return out

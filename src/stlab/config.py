@@ -58,6 +58,11 @@ class Toggles:
         if self.asr_variant not in ASR_VARIANTS:
             raise ConfigError(f"asr_variant must be one of {ASR_VARIANTS}")
 
+    def mt_noise(self) -> float:
+        """The MT input noise the run trains and probes with: mt_noise_p,
+        or 0 with the L2G extractors off."""
+        return self.mt_noise_p if self.use_l2g else 0.0
+
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -12,6 +12,10 @@ The trainer encodes speech once per step: `asr_outputs` reads ASR off the
 ST pass (its CTC log-probs, and the source decoded from its T-Enc memory).
 A standalone `forward_task("asr")`, as the impact probes run it, encodes
 the batch itself.
+
+The model carries a run's forward settings, `use_l2g` (the extractors) and
+`use_lbm` (the look-back), which `apply_toggles` sets once per model from
+the run's toggles; every forward reads them from there.
 """
 
 from __future__ import annotations
@@ -270,6 +274,13 @@ class Model:
         self._check_coverage()
         self.dropout_rng = None   # set by the trainer for dropout > 0 runs
         self.use_l2g = True       # False bypasses the extractors (ablation)
+        self.use_lbm = True       # False shrinks without the look-back (ablation)
+
+    def apply_toggles(self, toggles) -> "Model":
+        """Take a run's forward settings from its config.Toggles."""
+        self.use_l2g = toggles.use_l2g
+        self.use_lbm = toggles.use_lbm
+        return self
 
     # -- parameter bookkeeping -------------------------------------------
 
@@ -394,7 +405,7 @@ class Model:
 
     # -- speech-side encoding (shared by ST and the CE-ASR probe) -----------
 
-    def encode_speech(self, batch: SyntheticBatch, use_shrink: bool, use_lbm: bool = True):
+    def encode_speech(self, batch: SyntheticBatch, use_shrink: bool):
         """A-Enc, optional CTC-driven shrinking, then T-Enc on the speech stream.
 
         Returns the outputs: CTC log-probs, T-Enc input, mask, memory and
@@ -405,7 +416,7 @@ class Model:
         out = TaskOutputs(ctc_log_probs=ctc_lp)
         if use_shrink:
             fused, s_mask, shrunks, ratio = shrink_mod.shrink_batch(
-                feats, ctc_lp, batch.speech_lens, self.lbm, use_lbm=use_lbm)
+                feats, ctc_lp, batch.speech_lens, self.lbm, use_lbm=self.use_lbm)
             out.tenc_input, out.tenc_mask = fused, s_mask
             out.length_ratio, out.shrunk = ratio, shrunks
         else:
@@ -440,7 +451,6 @@ class Model:
 
     def forward_task(self, batch: SyntheticBatch, task: str, *,
                      asr_variant: str = "ctc", use_shrink: bool = False,
-                     use_lbm: bool = True,
                      mt_noise_rng: np.random.Generator | None = None,
                      mt_noise_p: float = 0.2) -> TaskOutputs:
         if task not in TASKS:
@@ -448,7 +458,7 @@ class Model:
         pad = batch.pad_id
 
         if task == "st":
-            out = self.encode_speech(batch, use_shrink, use_lbm)
+            out = self.encode_speech(batch, use_shrink)
             out.logits = self._teacher_logits(out, batch.tgt_tokens, batch.tgt_lens, pad)
             out.targets = batch.tgt_tokens
             return out
@@ -458,7 +468,7 @@ class Model:
                 feats, _, _ = self.a_enc_forward(batch.speech, batch.speech_lens)
                 speech = TaskOutputs(ctc_log_probs=self.ctc_log_probs(feats))
             else:
-                speech = self.encode_speech(batch, use_shrink, use_lbm)
+                speech = self.encode_speech(batch, use_shrink)
             return self.asr_outputs(speech, batch, asr_variant)
 
         # mt: noisy text -> shared T-Enc -> decoder
@@ -492,11 +502,11 @@ class Model:
         cols = np.arange(L)[None, :]
         return np.where(cols < np.asarray(lens)[:, None], prefix, pad_id)
 
-    def greedy_decode(self, batch: SyntheticBatch, *, use_shrink: bool = False,
-                      use_lbm: bool = True) -> np.ndarray:
+    def greedy_decode(self, batch: SyntheticBatch, *,
+                      use_shrink: bool = False) -> np.ndarray:
         """Greedy autoregressive ST decode for exactly tgt_lens steps."""
         pad = batch.pad_id
-        enc = self.encode_speech(batch, use_shrink, use_lbm)
+        enc = self.encode_speech(batch, use_shrink)
         memory, mem_mask = enc.memory.detach(), enc.tenc_mask
         B = batch.batch_size
         L = int(batch.tgt_lens.max())

@@ -3,6 +3,7 @@ checkpoint, mirroring the measurement protocols of the analysis module."""
 
 from __future__ import annotations
 
+import functools
 import re
 from pathlib import Path
 
@@ -12,8 +13,6 @@ from . import analysis
 from .config import RunConfig
 from .data import make_batch
 from .model import load_checkpoint
-
-PRESETS = ("modules-bar", "per-layer", "asr-variants", "shrink-cl", "over-training")
 
 CONSISTENCY_HEADER = "partition,kind,layer,mean,std\n"
 
@@ -35,72 +34,56 @@ def _write_consistency(rows, path, extra_col=None):
 
 
 def _load(checkpoint, config: RunConfig):
-    model, _, _ = load_checkpoint(checkpoint)
-    model.use_l2g = config.toggles.use_l2g
-    return model
+    """A checkpoint's model under the run's toggles, and its meta."""
+    model, meta, _ = load_checkpoint(checkpoint)
+    return model.apply_toggles(config.toggles), meta
 
 
-def preset_modules_bar(config: RunConfig, checkpoint, out_dir, *, n=32, repeats=5,
-                       seed=0, shrunk=True, asr_variant="ce"):
-    """One cosine per (partition, sublayer kind) for ASR-ST and MT-ST.
+def _probe_pairs(config: RunConfig, shrunk=True):
+    """{pair name: (task pair, probe kwargs of task a, of task b)} for the
+    ASR-ST and MT-ST consistency pairs; MT runs under the run's input
+    noise. The CE-flavored ASR probe shares the whole model, so the decoder
+    column exists; the CTC probe would only cover the A-Enc."""
+    st = {"use_shrink": shrunk}
+    return {"asr_st": (("asr", "st"), {"asr_variant": "ce", **st}, st),
+            "mt_st": (("mt", "st"), {"mt_noise_p": config.toggles.mt_noise()}, st)}
 
-    The CE-flavored ASR probe shares the whole model, so the decoder column
-    exists; the CTC probe would only cover the A-Enc.
-    """
-    model = _load(checkpoint, config)
-    out_dir = Path(out_dir)
+
+# preset -> (CSV name prefix, consistency_protocol layout)
+_PAIR_LAYOUTS = {
+    "modules-bar": ("consistency_modules", {}),
+    "per-layer": ("consistency_layers", {"partitions": ("T-Enc",), "per_layer": True}),
+}
+
+
+def preset_pairs(preset: str, config: RunConfig, checkpoint, out_dir, *, n=32,
+                 repeats=5, seed=0):
+    """ASR-ST and MT-ST consistency on shrunk speech: one cosine per
+    (partition, sublayer kind) for modules-bar, per T-Enc layer for
+    per-layer."""
+    model, _ = _load(checkpoint, config)
+    prefix, layout = _PAIR_LAYOUTS[preset]
     paths = []
-    for pair_name, pair, kw_a in (
-            ("asr_st", ("asr", "st"), {"asr_variant": asr_variant,
-                                       "use_shrink": shrunk,
-                                       "use_lbm": config.toggles.use_lbm}),
-            ("mt_st", ("mt", "st"), {})):
+    for pair_name, (pair, kw_a, kw_b) in _probe_pairs(config).items():
         rows = analysis.consistency_protocol(
             model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
-            probe_kwargs_a=kw_a,
-            probe_kwargs_b={"use_shrink": shrunk, "use_lbm": config.toggles.use_lbm})
-        path = out_dir / f"consistency_modules_{pair_name}.csv"
-        _write_consistency(rows, path)
-        paths.append(path)
-    return paths
-
-
-def preset_per_layer(config: RunConfig, checkpoint, out_dir, *, n=32, repeats=5,
-                     seed=0, shrunk=True):
-    """Per-layer T-Enc consistency for ASR-ST and MT-ST (CE-flavored ASR)."""
-    model = _load(checkpoint, config)
-    out_dir = Path(out_dir)
-    paths = []
-    for pair_name, pair, kw_a in (
-            ("asr_st", ("asr", "st"), {"asr_variant": "ce", "use_shrink": shrunk,
-                                       "use_lbm": config.toggles.use_lbm}),
-            ("mt_st", ("mt", "st"), {})):
-        rows = analysis.consistency_protocol(
-            model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
-            partitions=("T-Enc",), per_layer=True,
-            probe_kwargs_a=kw_a,
-            probe_kwargs_b={"use_shrink": shrunk, "use_lbm": config.toggles.use_lbm})
-        path = out_dir / f"consistency_layers_{pair_name}.csv"
+            probe_kwargs_a=kw_a, probe_kwargs_b=kw_b, **layout)
+        path = Path(out_dir) / f"{prefix}_{pair_name}.csv"
         _write_consistency(rows, path)
         paths.append(path)
     return paths
 
 
 def preset_asr_variants(config: RunConfig, checkpoint, out_dir, *, n=32, repeats=5,
-                        seed=0, shrunk=True):
+                        seed=0):
     """ASR-ST consistency with the CTC-after-A-Enc vs CE-after-decoder probes."""
-    model = _load(checkpoint, config)
-    out_dir = Path(out_dir)
+    model, _ = _load(checkpoint, config)
+    pair, kw_a, kw_b = _probe_pairs(config)["asr_st"]
     rows = []
     for variant in ("ctc", "ce"):
-        kw = {"asr_variant": variant}
-        if variant == "ce":
-            kw.update(use_shrink=shrunk, use_lbm=config.toggles.use_lbm)
         for r in analysis.consistency_protocol(
-                model, config.corpus, ("asr", "st"), n=n, repeats=repeats, seed=seed,
-                probe_kwargs_a=kw,
-                probe_kwargs_b={"use_shrink": shrunk,
-                                "use_lbm": config.toggles.use_lbm}):
+                model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
+                probe_kwargs_a={**kw_a, "asr_variant": variant}, probe_kwargs_b=kw_b):
             rows.append((variant, r))
     path = Path(out_dir) / "consistency_asr_variants.csv"
     _write_consistency(rows, path, extra_col=True)
@@ -111,14 +94,14 @@ def preset_shrink_cl(config: RunConfig, checkpoint, out_dir, *, n=32, repeats=5,
                      seed=0):
     """MT-ST consistency with and without shrinking, plus the per-stream
     attention-entropy report."""
-    model = _load(checkpoint, config)
+    model, _ = _load(checkpoint, config)
     out_dir = Path(out_dir)
     rows = []
     for variant, shrunk in (("plain", False), ("shrink", True)):
+        pair, kw_a, kw_b = _probe_pairs(config, shrunk)["mt_st"]
         for r in analysis.consistency_protocol(
-                model, config.corpus, ("mt", "st"), n=n, repeats=repeats, seed=seed,
-                probe_kwargs_b={"use_shrink": shrunk,
-                                "use_lbm": config.toggles.use_lbm}):
+                model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
+                probe_kwargs_a=kw_a, probe_kwargs_b=kw_b):
             rows.append((variant, r))
     cons_path = out_dir / "consistency_shrink_cl.csv"
     _write_consistency(rows, cons_path, extra_col=True)
@@ -136,11 +119,10 @@ def write_entropy_report(model, config: RunConfig, path, *, n=32, seed=0):
     rows = []
     mt_out = model.forward_task(batch, "mt",
                                 mt_noise_rng=np.random.default_rng((seed, 1)),
-                                mt_noise_p=config.toggles.mt_noise_p)
+                                mt_noise_p=config.toggles.mt_noise())
     rows += analysis.stream_entropy_report(mt_out.attention_weights, mt_out.tenc_mask, "mt")
     for name, shrunk in (("st_plain", False), ("st_shrunk", True)):
-        st_out = model.forward_task(batch, "st", use_shrink=shrunk,
-                                    use_lbm=config.toggles.use_lbm)
+        st_out = model.forward_task(batch, "st", use_shrink=shrunk)
         rows += analysis.stream_entropy_report(st_out.attention_weights,
                                                st_out.tenc_mask, name)
     with open(path, "w") as fh:
@@ -168,12 +150,10 @@ def preset_over_training(config: RunConfig, run_dir, out_dir, *, n=32, repeats=3
         raise FileNotFoundError(f"no checkpoints found in {run_dir}")
     paths = []
     out_dir = Path(out_dir)
-    for pair_name, pair, kw_a in (
-            ("asr_st", ("asr", "st"), {"asr_variant": "ce"}),
-            ("mt_st", ("mt", "st"), {})):
+    for pair_name, (pair, kw_a, kw_b) in _probe_pairs(config, shrunk=False).items():
         series, warnings = analysis.consistency_over_training(
-            ckpts, config.corpus, pair, n=n, repeats=repeats, seed=seed,
-            probe_kwargs_a=kw_a)
+            ckpts, config.corpus, pair, lambda p: _load(p, config)[0], n=n,
+            repeats=repeats, seed=seed, probe_kwargs_a=kw_a, probe_kwargs_b=kw_b)
         path = out_dir / f"consistency_over_training_{pair_name}.csv"
         with open(path, "w") as fh:
             fh.write("step,partition,kind,layer,mean\n")
@@ -186,15 +166,14 @@ def preset_over_training(config: RunConfig, run_dir, out_dir, *, n=32, repeats=3
 def shrink_eval(config: RunConfig, checkpoint, out_path, *, batches=4,
                 batch_size=16, seed=0):
     """Per-batch shrink statistics CSV: step,batch,n_mean,m_mean,ratio."""
-    model, meta, _ = load_checkpoint(checkpoint)
+    model, meta = _load(checkpoint, config)
     step = meta.get("step", 0)
     with open(out_path, "w") as fh:
         fh.write("step,batch,n_mean,m_mean,ratio\n")
         for bi in range(batches):
             rng = np.random.default_rng((seed, 0x5E, bi))
             batch = make_batch(config.corpus, rng.integers(0, 2**62, size=batch_size))
-            out = model.forward_task(batch, "st", use_shrink=True,
-                                     use_lbm=config.toggles.use_lbm)
+            out = model.forward_task(batch, "st", use_shrink=True)
             n_mean = float(np.mean(batch.speech_lens))
             m_mean = float(np.mean([s.m for s in out.shrunk]))
             fh.write(f"{step},{bi},{n_mean:.17g},{m_mean:.17g},"
@@ -202,17 +181,19 @@ def shrink_eval(config: RunConfig, checkpoint, out_path, *, batches=4,
     return out_path
 
 
+_PRESET_FNS = {
+    "modules-bar": functools.partial(preset_pairs, "modules-bar"),
+    "per-layer": functools.partial(preset_pairs, "per-layer"),
+    "asr-variants": preset_asr_variants,
+    "shrink-cl": preset_shrink_cl,
+    "over-training": preset_over_training,
+}
+PRESETS = tuple(_PRESET_FNS)
+
+
 def run_preset(preset: str, config: RunConfig, target, out_dir, **kwargs):
+    if preset not in _PRESET_FNS:
+        raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if preset == "modules-bar":
-        return preset_modules_bar(config, target, out_dir, **kwargs)
-    if preset == "per-layer":
-        return preset_per_layer(config, target, out_dir, **kwargs)
-    if preset == "asr-variants":
-        return preset_asr_variants(config, target, out_dir, **kwargs)
-    if preset == "shrink-cl":
-        return preset_shrink_cl(config, target, out_dir, **kwargs)
-    if preset == "over-training":
-        return preset_over_training(config, target, out_dir, **kwargs)
-    raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
+    return _PRESET_FNS[preset](config, target, out_dir, **kwargs)

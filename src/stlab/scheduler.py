@@ -5,6 +5,8 @@ Per probe instance j the impact of auxiliary task i is
     m_i = (1/k) * sum_j ||delta_i^j|| / ||delta_st^j + delta_i^j||
 over flattened self-attention gradients of the relevant module; weights
 update as w_i <- w_i * m_i^(u/s) and the task is dropped below threshold.
+The probes (train.make_probe_fn) measure each task as the run trains it:
+ASR under the configured variant, MT under the run's input noise.
 
 Dropping a task removes its weighted term, and for MT its forward pass too.
 ASR reads the ST pass's speech encoding, so dropping it saves only its
@@ -95,21 +97,25 @@ def schedule_step(step: int, weights: TaskWeights, probe_fn) -> TaskWeights:
 
     probe_fn() returns a list (one entry per probe instance) of dicts
     {task: {module: flat ATTEN gradient vector}} including "st".
-    Probe failure leaves the weights unchanged and records a warning.
+    A probe failure, or an impact that is undefined, leaves the weights
+    and history unchanged and records a warning.
     """
     try:
         probes = probe_fn()
     except Exception as exc:  # probe failure must not kill training
         weights.warnings.append((step, f"probe failed: {exc}"))
         return weights
+    try:
+        module_ms = {task: [task_impact([p[task][module] for p in probes],
+                                        [p["st"][module] for p in probes])
+                            for module in MODULES_FOR_TASK[task]]
+                     for task in weights.active_tasks()}
+    except ValueError as exc:
+        weights.warnings.append((step, f"impact failed: {exc}"))
+        return weights
     u = step if weights.exponent_mode == "absolute" else step - weights.last_update_step
-    for task in weights.active_tasks():
-        module_ms = []
-        for module in MODULES_FOR_TASK[task]:
-            d_task = [p[task][module] for p in probes]
-            d_st = [p["st"][module] for p in probes]
-            module_ms.append(task_impact(d_task, d_st))
-        m = mt_module_rule(*module_ms) if len(module_ms) > 1 else module_ms[0]
+    for task, ms in module_ms.items():
+        m = mt_module_rule(*ms) if len(ms) > 1 else ms[0]
         w = update_weight(weights.weights[task], m, u, weights.smoothing[task])
         weights.weights[task] = w
         weights.history.append(HistoryRow(step, task, m, w))

@@ -53,9 +53,7 @@ class TrainResult:
 
 
 def build_model(config: RunConfig) -> Model:
-    model = Model(config.model)
-    model.use_l2g = config.toggles.use_l2g
-    return model
+    return Model(config.model).apply_toggles(config.toggles)
 
 
 def batch_for_step(config: RunConfig, step: int, size: int):
@@ -81,8 +79,8 @@ def copy_baseline_accuracy(batch) -> float:
     return float((batch.src_tokens[mask] == batch.tgt_tokens[mask]).mean())
 
 
-def greedy_st_accuracy(model, batch, use_shrink, use_lbm) -> float:
-    pred = model.greedy_decode(batch, use_shrink=use_shrink, use_lbm=use_lbm)
+def greedy_st_accuracy(model, batch, use_shrink) -> float:
+    pred = model.greedy_decode(batch, use_shrink=use_shrink)
     return token_accuracy(pred, batch.tgt_tokens, batch.pad_id)
 
 
@@ -101,8 +99,7 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
     the segmenter keeps training. Pruning MT removes its forward pass.
     """
     tg = config.toggles
-    st_out = model.forward_task(batch, "st", use_shrink=shrink_active,
-                                use_lbm=tg.use_lbm)
+    st_out = model.forward_task(batch, "st", use_shrink=shrink_active)
     l_st = task_loss(st_out, batch, "st")
 
     cons_terms = []
@@ -110,19 +107,18 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
         cons_terms.append(consistency_loss(
             st_out.extractor_outs, st_out.attention_outs, st_out.tenc_mask))
 
-    l_asr = l_ctc = None
+    asr_out = l_asr = l_ctc = None
     if tg.use_asr and weights.active("asr"):
         asr_out = model.asr_outputs(st_out, batch, tg.asr_variant)
         l_asr = task_loss(asr_out, batch, "asr", tg.asr_variant)
-    if tg.use_asr and shrink_active and (l_asr is None or tg.asr_variant == "ce"):
+    if tg.use_asr and shrink_active and (asr_out is None or asr_out.ctc_log_probs is None):
         l_ctc = task_loss(st_out, batch, "asr", "ctc")
 
     l_mt = None
     if tg.use_mt and weights.active("mt"):
-        noise_p = tg.mt_noise_p if tg.use_l2g else 0.0
         mt_rng = np.random.default_rng((config.training.seed, _STREAM_NOISE, step))
         mt_out = model.forward_task(batch, "mt", mt_noise_rng=mt_rng,
-                                    mt_noise_p=noise_p)
+                                    mt_noise_p=tg.mt_noise())
         l_mt = task_loss(mt_out, batch, "mt")
         if tg.use_l2g:
             cons_terms.append(consistency_loss(
@@ -150,7 +146,9 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
 
 def make_probe_fn(model: Model, config: RunConfig, weights: sched.TaskWeights,
                   step: int, shrink_active: bool):
-    """Per-instance ATTEN gradient capture for the impact scheduler."""
+    """Per-instance ATTEN gradient capture for the impact scheduler. Each
+    task is probed as the run trains it: ASR under the configured variant,
+    MT under the run's input noise."""
     tg = config.toggles
 
     def atten_vectors(snapshot):
@@ -170,15 +168,15 @@ def make_probe_fn(model: Model, config: RunConfig, weights: sched.TaskWeights,
             batch = make_batch(config.corpus, rng.integers(0, 2**62, size=1))
             entry = {}
             st_snap = analysis.capture_gradients(
-                model, batch, "st", use_shrink=shrink_active, use_lbm=tg.use_lbm)
+                model, batch, "st", use_shrink=shrink_active)
             entry["st"] = atten_vectors(st_snap)
             for task in weights.active_tasks():
                 if task == "asr":
-                    kw = {"asr_variant": "ctc", "use_shrink": shrink_active,
-                          "use_lbm": tg.use_lbm}
+                    kw = {"asr_variant": tg.asr_variant, "use_shrink": shrink_active}
                 else:
-                    kw = {"mt_noise_rng": np.random.default_rng(
-                        (config.training.seed, _STREAM_PROBE, step, j, 1))}
+                    kw = {"mt_noise_p": tg.mt_noise(),
+                          "mt_noise_rng": np.random.default_rng(
+                              (config.training.seed, _STREAM_PROBE, step, j, 1))}
                 snap = analysis.capture_gradients(model, batch, task, **kw)
                 entry[task] = atten_vectors(snap)
             instances.append(entry)
@@ -210,6 +208,14 @@ def _restore_weights(state, config: RunConfig) -> sched.TaskWeights:
     tw.history = [sched.HistoryRow(*row) for row in state["history"]]
     tw.last_update_step = state["last_update_step"]
     return tw
+
+
+def _keep_rows_through(path: Path, step: int):
+    """Drop the JSON-lines rows of `path` past `step`, and a torn last line."""
+    if path.exists():
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(ln for ln in lines
+                                if ln.endswith("\n") and json.loads(ln)["step"] <= step))
 
 
 def make_task_weights(config: RunConfig) -> sched.TaskWeights:
@@ -254,6 +260,9 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
         resumed_meta = meta
 
     mode = "a" if start_step > 0 else "w"
+    if start_step > 0:  # an in-place resume rewrites the rows past its step
+        _keep_rows_through(metrics_path, start_step)
+        _keep_rows_through(timings_path, start_step)
     metrics_fh = open(metrics_path, mode)
     timings_fh = open(timings_path, mode)
 
@@ -306,8 +315,7 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
 
             if step % tr.eval_every == 0 or step == tr.steps:
                 model.dropout_rng = None
-                last_accuracy = greedy_st_accuracy(
-                    model, ev_batch, shrink_active, config.toggles.use_lbm)
+                last_accuracy = greedy_st_accuracy(model, ev_batch, shrink_active)
 
             if step % tr.log_every == 0 or step == tr.steps:
                 row = {"step": step, "losses": bundle.scalars(),

@@ -137,6 +137,23 @@ def test_cli_full_pipeline(cfg_path, tmp_path):
     assert csvs
     header = csvs[0].read_text().splitlines()[0]
     assert header == "partition,kind,layer,mean,std"
+    series = "step,partition,kind,layer,mean"
+    for preset, headers in (
+            ("per-layer", {"consistency_layers_asr_st.csv": header,
+                           "consistency_layers_mt_st.csv": header}),
+            ("asr-variants", {"consistency_asr_variants.csv": "variant," + header}),
+            ("shrink-cl", {"consistency_shrink_cl.csv": "variant," + header,
+                           "entropy_streams.csv": "layer,stream,entropy_bits"}),
+            ("over-training", {"consistency_over_training_asr_st.csv": series,
+                               "consistency_over_training_mt_st.csv": series})):
+        target = (["--run-dir", str(out)] if preset == "over-training"
+                  else ["--checkpoint", str(ckpt)])
+        assert cli.main(["analyze", "--config", str(cfg_path), "--preset", preset,
+                         *target, "--out", str(rep),
+                         "--samples", "3", "--repeats", "2"]) == 0, preset
+        for name, want in headers.items():
+            lines = (rep / name).read_text().splitlines()
+            assert lines[0] == want and len(lines) > 1, name
     assert cli.main(["shrink-eval", "--config", str(cfg_path),
                      "--checkpoint", str(ckpt), "--out", str(rep),
                      "--batches", "2", "--batch-size", "3"]) == 0

@@ -208,7 +208,7 @@ def test_model_construction_deterministic():
 
 
 def test_param_groups_cover_everything(model):
-    n_grouped = sum(g.n_params for g in model.param_groups)
+    n_grouped = sum(t.data.size for g in model.param_groups for t in g.tensors)
     assert n_grouped == sum(p.data.size for p in model.parameters())
     kinds = {(g.key.partition, g.key.kind) for g in model.param_groups}
     assert ("A-Enc", "ATTEN") in kinds and ("Decoder", "FFN") in kinds

@@ -148,6 +148,23 @@ def test_probe_failure_keeps_weights():
     assert len(tw.warnings) == 1 and tw.history == []
 
 
+def test_undefined_impact_keeps_weights():
+    """An all-zero-denominator impact is recorded as a warning, like a probe
+    failure, and no task's weight moves, not even one measured before it."""
+    zeros = {"A-Enc": np.zeros(2), "T-Enc": np.zeros(2), "Decoder": np.zeros(2)}
+    tw = fresh_weights()
+    schedule_step(500, tw, lambda: [{"st": zeros, "asr": zeros, "mt": zeros}])
+    assert tw.weights == {"asr": 1.0, "mt": 1.0}
+    assert tw.history == [] and tw.last_update_step == 0
+    assert len(tw.warnings) == 1 and tw.warnings[0][0] == 500
+
+    asr_defined = {"st": dict(zeros, **{"A-Enc": np.array([0.0, 1.0])}),
+                   "asr": {"A-Enc": np.array([1.0, 0.0])}, "mt": zeros}
+    schedule_step(1000, tw, lambda: [asr_defined])
+    assert tw.weights == {"asr": 1.0, "mt": 1.0}
+    assert tw.history == [] and len(tw.warnings) == 2
+
+
 def test_delta_exponent_mode():
     tw = fresh_weights(exponent_mode="delta")
     probe = make_probe({"asr": {"A-Enc": 0.5}, "mt": {"T-Enc": 0.5, "Decoder": 0.5}})

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import stlab.model as model_mod
 import stlab.train as train_mod
 from stlab import analysis
 from stlab.config import (RunConfig, SchedulerConfig, Toggles, TrainingConfig)
@@ -123,6 +124,76 @@ def test_resume_replays_exactly(tmp_path):
     assert full.final_checkpoint.read_bytes() == resumed.final_checkpoint.read_bytes()
 
 
+def test_in_place_resume_rewrites_later_rows(tmp_path):
+    """Resuming in the directory of a run that got past the checkpoint drops
+    that run's later rows, so the metrics match an uninterrupted run."""
+    cfg = tiny_config(steps=6)
+    full = train(cfg, tmp_path / "full")
+    train(cfg, tmp_path / "run")
+    resumed = train(cfg, tmp_path / "run",
+                    resume_from=tmp_path / "run" / "checkpoint_000004.stlab")
+    assert resumed.metrics_path.read_bytes() == full.metrics_path.read_bytes()
+    timings = read_metrics(tmp_path / "run" / "timings.jsonl")
+    assert [r["step"] for r in timings] == list(range(1, 7))
+
+
+def atten_by_partition(snapshot):
+    """The probe's layout: ATTEN gradients concatenated per partition."""
+    out = {}
+    for part in ("A-Enc", "T-Enc", "Decoder"):
+        keys = sorted((k for k in snapshot.vectors
+                       if k.partition == part and k.kind == "ATTEN"), key=lambda k: k.layer)
+        if keys:
+            out[part] = np.concatenate([snapshot.vectors[k] for k in keys])
+    return out
+
+
+@pytest.mark.parametrize("variant", ASR_VARIANTS)
+def test_probe_measures_configured_asr_variant(monkeypatch, variant):
+    cfg = tiny_config(asr_variant=variant)
+    model = train_mod.build_model(cfg)
+    batches = []
+    capture = analysis.capture_gradients
+
+    def recording_capture(model, batch, task, **kw):
+        if task == "st":
+            batches.append(batch)
+        return capture(model, batch, task, **kw)
+
+    monkeypatch.setattr(analysis, "capture_gradients", recording_capture)
+    instances = train_mod.make_probe_fn(model, cfg, make_task_weights(cfg), 4, True)()
+    assert len(instances) == len(batches) == cfg.scheduler.k
+    for entry, batch in zip(instances, batches):
+        want = atten_by_partition(capture(model, batch, "asr", asr_variant=variant,
+                                          use_shrink=True))
+        assert entry["asr"].keys() == want.keys()
+        for part, vec in want.items():
+            np.testing.assert_array_equal(entry["asr"][part], vec)
+
+
+def test_probe_measures_mt_at_the_trained_noise(monkeypatch):
+    """The MT probe uses the run's noise: mt_noise_p, or none with the L2G
+    extractors off, as the trainer does."""
+    seen = []
+    noise_inject = model_mod.noise_inject
+
+    def recording_noise(tokens, p, rng):
+        seen.append(p)
+        return noise_inject(tokens, p, rng)
+
+    monkeypatch.setattr(model_mod, "noise_inject", recording_noise)
+    for use_l2g, p in ((True, 0.3), (False, 0.0)):
+        cfg = tiny_config(use_l2g=use_l2g, mt_noise_p=0.3)
+        model = train_mod.build_model(cfg)
+        seen.clear()
+        train_mod.make_probe_fn(model, cfg, make_task_weights(cfg), 4, False)()
+        assert seen and set(seen) == {p}
+        seen.clear()
+        compute_losses(model, batch_for_step(cfg, 1, 3), cfg, make_task_weights(cfg), 1,
+                       False)
+        assert seen and set(seen) == {p}
+
+
 def test_losses_respect_toggles(tmp_path):
     cfg = tiny_config(steps=2)
     batch = batch_for_step(cfg, 1, 3)
@@ -205,7 +276,7 @@ def test_asr_variant_paths():
             l_asr = bundle.scalars()["asr"]
             assert np.isfinite(l_asr)
             probe = analysis.task_probe_loss(model, batch, "asr", asr_variant=variant,
-                                             use_shrink=shrink, use_lbm=cfg.toggles.use_lbm)
+                                             use_shrink=shrink)
             assert abs(l_asr - probe.item()) <= 1e-12, (variant, shrink)
 
 
