@@ -11,6 +11,7 @@ follow the content range.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -72,6 +73,19 @@ class SyntheticBatch:
         return self.speech.shape[0]
 
 
+def _read_only(fn):
+    """Cache a per-config table; the cached array is read-only, so no caller
+    can change it for the others."""
+    @functools.lru_cache(maxsize=32)
+    @functools.wraps(fn)
+    def cached(config: CorpusConfig) -> np.ndarray:
+        table = fn(config)
+        table.flags.writeable = False
+        return table
+    return cached
+
+
+@_read_only
 def token_prototypes(config: CorpusConfig) -> np.ndarray:
     """[vocab_size+1, frame_dim] prototype matrix; row 0 is the blank.
 
@@ -85,6 +99,7 @@ def token_prototypes(config: CorpusConfig) -> np.ndarray:
     return protos * np.sqrt(n / config.frame_dim)
 
 
+@_read_only
 def content_permutation(config: CorpusConfig) -> np.ndarray:
     """Fixed-point-free permutation over content ids 1..vocab_size.
 

@@ -1,5 +1,9 @@
 """Training objectives: cross-entropy, CTC, contrastive alignment,
-extractor/attention consistency, and the weighted total."""
+extractor/attention consistency, and the weighted total.
+
+CTC runs one log-space forward-backward over a whole padded batch, so a
+training step makes one CTC call whatever the batch size; a single
+sequence is the B = 1 case of the same kernel."""
 
 from __future__ import annotations
 
@@ -32,75 +36,101 @@ def ce_loss(logits: Tensor, targets, pad_id: int) -> Tensor:
     return -picked.sum() / n_valid
 
 
+def _min_frames(targets, label_ok) -> np.ndarray:
+    """Frames each target of [B, L] needs (label_ok masks its labels): one
+    per label, plus a blank between each pair of equal adjacent labels."""
+    repeats = (targets[:, 1:] == targets[:, :-1]) & label_ok[:, 1:]
+    return label_ok.sum(axis=1) + repeats.sum(axis=1)
+
+
 def ctc_feasible(n_frames: int, target) -> bool:
-    target = np.asarray(target)
-    repeats = int(np.count_nonzero(target[1:] == target[:-1]))
-    return n_frames >= len(target) + repeats
+    target = np.asarray(target)[None]
+    return bool(n_frames >= _min_frames(target, np.ones(target.shape, dtype=bool))[0])
 
 
-def ctc_loss(log_probs: Tensor, target) -> Tensor:
-    """-log P(target | log_probs) summed over all CTC alignments.
+def ctc_loss(log_probs: Tensor, targets, frame_lens=None, target_lens=None) -> Tensor:
+    """Batch mean of -log P(target | log_probs), summed over all CTC alignments.
 
-    log_probs: [T, V] rows of log-probabilities with blank id 0;
-    target: int [L] of non-blank labels. Log-space forward algorithm;
-    gradient via the forward-backward occupation posteriors.
+    log_probs: [B, T, V] rows of log-probabilities with blank id 0;
+    targets: int [B, L] of non-blank labels, padded past target_lens;
+    frame_lens / target_lens: valid frames and labels per item (default: all).
+    The single-sequence form, log_probs [T, V] and target [L], is the B = 1
+    case. One log-space forward-backward for the whole batch: the extended
+    labels are padded to [B, S_max], frames past an item's length emit
+    log-prob 0, and each item's lattice is read at its own last frame. The
+    gradient comes from the forward-backward occupation posteriors.
     """
-    target = np.asarray(target, dtype=np.int64)
     lp = log_probs.data
-    T, V = lp.shape
-    L = len(target)
-    if L == 0:
-        raise CtcInfeasibleError("empty target")
-    if np.any(target == BLANK_ID) or np.any(target >= V):
-        raise ValueError("ctc_loss: target labels must be non-blank and < V")
-    if not ctc_feasible(T, target):
-        raise CtcInfeasibleError(
-            f"target of length {L} (with repeats) cannot fit in {T} frames")
+    single = lp.ndim == 2
+    targets = np.asarray(targets, dtype=np.int64)
+    if single:
+        lp, targets = lp[None], targets[None]
+    B, T, V = lp.shape
+    L = targets.shape[1]
+    n_frames = np.full(B, T) if frame_lens is None else np.asarray(frame_lens, dtype=np.int64)
+    n_labels = np.full(B, L) if target_lens is None else np.asarray(target_lens, dtype=np.int64)
+    if np.any(n_frames > T):
+        raise ValueError(f"ctc_loss: frame_lens exceed the {T} frames given")
+    label_ok = np.arange(L)[None, :] < n_labels[:, None]
+    bad = (((targets < 1) | (targets >= V)) & label_ok).any(axis=1)
+    failing = np.flatnonzero((n_labels == 0) | bad
+                             | (n_frames < _min_frames(targets, label_ok)))
+    if failing.size:  # raise for the first failing item
+        b = failing[0]
+        if n_labels[b] == 0:
+            raise CtcInfeasibleError("empty target")
+        if bad[b]:
+            raise ValueError("ctc_loss: target labels must be non-blank and < V")
+        raise CtcInfeasibleError(f"target of length {n_labels[b]} (with repeats) "
+                                 f"cannot fit in {n_frames[b]} frames")
 
-    ext = np.full(2 * L + 1, BLANK_ID, dtype=np.int64)
-    ext[1::2] = target
-    S = ext.size
+    S = 2 * L + 1
+    rows = np.arange(B)
+    ext = np.full((B, S), BLANK_ID, dtype=np.int64)
+    ext[:, 1::2] = np.where(label_ok, targets, BLANK_ID)
     # skip transition s-2 -> s allowed where ext[s] is a label differing from ext[s-2]
-    can_skip = np.zeros(S, dtype=bool)
-    can_skip[3::2] = ext[3::2] != ext[1:-2:2]
+    can_skip = np.zeros((B, S), dtype=bool)
+    can_skip[:, 3::2] = (ext[:, 3::2] != ext[:, 1:-2:2]) & label_ok[:, 1:]
+    live = np.arange(T)[None, :] < n_frames[:, None]
+    em = np.where(live[:, :, None], np.take_along_axis(lp, ext[:, None, :], axis=2), 0.0)
+    em = em.transpose(1, 0, 2)                      # [T, B, S]
+    last_t, last_s = n_frames - 1, 2 * n_labels     # each item's final frame and state
 
     neg = -np.inf
-    alpha = np.full((T, S), neg)
-    alpha[0, 0] = lp[0, BLANK_ID]
-    alpha[0, 1] = lp[0, ext[1]]
+    # alpha[t, b, 2 + s]: two -inf columns in front stand for s-1, s-2 < 0
+    alpha = np.full((T, B, S + 2), neg)
+    alpha[0, :, 2:4] = em[0, :, :2]
     for t in range(1, T):
         prev = alpha[t - 1]
-        stay = prev
-        step = np.concatenate(([neg], prev[:-1]))
-        a = np.logaddexp(stay, step)
-        skip = np.concatenate(([neg, neg], prev[:-2]))
-        a = np.where(can_skip, np.logaddexp(a, skip), a)
-        alpha[t] = a + lp[t, ext]
-    log_z = np.logaddexp(alpha[T - 1, S - 1], alpha[T - 1, S - 2])
+        a = np.logaddexp(prev[:, 2:], prev[:, 1:-1])
+        a = np.where(can_skip, np.logaddexp(a, prev[:, :-2]), a)
+        alpha[t, :, 2:] = a + em[t]
+    log_z = np.logaddexp(alpha[last_t, rows, last_s + 2], alpha[last_t, rows, last_s + 1])
 
     def bwd(g):
         if not log_probs.requires_grad:
             return
-        beta = np.full((T, S), neg)
-        beta[T - 1, S - 1] = lp[T - 1, BLANK_ID]
-        beta[T - 1, S - 2] = lp[T - 1, ext[S - 2]]
-        for t in range(T - 2, -1, -1):
+        # beta[t, b, s]: two -inf columns after stand for s+1, s+2 >= S, and
+        # rows past an item's last frame (row T too) stay -inf
+        beta = np.full((T + 1, B, S + 2), neg)
+        skip_from = np.zeros((B, S), dtype=bool)
+        skip_from[:, :-2] = can_skip[:, 2:]
+        start = np.full((B, S), neg)
+        start[rows, last_s] = start[rows, last_s - 1] = 0.0
+        for t in range(T - 1, -1, -1):
             nxt = beta[t + 1]
-            stay = nxt
-            step = np.concatenate((nxt[1:], [neg]))
-            b = np.logaddexp(stay, step)
-            skip = np.concatenate((nxt[2:], [neg, neg]))
-            skip_from = np.zeros(S, dtype=bool)
-            skip_from[:-2] = can_skip[2:]
-            b = np.where(skip_from, np.logaddexp(b, skip), b)
-            beta[t] = b + lp[t, ext]
-        gamma = alpha + beta - lp[:, ext] - log_z  # log occupation posterior
-        grad = np.zeros_like(lp)
-        occ = np.exp(gamma)
-        np.add.at(grad, (np.repeat(np.arange(T), S), np.tile(ext, T)), occ.ravel())
-        ag._acc(log_probs, -float(g) * grad)
+            b = np.logaddexp(nxt[:, :-2], nxt[:, 1:-1])
+            b = np.where(skip_from, np.logaddexp(b, nxt[:, 2:]), b)
+            b = np.where((last_t == t)[:, None], start, b)
+            beta[t, :, :-2] = b + em[t]
+        # occupation posterior per (frame, state), summed into its label's column
+        gamma = alpha[:, :, 2:] + beta[:T, :, :-2] - em - log_z[:, None]
+        occ = np.exp(gamma).transpose(1, 0, 2)                            # [B, T, S]
+        onehot = (ext[:, :, None] == np.arange(V)).astype(np.float64)    # [B, S, V]
+        grad = np.matmul(occ, onehot) * (-float(g) / B)
+        ag._acc(log_probs, grad[0] if single else grad)
 
-    return ag._make(np.asarray(-log_z), (log_probs,), bwd)
+    return ag._make(np.asarray(-log_z.mean()), (log_probs,), bwd)
 
 
 def task_loss(out, batch, task: str, asr_variant: str = "ctc") -> Tensor:
@@ -112,10 +142,7 @@ def task_loss(out, batch, task: str, asr_variant: str = "ctc") -> Tensor:
     """
     if task != "asr" or asr_variant == "ce":
         return ce_loss(out.logits, out.targets, batch.pad_id)
-    terms = [ctc_loss(out.ctc_log_probs[b][(slice(0, int(n)),)],
-                      batch.src_tokens[b, : batch.src_lens[b]])
-             for b, n in enumerate(batch.speech_lens)]
-    ctc = sum(terms[1:], terms[0]) / len(terms)
+    ctc = ctc_loss(out.ctc_log_probs, batch.src_tokens, batch.speech_lens, batch.src_lens)
     if asr_variant == "ctc":
         return ctc
     return ctc + ce_loss(out.logits, out.targets, batch.pad_id)

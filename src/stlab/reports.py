@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -148,10 +149,10 @@ def preset_over_training(config: RunConfig, run_dir, out_dir, *, n=32, repeats=3
     ckpts = find_checkpoints(run_dir)
     if not ckpts:
         raise FileNotFoundError(f"no checkpoints found in {run_dir}")
-    paths = []
+    paths, warnings = [], {}
     out_dir = Path(out_dir)
     for pair_name, (pair, kw_a, kw_b) in _probe_pairs(config, shrunk=False).items():
-        series, warnings = analysis.consistency_over_training(
+        series, pair_warnings = analysis.consistency_over_training(
             ckpts, config.corpus, pair, lambda p: _load(p, config)[0], n=n,
             repeats=repeats, seed=seed, probe_kwargs_a=kw_a, probe_kwargs_b=kw_b)
         path = out_dir / f"consistency_over_training_{pair_name}.csv"
@@ -160,6 +161,9 @@ def preset_over_training(config: RunConfig, run_dir, out_dir, *, n=32, repeats=3
             for step, part, kind, layer, mean_v in series:
                 fh.write(f"{step},{part},{kind},{layer},{mean_v:.17g}\n")
         paths.append(path)
+        warnings.update(dict.fromkeys(pair_warnings))
+    for message in warnings:  # each pair meets the same unloadable checkpoints
+        print(message, file=sys.stderr)
     return paths
 
 

@@ -7,6 +7,11 @@ discard:
 
     s_tilde_i = Softmax(R(s'_i) . R(A)^T) . A        (window A excludes j)
     s_fused_i = FFN(Norm(s'_i + s_tilde_i))          (no residual)
+
+A batch shrinks in one pass: the greedy path of every valid frame is
+merged into runs that never cross an item, one look-back covers all shrunk
+positions with windows inside each item's frames, and one fusion maps
+them; a single sequence is the B = 1 case.
 """
 
 from __future__ import annotations
@@ -43,10 +48,7 @@ class ShrunkSequence:
 
     def decompress(self) -> np.ndarray:
         """Expand back to the per-frame token path via the segment extents."""
-        out = np.empty(self.seg_end[-1] + 1, dtype=self.unique_tokens.dtype)
-        for tok, lo, hi in zip(self.unique_tokens, self.seg_start, self.seg_end):
-            out[lo:hi + 1] = tok
-        return out
+        return np.repeat(self.unique_tokens, self.seg_end - self.seg_start + 1)
 
 
 class LbmParams:
@@ -73,51 +75,54 @@ class LbmParams:
 
 
 def ctc_greedy_path(log_probs) -> CtcPath:
-    """Per-frame argmax over log-probability rows; ties break toward the
-    lower token id (np.argmax convention)."""
+    """Per-frame argmax over log-probability rows [..., V]; ties break
+    toward the lower token id (np.argmax convention)."""
     lp = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs)
     ids = np.argmax(lp, axis=-1)
-    conf = np.exp(lp[np.arange(lp.shape[0]), ids])
+    conf = np.exp(np.take_along_axis(lp, ids[..., None], axis=-1)[..., 0])
     return CtcPath(ids, conf)
+
+
+def _merge_runs(tokens, confidences, item):
+    """Maximal runs of equal tokens over concatenated frames; a run never
+    crosses into the next item. item: [N] non-decreasing item id per frame.
+    Returns run starts, inclusive ends and representatives (the
+    highest-confidence frame of each run, ties leftmost), as frame indices."""
+    n = len(tokens)
+    if n == 0:
+        raise ValueError("cannot merge an empty path")
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = (tokens[1:] != tokens[:-1]) | (item[1:] != item[:-1])
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:] - 1, n - 1)
+    run_of = np.cumsum(new_run) - 1
+    best = np.maximum.reduceat(confidences, starts)
+    at_best = np.where(confidences == best[run_of], np.arange(n), n)
+    return starts, ends, np.minimum.reduceat(at_best, starts)
 
 
 def merge_repeats(path: CtcPath) -> ShrunkSequence:
     """One position per maximal run of equal tokens; the representative is
     the highest-confidence frame in the run (ties leftmost). Blanks are kept."""
     toks = path.tokens
-    n = len(toks)
-    if n == 0:
-        raise ValueError("cannot merge an empty path")
-    boundaries = np.flatnonzero(np.concatenate(([True], toks[1:] != toks[:-1])))
-    starts = boundaries
-    ends = np.concatenate((boundaries[1:] - 1, [n - 1]))
-    origin = np.array([s + int(np.argmax(path.confidences[s:e + 1]))
-                       for s, e in zip(starts, ends)])
+    starts, ends, origin = _merge_runs(toks, path.confidences, np.zeros(len(toks), dtype=int))
     b = np.maximum(origin - starts, ends - origin)
     return ShrunkSequence(toks[starts], origin, starts, ends, b)
 
 
-def lbm_lookback(features: Tensor, shrunk: ShrunkSequence, lbm: LbmParams) -> Tensor:
-    """Windowed look-back attention, vectorized over shrunk positions.
-
-    features: [n, d]. For position i with representative j and boundary b,
-    the search window is frames max(0, j-b)..min(j+b, n-1) excluding j; an
-    empty window yields the zero vector.
-    """
-    n, d = features.shape
-    j = shrunk.origin_index
-    b = shrunk.boundary
-    m = shrunk.m
-    lo = np.maximum(0, j - b)
-    hi = np.minimum(n - 1, j + b)
+def _lookback(frames: Tensor, s_prime: Tensor, j, lo, hi, lbm: LbmParams) -> Tensor:
+    """Windowed look-back attention over frame rows [N, d], vectorized over
+    positions: position i, whose representative row j[i] is s_prime[i],
+    attends to frames lo[i]..hi[i] except j[i]; an empty window yields the
+    zero vector."""
+    m, d = s_prime.shape
     width = int((hi - lo + 1).max()) if m else 0
     # window index grid, with the representative column masked out
     idx = lo[:, None] + np.arange(width)[None, :]
     valid = (idx <= hi[:, None]) & (idx != j[:, None])
-    idx = np.minimum(idx, n - 1)
+    idx = np.minimum(idx, hi[:, None])
 
-    s_prime = features[(j,)]                         # [m, d]
-    window = features[(idx,)]                        # [m, w, d]
+    window = frames[(idx,)]                          # [m, w, d]
     rq = ag.matmul(s_prime, lbm.r_map)               # [m, d]
     ra = ag.matmul(window, lbm.r_map)                # [m, w, d]
     scores = ag.matmul(ag.reshape(rq, (m, 1, d)),
@@ -127,6 +132,17 @@ def lbm_lookback(features: Tensor, shrunk: ShrunkSequence, lbm: LbmParams) -> Te
     gathered = ag.reshape(ag.matmul(att, window), (m, d))
     nonempty = valid.any(axis=1).astype(np.float64)[:, None]
     return ag.mul(gathered, Tensor(nonempty))
+
+
+def lbm_lookback(features: Tensor, shrunk: ShrunkSequence, lbm: LbmParams) -> Tensor:
+    """Windowed look-back attention for one sequence, features: [n, d].
+
+    For position i with representative j and boundary b, the search window
+    is frames max(0, j-b)..min(j+b, n-1) excluding j.
+    """
+    j, b = shrunk.origin_index, shrunk.boundary
+    return _lookback(features, features[(j,)], j, np.maximum(0, j - b),
+                     np.minimum(features.shape[0] - 1, j + b), lbm)
 
 
 def lbm_fuse(s_prime: Tensor, s_tilde: Tensor, lbm: LbmParams) -> Tensor:
@@ -144,40 +160,58 @@ def shrink_sequence(features: Tensor, log_probs, lbm: LbmParams,
 
     Returns (ShrunkSequence, fused features [m, d], length ratio m/n).
     """
-    path = ctc_greedy_path(log_probs)
-    shrunk = merge_repeats(path)
-    s_prime = features[(shrunk.origin_index,)]
-    if use_lbm:
-        s_tilde = lbm_lookback(features, shrunk, lbm)
-        fused = lbm_fuse(s_prime, s_tilde, lbm)
-    else:
-        fused = s_prime
-    return shrunk, fused, shrunk.m / features.shape[0]
+    n, d = features.shape
+    lp = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs)
+    out, _, (shrunk,), ratio = shrink_batch(
+        ag.reshape(features, (1, n, d)), lp[None], [n], lbm, use_lbm)
+    return shrunk, ag.reshape(out, (shrunk.m, d)), ratio
 
 
-def shrink_batch(features: Tensor, log_probs: Tensor, lens, lbm: LbmParams,
+def shrink_batch(features: Tensor, log_probs, lens, lbm: LbmParams,
                  use_lbm: bool = True):
-    """Per-item shrinking over a padded batch.
+    """Shrink every item of a padded batch in one pass.
 
-    features: [B, T, d]; log_probs: [B, T, V]; lens: valid frames per item.
-    Returns (padded fused [B, m_max, d], mask [B, m_max], shrunk list, mean ratio).
+    features: [B, T, d]; log_probs: [B, T, V] (Tensor or array); lens: valid
+    frames per item. The greedy path of all valid frames is merged into runs
+    that stay inside their item, one look-back over all M shrunk positions
+    reads windows bounded by each item's own frames, one fusion maps the
+    [M, d] rows, and one gather pads them to [B, m_max, d].
+    Returns (padded fused [B, m_max, d], mask [B, m_max], ShrunkSequence
+    per item, mean ratio m/n over items).
     """
-    B, _, d = features.shape
+    B, T, d = features.shape
     lens = np.asarray(lens)
-    shrunks, fused_items, ratios = [], [], []
-    for b in range(B):
-        n = int(lens[b])
-        shrunk, fused, ratio = shrink_sequence(
-            features[b][(slice(0, n),)], log_probs[b][(slice(0, n),)], lbm, use_lbm)
-        shrunks.append(shrunk)
-        fused_items.append(fused)
-        ratios.append(ratio)
-    m_max = max(f.shape[0] for f in fused_items)
-    padded = []
-    for f in fused_items:
-        if f.shape[0] < m_max:
-            f = ag.concat([f, Tensor(np.zeros((m_max - f.shape[0], d)))], axis=0)
-        padded.append(f)
-    out = ag.stack(padded, axis=0)
-    mask = np.arange(m_max)[None, :] < np.array([s.m for s in shrunks])[:, None]
-    return out, mask, shrunks, float(np.mean(ratios))
+    if np.any(lens < 1):
+        raise ValueError("cannot merge an empty path")
+    path = ctc_greedy_path(log_probs)
+    item, frame = np.nonzero(np.arange(T)[None, :] < lens[:, None])
+    flat = item * T + frame                          # valid frames in [B*T] rows
+    tokens = path.tokens[item, frame]
+    starts, ends, origin = _merge_runs(tokens, path.confidences[item, frame], item)
+    run_item = item[starts]
+    first = run_item * T                             # each run's item frame range
+    last = first + lens[run_item] - 1
+    j, lo, hi = flat[origin], flat[starts], flat[ends]
+    bound = np.maximum(j - lo, hi - j)
+
+    rows = ag.reshape(features, (B * T, d))
+    fused = rows[(j,)]
+    if use_lbm:
+        s_tilde = _lookback(rows, fused, j, np.maximum(first, j - bound),
+                            np.minimum(last, j + bound), lbm)
+        fused = lbm_fuse(fused, s_tilde, lbm)
+
+    counts = np.bincount(run_item, minlength=B)
+    m_max = int(counts.max())
+    mask = np.arange(m_max)[None, :] < counts[:, None]
+    # position (b, i) reads fused row offset_b + i; padding reads the zero row M
+    index = np.full((B, m_max), len(j))
+    index[mask] = np.arange(len(j))
+    padded = ag.concat([fused, Tensor(np.zeros((1, d)))], axis=0)[(index,)]
+
+    # per-item fields in item-local frame indices
+    split = np.cumsum(counts)[:-1]
+    fields = [np.split(a, split) for a in (tokens[starts], j - first, lo - first,
+                                           hi - first, bound)]
+    shrunks = [ShrunkSequence(*parts) for parts in zip(*fields)]
+    return padded, mask, shrunks, float(np.mean(counts / lens))

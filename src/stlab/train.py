@@ -198,6 +198,7 @@ def _weights_state(weights: sched.TaskWeights):
         "pruned": sorted(weights.pruned),
         "history": weights.as_rows(),
         "last_update_step": weights.last_update_step,
+        "warnings": weights.warnings,
     }
 
 
@@ -207,6 +208,8 @@ def _restore_weights(state, config: RunConfig) -> sched.TaskWeights:
     tw.pruned = set(state["pruned"])
     tw.history = [sched.HistoryRow(*row) for row in state["history"]]
     tw.last_update_step = state["last_update_step"]
+    # checkpoints from before events.jsonl existed hold no warnings
+    tw.warnings = [tuple(w) for w in state.get("warnings", [])]
     return tw
 
 
@@ -241,6 +244,7 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
     tr = config.training
     metrics_path = out_dir / "metrics.jsonl"
     timings_path = out_dir / "timings.jsonl"
+    events_path = out_dir / "events.jsonl"
     history_path = out_dir / "weight_history.csv"
 
     model = build_model(config)
@@ -263,8 +267,11 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
     if start_step > 0:  # an in-place resume rewrites the rows past its step
         _keep_rows_through(metrics_path, start_step)
         _keep_rows_through(timings_path, start_step)
+        _keep_rows_through(events_path, start_step)
     metrics_fh = open(metrics_path, mode)
     timings_fh = open(timings_path, mode)
+    events_fh = open(events_path, mode)
+    n_events = len(weights.warnings)  # the scheduler's warnings written so far
 
     ev_batch = eval_batch(config)
     baseline = copy_baseline_accuracy(ev_batch)
@@ -297,8 +304,6 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
             bundle, st_out = compute_losses(model, batch, config, weights,
                                             step, shrink_active)
             if not np.isfinite(bundle.total.data):
-                metrics_fh.close()
-                timings_fh.close()
                 raise NanAbort(step, last_checkpoint)
             bundle.total.backward()
             opt.step()
@@ -312,6 +317,10 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
                 sched.schedule_step(step, weights,
                                     make_probe_fn(model, config, weights,
                                                   step, shrink_active))
+                for ev_step, event in weights.warnings[n_events:]:
+                    events_fh.write(json.dumps({"step": ev_step, "event": event}) + "\n")
+                events_fh.flush()
+                n_events = len(weights.warnings)
 
             if step % tr.eval_every == 0 or step == tr.steps:
                 model.dropout_rng = None
@@ -331,9 +340,8 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
             if step % tr.checkpoint_every == 0 or step == tr.steps:
                 write_checkpoint(step)
     finally:
-        if not metrics_fh.closed:
-            metrics_fh.close()
-            timings_fh.close()
+        for fh in (metrics_fh, timings_fh, events_fh):
+            fh.close()
 
     _write_weight_history(weights, history_path)
     return TrainResult(out_dir, tr.steps - start_step, last_checkpoint,

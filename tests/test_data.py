@@ -1,5 +1,6 @@
 """Synthetic corpus generator: determinism, statistics, and invariants."""
 
+import inspect
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stlab.data as data_mod
 from stlab.data import (BLANK_ID, CorpusConfig, alignment_shrink_ratio,
                         compress_alignment, content_permutation,
                         expand_to_speech, expected_frame_count, export_corpus,
@@ -50,6 +52,33 @@ def test_permutation_is_derangement():
     # specials map to themselves
     assert table[BLANK_ID] == BLANK_ID
     assert table[CFG.pad_id] == CFG.pad_id
+
+
+def test_per_config_tables_are_cached_read_only():
+    for table_fn in (token_prototypes, content_permutation):
+        table = table_fn(CFG)
+        assert table_fn(CorpusConfig(seed=11)) is table  # equal configs share it
+        with pytest.raises(ValueError):
+            table[1] = table[0]
+        assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("config", [CFG, CorpusConfig(
+    vocab_size=7, max_src_len=5, expansion_min=1, expansion_max=3, frame_dim=24,
+    translation_rule="reverse-and-permute", seed=4)])
+def test_make_batch_unchanged_by_the_table_cache(config, monkeypatch):
+    """Batches built with the cached tables equal, bit for bit, batches
+    that rebuild both tables for every sample."""
+    seeds = np.arange(60) * 7919 + 3
+    cached = make_batch(config, seeds)
+    monkeypatch.setattr(data_mod, "token_prototypes", inspect.unwrap(token_prototypes))
+    monkeypatch.setattr(data_mod, "content_permutation", inspect.unwrap(content_permutation))
+    rebuilt = make_batch(config, seeds)
+    for name in ("speech", "speech_lens", "src_tokens", "src_lens", "tgt_tokens",
+                 "tgt_lens", "sample_seeds"):
+        assert getattr(cached, name).tobytes() == getattr(rebuilt, name).tobytes(), name
+    for a, b in zip(cached.alignments, rebuilt.alignments):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_translate_rules():

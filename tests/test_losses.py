@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import per_item_reference as reference
 from stlab import autograd as ag
 from stlab.autograd import Tensor
 from stlab.gradcheck import check_gradients, finite_difference
@@ -125,6 +128,89 @@ def test_ctc_gradient_direct_log_prob_inputs():
         num = finite_difference(lambda: ctc_loss(Tensor(lp.data, requires_grad=True),
                                                  np.array([2, 1])), lp, index, step=1e-6)
         assert lp.grad[index] == pytest.approx(num, rel=1e-5, abs=1e-8)
+
+
+def test_ctc_rejects_the_first_bad_item_of_a_batch():
+    """A batch raises what the first failing item would raise on its own."""
+    lp = Tensor(np.log(np.full((3, 4, 3), 1 / 3)))
+    targets = np.array([[1, 2, 9], [1, 1, 1], [0, 9, 9]])  # 9 = pad past the lengths
+    with pytest.raises(CtcInfeasibleError, match="cannot fit in 4 frames"):
+        ctc_loss(lp, targets, [4, 4, 4], [2, 3, 1])
+    with pytest.raises(ValueError, match="non-blank"):
+        ctc_loss(lp, targets, [4, 4, 4], [2, 2, 1])
+    with pytest.raises(CtcInfeasibleError, match="empty target"):
+        ctc_loss(lp, targets, [4, 4, 4], [2, 0, 1])
+    with pytest.raises(ValueError, match="frame_lens"):
+        ctc_loss(lp, targets, [4, 5, 4], [2, 2, 2])
+
+
+def _feasible_target(draw, V, max_frames):
+    """A random non-blank target that fits in max_frames >= 1 frames."""
+    L = draw(st.integers(1, max_frames))
+    target = np.array(draw(st.lists(st.integers(1, V - 1), min_size=L, max_size=L)))
+    while not ctc_feasible(max_frames, target):
+        target = target[:-1]
+    return target
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ctc_batch_matches_bruteforce(data):
+    """Every item of a padded batch against path enumeration (T <= 5, V <= 3)."""
+    B = data.draw(st.integers(1, 3))
+    V = data.draw(st.integers(2, 3))
+    T = data.draw(st.integers(1, 5))
+    frames = np.array([data.draw(st.integers(1, T)) for _ in range(B)])
+    targets = [_feasible_target(data.draw, V, int(n)) for n in frames]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lp = np.log(rng.dirichlet(np.ones(V), size=(B, T)))
+    padded = np.full((B, max(len(t) for t in targets)), 9)
+    for b, t in enumerate(targets):
+        padded[b, :len(t)] = t
+    per_item = [ctc_loss_bruteforce(lp[b, :n], targets[b]) for b, n in enumerate(frames)]
+    for b, n in enumerate(frames):
+        assert ctc_loss(Tensor(lp[b, :n]), targets[b]).item() == pytest.approx(
+            per_item[b], abs=1e-10)
+    batched = ctc_loss(Tensor(lp), padded, frames, [len(t) for t in targets])
+    assert batched.item() == pytest.approx(np.mean(per_item), abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ctc_batch_matches_per_item_dp(data):
+    """Loss and gradient of one batched call against the per-item dynamic
+    program, averaged as the training loss averages it; includes B = 1,
+    repeated labels and items exactly at the feasibility edge."""
+    B = data.draw(st.integers(1, 5))
+    V = data.draw(st.integers(2, 6))
+    T = data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    frames, targets = [], []
+    for _ in range(B):
+        n = data.draw(st.integers(1, T))
+        target = _feasible_target(data.draw, V, n)
+        if data.draw(st.booleans()):  # at the edge: no spare frame
+            n = len(target) + int(np.count_nonzero(target[1:] == target[:-1]))
+        frames.append(n)
+        targets.append(target)
+    T = max(frames)
+    padded = np.full((B, max(len(t) for t in targets)), V + 3)
+    for b, t in enumerate(targets):
+        padded[b, :len(t)] = t
+    logits = rng.normal(scale=2.0, size=(B, T, V))
+
+    x = Tensor(logits, requires_grad=True)
+    batched = ctc_loss(ag.log_softmax(x, axis=-1), padded, frames,
+                       [len(t) for t in targets])
+    batched.backward()
+    x_ref = Tensor(logits, requires_grad=True)
+    lp_ref = ag.log_softmax(x_ref, axis=-1)
+    terms = [reference.ctc_loss(lp_ref[b][(slice(0, n),)], targets[b])
+             for b, n in enumerate(frames)]
+    per_item = sum(terms[1:], terms[0]) / B
+    per_item.backward()
+    assert batched.item() == pytest.approx(per_item.item(), abs=1e-12)
+    np.testing.assert_allclose(x.grad, x_ref.grad, rtol=0, atol=1e-12)
 
 
 # -- pooling and contrastive ---------------------------------------------------

@@ -56,3 +56,23 @@ def test_every_load_applies_the_run_toggles(tmp_path, monkeypatch):
         seen.clear()
     shrink_eval(cfg, ckpt, tmp_path / "shrink_eval.csv", batches=1, batch_size=2)
     assert seen == {("use_l2g", False), ("use_lbm", False)}
+
+
+def test_over_training_names_an_unloadable_checkpoint_once(tmp_path, capsys):
+    """A truncated checkpoint is left out of the series and reported once on
+    stderr, though both probe pairs meet it."""
+    cfg = ablation_config()
+    run = tmp_path / "run"
+    run.mkdir()
+    for step in (1, 2):
+        save_checkpoint(run / f"checkpoint_{step:06d}.stlab", Model(cfg.model),
+                        extra_meta={"step": step})
+    torn = run / "checkpoint_000002.stlab"
+    torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
+    paths = run_preset("over-training", cfg, run, tmp_path / "rep", n=2, repeats=1)
+    assert len(paths) == 2
+    for path in paths:
+        rows = path.read_text().splitlines()[1:]
+        assert rows and {row.split(",")[0] for row in rows} == {"1"}
+    err = capsys.readouterr().err
+    assert err.count(str(torn)) == 1

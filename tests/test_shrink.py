@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import per_item_reference as reference
 from stlab import autograd as ag
 from stlab.autograd import Tensor
 from stlab.gradcheck import check_gradients
@@ -165,3 +168,82 @@ def test_shrink_batch_padding_and_mask():
         assert mask[b, :s.m].all() and not mask[b, s.m:].any()
         np.testing.assert_array_equal(out.data[b, s.m:], 0.0)
     assert ratio == pytest.approx(np.mean([s.m / n for s, n in zip(shrunks, lens)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tokens=st.lists(st.integers(0, 3), min_size=1, max_size=20),
+       seed=st.integers(0, 2**32 - 1))
+def test_merge_then_decompress_is_identity(tokens, seed):
+    conf = np.random.default_rng(seed).choice([0.25, 0.5, 0.75], size=len(tokens))
+    s = merge_repeats(path(tokens, conf))
+    np.testing.assert_array_equal(s.decompress(), tokens)
+    assert np.all(s.unique_tokens[1:] != s.unique_tokens[:-1])
+
+
+SHRUNK_FIELDS = ("unique_tokens", "origin_index", "seg_start", "seg_end", "boundary")
+
+
+def _shrink_and_backward(shrink_fn, feats, lp, lens, lbm, use_lbm, weights):
+    x = Tensor(feats, requires_grad=True)
+    for t in lbm.tensors:
+        t.zero_grad()
+    out, mask, shrunks, ratio = shrink_fn(x, Tensor(lp), lens, lbm, use_lbm=use_lbm)
+    ag.mul(out, Tensor(weights[:, :out.shape[1]])).sum().backward()
+    grads = [x.grad] + [t.grad for t in lbm.tensors]
+    return out.data, mask, shrunks, ratio, grads
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shrink_batch_matches_per_item_loop(data):
+    """One batched pass against the per-item loop: fused rows, mask, every
+    ShrunkSequence field, the ratio, and the gradients of the features and
+    of every look-back parameter. Log-probs on a coarse grid make runs,
+    repeats across item boundaries and confidence ties common."""
+    B = data.draw(st.integers(1, 5))
+    T = data.draw(st.integers(1, 9))
+    V = data.draw(st.integers(2, 4))
+    use_lbm = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    d = 4
+    lens = rng.integers(1, T + 1, size=B)
+    lens[rng.integers(B)] = T
+    feats = rng.normal(size=(B, T, d))
+    lp = np.log(rng.choice([0.1, 0.3, 0.6], size=(B, T, V)))
+    lbm = LbmParams(rng, d, 6)
+    weights = rng.normal(size=(B, T, d))
+
+    out, mask, shrunks, ratio, grads = _shrink_and_backward(
+        shrink_batch, feats, lp, lens, lbm, use_lbm, weights)
+    ref_out, ref_mask, ref_shrunks, ref_ratio, ref_grads = _shrink_and_backward(
+        reference.shrink_batch, feats, lp, lens, lbm, use_lbm, weights)
+
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(mask, ref_mask)
+    assert ratio == pytest.approx(ref_ratio, abs=1e-12)
+    assert len(shrunks) == len(ref_shrunks) == B
+    for s, r in zip(shrunks, ref_shrunks):
+        for name in SHRUNK_FIELDS:
+            np.testing.assert_array_equal(getattr(s, name), getattr(r, name), err_msg=name)
+    for g, r in zip(grads, ref_grads):
+        if r is None:  # without the look-back its parameters get no gradient
+            assert g is None
+        else:
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
+
+
+def test_shrink_batch_fd():
+    rng = np.random.default_rng(8)
+    B, T, d, V = 3, 7, 4, 3
+    lbm = LbmParams(rng, d, 6)
+    feats = Tensor(rng.normal(size=(B, T, d)), requires_grad=True)
+    lp = Tensor(np.log(rng.choice([0.1, 0.3, 0.6], size=(B, T, V))))
+    lens = np.array([7, 5, 3])
+    weights = Tensor(rng.normal(size=(B, T, d)))
+
+    def loss():
+        out, _, _, _ = shrink_batch(feats, lp, lens, lbm)
+        return ag.mul(out, weights[(slice(None), slice(0, out.shape[1]))]).sum()
+
+    assert any(s.m < n for s, n in zip(shrink_batch(feats, lp, lens, lbm)[2], lens))
+    check_gradients(loss, [feats] + lbm.tensors, rel_tol=1e-4, step=1e-6)

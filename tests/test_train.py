@@ -12,7 +12,7 @@ import stlab.train as train_mod
 from stlab import analysis
 from stlab.config import (RunConfig, SchedulerConfig, Toggles, TrainingConfig)
 from stlab.data import CorpusConfig
-from stlab.model import ASR_VARIANTS, Model, ModelConfig
+from stlab.model import ASR_VARIANTS, Model, ModelConfig, load_checkpoint
 from stlab.train import (NanAbort, batch_for_step, compute_losses,
                          copy_baseline_accuracy, eval_batch, make_task_weights,
                          token_accuracy, train)
@@ -135,6 +135,47 @@ def test_in_place_resume_rewrites_later_rows(tmp_path):
     assert resumed.metrics_path.read_bytes() == full.metrics_path.read_bytes()
     timings = read_metrics(tmp_path / "run" / "timings.jsonl")
     assert [r["step"] for r in timings] == list(range(1, 7))
+
+
+def failing_probe_fn(*args):
+    def probe():
+        raise RuntimeError("probe exploded")
+    return probe
+
+
+def test_probe_failures_go_to_events_and_survive_resume(tmp_path, monkeypatch):
+    """A failed probe lands in events.jsonl and in the checkpoint, and an
+    in-place resume keeps it once; metrics.jsonl reads as if no probe ran."""
+    cfg = tiny_config(steps=8)
+    with monkeypatch.context() as m:
+        m.setattr(train_mod.sched, "schedule_step", lambda step, weights, probe: weights)
+        quiet = train(cfg, tmp_path / "quiet")
+    monkeypatch.setattr(train_mod, "make_probe_fn", failing_probe_fn)
+    run = train(cfg, tmp_path / "run")
+    events_path = tmp_path / "run" / "events.jsonl"
+    events = read_metrics(events_path)
+    assert [e["step"] for e in events] == [4, 8]
+    assert all("probe exploded" in e["event"] for e in events)
+    assert run.metrics_path.read_bytes() == quiet.metrics_path.read_bytes()
+    assert (tmp_path / "quiet" / "events.jsonl").read_text() == ""
+
+    _, meta, _ = load_checkpoint(run.final_checkpoint)
+    assert [tuple(w) for w in meta["task_weights"]["warnings"]] == [
+        (e["step"], e["event"]) for e in events]
+    train(cfg, tmp_path / "run",
+          resume_from=tmp_path / "run" / "checkpoint_000004.stlab")
+    assert read_metrics(events_path) == events
+    assert run.metrics_path.read_bytes() == quiet.metrics_path.read_bytes()
+
+
+def test_checkpoint_without_warnings_still_restores():
+    cfg = tiny_config()
+    weights = make_task_weights(cfg)
+    weights.warnings.append((4, "probe failed: x"))
+    state = train_mod._weights_state(weights)
+    assert train_mod._restore_weights(state, cfg).warnings == [(4, "probe failed: x")]
+    del state["warnings"]
+    assert train_mod._restore_weights(state, cfg).warnings == []
 
 
 def atten_by_partition(snapshot):
