@@ -73,44 +73,35 @@ class SyntheticBatch:
         return self.speech.shape[0]
 
 
-def _read_only(fn):
-    """Cache a per-config table; the cached array is read-only, so no caller
-    can change it for the others."""
-    @functools.lru_cache(maxsize=32)
-    @functools.wraps(fn)
-    def cached(config: CorpusConfig) -> np.ndarray:
-        table = fn(config)
-        table.flags.writeable = False
-        return table
-    return cached
-
-
-@_read_only
+@functools.lru_cache(maxsize=32)
 def token_prototypes(config: CorpusConfig) -> np.ndarray:
     """[vocab_size+1, frame_dim] prototype matrix; row 0 is the blank.
 
     Rows come from a seeded QR of a Gaussian matrix, so distinct tokens are
-    near-orthogonal and linearly separable by a tiny model.
+    near-orthogonal and linearly separable by a tiny model. Cached per
+    config and read-only, so no caller can change it for the others.
     """
     n = max(config.vocab_size + 1, config.frame_dim)
     rng = np.random.default_rng((config.seed, 0xA11CE))
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    protos = q[: config.vocab_size + 1, : config.frame_dim]
-    return protos * np.sqrt(n / config.frame_dim)
+    protos = q[: config.vocab_size + 1, : config.frame_dim] * np.sqrt(n / config.frame_dim)
+    protos.flags.writeable = False
+    return protos
 
 
-@_read_only
+@functools.lru_cache(maxsize=32)
 def content_permutation(config: CorpusConfig) -> np.ndarray:
     """Fixed-point-free permutation over content ids 1..vocab_size.
 
     Returned as a lookup table over the full symbol range; blank, pad and
-    bos map to themselves.
+    bos map to themselves. Cached per config and read-only.
     """
     rng = np.random.default_rng((config.seed, 0x7AB1E))
     order = rng.permutation(config.vocab_size) + 1
     table = np.arange(config.n_symbols)
     for a, b in zip(order, np.roll(order, -1)):  # cyclic shift => derangement
         table[a] = b
+    table.flags.writeable = False
     return table
 
 
