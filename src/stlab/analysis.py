@@ -183,7 +183,8 @@ def consistency_over_training(checkpoints, corpus: CorpusConfig, task_pair, load
     """Run the consistency protocol at each checkpoint.
 
     checkpoints: list of (step, path); load_fn(path) gives the model to
-    probe. Missing checkpoints are skipped with a warning entry. Returns
+    probe. A checkpoint that fails to load (OSError or ValueError) is
+    skipped with a warning entry naming its step and the error. Returns
     (series rows, warnings); each series row is (step, partition, kind,
     layer, mean)."""
     series, warnings = [], []
@@ -191,7 +192,7 @@ def consistency_over_training(checkpoints, corpus: CorpusConfig, task_pair, load
         try:
             model = load_fn(path)
         except (OSError, ValueError) as exc:
-            warnings.append(f"skipping checkpoint {path}: {exc}")
+            warnings.append(f"skipping the step-{step} checkpoint: {exc}")
             continue
         rows = consistency_protocol(model, corpus, task_pair, n=n,
                                     repeats=repeats, seed=seed, kinds=kinds,

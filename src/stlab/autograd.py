@@ -69,8 +69,8 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
+            for p in node._parents:  # leaves have no backward to run
+                if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
@@ -342,6 +342,23 @@ def matmul(a, b):
     return _make(out, (a, b), bwd)
 
 
+def linear(x, w, b):
+    """x @ w + b as one node; x: [..., d_in] (2-D or 3-D), w: [d_in, d_out],
+    b: [d_out]."""
+    if x.data.shape[-1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]:
+        raise ShapeError("linear", x.shape, w.shape, b.shape)
+    out = np.matmul(x.data, w.data) + b.data
+
+    def bwd(g):
+        if x.requires_grad:
+            _acc(x, np.matmul(g, w.data.T))
+        if w.requires_grad:
+            _acc(w, _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.data.shape))
+        _acc(b, _unbroadcast(g, b.data.shape))
+
+    return _make(out, (x, w, b), bwd)
+
+
 def embedding(table, ids):
     """Row lookup into a [V, d] table with an integer id array."""
     ids = np.asarray(ids)
@@ -402,23 +419,47 @@ def logsumexp(a, axis=-1, keepdims=False):
 LAYERNORM_EPS = 1e-5
 
 
-def layer_norm(a, eps=LAYERNORM_EPS):
-    """Normalize the last axis to zero mean / unit variance (no affine).
+def _normalize(x, eps):
+    """Last-axis zero mean / unit variance, and the inverse deviation.
 
     A zero-variance row maps to zeros: eps sits inside the square root.
     """
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    d = x.shape[-1]  # sum / d is np.mean's arithmetic, without its overhead
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    out = xc * inv
+    return xc * inv, inv
+
+
+def _normalize_grad(g, out, inv):
+    d = g.shape[-1]
+    gm = g.sum(axis=-1, keepdims=True) / d
+    gym = (g * out).sum(axis=-1, keepdims=True) / d
+    return inv * (g - gm - out * gym)
+
+
+def layer_norm(a, eps=LAYERNORM_EPS):
+    """Normalize the last axis to zero mean / unit variance (no affine)."""
+    out, inv = _normalize(a.data, eps)
 
     def bwd(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * out).mean(axis=-1, keepdims=True)
-        _acc(a, inv * (g - gm - out * gym))
+        _acc(a, _normalize_grad(g, out, inv))
 
     return _make(out, (a,), bwd)
+
+
+def affine_norm(x, gain, bias, eps=LAYERNORM_EPS):
+    """layer_norm(x) * gain + bias as one node; gain, bias: [d]."""
+    xhat, inv = _normalize(x.data, eps)
+    out = xhat * gain.data + bias.data
+
+    def bwd(g):
+        _acc(gain, _unbroadcast(g * xhat, gain.data.shape))
+        _acc(bias, _unbroadcast(g, bias.data.shape))
+        if x.requires_grad:
+            _acc(x, _normalize_grad(g * gain.data, xhat, inv))
+
+    return _make(out, (x, gain, bias), bwd)
 
 
 # -- convolution -------------------------------------------------------------
@@ -469,16 +510,49 @@ def dropout(a, p: float, rng: np.random.Generator):
 MASK_BIAS = -1e30
 
 
-def scaled_dot_attention(q, k, v, bias=None):
-    """q,k,v: [..., L, dh]; bias: ndarray broadcastable to the score shape
-    (use MASK_BIAS at forbidden keys). Returns (output, weights)."""
-    dh = q.data.shape[-1]
-    scores = matmul(q, transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)))
-    scores = mul_scalar(scores, 1.0 / np.sqrt(dh))
+def multi_head_attention(q, k, v, n_heads, bias=None):
+    """Scaled dot-product attention of projected inputs, as one node.
+
+    q: [B, Lq, d]; k, v: [B, Lk, d]; bias: ndarray broadcastable to
+    [B, H, Lq, Lk] (use MASK_BIAS at forbidden keys). Splits d into n_heads
+    heads, scales the scores by 1/sqrt(d/H), adds the bias, takes the
+    softmax over keys, applies it to v and merges the heads. Returns
+    (output [B, Lq, d], weights [B, H, Lq, Lk]); the weights are a constant
+    Tensor, outside the graph.
+    """
+    B, Lq, d = q.data.shape
+    Lk = k.data.shape[1]
+    if k.data.shape != (B, Lk, d) or v.data.shape != k.data.shape or d % n_heads:
+        raise ShapeError("multi_head_attention", q.shape, k.shape, v.shape)
+    dh = d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(x):
+        return x.reshape(B, -1, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(B, -1, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
     if bias is not None:
-        scores = add(scores, Tensor(bias))
-    w = softmax(scores, axis=-1)
-    return matmul(w, v), w
+        scores = scores + bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    out = merge(np.matmul(w, vh))
+
+    def bwd(g):
+        gh = split(g)
+        if v.requires_grad:
+            _acc(v, merge(np.matmul(w.swapaxes(-1, -2), gh)))
+        gw = np.matmul(gh, vh.swapaxes(-1, -2))
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            _acc(q, merge(np.matmul(gs, kh)))
+        if k.requires_grad:
+            _acc(k, merge(np.matmul(gs.swapaxes(-1, -2), qh)))
+
+    return _make(out, (q, k, v), bwd), Tensor(w)
 
 
 # -- parameter bookkeeping ----------------------------------------------------

@@ -129,17 +129,16 @@ def expand_to_speech(src_tokens, config: CorpusConfig, sample_seed: int):
         raise ValueError("token ids must lie in 1..vocab_size")
     protos = token_prototypes(config)
     rng = np.random.default_rng((config.seed, int(sample_seed), 0x5BEEC))
-    rows = []
+    ids = []
     alignment = []
     for i, tok in enumerate(src_tokens):
         if i > 0 and rng.random() < config.blank_insert_prob:
-            rows.append(protos[BLANK_ID])
+            ids.append(BLANK_ID)
             alignment.append(-1)
         r = int(rng.integers(config.expansion_min, config.expansion_max + 1))
-        for _ in range(r):
-            rows.append(protos[tok])
-            alignment.append(i)
-    frames = np.asarray(rows)
+        ids += [tok] * r
+        alignment += [i] * r
+    frames = protos[ids]
     if config.frame_noise_std > 0:
         frames = frames + rng.normal(scale=config.frame_noise_std, size=frames.shape)
     return frames, np.asarray(alignment)

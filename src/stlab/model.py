@@ -13,6 +13,12 @@ ST pass (its CTC log-probs, and the source decoded from its T-Enc memory).
 A standalone `forward_task("asr")`, as the impact probes run it, encodes
 the batch itself.
 
+Each projection is one `autograd.linear` node, each norm one
+`autograd.affine_norm` node and each attention core one
+`autograd.multi_head_attention` node (heads split, masked softmax and heads
+merged inside it); the attention weights the layers return are constants,
+read only by the entropy reports.
+
 The model carries a run's forward settings, `use_l2g` (the extractors) and
 `use_lbm` (the look-back), which `apply_toggles` sets once per model from
 the run's toggles; every forward reads them from there.
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -82,7 +89,7 @@ class Linear:
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x):
-        return ag.matmul(x, self.w) + self.b
+        return ag.linear(x, self.w, self.b)
 
     @property
     def tensors(self):
@@ -97,7 +104,7 @@ class AffineNorm:
         self.bias = Tensor(np.zeros(d), requires_grad=True)
 
     def __call__(self, x):
-        return ag.mul(ag.layer_norm(x), self.gain) + self.bias
+        return ag.affine_norm(x, self.gain, self.bias)
 
     @property
     def tensors(self):
@@ -107,25 +114,17 @@ class AffineNorm:
 class MultiHeadAttention:
     def __init__(self, rng, d_model, n_heads):
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
         self.wq = Linear(rng, d_model, d_model)
         self.wk = Linear(rng, d_model, d_model)
         self.wv = Linear(rng, d_model, d_model)
         self.wo = Linear(rng, d_model, d_model)
 
-    def _split(self, x):
-        B, L, _ = x.shape
-        return ag.transpose(ag.reshape(x, (B, L, self.n_heads, self.d_head)), (0, 2, 1, 3))
-
     def __call__(self, q_in, kv_in, bias):
-        """bias: ndarray broadcastable to [B, H, Lq, Lk]. Returns (out, weights)."""
-        B, Lq, _ = q_in.shape
-        q = self._split(self.wq(q_in))
-        k = self._split(self.wk(kv_in))
-        v = self._split(self.wv(kv_in))
-        ctx, w = ag.scaled_dot_attention(q, k, v, bias=bias)
-        merged = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (B, Lq, self.n_heads * self.d_head))
-        return self.wo(merged), w
+        """bias: ndarray broadcastable to [B, H, Lq, Lk]. Returns (out,
+        weights); the weights are a constant, read only by the reports."""
+        ctx, w = ag.multi_head_attention(self.wq(q_in), self.wk(kv_in), self.wv(kv_in),
+                                         self.n_heads, bias)
+        return self.wo(ctx), w
 
     @property
     def tensors(self):
@@ -539,7 +538,10 @@ class Model:
 
 def save_checkpoint(path, model: Model, extra_meta=None, extra_buffers=None):
     """Versioned binary: magic, JSON header, then raw float64 buffers in
-    deterministic group order (extra buffers follow, sorted by name)."""
+    deterministic group order (extra buffers follow, sorted by name).
+
+    Written to `<path>.tmp` and moved onto `path`, so a write that fails
+    part-way leaves any checkpoint already at `path` as it was."""
     extra_meta = extra_meta or {}
     extra_buffers = extra_buffers or {}
     buffers = model.state_buffers()
@@ -551,33 +553,53 @@ def save_checkpoint(path, model: Model, extra_meta=None, extra_buffers=None):
         "meta": extra_meta,
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for b in buffers:
-            fh.write(np.ascontiguousarray(b, dtype=np.float64).tobytes())
-        for n in extra_names:
-            fh.write(np.ascontiguousarray(extra_buffers[n], dtype=np.float64).tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for b in buffers:
+                fh.write(np.ascontiguousarray(b, dtype=np.float64).tobytes())
+            for n in extra_names:
+                fh.write(np.ascontiguousarray(extra_buffers[n], dtype=np.float64).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
-    """Returns (model, meta, extra_buffers)."""
+    """Returns (model, meta, extra_buffers).
+
+    Raises ValueError naming the file when it is not a checkpoint, is cut
+    short anywhere, or has bytes after its last buffer."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file: {path}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
-        model = Model(ModelConfig(**header["model_config"]))
-        buffers = []
-        for shape in header["param_shapes"]:
-            n = int(np.prod(shape)) if shape else 1
-            buf = np.frombuffer(fh.read(8 * n), dtype=np.float64).reshape(shape)
-            buffers.append(buf)
-        model.load_state_buffers(buffers)
-        extra = {}
-        for name, shape in header["extra_buffers"].items():
-            n = int(np.prod(shape)) if shape else 1
-            extra[name] = np.frombuffer(fh.read(8 * n), dtype=np.float64).reshape(shape).copy()
+        data = fh.read()
+    pos = 0
+
+    def read(n, what):
+        nonlocal pos
+        if len(data) - pos < n:
+            raise ValueError(f"truncated checkpoint {path}: {what} needs {n} bytes, "
+                             f"{len(data) - pos} left")
+        pos += n
+        return data[pos - n:pos]
+
+    def read_array(shape, what):
+        n = int(np.prod(shape)) if shape else 1
+        return np.frombuffer(read(8 * n, what), dtype=np.float64).reshape(shape)
+
+    if read(len(CHECKPOINT_MAGIC), "magic") != CHECKPOINT_MAGIC:
+        raise ValueError(f"not a checkpoint file: {path}")
+    (hlen,) = struct.unpack("<Q", read(8, "header length"))
+    header = json.loads(read(hlen, "header").decode())
+    model = Model(ModelConfig(**header["model_config"]))
+    model.load_state_buffers([read_array(shape, f"parameter {i}")
+                              for i, shape in enumerate(header["param_shapes"])])
+    extra = {name: read_array(shape, f"buffer {name}").copy()
+             for name, shape in header["extra_buffers"].items()}
+    if pos != len(data):
+        raise ValueError(f"checkpoint {path} has {len(data) - pos} bytes after its last buffer")
     return model, header["meta"], extra

@@ -149,9 +149,8 @@ def lbm_fuse(s_prime: Tensor, s_tilde: Tensor, lbm: LbmParams) -> Tensor:
     """FFN(Norm(s' + s_tilde)), literal form without a residual."""
     if s_prime.shape != s_tilde.shape:
         raise ag.ShapeError("lbm_fuse", s_prime.shape, s_tilde.shape)
-    h = ag.mul(ag.layer_norm(s_prime + s_tilde), lbm.norm_gain) + lbm.norm_bias
-    h = ag.relu(ag.matmul(h, lbm.w1) + lbm.b1)
-    return ag.matmul(h, lbm.w2) + lbm.b2
+    h = ag.affine_norm(s_prime + s_tilde, lbm.norm_gain, lbm.norm_bias)
+    return ag.linear(ag.relu(ag.linear(h, lbm.w1, lbm.b1)), lbm.w2, lbm.b2)
 
 
 def shrink_sequence(features: Tensor, log_probs, lbm: LbmParams,

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import unfused_reference as unfused
 from stlab import autograd as ag
 from stlab.autograd import GroupKey, ParamGroup, ShapeError, Tensor
 from stlab.gradcheck import check_gradients
+from stlab.model import _causal_bias, _key_bias
 
 
 def rand_tensor(rng, *shape):
@@ -163,9 +165,130 @@ def test_scaled_dot_attention_masking_and_fd():
     q, k, v = (rand_tensor(rng, 1, 4, 6) for _ in range(3))
     bias = np.zeros((1, 4, 4))
     bias[:, :, 2:] = ag.MASK_BIAS
-    out, w = ag.scaled_dot_attention(q, k, v, bias=bias)
-    assert np.all(w.data[:, :, 2:] < 1e-12)
-    fd_check(lambda: ag.scaled_dot_attention(q, k, v, bias=bias)[0].sum(), [q, k, v])
+    out, w = ag.multi_head_attention(q, k, v, 1, bias=bias)
+    assert np.all(w.data[..., 2:] < 1e-12)
+    fd_check(lambda: ag.multi_head_attention(q, k, v, 1, bias=bias)[0].sum(), [q, k, v])
+
+
+# -- fused nodes against the unfused compositions they replaced ------------------
+
+
+def forward_backward(op, inputs, upstream):
+    """op(*inputs) -> Tensor; backprop sum(out * upstream). Returns the output
+    data and every input's grad (None where it gets none)."""
+    for t in inputs:
+        t.grad = None
+    out = op(*inputs)
+    ag.mul(out, Tensor(upstream)).sum().backward()
+    return out.data, [t.grad for t in inputs]
+
+
+def assert_fused_matches(fused, reference, inputs, rng):
+    out_shape = reference(*inputs).shape
+    upstream = rng.normal(size=out_shape)
+    out_f, grads_f = forward_backward(fused, inputs, upstream)
+    out_r, grads_r = forward_backward(reference, inputs, upstream)
+    np.testing.assert_allclose(out_f, out_r, rtol=1e-12, atol=1e-12)
+    for i, (gf, gr) in enumerate(zip(grads_f, grads_r)):
+        if gr is None:
+            assert gf is None, i
+        else:
+            np.testing.assert_allclose(gf, gr, rtol=1e-12, atol=1e-12, err_msg=str(i))
+
+
+def linear_inputs(rng, x_shape, d_out, x_grad=True):
+    x = Tensor(rng.normal(size=x_shape), requires_grad=x_grad)
+    return [x, rand_tensor(rng, x_shape[-1], d_out), rand_tensor(rng, d_out)]
+
+
+@pytest.mark.parametrize("x_shape, x_grad", [
+    ((3, 5, 4), True),
+    ((1, 5, 4), True),      # B = 1, as the impact probes run it
+    ((7, 4), True),         # 2-D, as lbm_fuse runs it
+    ((2, 6, 4), False),     # raw speech into in_proj
+])
+def test_linear_matches_matmul_add(x_shape, x_grad):
+    rng = np.random.default_rng(30)
+    inputs = linear_inputs(rng, x_shape, 3, x_grad)
+    assert_fused_matches(ag.linear, unfused.linear, inputs, rng)
+
+
+def test_linear_fd():
+    rng = np.random.default_rng(31)
+    x, w, b = linear_inputs(rng, (2, 3, 4), 3)
+    up = rng.normal(size=(2, 3, 3))
+    fd_check(lambda: (ag.linear(x, w, b) * Tensor(up)).sum(), [x, w, b])
+
+
+def test_linear_shape_error():
+    with pytest.raises(ShapeError):
+        ag.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+    with pytest.raises(ShapeError):
+        ag.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
+
+
+def norm_inputs(rng, x_shape, x_grad=True):
+    x = Tensor(rng.normal(size=x_shape), requires_grad=x_grad)
+    d = x_shape[-1]
+    return [x, Tensor(1.0 + 0.3 * rng.normal(size=d), requires_grad=True), rand_tensor(rng, d)]
+
+
+@pytest.mark.parametrize("x_shape, x_grad", [
+    ((3, 5, 6), True), ((1, 4, 6), True), ((7, 6), True), ((2, 3, 6), False)])
+def test_affine_norm_matches_layer_norm_mul_add(x_shape, x_grad):
+    rng = np.random.default_rng(32)
+    inputs = norm_inputs(rng, x_shape, x_grad)
+    inputs[0].data[..., 0, :] = 2.5  # a zero-variance row maps to the bias
+    assert_fused_matches(ag.affine_norm, unfused.affine_norm, inputs, rng)
+    zero_row = ag.affine_norm(*inputs).data[..., 0, :]
+    np.testing.assert_allclose(zero_row - inputs[2].data, 0.0, atol=1e-9)
+
+
+def test_affine_norm_fd():
+    rng = np.random.default_rng(33)
+    x, gain, bias = norm_inputs(rng, (2, 3, 5))
+    up = rng.normal(size=(2, 3, 5))
+    fd_check(lambda: (ag.affine_norm(x, gain, bias) * Tensor(up)).sum(), [x, gain, bias])
+
+
+def attention_case(name, rng):
+    """(q, k, v, bias) for d = 6 over two heads."""
+    B, Lq, Lk = {"self": (2, 5, 5), "b1": (1, 4, 4), "cross": (2, 4, 7),
+                 "causal": (3, 5, 5)}[name]
+    q = rand_tensor(rng, B, Lq, 6)
+    k, v = rand_tensor(rng, B, Lk, 6), rand_tensor(rng, B, Lk, 6)
+    lens = np.maximum(Lk - np.arange(B) * 2, 1)
+    key_bias = _key_bias(np.arange(Lk)[None, :] < lens[:, None])
+    if name == "causal":  # the decoder's self-attention bias
+        return q, k, v, _causal_bias(Lq) + key_bias
+    return q, k, v, key_bias
+
+
+@pytest.mark.parametrize("name", ["self", "b1", "cross", "causal"])
+def test_multi_head_attention_matches_split_attend_merge(name):
+    rng = np.random.default_rng(34)
+    q, k, v, bias = attention_case(name, rng)
+
+    def fused(q, k, v):
+        return ag.multi_head_attention(q, k, v, 2, bias)[0]
+
+    def reference(q, k, v):
+        return unfused.multi_head_attention(q, k, v, 2, bias)[0]
+
+    assert_fused_matches(fused, reference, [q, k, v], rng)
+    w = ag.multi_head_attention(q, k, v, 2, bias)[1]
+    np.testing.assert_allclose(w.data, unfused.multi_head_attention(q, k, v, 2, bias)[1].data,
+                               rtol=1e-12, atol=1e-12)
+    assert not w.requires_grad and w._backward is None  # a constant, outside the graph
+    assert np.all(w.data[np.broadcast_to(bias, w.shape) < 0] == 0.0)
+
+
+def test_multi_head_attention_fd():
+    rng = np.random.default_rng(35)
+    q, k, v, bias = attention_case("cross", rng)
+    up = rng.normal(size=q.shape)
+    fd_check(lambda: (ag.multi_head_attention(q, k, v, 2, bias)[0] * Tensor(up)).sum(),
+             [q, k, v])
 
 
 def test_dropout_scaling_and_determinism():

@@ -81,6 +81,45 @@ def test_make_batch_unchanged_by_the_table_cache(config, monkeypatch):
         np.testing.assert_array_equal(a, b)
 
 
+def per_frame_expand_to_speech(src_tokens, config, sample_seed):
+    """expand_to_speech as it was before the single gather: one prototype
+    row appended per frame (validation left out)."""
+    src_tokens = np.asarray(src_tokens)
+    protos = token_prototypes(config)
+    rng = np.random.default_rng((config.seed, int(sample_seed), 0x5BEEC))
+    rows = []
+    alignment = []
+    for i, tok in enumerate(src_tokens):
+        if i > 0 and rng.random() < config.blank_insert_prob:
+            rows.append(protos[BLANK_ID])
+            alignment.append(-1)
+        r = int(rng.integers(config.expansion_min, config.expansion_max + 1))
+        for _ in range(r):
+            rows.append(protos[tok])
+            alignment.append(i)
+    frames = np.asarray(rows)
+    if config.frame_noise_std > 0:
+        frames = frames + rng.normal(scale=config.frame_noise_std, size=frames.shape)
+    return frames, np.asarray(alignment)
+
+
+@pytest.mark.parametrize("config", [CFG, CorpusConfig(
+    vocab_size=7, max_src_len=5, expansion_min=1, expansion_max=3, frame_dim=24,
+    blank_insert_prob=0.5, translation_rule="reverse-and-permute", seed=4)])
+def test_make_batch_unchanged_by_the_single_gather(config, monkeypatch):
+    """Frames gathered in one indexing call equal, bit for bit, frames
+    appended one prototype row at a time."""
+    seeds = np.arange(64) * 104729 + 5
+    gathered = make_batch(config, seeds)
+    monkeypatch.setattr(data_mod, "expand_to_speech", per_frame_expand_to_speech)
+    appended = make_batch(config, seeds)
+    for name in ("speech", "speech_lens", "src_tokens", "src_lens", "tgt_tokens",
+                 "tgt_lens", "sample_seeds"):
+        assert getattr(gathered, name).tobytes() == getattr(appended, name).tobytes(), name
+    for a, b in zip(gathered.alignments, appended.alignments):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_translate_rules():
     perm = content_permutation(CFG)
     src = np.array([3, 1, 4])

@@ -241,3 +241,50 @@ def test_checkpoint_bytes_deterministic(tmp_path, model):
     save_checkpoint(p1, model)
     save_checkpoint(p2, model)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def checkpoint_regions(tmp_path, model):
+    """A checkpoint with one extra buffer, and a cut inside each of its
+    regions: magic, header length, header, first parameter, extra buffer."""
+    path = tmp_path / "ckpt.stlab"
+    save_checkpoint(path, model, extra_meta={"step": 3},
+                    extra_buffers={"opt_m": np.arange(6.0)})
+    blob = path.read_bytes()
+    magic = len(b"STLAB-CKPT-v1\n")
+    header_end = magic + 8 + int.from_bytes(blob[magic:magic + 8], "little")
+    cuts = {"magic": 7, "header length": magic + 4, "header": header_end - 10,
+            "at the header end": header_end, "parameter": header_end + 12,
+            "extra buffer": len(blob) - 4}
+    return path, blob, cuts
+
+
+@pytest.mark.parametrize("region", ["magic", "header length", "header",
+                                    "at the header end", "parameter", "extra buffer"])
+def test_checkpoint_cut_short_raises_value_error(tmp_path, model, region):
+    path, blob, cuts = checkpoint_regions(tmp_path, model)
+    path.write_bytes(blob[: cuts[region]])
+    with pytest.raises(ValueError, match=str(path)):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_trailing_bytes_raises_value_error(tmp_path, model):
+    path, blob, _ = checkpoint_regions(tmp_path, model)
+    path.write_bytes(blob + b"\0\0\0\0")
+    with pytest.raises(ValueError, match=str(path)):
+        load_checkpoint(path)
+
+
+def test_failed_checkpoint_write_keeps_the_old_file(tmp_path, model, batch):
+    """A write that fails after the header leaves the checkpoint already at
+    the path byte-identical and loadable, and no temporary file behind."""
+    path = tmp_path / "ckpt.stlab"
+    save_checkpoint(path, model, extra_meta={"step": 3})
+    before, weights = path.read_bytes(), model.in_proj.w.data.copy()
+    model.in_proj.w.data += 1.0
+    with pytest.raises(ValueError):  # a string buffer fails after the header
+        save_checkpoint(path, model, extra_buffers={"bad": np.array(["x"])})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    loaded, meta, _ = load_checkpoint(path)
+    assert meta == {"step": 3}
+    np.testing.assert_array_equal(loaded.in_proj.w.data, weights)

@@ -1,5 +1,7 @@
 """Analysis presets probe a checkpoint under its run's toggles."""
 
+import pytest
+
 import stlab.model as model_mod
 import stlab.shrink as shrink_mod
 from stlab.config import RunConfig, Toggles
@@ -76,3 +78,25 @@ def test_over_training_names_an_unloadable_checkpoint_once(tmp_path, capsys):
         assert rows and {row.split(",")[0] for row in rows} == {"1"}
     err = capsys.readouterr().err
     assert err.count(str(torn)) == 1
+
+
+@pytest.mark.parametrize("damage", ["cut to 16 bytes", "4 trailing bytes"])
+def test_over_training_skips_a_cut_or_padded_checkpoint(tmp_path, capsys, damage):
+    """A checkpoint cut inside its header length, or with bytes after its
+    last buffer, is skipped with one stderr line instead of crashing the
+    preset or loading silently."""
+    cfg = ablation_config()
+    run = tmp_path / "run"
+    run.mkdir()
+    for step in (1, 2):
+        save_checkpoint(run / f"checkpoint_{step:06d}.stlab", Model(cfg.model),
+                        extra_meta={"step": step})
+    bad = run / "checkpoint_000002.stlab"
+    blob = bad.read_bytes()
+    bad.write_bytes(blob[:16] if damage == "cut to 16 bytes" else blob + b"\0\0\0\0")
+    paths = run_preset("over-training", cfg, run, tmp_path / "rep", n=2, repeats=1)
+    for path in paths:
+        rows = path.read_text().splitlines()[1:]
+        assert rows and {row.split(",")[0] for row in rows} == {"1"}
+    err_lines = [line for line in capsys.readouterr().err.splitlines() if line]
+    assert len(err_lines) == 1 and str(bad) in err_lines[0]
