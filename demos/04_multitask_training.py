@@ -16,10 +16,7 @@ from stlab.train import train
 corpus = CorpusConfig(vocab_size=10, max_src_len=5, seed=1)
 config = RunConfig(
     corpus=corpus,
-    model=ModelConfig(frame_dim=corpus.frame_dim,
-                      vocab_size_src=corpus.n_symbols,
-                      vocab_size_tgt=corpus.n_symbols,
-                      ctc_classes=corpus.vocab_size + 1, seed=1),
+    model=ModelConfig(seed=1),  # its sizes come from the corpus
     scheduler=SchedulerConfig(update_every=100, k=8),
     training=TrainingConfig(steps=600, batch_size=16, eval_every=100,
                             eval_batch_size=16, checkpoint_every=300, seed=1),

@@ -19,10 +19,7 @@ from stlab.train import train
 corpus = CorpusConfig(vocab_size=10, max_src_len=5, seed=2)
 config = RunConfig(
     corpus=corpus,
-    model=ModelConfig(frame_dim=corpus.frame_dim,
-                      vocab_size_src=corpus.n_symbols,
-                      vocab_size_tgt=corpus.n_symbols,
-                      ctc_classes=corpus.vocab_size + 1, seed=2),
+    model=ModelConfig(seed=2),  # its sizes come from the corpus
     scheduler=SchedulerConfig(update_every=10_000),  # keep both tasks alive
     training=TrainingConfig(steps=400, batch_size=16, eval_every=200,
                             eval_batch_size=8, checkpoint_every=400, seed=2),

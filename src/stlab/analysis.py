@@ -54,7 +54,7 @@ def capture_gradients(model, batch, task: str, batch_id: int = 0, **kwargs) -> G
     vectors = {}
     for g in model.param_groups:
         if g.has_grads():
-            vectors[g.key] = g.flat_grad().copy()
+            vectors[g.key] = g.flat_grad()
     model.zero_grad()
     return GradSnapshot(task, batch_id, vectors)
 

@@ -146,7 +146,9 @@ def _acc(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
+        # no backward writes into a gradient, so it is stored uncopied unless
+        # its layout is not C order, in which later sums would round otherwise
+        t.grad = np.asarray(g, dtype=np.float64, order="C")
     else:
         t.grad = t.grad + g
 

@@ -18,14 +18,28 @@ class ConfigError(ValueError):
     pass
 
 
+def _require_positive(section, *names):
+    for name in names:
+        if getattr(section, name) <= 0:
+            raise ConfigError(f"{name} must be positive, got {getattr(section, name)}")
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
-    s_asr: float = 500.0
+    s_asr: float = 500.0             # smoothing s of a task's update w <- w * m^(u/s)
     s_mt: float = 1000.0
     update_every: int = 500
     prune_threshold: float = 0.1
     k: int = 16                      # probe instances per impact measurement
-    exponent_mode: str = "absolute"  # Eq.-literal absolute step, or "delta"
+    exponent_mode: str = "absolute"  # u = step, or steps since the last update ("delta")
+
+    def __post_init__(self):
+        if self.exponent_mode not in ("absolute", "delta"):
+            raise ConfigError(f"unknown exponent_mode {self.exponent_mode!r}")
+        _require_positive(self, "update_every", "k")
+
+    def smoothing(self, task: str) -> float:
+        return {"asr": self.s_asr, "mt": self.s_mt}[task]
 
 
 @dataclass(frozen=True)
@@ -41,6 +55,10 @@ class TrainingConfig:
     eval_every: int = 100
     eval_batch_size: int = 16
     checkpoint_every: int = 1000
+
+    def __post_init__(self):
+        _require_positive(self, "steps", "batch_size", "eval_batch_size", "log_every",
+                          "eval_every", "checkpoint_every")
 
 
 @dataclass(frozen=True)
@@ -72,26 +90,10 @@ class RunConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
     toggles: Toggles = field(default_factory=Toggles)
 
-    def __post_init__(self):
-        m, c = self.model, self.corpus
-        if m.frame_dim != c.frame_dim:
-            raise ConfigError("model.frame_dim must match corpus.frame_dim")
-        if m.vocab_size_src != c.n_symbols or m.vocab_size_tgt != c.n_symbols:
-            raise ConfigError(
-                f"model vocab sizes must equal corpus symbol count ({c.n_symbols})")
-        if m.ctc_classes != c.vocab_size + 1:
-            raise ConfigError("model.ctc_classes must be corpus.vocab_size + 1")
-
 
 def default_config(**training_overrides) -> RunConfig:
-    """A consistent desk-scale config; keyword args patch training fields."""
-    corpus = CorpusConfig()
-    model = ModelConfig(frame_dim=corpus.frame_dim,
-                        vocab_size_src=corpus.n_symbols,
-                        vocab_size_tgt=corpus.n_symbols,
-                        ctc_classes=corpus.vocab_size + 1)
-    training = TrainingConfig(**training_overrides) if training_overrides else TrainingConfig()
-    return RunConfig(corpus=corpus, model=model, training=training)
+    """The desk-scale config; keyword args patch training fields."""
+    return RunConfig(training=TrainingConfig(**training_overrides))
 
 
 _SECTIONS = {"corpus": CorpusConfig, "model": ModelConfig,
@@ -118,12 +120,8 @@ def config_from_dict(data: dict) -> RunConfig:
     unknown = set(data) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown top-level sections {sorted(unknown)}")
-    kwargs = {name: _build(cls, data[name], name)
-              for name, cls in _SECTIONS.items() if name in data}
-    try:
-        return RunConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**{name: _build(cls, data[name], name)
+                        for name, cls in _SECTIONS.items() if name in data})
 
 
 def config_to_json(config: RunConfig) -> str:

@@ -19,6 +19,9 @@ Each projection is one `autograd.linear` node, each norm one
 merged inside it); the attention weights the layers return are constants,
 read only by the entropy reports.
 
+Its sizes come from the corpus: the frame width, the one symbol table both
+sides share, and the CTC classes. A checkpoint records both configs.
+
 The model carries a run's forward settings, `use_l2g` (the extractors) and
 `use_lbm` (the look-back), which `apply_toggles` sets once per model from
 the run's toggles; every forward reads them from there.
@@ -27,6 +30,7 @@ the run's toggles; every forward reads them from there.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import struct
@@ -37,7 +41,7 @@ import numpy as np
 from . import autograd as ag
 from . import shrink as shrink_mod
 from .autograd import Tensor, GroupKey, ParamGroup
-from .data import SyntheticBatch, noise_inject
+from .data import CorpusConfig, SyntheticBatch, noise_inject
 
 CHECKPOINT_MAGIC = b"STLAB-CKPT-v1\n"
 
@@ -56,10 +60,6 @@ class ModelConfig:
     l2g_base_kernel: int = 5   # kernel of T-Enc layer 0
     l2g_stride: int = 3        # kernel growth per layer
     dropout: float = 0.0
-    frame_dim: int = 16
-    vocab_size_src: int = 23   # full symbol table incl. blank/pad/bos
-    vocab_size_tgt: int = 23
-    ctc_classes: int = 21      # blank + content tokens
     seed: int = 0
 
     def __post_init__(self):
@@ -72,13 +72,16 @@ class ModelConfig:
         return self.l2g_base_kernel + self.l2g_stride * layer
 
 
+@functools.lru_cache(maxsize=128)
 def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
+    """[length, d_model] position table, cached per shape and read-only."""
     pos = np.arange(length)[:, None]
     i = np.arange(d_model // 2)[None, :]
     angles = pos / np.power(10000.0, 2 * i / d_model)
     out = np.zeros((length, d_model))
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
+    out.flags.writeable = False
     return out
 
 
@@ -246,28 +249,28 @@ def _causal_bias(L):
 
 
 class Model:
-    def __init__(self, config: ModelConfig):
-        self.config = config
+    def __init__(self, config: ModelConfig, corpus: CorpusConfig):
+        self.config, self.corpus = config, corpus
         rng = np.random.default_rng((config.seed, 0x90DE1))
         d, h, f = config.d_model, config.n_heads, config.ffn_dim
 
-        self.in_proj = Linear(rng, config.frame_dim, d)
+        self.in_proj = Linear(rng, corpus.frame_dim, d)
         self.a_layers = [EncoderLayer(rng, d, h, f) for _ in range(config.a_enc_layers)]
         self.a_final_ln = AffineNorm(d)
-        self.ctc_head = Linear(rng, d, config.ctc_classes)
+        self.ctc_head = Linear(rng, d, corpus.vocab_size + 1)
         self.lbm = shrink_mod.LbmParams(rng, d, f)
 
-        self.src_embed = Tensor(rng.normal(scale=0.1, size=(config.vocab_size_src, d)),
+        self.src_embed = Tensor(rng.normal(scale=0.1, size=(corpus.n_symbols, d)),
                                 requires_grad=True)
         self.t_layers = [TEncLayer(rng, d, h, f, config.l2g_kernel(i))
                          for i in range(config.t_enc_layers)]
         self.t_final_ln = AffineNorm(d)
 
-        self.tgt_embed = Tensor(rng.normal(scale=0.1, size=(config.vocab_size_tgt, d)),
+        self.tgt_embed = Tensor(rng.normal(scale=0.1, size=(corpus.n_symbols, d)),
                                 requires_grad=True)
         self.dec_layers = [DecoderLayer(rng, d, h, f) for _ in range(config.dec_layers)]
         self.dec_final_ln = AffineNorm(d)
-        self.out_proj = Linear(rng, d, config.vocab_size_tgt)
+        self.out_proj = Linear(rng, d, corpus.n_symbols)
 
         self.param_groups = self._build_groups()
         self._check_coverage()
@@ -548,6 +551,7 @@ def save_checkpoint(path, model: Model, extra_meta=None, extra_buffers=None):
     extra_names = sorted(extra_buffers)
     header = {
         "model_config": asdict(model.config),
+        "corpus": asdict(model.corpus),
         "param_shapes": [list(b.shape) for b in buffers],
         "extra_buffers": {n: list(np.asarray(extra_buffers[n]).shape) for n in extra_names},
         "meta": extra_meta,
@@ -571,10 +575,10 @@ def save_checkpoint(path, model: Model, extra_meta=None, extra_buffers=None):
 
 
 def load_checkpoint(path):
-    """Returns (model, meta, extra_buffers).
-
-    Raises ValueError naming the file when it is not a checkpoint, is cut
-    short anywhere, or has bytes after its last buffer."""
+    """Returns (model, meta, extra_buffers), the model built from the model
+    and corpus configs its header records. Raises ValueError naming the file
+    when it is not a checkpoint, is cut short anywhere, has a malformed
+    header, or has bytes after its last buffer."""
     with open(path, "rb") as fh:
         data = fh.read()
     pos = 0
@@ -582,8 +586,7 @@ def load_checkpoint(path):
     def read(n, what):
         nonlocal pos
         if len(data) - pos < n:
-            raise ValueError(f"truncated checkpoint {path}: {what} needs {n} bytes, "
-                             f"{len(data) - pos} left")
+            raise ValueError(f"truncated: {what} needs {n} bytes, {len(data) - pos} left")
         pos += n
         return data[pos - n:pos]
 
@@ -591,15 +594,21 @@ def load_checkpoint(path):
         n = int(np.prod(shape)) if shape else 1
         return np.frombuffer(read(8 * n, what), dtype=np.float64).reshape(shape)
 
-    if read(len(CHECKPOINT_MAGIC), "magic") != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a checkpoint file: {path}")
-    (hlen,) = struct.unpack("<Q", read(8, "header length"))
-    header = json.loads(read(hlen, "header").decode())
-    model = Model(ModelConfig(**header["model_config"]))
-    model.load_state_buffers([read_array(shape, f"parameter {i}")
-                              for i, shape in enumerate(header["param_shapes"])])
-    extra = {name: read_array(shape, f"buffer {name}").copy()
-             for name, shape in header["extra_buffers"].items()}
-    if pos != len(data):
-        raise ValueError(f"checkpoint {path} has {len(data) - pos} bytes after its last buffer")
-    return model, header["meta"], extra
+    try:
+        if read(len(CHECKPOINT_MAGIC), "magic") != CHECKPOINT_MAGIC:
+            raise ValueError("not a checkpoint file")
+        (hlen,) = struct.unpack("<Q", read(8, "header length"))
+        header = json.loads(read(hlen, "header").decode())
+        model = Model(ModelConfig(**header["model_config"]),
+                      CorpusConfig(**header["corpus"]))
+        model.load_state_buffers([read_array(shape, f"parameter {i}")
+                                  for i, shape in enumerate(header["param_shapes"])])
+        extra = {name: read_array(shape, f"buffer {name}").copy()
+                 for name, shape in header["extra_buffers"].items()}
+        if pos != len(data):
+            raise ValueError(f"{len(data) - pos} bytes after its last buffer")
+        return model, header["meta"], extra
+    except KeyError as exc:
+        raise ValueError(f"checkpoint {path}: header lacks {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from exc

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import SchedulerConfig
+
 AUX_TASKS = ("asr", "mt")
 
 # module each auxiliary task is judged by; mt takes the max over its two
@@ -37,20 +39,13 @@ class HistoryRow:
 
 @dataclass
 class TaskWeights:
-    weights: dict = field(default_factory=lambda: {"asr": 1.0, "mt": 1.0})
-    smoothing: dict = field(default_factory=lambda: {"asr": 500.0, "mt": 1000.0})
-    update_every: int = 500
-    prune_threshold: float = 0.1
-    exponent_mode: str = "absolute"   # "absolute": u is the global step;
-                                      # "delta": steps since the last update
+    """The scheduler's state; it reads its settings from `config`."""
+    config: SchedulerConfig
+    weights: dict  # task -> current weight, for the tasks the run trains
     pruned: set = field(default_factory=set)
     history: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     last_update_step: int = 0
-
-    def __post_init__(self):
-        if self.exponent_mode not in ("absolute", "delta"):
-            raise ValueError(f"unknown exponent_mode {self.exponent_mode!r}")
 
     def active(self, task: str) -> bool:
         return task in self.weights and task not in self.pruned
@@ -113,13 +108,14 @@ def schedule_step(step: int, weights: TaskWeights, probe_fn) -> TaskWeights:
     except ValueError as exc:
         weights.warnings.append((step, f"impact failed: {exc}"))
         return weights
-    u = step if weights.exponent_mode == "absolute" else step - weights.last_update_step
+    cfg = weights.config
+    u = step if cfg.exponent_mode == "absolute" else step - weights.last_update_step
     for task, ms in module_ms.items():
         m = mt_module_rule(*ms) if len(ms) > 1 else ms[0]
-        w = update_weight(weights.weights[task], m, u, weights.smoothing[task])
+        w = update_weight(weights.weights[task], m, u, cfg.smoothing(task))
         weights.weights[task] = w
         weights.history.append(HistoryRow(step, task, m, w))
-        if w < weights.prune_threshold:
+        if w < cfg.prune_threshold:
             weights.pruned.add(task)
     weights.last_update_step = step
     return weights
@@ -129,14 +125,15 @@ def verify_history(weights: TaskWeights, initial=None) -> bool:
     """Replay every recorded (step, m) pair from the initial weights and
     check the stored w values match to 1e-12."""
     initial = initial or {t: 1.0 for t in AUX_TASKS}
+    cfg = weights.config
     current = dict(initial)
     prev_update = 0
     current_update = 0
     for row in weights.history:
         if row.step != current_update:
             prev_update, current_update = current_update, row.step
-        u = row.step if weights.exponent_mode == "absolute" else row.step - prev_update
-        expected = update_weight(current[row.task], row.m, u, weights.smoothing[row.task])
+        u = row.step if cfg.exponent_mode == "absolute" else row.step - prev_update
+        expected = update_weight(current[row.task], row.m, u, cfg.smoothing(row.task))
         if abs(expected - row.w) > 1e-12 * max(1.0, abs(expected)):
             return False
         current[row.task] = row.w

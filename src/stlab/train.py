@@ -53,7 +53,7 @@ class TrainResult:
 
 
 def build_model(config: RunConfig) -> Model:
-    return Model(config.model).apply_toggles(config.toggles)
+    return Model(config.model, config.corpus).apply_toggles(config.toggles)
 
 
 def batch_for_step(config: RunConfig, step: int, size: int):
@@ -222,18 +222,8 @@ def _keep_rows_through(path: Path, step: int):
 
 
 def make_task_weights(config: RunConfig) -> sched.TaskWeights:
-    weights = {}
-    if config.toggles.use_asr:
-        weights["asr"] = 1.0
-    if config.toggles.use_mt:
-        weights["mt"] = 1.0
-    return sched.TaskWeights(
-        weights=weights,
-        smoothing={"asr": config.scheduler.s_asr, "mt": config.scheduler.s_mt},
-        update_every=config.scheduler.update_every,
-        prune_threshold=config.scheduler.prune_threshold,
-        exponent_mode=config.scheduler.exponent_mode,
-    )
+    on = {"asr": config.toggles.use_asr, "mt": config.toggles.use_mt}
+    return sched.TaskWeights(config.scheduler, {t: 1.0 for t, use in on.items() if use})
 
 
 def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
@@ -257,6 +247,9 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
     resumed_meta = None
     if resume_from is not None:
         ckpt_model, meta, extra = load_checkpoint(resume_from)
+        if (ckpt_model.config, ckpt_model.corpus) != (config.model, config.corpus):
+            raise ValueError(f"checkpoint {resume_from} records another model or corpus "
+                             f"config: {ckpt_model.config}, {ckpt_model.corpus}")
         model.load_state_buffers(ckpt_model.state_buffers())
         opt.load_state_buffers(extra)
         weights = _restore_weights(meta["task_weights"], config)
@@ -312,7 +305,7 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
             if shrink_active:
                 last_ratio = st_out.length_ratio
 
-            if weights.active_tasks() and step % weights.update_every == 0:
+            if weights.active_tasks() and step % config.scheduler.update_every == 0:
                 model.dropout_rng = None  # probes run without dropout
                 sched.schedule_step(step, weights,
                                     make_probe_fn(model, config, weights,

@@ -70,11 +70,8 @@ def test_ctc_oracle_equivalence():
 def _grad_audit_model(seed):
     corpus = CorpusConfig(vocab_size=4, max_src_len=3, frame_dim=8, seed=seed)
     cfg = ModelConfig(d_model=8, n_heads=2, ffn_dim=12, a_enc_layers=1,
-                      t_enc_layers=1, dec_layers=1, frame_dim=8,
-                      vocab_size_src=corpus.n_symbols,
-                      vocab_size_tgt=corpus.n_symbols,
-                      ctc_classes=corpus.vocab_size + 1, seed=seed)
-    return corpus, Model(cfg)
+                      t_enc_layers=1, dec_layers=1, seed=seed)
+    return corpus, Model(cfg, corpus)
 
 
 def _loss_builders(model, batch):
@@ -332,11 +329,7 @@ def test_full_run_determinism(tmp_path):
     """Two complete runs (scheduler updates, shrink activation, checkpoints
     all engaged) with one config and seed must agree byte for byte."""
     corpus = CorpusConfig(vocab_size=8, max_src_len=4, seed=13)
-    model = ModelConfig(d_model=16, n_heads=2, ffn_dim=24,
-                        frame_dim=corpus.frame_dim,
-                        vocab_size_src=corpus.n_symbols,
-                        vocab_size_tgt=corpus.n_symbols,
-                        ctc_classes=corpus.vocab_size + 1, seed=13)
+    model = ModelConfig(d_model=16, n_heads=2, ffn_dim=24, seed=13)
     config = RunConfig(corpus=corpus, model=model,
                        scheduler=SchedulerConfig(update_every=20, k=4),
                        training=TrainingConfig(steps=60, batch_size=4,

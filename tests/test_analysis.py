@@ -12,11 +12,7 @@ from stlab.data import CorpusConfig, make_batch
 from stlab.model import Model, ModelConfig
 
 CORPUS = CorpusConfig(vocab_size=6, max_src_len=4, seed=5)
-MODEL_CFG = ModelConfig(d_model=16, n_heads=2, ffn_dim=24,
-                        frame_dim=CORPUS.frame_dim,
-                        vocab_size_src=CORPUS.n_symbols,
-                        vocab_size_tgt=CORPUS.n_symbols,
-                        ctc_classes=CORPUS.vocab_size + 1, seed=5)
+MODEL_CFG = ModelConfig(d_model=16, n_heads=2, ffn_dim=24, seed=5)
 
 
 # -- cosine ---------------------------------------------------------------
@@ -78,7 +74,7 @@ def test_grad_consistency_excludes_plumbing_layers():
 
 
 def test_capture_gradients_snapshot_contents():
-    model = Model(MODEL_CFG)
+    model = Model(MODEL_CFG, CORPUS)
     batch = make_batch(CORPUS, [1, 2])
     s = capture_gradients(model, batch, "asr", asr_variant="ctc")
     parts = {k.partition for k in s.vectors}
@@ -89,14 +85,14 @@ def test_capture_gradients_snapshot_contents():
 
 
 def test_capture_gradients_wraps_failures():
-    model = Model(MODEL_CFG)
+    model = Model(MODEL_CFG, CORPUS)
     batch = make_batch(CORPUS, [1])  # B=1 still fine for asr; break the task id
     with pytest.raises(RuntimeError, match="task 'bogus'"):
         capture_gradients(model, batch, "bogus")
 
 
 def test_consistency_protocol_rows():
-    model = Model(MODEL_CFG)
+    model = Model(MODEL_CFG, CORPUS)
     rows = consistency_protocol(model, CORPUS, ("mt", "st"), n=3, repeats=2, seed=1)
     assert rows, "expected at least one consistency row"
     for r in rows:
@@ -106,7 +102,7 @@ def test_consistency_protocol_rows():
 
 
 def test_consistency_protocol_deterministic():
-    model = Model(MODEL_CFG)
+    model = Model(MODEL_CFG, CORPUS)
     r1 = consistency_protocol(model, CORPUS, ("mt", "st"), n=2, repeats=2, seed=3)
     r2 = consistency_protocol(model, CORPUS, ("mt", "st"), n=2, repeats=2, seed=3)
     assert [(a.partition, a.kind, a.mean) for a in r1] == \
@@ -161,7 +157,7 @@ def test_entropy_rejects_unnormalized_rows():
 
 
 def test_stream_entropy_report_layers():
-    model = Model(MODEL_CFG)
+    model = Model(MODEL_CFG, CORPUS)
     batch = make_batch(CORPUS, [1, 2, 3])
     out = model.forward_task(batch, "mt", mt_noise_p=0.0)
     rows = stream_entropy_report(out.attention_weights, out.tenc_mask, "mt")
@@ -170,7 +166,7 @@ def test_stream_entropy_report_layers():
 
 
 def test_task_probe_loss_variants():
-    model = Model(MODEL_CFG)
+    model = Model(MODEL_CFG, CORPUS)
     batch = make_batch(CORPUS, [4, 5])
     l_ctc = analysis.task_probe_loss(model, batch, "asr", asr_variant="ctc")
     l_ce = analysis.task_probe_loss(model, batch, "asr", asr_variant="ce")

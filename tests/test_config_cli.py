@@ -9,17 +9,14 @@ from stlab.config import (ConfigError, RunConfig, SchedulerConfig,
                           TrainingConfig, Toggles, config_from_dict,
                           config_to_json, default_config, load_config,
                           save_config, with_seed)
-from stlab.data import CorpusConfig
+from stlab.data import CorpusConfig, make_batch
 from stlab.model import ModelConfig
+from stlab.train import build_model
 
 
 def tiny_run_config(steps=6):
     corpus = CorpusConfig(vocab_size=5, max_src_len=3, seed=4)
-    model = ModelConfig(d_model=16, n_heads=2, ffn_dim=24,
-                        frame_dim=corpus.frame_dim,
-                        vocab_size_src=corpus.n_symbols,
-                        vocab_size_tgt=corpus.n_symbols,
-                        ctc_classes=corpus.vocab_size + 1, seed=4)
+    model = ModelConfig(d_model=16, n_heads=2, ffn_dim=24, seed=4)
     return RunConfig(corpus=corpus, model=model,
                      scheduler=SchedulerConfig(update_every=3, k=2),
                      training=TrainingConfig(steps=steps, batch_size=3,
@@ -54,13 +51,12 @@ def test_unknown_keys_rejected():
         config_from_dict({"training": {"stepz": 10}})
 
 
-def test_cross_section_validation():
-    with pytest.raises(ConfigError, match="frame_dim"):
-        config_from_dict({"corpus": {"frame_dim": 8}})
-    with pytest.raises(ConfigError, match="symbol count"):
-        config_from_dict({"model": {"vocab_size_src": 99}})
-    with pytest.raises(ConfigError, match="ctc_classes"):
-        config_from_dict({"model": {"ctc_classes": 5}})
+def test_old_model_size_keys_rejected():
+    """The corpus alone sets the model's sizes; a config that still sets
+    them in the model section is rejected."""
+    for key in ("frame_dim", "vocab_size_src", "vocab_size_tgt", "ctc_classes"):
+        with pytest.raises(ConfigError, match=f"unknown keys.*{key}"):
+            config_from_dict({"model": {key: 8}})
 
 
 def test_bad_json_and_missing_file(tmp_path):
@@ -84,10 +80,18 @@ def test_with_seed_overrides_everywhere():
     assert cfg.training.seed == 99
 
 
-def test_default_config_is_consistent():
-    cfg = default_config(steps=10)
-    assert cfg.training.steps == 10
-    assert cfg.model.ctc_classes == cfg.corpus.vocab_size + 1
+def test_model_sizes_come_from_the_corpus():
+    assert default_config(steps=10).training.steps == 10
+    cfg = config_from_dict({"corpus": {"frame_dim": 8, "vocab_size": 7}})
+    model = build_model(cfg)
+    n_symbols = 7 + 3  # blank + content + pad + bos
+    assert model.in_proj.w.shape == (8, cfg.model.d_model)
+    assert model.ctc_head.w.shape == (cfg.model.d_model, 7 + 1)
+    assert model.src_embed.shape == model.tgt_embed.shape == (n_symbols, cfg.model.d_model)
+    assert model.out_proj.w.shape == (cfg.model.d_model, n_symbols)
+    batch = make_batch(cfg.corpus, [1, 2])
+    logits = model.forward_task(batch, "st").logits
+    assert logits.shape == batch.tgt_tokens.shape + (n_symbols,)
 
 
 # -- CLI --------------------------------------------------------------------
@@ -111,11 +115,21 @@ def test_cli_train_and_outputs(cfg_path, tmp_path, capsys):
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
+    """A bad key or value is a config error naming the field, raised when the
+    config loads, before any step runs."""
     bad = tmp_path / "bad.json"
-    bad.write_text('{"training": {"bogus": 1}}')
-    rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert "config error" in capsys.readouterr().err
+    cases = [({"training": {"bogus": 1}}, "bogus"),
+             ({"scheduler": {"exponent_mode": "cubic"}}, "exponent_mode")]
+    cases += [({"scheduler": {name: 0}}, name) for name in ("update_every", "k")]
+    cases += [({"training": {name: 0}}, name)
+              for name in ("steps", "batch_size", "eval_batch_size", "log_every",
+                           "eval_every", "checkpoint_every")]
+    for doc, field in cases:
+        bad.write_text(json.dumps(doc))
+        rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1 and "config error" in err and field in err, doc
+        assert not (tmp_path / "o").exists(), doc
 
 
 def test_cli_runtime_error_exit_code(cfg_path, tmp_path, capsys):

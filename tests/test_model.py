@@ -1,6 +1,8 @@
 """Network wiring: shapes, masking, causality, parameter routing, and
 checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,16 +15,14 @@ CORPUS = CorpusConfig(vocab_size=6, max_src_len=4, seed=2)
 
 
 def tiny_config(**over):
-    base = dict(d_model=16, n_heads=2, ffn_dim=24, frame_dim=CORPUS.frame_dim,
-                vocab_size_src=CORPUS.n_symbols, vocab_size_tgt=CORPUS.n_symbols,
-                ctc_classes=CORPUS.vocab_size + 1, seed=2)
+    base = dict(d_model=16, n_heads=2, ffn_dim=24, seed=2)
     base.update(over)
     return ModelConfig(**base)
 
 
 @pytest.fixture()
 def model():
-    return Model(tiny_config())
+    return Model(tiny_config(), CORPUS)
 
 
 @pytest.fixture()
@@ -47,6 +47,7 @@ def test_sinusoidal_positions():
     assert pos.shape == (4, 8)
     np.testing.assert_allclose(pos[0, 0::2], 0.0)
     np.testing.assert_allclose(pos[0, 1::2], 1.0)
+    assert sinusoidal_positions(4, 8) is pos and not pos.flags.writeable
 
 
 def test_task_output_shapes(model, batch):
@@ -147,7 +148,7 @@ def test_st_and_mt_share_t_enc_parameters(model, batch):
 def test_l2g_extractor_receptive_field():
     """Layer-0 extractor (kernel 5) reaches at most 2 frames either side."""
     cfg = tiny_config()
-    model = Model(cfg)
+    model = Model(cfg, CORPUS)
     layer = model.t_layers[0]
     L = 12
     rng = np.random.default_rng(0)
@@ -202,7 +203,7 @@ def test_greedy_decode_matches_teacher_forcing_argmax(model, batch):
 
 
 def test_model_construction_deterministic():
-    m1, m2 = Model(tiny_config()), Model(tiny_config())
+    m1, m2 = Model(tiny_config(), CORPUS), Model(tiny_config(), CORPUS)
     for a, b in zip(m1.state_buffers(), m2.state_buffers()):
         np.testing.assert_array_equal(a, b)
 
@@ -270,6 +271,39 @@ def test_checkpoint_cut_short_raises_value_error(tmp_path, model, region):
 def test_checkpoint_with_trailing_bytes_raises_value_error(tmp_path, model):
     path, blob, _ = checkpoint_regions(tmp_path, model)
     path.write_bytes(blob + b"\0\0\0\0")
+    with pytest.raises(ValueError, match=str(path)):
+        load_checkpoint(path)
+
+
+def damage_header(path, how):
+    """Rewrite a checkpoint's header: flip its first byte, add an unknown
+    model_config key, or drop the corpus config."""
+    blob = bytearray(path.read_bytes())
+    magic = len(b"STLAB-CKPT-v1\n")
+    start = magic + 8
+    end = start + int.from_bytes(blob[magic:start], "little")
+    if how == "corrupt byte":
+        blob[start] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        return
+    header = json.loads(blob[start:end])
+    if how == "unknown model key":
+        header["model_config"]["frame_dim"] = 16
+    else:
+        del header["corpus"]
+    text = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(bytes(blob[:magic]) + len(text).to_bytes(8, "little") + text
+                     + bytes(blob[end:]))
+
+
+HEADER_DAMAGE = ["corrupt byte", "unknown model key", "no corpus"]
+
+
+@pytest.mark.parametrize("how", HEADER_DAMAGE)
+def test_checkpoint_malformed_header_raises_value_error(tmp_path, model, how):
+    path = tmp_path / "ckpt.stlab"
+    save_checkpoint(path, model, extra_meta={"step": 3})
+    damage_header(path, how)
     with pytest.raises(ValueError, match=str(path)):
         load_checkpoint(path)
 

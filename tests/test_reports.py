@@ -9,14 +9,12 @@ from stlab.data import CorpusConfig
 from stlab.model import Model, ModelConfig, save_checkpoint
 from stlab.reports import PRESETS, run_preset, shrink_eval
 
+from test_model import HEADER_DAMAGE, damage_header
+
 
 def ablation_config():
     corpus = CorpusConfig(vocab_size=5, max_src_len=3, seed=3)
-    model = ModelConfig(d_model=16, n_heads=2, ffn_dim=24,
-                        frame_dim=corpus.frame_dim,
-                        vocab_size_src=corpus.n_symbols,
-                        vocab_size_tgt=corpus.n_symbols,
-                        ctc_classes=corpus.vocab_size + 1, seed=3)
+    model = ModelConfig(d_model=16, n_heads=2, ffn_dim=24, seed=3)
     return RunConfig(corpus=corpus, model=model,
                      toggles=Toggles(use_l2g=False, use_lbm=False))
 
@@ -28,7 +26,7 @@ def test_every_load_applies_the_run_toggles(tmp_path, monkeypatch):
     run = tmp_path / "run"
     run.mkdir()
     ckpt = run / "checkpoint_000001.stlab"
-    save_checkpoint(ckpt, Model(cfg.model), extra_meta={"step": 1})
+    save_checkpoint(ckpt, Model(cfg.model, cfg.corpus), extra_meta={"step": 1})
 
     seen = set()
     t_enc_forward = Model.t_enc_forward
@@ -67,7 +65,7 @@ def test_over_training_names_an_unloadable_checkpoint_once(tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()
     for step in (1, 2):
-        save_checkpoint(run / f"checkpoint_{step:06d}.stlab", Model(cfg.model),
+        save_checkpoint(run / f"checkpoint_{step:06d}.stlab", Model(cfg.model, cfg.corpus),
                         extra_meta={"step": step})
     torn = run / "checkpoint_000002.stlab"
     torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
@@ -80,20 +78,23 @@ def test_over_training_names_an_unloadable_checkpoint_once(tmp_path, capsys):
     assert err.count(str(torn)) == 1
 
 
-@pytest.mark.parametrize("damage", ["cut to 16 bytes", "4 trailing bytes"])
+@pytest.mark.parametrize("damage", ["cut to 16 bytes", "4 trailing bytes", *HEADER_DAMAGE])
 def test_over_training_skips_a_cut_or_padded_checkpoint(tmp_path, capsys, damage):
-    """A checkpoint cut inside its header length, or with bytes after its
-    last buffer, is skipped with one stderr line instead of crashing the
-    preset or loading silently."""
+    """A checkpoint cut inside its header length, with bytes after its last
+    buffer, or with a malformed header, is skipped with one stderr line
+    instead of crashing the preset or loading silently."""
     cfg = ablation_config()
     run = tmp_path / "run"
     run.mkdir()
     for step in (1, 2):
-        save_checkpoint(run / f"checkpoint_{step:06d}.stlab", Model(cfg.model),
+        save_checkpoint(run / f"checkpoint_{step:06d}.stlab", Model(cfg.model, cfg.corpus),
                         extra_meta={"step": step})
     bad = run / "checkpoint_000002.stlab"
     blob = bad.read_bytes()
-    bad.write_bytes(blob[:16] if damage == "cut to 16 bytes" else blob + b"\0\0\0\0")
+    if damage in HEADER_DAMAGE:
+        damage_header(bad, damage)
+    else:
+        bad.write_bytes(blob[:16] if damage == "cut to 16 bytes" else blob + b"\0\0\0\0")
     paths = run_preset("over-training", cfg, run, tmp_path / "rep", n=2, repeats=1)
     for path in paths:
         rows = path.read_text().splitlines()[1:]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stlab.config import ConfigError, SchedulerConfig
 from stlab.scheduler import (HistoryRow, TaskWeights, mt_module_rule,
                              schedule_step, task_impact, update_weight,
                              verify_history)
@@ -95,10 +96,7 @@ def make_probe(ms):
 
 
 def fresh_weights(**over):
-    kw = dict(weights={"asr": 1.0, "mt": 1.0},
-              smoothing={"asr": 500.0, "mt": 1000.0})
-    kw.update(over)
-    return TaskWeights(**kw)
+    return TaskWeights(SchedulerConfig(**over), weights={"asr": 1.0, "mt": 1.0})
 
 
 def test_schedule_step_updates_and_records():
@@ -176,8 +174,8 @@ def test_delta_exponent_mode():
 
 
 def test_exponent_mode_validated():
-    with pytest.raises(ValueError):
-        TaskWeights(exponent_mode="cubic")
+    with pytest.raises(ConfigError, match="exponent_mode"):
+        SchedulerConfig(exponent_mode="cubic")
 
 
 def test_verify_history_detects_tampering():

@@ -1,5 +1,6 @@
 """Training loop: metrics stream, determinism, resume, toggles, NaN abort."""
 
+import dataclasses
 import importlib
 import json
 from collections import Counter
@@ -20,11 +21,7 @@ from stlab.train import (NanAbort, batch_for_step, compute_losses,
 
 def tiny_config(steps=8, **toggle_over):
     corpus = CorpusConfig(vocab_size=5, max_src_len=3, seed=6)
-    model = ModelConfig(d_model=16, n_heads=2, ffn_dim=24,
-                        frame_dim=corpus.frame_dim,
-                        vocab_size_src=corpus.n_symbols,
-                        vocab_size_tgt=corpus.n_symbols,
-                        ctc_classes=corpus.vocab_size + 1, seed=6)
+    model = ModelConfig(d_model=16, n_heads=2, ffn_dim=24, seed=6)
     toggles = dict(shrink_warmup_fraction=0.5)
     toggles.update(toggle_over)
     return RunConfig(corpus=corpus, model=model,
@@ -122,6 +119,19 @@ def test_resume_replays_exactly(tmp_path):
     resumed_rows = resumed.metrics_path.read_text().splitlines()
     assert resumed_rows == full_rows[4:]
     assert full.final_checkpoint.read_bytes() == resumed.final_checkpoint.read_bytes()
+
+
+def test_resume_checks_the_recorded_configs(tmp_path):
+    """A checkpoint records its model and corpus configs; a resume under
+    another corpus raises naming the file, while a resume that only runs
+    longer goes ahead."""
+    cfg = tiny_config(steps=4)
+    full = train(cfg, tmp_path / "full")
+    other = dataclasses.replace(cfg, corpus=dataclasses.replace(cfg.corpus, seed=7))
+    with pytest.raises(ValueError, match=str(full.final_checkpoint)):
+        train(other, tmp_path / "other", resume_from=full.final_checkpoint)
+    longer = dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, steps=5))
+    assert train(longer, tmp_path / "longer", resume_from=full.final_checkpoint).steps_run == 1
 
 
 def test_in_place_resume_rewrites_later_rows(tmp_path):
