@@ -34,7 +34,8 @@ print("gradient consistency (cosine of flattened gradients, same batch):")
 for pair, kwargs in (("asr-st", {"probe_kwargs_a": {"asr_variant": "ce",
                                                     "use_shrink": True},
                                  "probe_kwargs_b": {"use_shrink": True}}),
-                     ("mt-st", {"probe_kwargs_b": {"use_shrink": True}})):
+                     ("mt-st", {"probe_kwargs_a": {"mt_noise_p": config.toggles.mt_noise()},
+                                "probe_kwargs_b": {"use_shrink": True}})):
     rows = analysis.consistency_protocol(model, corpus, tuple(pair.split("-")),
                                          n=16, repeats=3, seed=0, **kwargs)
     for r in rows:

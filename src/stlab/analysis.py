@@ -35,11 +35,13 @@ class ConsistencyRow:
     repeats: int
 
 
-def task_probe_loss(model, batch, task: str, *, asr_variant="ctc", **forward_kw):
-    """The probed task's own unweighted loss (no CL/consistency terms);
-    forward_kw go to Model.forward_task."""
+def task_probe_loss(model, batch, task: str, *, asr_variant="ctc", per_item=False,
+                    **forward_kw):
+    """The probed task's own unweighted loss (no CL/consistency terms), or
+    with per_item the sum of each item's own loss; forward_kw go to
+    Model.forward_task."""
     out = model.forward_task(batch, task, asr_variant=asr_variant, **forward_kw)
-    return task_loss(out, batch, task, asr_variant)
+    return task_loss(out, batch, task, asr_variant, per_item)
 
 
 def capture_gradients(model, batch, task: str, batch_id: int = 0, **kwargs) -> GradSnapshot:
@@ -57,6 +59,34 @@ def capture_gradients(model, batch, task: str, batch_id: int = 0, **kwargs) -> G
             vectors[g.key] = g.flat_grad()
     model.zero_grad()
     return GradSnapshot(task, batch_id, vectors)
+
+
+def capture_instance_gradients(model, batch, task: str, **forward_kw) -> list:
+    """Each item's own ATTEN gradients from one forward and one backward.
+
+    Every ATTEN group member (a Linear weight or bias) is swapped for a
+    read-only per-example view with a leading batch axis, so the backward
+    of the summed per-item losses leaves item b's gradient in its grad[b].
+    Returns one {GroupKey: flat vector} dict per item, holding the ATTEN
+    groups that capture_gradients reports for that item alone."""
+    groups = [g for g in model.param_groups if g.key.kind == "ATTEN"]
+    saved = [(t, t.data) for g in groups for t in g.tensors]
+    model.zero_grad()
+    try:
+        for t, data in saved:  # biases [d] become [B, 1, d]
+            item = data if data.ndim == 2 else data[None]
+            t.data = np.broadcast_to(item, (batch.batch_size,) + item.shape)
+        task_probe_loss(model, batch, task, per_item=True, **forward_kw).backward()
+        per_item = [{} for _ in range(batch.batch_size)]
+        for g in groups:
+            if g.has_grads():
+                for b, vectors in enumerate(per_item):
+                    vectors[g.key] = np.concatenate([t.grad[b].ravel() for t in g.tensors])
+        return per_item
+    finally:
+        for t, data in saved:
+            t.data = data
+        model.zero_grad()
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,8 +1,10 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Define-by-run: every op builds a fresh node with a backward closure; the
-graph lives only as long as the output tensors. No broadcasting beyond
-what the model layers actually use.
+Define-by-run: every op builds a fresh node with a backward closure. A
+backward pass releases each node once its closure has run (its gradient,
+closure and parent links), so the graph's interior memory is freed as the
+pass goes and a second pass over a released node raises. No broadcasting
+beyond what the model layers actually use.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_released")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -29,7 +31,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
-        self._consumed = False
+        self._released = False
 
     @property
     def shape(self):
@@ -53,9 +55,12 @@ class Tensor:
         self.grad = None
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into every leaf's grad. Each node is
+        released once its closure has run: its grad, closure and parents
+        go, and a later backward that reaches it raises RuntimeError."""
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
-        if self._consumed:
+        if self._released:
             raise RuntimeError("second backward on the same graph; re-run the forward pass")
         topo = []
         seen = set()
@@ -69,14 +74,22 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:  # leaves have no backward to run
-                if p._backward is not None and id(p) not in seen:
+            for p in node._parents:
+                if p._released:
+                    raise RuntimeError("backward reached a node an earlier backward "
+                                       "released; re-run the forward pass")
+                if p._backward is not None and id(p) not in seen:  # leaves have none
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:  # a leaf loss keeps its gradient
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
-        self._consumed = True
+            node.grad = node._backward = None
+            node._parents = ()
+            node._released = True
 
     # -- operator sugar -------------------------------------------------
 
@@ -346,14 +359,19 @@ def matmul(a, b):
 
 def linear(x, w, b):
     """x @ w + b as one node; x: [..., d_in] (2-D or 3-D), w: [d_in, d_out],
-    b: [d_out]."""
-    if x.data.shape[-1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]:
+    b: [d_out]. Per-example parameters w: [B, d_in, d_out], b: [B, 1, d_out]
+    with x: [B, L, d_in] get per-example gradients: item i's w and b grads
+    are those of item i's slice alone."""
+    *lead, d_in, d_out = w.data.shape
+    b_shape = (*lead, 1, d_out) if lead else (d_out,)
+    if (x.data.shape[-1] != d_in or b.data.shape != b_shape
+            or (lead and x.data.shape[:-2] != tuple(lead))):
         raise ShapeError("linear", x.shape, w.shape, b.shape)
     out = np.matmul(x.data, w.data) + b.data
 
     def bwd(g):
         if x.requires_grad:
-            _acc(x, np.matmul(g, w.data.T))
+            _acc(x, np.matmul(g, np.swapaxes(w.data, -1, -2)))
         if w.requires_grad:
             _acc(w, _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.data.shape))
         _acc(b, _unbroadcast(g, b.data.shape))

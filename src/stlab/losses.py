@@ -20,8 +20,9 @@ class CtcInfeasibleError(ValueError):
     """Target cannot be emitted in the given number of frames."""
 
 
-def ce_loss(logits: Tensor, targets, pad_id: int) -> Tensor:
-    """Mean negative log-likelihood over non-pad target positions.
+def ce_loss(logits: Tensor, targets, pad_id: int, per_item: bool = False) -> Tensor:
+    """Mean negative log-likelihood over non-pad target positions, or with
+    per_item the sum over items of each item's own mean.
 
     logits: [B, L, V]; targets: int [B, L] with pad_id at padding.
     """
@@ -33,6 +34,8 @@ def ce_loss(logits: Tensor, targets, pad_id: int) -> Tensor:
     lp = ag.log_softmax(logits, axis=-1)
     b_idx, l_idx = np.nonzero(mask)
     picked = lp[(b_idx, l_idx, targets[b_idx, l_idx])]
+    if per_item:
+        return (picked * Tensor(-1.0 / mask.sum(axis=1)[b_idx])).sum()
     return -picked.sum() / n_valid
 
 
@@ -48,8 +51,10 @@ def ctc_feasible(n_frames: int, target) -> bool:
     return bool(n_frames >= _min_frames(target, np.ones(target.shape, dtype=bool))[0])
 
 
-def ctc_loss(log_probs: Tensor, targets, frame_lens=None, target_lens=None) -> Tensor:
-    """Batch mean of -log P(target | log_probs), summed over all CTC alignments.
+def ctc_loss(log_probs: Tensor, targets, frame_lens=None, target_lens=None,
+             per_item: bool = False) -> Tensor:
+    """Batch mean of -log P(target | log_probs), summed over all CTC
+    alignments; with per_item, the batch sum.
 
     log_probs: [B, T, V] rows of log-probabilities with blank id 0;
     targets: int [B, L] of non-blank labels, padded past target_lens;
@@ -127,25 +132,29 @@ def ctc_loss(log_probs: Tensor, targets, frame_lens=None, target_lens=None) -> T
         gamma = alpha[:, :, 2:] + beta[:T, :, :-2] - em - log_z[:, None]
         occ = np.exp(gamma).transpose(1, 0, 2)                            # [B, T, S]
         onehot = (ext[:, :, None] == np.arange(V)).astype(np.float64)    # [B, S, V]
-        grad = np.matmul(occ, onehot) * (-float(g) / B)
+        grad = np.matmul(occ, onehot) * (-float(g) / (1 if per_item else B))
         ag._acc(log_probs, grad[0] if single else grad)
 
-    return ag._make(np.asarray(-log_z.mean()), (log_probs,), bwd)
+    loss = -log_z.sum() if per_item else -log_z.mean()
+    return ag._make(np.asarray(loss), (log_probs,), bwd)
 
 
-def task_loss(out, batch, task: str, asr_variant: str = "ctc") -> Tensor:
+def task_loss(out, batch, task: str, asr_variant: str = "ctc",
+              per_item: bool = False) -> Tensor:
     """A task's own unweighted loss from its forward outputs (TaskOutputs).
 
     CE on the logits for ST and MT. For ASR: the batch mean of the CTC loss
     over each item's valid frames (`ctc`), CE on the decoded source (`ce`),
-    or their sum (`ctc+ce`).
+    or their sum (`ctc+ce`). With per_item, the sum over items of each
+    item's own loss, so each item's gradient is the one it has alone.
     """
     if task != "asr" or asr_variant == "ce":
-        return ce_loss(out.logits, out.targets, batch.pad_id)
-    ctc = ctc_loss(out.ctc_log_probs, batch.src_tokens, batch.speech_lens, batch.src_lens)
+        return ce_loss(out.logits, out.targets, batch.pad_id, per_item)
+    ctc = ctc_loss(out.ctc_log_probs, batch.src_tokens, batch.speech_lens, batch.src_lens,
+                   per_item)
     if asr_variant == "ctc":
         return ctc
-    return ctc + ce_loss(out.logits, out.targets, batch.pad_id)
+    return ctc + ce_loss(out.logits, out.targets, batch.pad_id, per_item)
 
 
 def ctc_loss_bruteforce(log_probs, target) -> float:

@@ -453,8 +453,11 @@ class Model:
 
     def forward_task(self, batch: SyntheticBatch, task: str, *,
                      asr_variant: str = "ctc", use_shrink: bool = False,
-                     mt_noise_rng: np.random.Generator | None = None,
-                     mt_noise_p: float = 0.2) -> TaskOutputs:
+                     mt_noise_rngs=None, mt_noise_p: float | None = None) -> TaskOutputs:
+        """One task's forward pass. MT needs its input noise `mt_noise_p`
+        (the run's `Toggles.mt_noise()`) and draws item b's noise from
+        `mt_noise_rngs[b]` (one generator for every item: draws follow item
+        order); without generators every item draws from one seeded at 0."""
         if task not in TASKS:
             raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
         pad = batch.pad_id
@@ -474,12 +477,17 @@ class Model:
             return self.asr_outputs(speech, batch, asr_variant)
 
         # mt: noisy text -> shared T-Enc -> decoder
-        if mt_noise_rng is None:
-            mt_noise_rng = np.random.default_rng(0)
+        if mt_noise_p is None:
+            raise ValueError("forward_task('mt') needs mt_noise_p, the run's MT input noise")
+        if mt_noise_rngs is None:
+            mt_noise_rngs = [np.random.default_rng(0)] * batch.batch_size
+        if len(mt_noise_rngs) != batch.batch_size:
+            raise ValueError(f"mt_noise_rngs holds {len(mt_noise_rngs)} generators "
+                             f"for {batch.batch_size} items")
         noisy, noisy_lens = [], []
-        for b in range(batch.batch_size):
+        for b, rng in enumerate(mt_noise_rngs):
             toks = batch.src_tokens[b, : batch.src_lens[b]]
-            n = noise_inject(toks, mt_noise_p, mt_noise_rng)
+            n = noise_inject(toks, mt_noise_p, rng)
             noisy.append(n)
             noisy_lens.append(len(n))
         Ln = max(noisy_lens)

@@ -119,7 +119,7 @@ def write_entropy_report(model, config: RunConfig, path, *, n=32, seed=0):
     batch = make_batch(config.corpus, rng.integers(0, 2**62, size=n))
     rows = []
     mt_out = model.forward_task(batch, "mt",
-                                mt_noise_rng=np.random.default_rng((seed, 1)),
+                                mt_noise_rngs=[np.random.default_rng((seed, 1))] * n,
                                 mt_noise_p=config.toggles.mt_noise())
     rows += analysis.stream_entropy_report(mt_out.attention_weights, mt_out.tenc_mask, "mt")
     for name, shrunk in (("st_plain", False), ("st_shrunk", True)):

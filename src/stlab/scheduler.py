@@ -6,7 +6,10 @@ Per probe instance j the impact of auxiliary task i is
 over flattened self-attention gradients of the relevant module; weights
 update as w_i <- w_i * m_i^(u/s) and the task is dropped below threshold.
 The probes (train.make_probe_fn) measure each task as the run trains it:
-ASR under the configured variant, MT under the run's input noise.
+ASR under the configured variant, MT under the run's input noise. The k
+instances form one batch, and each task's k gradients come from one forward
+and one backward with per-example ATTEN parameters
+(analysis.capture_instance_gradients).
 
 Dropping a task removes its weighted term, and for MT its forward pass too.
 ASR reads the ST pass's speech encoding, so dropping it saves only its

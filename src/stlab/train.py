@@ -117,7 +117,7 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
     l_mt = None
     if tg.use_mt and weights.active("mt"):
         mt_rng = np.random.default_rng((config.training.seed, _STREAM_NOISE, step))
-        mt_out = model.forward_task(batch, "mt", mt_noise_rng=mt_rng,
+        mt_out = model.forward_task(batch, "mt", mt_noise_rngs=[mt_rng] * batch.batch_size,
                                     mt_noise_p=tg.mt_noise())
         l_mt = task_loss(mt_out, batch, "mt")
         if tg.use_l2g:
@@ -146,41 +146,39 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
 
 def make_probe_fn(model: Model, config: RunConfig, weights: sched.TaskWeights,
                   step: int, shrink_active: bool):
-    """Per-instance ATTEN gradient capture for the impact scheduler. Each
-    task is probed as the run trains it: ASR under the configured variant,
-    MT under the run's input noise."""
-    tg = config.toggles
+    """Per-instance ATTEN gradient capture for the impact scheduler. The k
+    probe instances form one batch, and each task is captured with one
+    forward and one backward over it (analysis.capture_instance_gradients,
+    per-example ATTEN parameters). Each task is probed as the run trains
+    it: ASR under the configured variant, MT under the run's input noise,
+    drawn for each instance from its own stream."""
+    tg, seed, k = config.toggles, config.training.seed, config.scheduler.k
 
-    def atten_vectors(snapshot):
+    def atten_vectors(vectors):
         out = {}
         for part in ("A-Enc", "T-Enc", "Decoder"):
-            keys = sorted((k for k in snapshot.vectors
-                           if k.partition == part and k.kind == "ATTEN"),
-                          key=lambda k: k.layer)
+            keys = sorted((key for key in vectors if key.partition == part),
+                          key=lambda key: key.layer)
             if keys:
-                out[part] = np.concatenate([snapshot.vectors[k] for k in keys])
+                out[part] = np.concatenate([vectors[key] for key in keys])
         return out
 
     def probe():
-        instances = []
-        for j in range(config.scheduler.k):
-            rng = np.random.default_rng((config.training.seed, _STREAM_PROBE, step, j))
-            batch = make_batch(config.corpus, rng.integers(0, 2**62, size=1))
-            entry = {}
-            st_snap = analysis.capture_gradients(
-                model, batch, "st", use_shrink=shrink_active)
-            entry["st"] = atten_vectors(st_snap)
-            for task in weights.active_tasks():
-                if task == "asr":
-                    kw = {"asr_variant": tg.asr_variant, "use_shrink": shrink_active}
-                else:
-                    kw = {"mt_noise_p": tg.mt_noise(),
-                          "mt_noise_rng": np.random.default_rng(
-                              (config.training.seed, _STREAM_PROBE, step, j, 1))}
-                snap = analysis.capture_gradients(model, batch, task, **kw)
-                entry[task] = atten_vectors(snap)
-            instances.append(entry)
-        return instances
+        seeds = np.concatenate([np.random.default_rng((seed, _STREAM_PROBE, step, j))
+                                .integers(0, 2**62, size=1) for j in range(k)])
+        batch = make_batch(config.corpus, seeds)
+        forward_kw = {
+            "st": {"use_shrink": shrink_active},
+            "asr": {"asr_variant": tg.asr_variant, "use_shrink": shrink_active},
+            "mt": {"mt_noise_p": tg.mt_noise(),
+                   "mt_noise_rngs": [np.random.default_rng((seed, _STREAM_PROBE, step, j, 1))
+                                     for j in range(k)]}}
+        tasks = ["st"] + weights.active_tasks()
+        captured = {task: analysis.capture_instance_gradients(model, batch, task,
+                                                              **forward_kw[task])
+                    for task in tasks}
+        return [{task: atten_vectors(captured[task][j]) for task in tasks}
+                for j in range(k)]
 
     return probe
 

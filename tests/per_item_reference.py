@@ -1,14 +1,17 @@
-"""Per-item reference kernels: the single-sequence CTC dynamic program and
-the per-item shrink loop that the batched kernels in `stlab.losses` and
-`stlab.shrink` replaced. The tests compare the batched kernels with them."""
+"""Per-item reference kernels: the single-sequence CTC dynamic program, the
+per-item shrink loop and the batch-1 impact probe that the batched kernels
+in `stlab.losses`, `stlab.shrink` and `stlab.train` replaced. The tests
+compare the batched kernels with them."""
 
 import numpy as np
 
+from stlab import analysis
 from stlab import autograd as ag
 from stlab.autograd import Tensor
-from stlab.data import BLANK_ID
+from stlab.data import BLANK_ID, make_batch
 from stlab.losses import CtcInfeasibleError, ctc_feasible
 from stlab.shrink import CtcPath, LbmParams, ShrunkSequence, lbm_fuse
+from stlab.train import _STREAM_PROBE
 
 
 def ctc_loss(log_probs: Tensor, target) -> Tensor:
@@ -176,3 +179,38 @@ def shrink_batch(features: Tensor, log_probs: Tensor, lens, lbm: LbmParams,
     out = ag.stack(padded, axis=0)
     mask = np.arange(m_max)[None, :] < np.array([s.m for s in shrunks])[:, None]
     return out, mask, shrunks, float(np.mean(ratios))
+
+
+def atten_by_partition(vectors):
+    """The probe's layout: a snapshot's ATTEN gradients ({GroupKey: flat
+    vector}) concatenated per partition in layer order."""
+    out = {}
+    for part in ag.PARTITIONS:
+        keys = sorted((k for k in vectors if k.partition == part and k.kind == "ATTEN"),
+                      key=lambda k: k.layer)
+        if keys:
+            out[part] = np.concatenate([vectors[k] for k in keys])
+    return out
+
+
+def probe_instances(model, config, weights, step, shrink_active):
+    """The impact probe as k batch-1 instances: each instance is its own
+    batch, and each task one capture_gradients call on it. The seeds and
+    the MT noise streams are those of `stlab.train.make_probe_fn`."""
+    tg, seed = config.toggles, config.training.seed
+    instances = []
+    for j in range(config.scheduler.k):
+        rng = np.random.default_rng((seed, _STREAM_PROBE, step, j))
+        batch = make_batch(config.corpus, rng.integers(0, 2**62, size=1))
+        entry = {"st": atten_by_partition(analysis.capture_gradients(
+            model, batch, "st", use_shrink=shrink_active).vectors)}
+        for task in weights.active_tasks():
+            if task == "asr":
+                kw = {"asr_variant": tg.asr_variant, "use_shrink": shrink_active}
+            else:
+                kw = {"mt_noise_p": tg.mt_noise(),
+                      "mt_noise_rngs": [np.random.default_rng((seed, _STREAM_PROBE, step, j, 1))]}
+            entry[task] = atten_by_partition(
+                analysis.capture_gradients(model, batch, task, **kw).vectors)
+        instances.append(entry)
+    return instances

@@ -13,6 +13,7 @@ from stlab.model import Model, ModelConfig
 
 CORPUS = CorpusConfig(vocab_size=6, max_src_len=4, seed=5)
 MODEL_CFG = ModelConfig(d_model=16, n_heads=2, ffn_dim=24, seed=5)
+MT_NOISE = {"mt_noise_p": 0.2}  # the MT probe needs the run's input noise
 
 
 # -- cosine ---------------------------------------------------------------
@@ -91,9 +92,48 @@ def test_capture_gradients_wraps_failures():
         capture_gradients(model, batch, "bogus")
 
 
+@pytest.mark.parametrize("task, kw", [
+    ("st", {}), ("st", {"use_shrink": True}),
+    ("asr", {"asr_variant": "ctc"}), ("asr", {"asr_variant": "ce", "use_shrink": True}),
+    ("asr", {"asr_variant": "ctc+ce"}), ("mt", {"mt_noise_p": 0.3})])
+def test_capture_instance_gradients_match_batch_one(task, kw):
+    """Item b's ATTEN vectors from one batched pass are those of
+    capture_gradients on item b alone, with the same groups present; the
+    model's parameters and grads are left as they were."""
+    model = Model(MODEL_CFG, CORPUS)
+    seeds = [3, 4, 5]
+    params = [t.data for t in model.parameters()]
+
+    def noise(items):
+        return {"mt_noise_rngs": [np.random.default_rng((j, 1)) for j in items]} \
+            if task == "mt" else {}
+
+    got = analysis.capture_instance_gradients(model, make_batch(CORPUS, seeds), task,
+                                              **kw, **noise(range(3)))
+    assert len(got) == 3
+    for j, vectors in enumerate(got):
+        alone = capture_gradients(model, make_batch(CORPUS, seeds[j:j + 1]), task,
+                                  **kw, **noise([j]))
+        want = {k: v for k, v in alone.vectors.items() if k.kind == "ATTEN"}
+        assert want and vectors.keys() == want.keys()
+        for k, v in want.items():
+            np.testing.assert_allclose(vectors[k], v, rtol=0, atol=1e-12 * np.abs(v).max())
+    assert all(t.data is d for t, d in zip(model.parameters(), params))
+    assert all(p.grad is None for p in model.parameters())
+
+
+def test_capture_instance_gradients_restores_parameters_on_failure():
+    model = Model(MODEL_CFG, CORPUS)
+    params = [t.data for t in model.parameters()]
+    with pytest.raises(ValueError, match="unknown task"):
+        analysis.capture_instance_gradients(model, make_batch(CORPUS, [1, 2]), "bogus")
+    assert all(t.data is d for t, d in zip(model.parameters(), params))
+
+
 def test_consistency_protocol_rows():
     model = Model(MODEL_CFG, CORPUS)
-    rows = consistency_protocol(model, CORPUS, ("mt", "st"), n=3, repeats=2, seed=1)
+    rows = consistency_protocol(model, CORPUS, ("mt", "st"), n=3, repeats=2, seed=1,
+                                probe_kwargs_a=MT_NOISE)
     assert rows, "expected at least one consistency row"
     for r in rows:
         assert r.partition in ("T-Enc", "Decoder")  # mt never reaches A-Enc
@@ -103,8 +143,10 @@ def test_consistency_protocol_rows():
 
 def test_consistency_protocol_deterministic():
     model = Model(MODEL_CFG, CORPUS)
-    r1 = consistency_protocol(model, CORPUS, ("mt", "st"), n=2, repeats=2, seed=3)
-    r2 = consistency_protocol(model, CORPUS, ("mt", "st"), n=2, repeats=2, seed=3)
+    r1 = consistency_protocol(model, CORPUS, ("mt", "st"), n=2, repeats=2, seed=3,
+                              probe_kwargs_a=MT_NOISE)
+    r2 = consistency_protocol(model, CORPUS, ("mt", "st"), n=2, repeats=2, seed=3,
+                              probe_kwargs_a=MT_NOISE)
     assert [(a.partition, a.kind, a.mean) for a in r1] == \
            [(b.partition, b.kind, b.mean) for b in r2]
 

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import stlab.train as train_mod
 import unfused_reference as unfused
 from stlab import autograd as ag
 from stlab.autograd import GroupKey, ParamGroup, ShapeError, Tensor
+from stlab.config import RunConfig, SchedulerConfig, Toggles, TrainingConfig
+from stlab.data import CorpusConfig
 from stlab.gradcheck import check_gradients
-from stlab.model import _causal_bias, _key_bias
+from stlab.model import ModelConfig, _causal_bias, _key_bias
 
 
 def rand_tensor(rng, *shape):
@@ -220,11 +223,46 @@ def test_linear_fd():
     fd_check(lambda: (ag.linear(x, w, b) * Tensor(up)).sum(), [x, w, b])
 
 
+def per_example_linear_inputs(rng, B=3, L=5, d_in=4, d_out=3):
+    return [rand_tensor(rng, B, L, d_in), rand_tensor(rng, B, d_in, d_out),
+            rand_tensor(rng, B, 1, d_out)]
+
+
+def test_linear_per_example_matches_separate_calls():
+    """w: [B, d_in, d_out], b: [B, 1, d_out]: item i's output and input
+    gradient, and row i of the w and b gradients, are those of a 2-D-weight
+    linear on item i alone."""
+    rng = np.random.default_rng(32)
+    x, w, b = per_example_linear_inputs(rng)
+    upstream = rng.normal(size=(3, 5, 3))
+    out, (gx, gw, gb) = forward_backward(ag.linear, [x, w, b], upstream)
+    for i in range(3):
+        item = [Tensor(x.data[i:i + 1], requires_grad=True),
+                Tensor(w.data[i], requires_grad=True), Tensor(b.data[i, 0], requires_grad=True)]
+        out_i, (gx_i, gw_i, gb_i) = forward_backward(ag.linear, item, upstream[i:i + 1])
+        for got, want in ((out[i:i + 1], out_i), (gx[i:i + 1], gx_i), (gw[i], gw_i),
+                          (gb[i, 0], gb_i)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_linear_per_example_fd():
+    rng = np.random.default_rng(33)
+    x, w, b = per_example_linear_inputs(rng, B=2, L=3)
+    up = rng.normal(size=(2, 3, 3))
+    fd_check(lambda: (ag.linear(x, w, b) * Tensor(up)).sum(), [x, w, b])
+
+
 def test_linear_shape_error():
     with pytest.raises(ShapeError):
         ag.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
     with pytest.raises(ShapeError):
         ag.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
+    # per-example parameters: the bias must be [B, 1, d_out], x must be [B, L, d_in]
+    w = Tensor(np.zeros((2, 4, 5)))
+    with pytest.raises(ShapeError):
+        ag.linear(Tensor(np.zeros((2, 3, 4))), w, Tensor(np.zeros(5)))
+    with pytest.raises(ShapeError):
+        ag.linear(Tensor(np.zeros((3, 3, 4))), w, Tensor(np.zeros((2, 1, 5))))
 
 
 def norm_inputs(rng, x_shape, x_grad=True):
@@ -313,6 +351,58 @@ def test_second_backward_raises():
     loss.backward()
     with pytest.raises(RuntimeError):
         loss.backward()
+
+
+def test_backward_through_a_released_node_raises():
+    """Two losses that share a forward: the first backward releases the
+    shared nodes, and the second raises instead of skipping them."""
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    h = ag.tanh(x * 2.0)
+    first, second = h.sum(), (h * h).sum()
+    first.backward()
+    assert (h.grad, h._backward, h._parents) == (None, None, ())
+    with pytest.raises(RuntimeError, match="released"):
+        second.backward()
+
+
+def unfreed_backward(loss):
+    """The backward pass without releasing: every node's closure runs once,
+    in the same reverse topological order, and the graph stays intact."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if p._backward is not None and id(p) not in seen)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node.grad is not None:
+            node._backward(node.grad)
+
+
+def test_freeing_backward_leaf_grads_match_an_unfreed_graph():
+    """The training objective's leaf gradients are bitwise those of a pass
+    that frees nothing."""
+    cfg = RunConfig(corpus=CorpusConfig(vocab_size=5, max_src_len=3, seed=6),
+                    model=ModelConfig(d_model=16, n_heads=2, ffn_dim=24, seed=6),
+                    scheduler=SchedulerConfig(), training=TrainingConfig(batch_size=3, seed=6),
+                    toggles=Toggles())
+    model = train_mod.build_model(cfg)
+    batch = train_mod.batch_for_step(cfg, 1, 3)
+    grads = []
+    for backward in (Tensor.backward, unfreed_backward):
+        model.zero_grad()
+        bundle, _ = train_mod.compute_losses(model, batch, cfg,
+                                             train_mod.make_task_weights(cfg), 1, True)
+        backward(bundle.total)
+        grads.append([p.grad for p in model.parameters()])
+    assert all(g is not None for g in grads[0])
+    for freed, kept in zip(*grads):
+        np.testing.assert_array_equal(freed, kept)
 
 
 def test_constant_subtree_gets_no_grad():

@@ -131,6 +131,16 @@ def test_st_touches_all_partitions(model, batch):
     assert _touched_partitions(model, loss) == {"A-Enc", "T-Enc", "Decoder"}
 
 
+def test_mt_forward_needs_its_noise(model, batch):
+    """The MT input noise has one owner, the run's toggles: a call without
+    it raises instead of falling back to a default of its own."""
+    with pytest.raises(ValueError, match="mt_noise_p"):
+        model.forward_task(batch, "mt")
+    with pytest.raises(ValueError, match="3 items"):
+        model.forward_task(batch, "mt", mt_noise_p=0.2,
+                           mt_noise_rngs=[np.random.default_rng(0)])
+
+
 def test_st_and_mt_share_t_enc_parameters(model, batch):
     """The same tensor objects receive gradients from both streams."""
     from stlab.losses import ce_loss

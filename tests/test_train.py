@@ -8,9 +8,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import per_item_reference as reference
 import stlab.model as model_mod
 import stlab.train as train_mod
 from stlab import analysis
+from stlab import scheduler as sched
 from stlab.config import (RunConfig, SchedulerConfig, Toggles, TrainingConfig)
 from stlab.data import CorpusConfig
 from stlab.model import ASR_VARIANTS, Model, ModelConfig, load_checkpoint
@@ -188,38 +190,48 @@ def test_checkpoint_without_warnings_still_restores():
     assert train_mod._restore_weights(state, cfg).warnings == []
 
 
-def atten_by_partition(snapshot):
-    """The probe's layout: ATTEN gradients concatenated per partition."""
-    out = {}
-    for part in ("A-Enc", "T-Enc", "Decoder"):
-        keys = sorted((k for k in snapshot.vectors
-                       if k.partition == part and k.kind == "ATTEN"), key=lambda k: k.layer)
-        if keys:
-            out[part] = np.concatenate([snapshot.vectors[k] for k in keys])
-    return out
+def assert_probe_matches_reference(cfg, shrink):
+    """The batched probe gives every instance the ATTEN gradients of its
+    batch-1 reference (same partitions, each vector to 1e-12 of its largest
+    entry), and schedule_step reads the same impacts from both to 1e-10."""
+    model = train_mod.build_model(cfg)
+    weights = make_task_weights(cfg)
+    batched = train_mod.make_probe_fn(model, cfg, weights, 4, shrink)()
+    per_item = reference.probe_instances(model, cfg, weights, 4, shrink)
+    assert len(batched) == len(per_item) == cfg.scheduler.k
+    for got, want in zip(batched, per_item):
+        assert got.keys() == want.keys()
+        for task in want:
+            assert got[task].keys() == want[task].keys(), task
+            for part, vec in want[task].items():
+                np.testing.assert_allclose(got[task][part], vec, rtol=0,
+                                           atol=1e-12 * np.abs(vec).max(), err_msg=task)
+    impacts = []
+    for probe in (train_mod.make_probe_fn(model, cfg, weights, 4, shrink),
+                  lambda: reference.probe_instances(model, cfg, weights, 4, shrink)):
+        tw = make_task_weights(cfg)
+        sched.schedule_step(4, tw, probe)
+        assert not tw.warnings
+        impacts.append({row.task: row.m for row in tw.history})
+    assert impacts[0].keys() == impacts[1].keys() == {"asr", "mt"}
+    for task, m in impacts[1].items():
+        assert impacts[0][task] == pytest.approx(m, rel=1e-10, abs=0), task
 
 
 @pytest.mark.parametrize("variant", ASR_VARIANTS)
-def test_probe_measures_configured_asr_variant(monkeypatch, variant):
-    cfg = tiny_config(asr_variant=variant)
-    model = train_mod.build_model(cfg)
-    batches = []
-    capture = analysis.capture_gradients
+def test_probe_measures_configured_asr_variant(variant):
+    for shrink in (False, True):
+        assert_probe_matches_reference(tiny_config(asr_variant=variant), shrink)
 
-    def recording_capture(model, batch, task, **kw):
-        if task == "st":
-            batches.append(batch)
-        return capture(model, batch, task, **kw)
 
-    monkeypatch.setattr(analysis, "capture_gradients", recording_capture)
-    instances = train_mod.make_probe_fn(model, cfg, make_task_weights(cfg), 4, True)()
-    assert len(instances) == len(batches) == cfg.scheduler.k
-    for entry, batch in zip(instances, batches):
-        want = atten_by_partition(capture(model, batch, "asr", asr_variant=variant,
-                                          use_shrink=True))
-        assert entry["asr"].keys() == want.keys()
-        for part, vec in want.items():
-            np.testing.assert_array_equal(entry["asr"][part], vec)
+@pytest.mark.parametrize("over", [{"use_l2g": False}, {"use_lbm": False}, {"k": 1}],
+                         ids=["no-l2g", "no-lbm", "k1"])
+def test_probe_matches_the_batch_one_reference(over):
+    cfg = tiny_config(**{k: v for k, v in over.items() if k != "k"})
+    if "k" in over:
+        cfg = dataclasses.replace(cfg, scheduler=SchedulerConfig(update_every=4, k=over["k"]))
+    for shrink in (False, True):
+        assert_probe_matches_reference(cfg, shrink)
 
 
 def test_probe_measures_mt_at_the_trained_noise(monkeypatch):
