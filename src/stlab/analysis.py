@@ -77,12 +77,10 @@ def capture_instance_gradients(model, batch, task: str, **forward_kw) -> list:
             item = data if data.ndim == 2 else data[None]
             t.data = np.broadcast_to(item, (batch.batch_size,) + item.shape)
         task_probe_loss(model, batch, task, per_item=True, **forward_kw).backward()
-        per_item = [{} for _ in range(batch.batch_size)]
-        for g in groups:
-            if g.has_grads():
-                for b, vectors in enumerate(per_item):
-                    vectors[g.key] = np.concatenate([t.grad[b].ravel() for t in g.tensors])
-        return per_item
+        rows = {g.key: np.concatenate([t.grad.reshape(batch.batch_size, -1)
+                                       for t in g.tensors], axis=1)
+                for g in groups if g.has_grads()}  # [B, group size] each
+        return [{key: m[b] for key, m in rows.items()} for b in range(batch.batch_size)]
     finally:
         for t, data in saved:
             t.data = data

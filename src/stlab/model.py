@@ -453,7 +453,8 @@ class Model:
 
     def forward_task(self, batch: SyntheticBatch, task: str, *,
                      asr_variant: str = "ctc", use_shrink: bool = False,
-                     mt_noise_rngs=None, mt_noise_p: float | None = None) -> TaskOutputs:
+                     mt_noise_rngs: list | None = None,
+                     mt_noise_p: float | None = None) -> TaskOutputs:
         """One task's forward pass. MT needs its input noise `mt_noise_p`
         (the run's `Toggles.mt_noise()`) and draws item b's noise from
         `mt_noise_rngs[b]` (one generator for every item: draws follow item
