@@ -18,20 +18,22 @@ from .model import load_checkpoint
 CONSISTENCY_HEADER = "partition,kind,layer,mean,std\n"
 
 
-def _write_consistency(rows, path, extra_col=None):
+def _write_variants(model, config: RunConfig, variants, path, *, n, repeats, seed,
+                    **layout):
+    """Run consistency_protocol for each (label, task pair, probe kwargs of
+    task a, of task b) row and write all rows to one CSV, led by a variant
+    column unless the labels are None."""
+    rows = [(label, r) for label, pair, kw_a, kw_b in variants
+            for r in analysis.consistency_protocol(
+                model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
+                probe_kwargs_a=kw_a, probe_kwargs_b=kw_b, **layout)]
+    labelled = variants[0][0] is not None
     with open(path, "w") as fh:
-        if extra_col:
-            fh.write("variant," + CONSISTENCY_HEADER)
-        else:
-            fh.write(CONSISTENCY_HEADER)
-        for item in rows:
-            if extra_col:
-                variant, r = item
-                fh.write(f"{variant},{r.partition},{r.kind},{r.layer},"
-                         f"{r.mean:.17g},{r.std:.17g}\n")
-            else:
-                fh.write(f"{item.partition},{item.kind},{item.layer},"
-                         f"{item.mean:.17g},{item.std:.17g}\n")
+        fh.write(("variant," if labelled else "") + CONSISTENCY_HEADER)
+        for label, r in rows:
+            fh.write(f"{label + ',' if labelled else ''}{r.partition},{r.kind},{r.layer},"
+                     f"{r.mean:.17g},{r.std:.17g}\n")
+    return path
 
 
 def _load(checkpoint, config: RunConfig):
@@ -64,15 +66,10 @@ def preset_pairs(preset: str, config: RunConfig, checkpoint, out_dir, *, n=32,
     per-layer."""
     model, _ = _load(checkpoint, config)
     prefix, layout = _PAIR_LAYOUTS[preset]
-    paths = []
-    for pair_name, (pair, kw_a, kw_b) in _probe_pairs(config).items():
-        rows = analysis.consistency_protocol(
-            model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
-            probe_kwargs_a=kw_a, probe_kwargs_b=kw_b, **layout)
-        path = Path(out_dir) / f"{prefix}_{pair_name}.csv"
-        _write_consistency(rows, path)
-        paths.append(path)
-    return paths
+    return [_write_variants(model, config, [(None, *probe)],
+                            Path(out_dir) / f"{prefix}_{pair_name}.csv",
+                            n=n, repeats=repeats, seed=seed, **layout)
+            for pair_name, probe in _probe_pairs(config).items()]
 
 
 def preset_asr_variants(config: RunConfig, checkpoint, out_dir, *, n=32, repeats=5,
@@ -80,15 +77,10 @@ def preset_asr_variants(config: RunConfig, checkpoint, out_dir, *, n=32, repeats
     """ASR-ST consistency with the CTC-after-A-Enc vs CE-after-decoder probes."""
     model, _ = _load(checkpoint, config)
     pair, kw_a, kw_b = _probe_pairs(config)["asr_st"]
-    rows = []
-    for variant in ("ctc", "ce"):
-        for r in analysis.consistency_protocol(
-                model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
-                probe_kwargs_a={**kw_a, "asr_variant": variant}, probe_kwargs_b=kw_b):
-            rows.append((variant, r))
-    path = Path(out_dir) / "consistency_asr_variants.csv"
-    _write_consistency(rows, path, extra_col=True)
-    return [path]
+    variants = [(v, pair, {**kw_a, "asr_variant": v}, kw_b) for v in ("ctc", "ce")]
+    return [_write_variants(model, config, variants,
+                            Path(out_dir) / "consistency_asr_variants.csv",
+                            n=n, repeats=repeats, seed=seed)]
 
 
 def preset_shrink_cl(config: RunConfig, checkpoint, out_dir, *, n=32, repeats=5,
@@ -97,16 +89,10 @@ def preset_shrink_cl(config: RunConfig, checkpoint, out_dir, *, n=32, repeats=5,
     attention-entropy report."""
     model, _ = _load(checkpoint, config)
     out_dir = Path(out_dir)
-    rows = []
-    for variant, shrunk in (("plain", False), ("shrink", True)):
-        pair, kw_a, kw_b = _probe_pairs(config, shrunk)["mt_st"]
-        for r in analysis.consistency_protocol(
-                model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
-                probe_kwargs_a=kw_a, probe_kwargs_b=kw_b):
-            rows.append((variant, r))
-    cons_path = out_dir / "consistency_shrink_cl.csv"
-    _write_consistency(rows, cons_path, extra_col=True)
-
+    variants = [(variant, *_probe_pairs(config, shrunk)["mt_st"])
+                for variant, shrunk in (("plain", False), ("shrink", True))]
+    cons_path = _write_variants(model, config, variants, out_dir / "consistency_shrink_cl.csv",
+                                n=n, repeats=repeats, seed=seed)
     ent_path = out_dir / "entropy_streams.csv"
     write_entropy_report(model, config, ent_path, n=n, seed=seed)
     return [cons_path, ent_path]
