@@ -20,7 +20,6 @@ from .losses import ce_loss, ctc_loss, task_loss  # noqa: F401
 @dataclass
 class GradSnapshot:
     task: str
-    batch_id: int
     vectors: dict  # GroupKey -> flat gradient ndarray (touched groups only)
 
 
@@ -44,7 +43,7 @@ def task_probe_loss(model, batch, task: str, *, asr_variant="ctc", per_item=Fals
     return task_loss(out, batch, task, asr_variant, per_item)
 
 
-def capture_gradients(model, batch, task: str, batch_id: int = 0, **kwargs) -> GradSnapshot:
+def capture_gradients(model, batch, task: str, **kwargs) -> GradSnapshot:
     """Backward the task's unweighted loss and snapshot flat grads of every
     touched parameter group; untouched groups are absent."""
     model.zero_grad()
@@ -58,18 +57,21 @@ def capture_gradients(model, batch, task: str, batch_id: int = 0, **kwargs) -> G
         if g.has_grads():
             vectors[g.key] = g.flat_grad()
     model.zero_grad()
-    return GradSnapshot(task, batch_id, vectors)
+    return GradSnapshot(task, vectors)
 
 
-def capture_instance_gradients(model, batch, task: str, **forward_kw) -> list:
+def capture_instance_gradients(model, batch, task: str, **forward_kw) -> dict:
     """Each item's own ATTEN gradients from one forward and one backward.
 
     Every ATTEN group member (a Linear weight or bias) is swapped for a
     read-only per-example view with a leading batch axis, so the backward
     of the summed per-item losses leaves item b's gradient in its grad[b].
-    Returns one {GroupKey: flat vector} dict per item, holding the ATTEN
-    groups that capture_gradients reports for that item alone."""
-    groups = [g for g in model.param_groups if g.key.kind == "ATTEN"]
+    Returns {partition: [B, n]}: row b holds the ATTEN gradients that
+    capture_gradients reports for item b alone, the partition's groups
+    concatenated in layer order. Partitions the task does not reach are
+    left out."""
+    groups = sorted((g for g in model.param_groups if g.key.kind == "ATTEN"),
+                    key=lambda g: g.key.layer)
     saved = [(t, t.data) for g in groups for t in g.tensors]
     model.zero_grad()
     try:
@@ -77,10 +79,12 @@ def capture_instance_gradients(model, batch, task: str, **forward_kw) -> list:
             item = data if data.ndim == 2 else data[None]
             t.data = np.broadcast_to(item, (batch.batch_size,) + item.shape)
         task_probe_loss(model, batch, task, per_item=True, **forward_kw).backward()
-        rows = {g.key: np.concatenate([t.grad.reshape(batch.batch_size, -1)
-                                       for t in g.tensors], axis=1)
-                for g in groups if g.has_grads()}  # [B, group size] each
-        return [{key: m[b] for key, m in rows.items()} for b in range(batch.batch_size)]
+        rows = {}
+        for g in groups:
+            if g.has_grads():
+                rows.setdefault(g.key.partition, []).extend(
+                    t.grad.reshape(batch.batch_size, -1) for t in g.tensors)
+        return {part: np.concatenate(blocks, axis=1) for part, blocks in rows.items()}
     finally:
         for t, data in saved:
             t.data = data
@@ -126,7 +130,9 @@ def consistency_protocol(model, corpus: CorpusConfig, task_pair, *, n: int = 32,
     """Averaged consistency over `repeats` probe draws of n samples each.
 
     task_pair: (task_a, task_b) e.g. ("asr", "st"). Returns ConsistencyRow
-    list; partitions default to every partition the two tasks share.
+    list; partitions default to every partition the two tasks share. An MT
+    side draws item j's input noise from the generator seeded
+    (seed, 0xAB, repeat, j).
     """
     task_a, task_b = task_pair
     probe_kwargs_a = probe_kwargs_a or {}
@@ -137,8 +143,13 @@ def consistency_protocol(model, corpus: CorpusConfig, task_pair, *, n: int = 32,
         rng = np.random.default_rng((seed, 0xAB, r))
         seeds = rng.integers(0, 2**62, size=n)
         batch = make_batch(corpus, seeds)
-        snap_a = capture_gradients(model, batch, task_a, batch_id=r, **probe_kwargs_a)
-        snap_b = capture_gradients(model, batch, task_b, batch_id=r, **probe_kwargs_b)
+        snaps = []
+        for task, kw in ((task_a, probe_kwargs_a), (task_b, probe_kwargs_b)):
+            if task == "mt":
+                kw = {**kw, "mt_noise_rngs": [np.random.default_rng((seed, 0xAB, r, j))
+                                              for j in range(n)]}
+            snaps.append(capture_gradients(model, batch, task, **kw))
+        snap_a, snap_b = snaps
         if shared_partitions is None:
             shared_partitions = sorted({k.partition for k in snap_a.vectors}
                                        & {k.partition for k in snap_b.vectors})

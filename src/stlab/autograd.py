@@ -227,33 +227,6 @@ def pow_scalar(a, p: float):
     return _make(out, (a,), bwd)
 
 
-def exp(a):
-    out = np.exp(a.data)
-
-    def bwd(g):
-        _acc(a, g * out)
-
-    return _make(out, (a,), bwd)
-
-
-def log(a):
-    out = np.log(a.data)
-
-    def bwd(g):
-        _acc(a, g / a.data)
-
-    return _make(out, (a,), bwd)
-
-
-def tanh(a):
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        _acc(a, g * (1.0 - out * out))
-
-    return _make(out, (a,), bwd)
-
-
 def relu(a):
     out = np.maximum(a.data, 0.0)
 

@@ -456,9 +456,9 @@ class Model:
                      mt_noise_rngs: list | None = None,
                      mt_noise_p: float | None = None) -> TaskOutputs:
         """One task's forward pass. MT needs its input noise `mt_noise_p`
-        (the run's `Toggles.mt_noise()`) and draws item b's noise from
-        `mt_noise_rngs[b]` (one generator for every item: draws follow item
-        order); without generators every item draws from one seeded at 0."""
+        (the run's `Toggles.mt_noise()`) and, when it is above 0, draws item
+        b's noise from `mt_noise_rngs[b]` (one generator for every item:
+        draws follow item order)."""
         if task not in TASKS:
             raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
         pad = batch.pad_id
@@ -481,7 +481,10 @@ class Model:
         if mt_noise_p is None:
             raise ValueError("forward_task('mt') needs mt_noise_p, the run's MT input noise")
         if mt_noise_rngs is None:
-            mt_noise_rngs = [np.random.default_rng(0)] * batch.batch_size
+            if mt_noise_p > 0:
+                raise ValueError(f"forward_task('mt') at mt_noise_p={mt_noise_p} needs "
+                                 f"mt_noise_rngs, one noise generator per item")
+            mt_noise_rngs = [None] * batch.batch_size  # no noise, no draws
         if len(mt_noise_rngs) != batch.batch_size:
             raise ValueError(f"mt_noise_rngs holds {len(mt_noise_rngs)} generators "
                              f"for {batch.batch_size} items")

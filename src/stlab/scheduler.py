@@ -9,7 +9,8 @@ The probes (train.make_probe_fn) measure each task as the run trains it:
 ASR under the configured variant, MT under the run's input noise. The k
 instances form one batch, and each task's k gradients come from one forward
 and one backward with per-example ATTEN parameters
-(analysis.capture_instance_gradients).
+(analysis.capture_instance_gradients), as one [k, n] matrix per module whose
+row j is delta^j.
 
 Dropping a task removes its weighted term, and for MT its forward pass too.
 ASR reads the ST pass's speech encoding, so dropping it saves only its
@@ -61,18 +62,18 @@ class TaskWeights:
 
 
 def task_impact(deltas_task, deltas_st) -> float:
-    """Mean per-instance ratio ||d_task|| / ||d_st + d_task||.
+    """Mean per-instance ratio ||d_task|| / ||d_st + d_task|| over the rows
+    of two [k, n] gradient matrices (row j: instance j).
 
     Instances with a zero denominator are skipped and the mean renormalized;
     all-skipped raises."""
-    if len(deltas_task) != len(deltas_st) or not deltas_task:
-        raise ValueError("need equal, non-empty per-instance gradient lists")
-    ratios = []
-    for dt, ds in zip(deltas_task, deltas_st):
-        denom = np.linalg.norm(ds + dt)
-        if denom == 0.0:
-            continue
-        ratios.append(np.linalg.norm(dt) / denom)
+    deltas_task, deltas_st = np.asarray(deltas_task), np.asarray(deltas_st)
+    if deltas_task.ndim != 2 or deltas_task.shape != deltas_st.shape or not len(deltas_task):
+        raise ValueError(f"need two [k, n] gradient matrices of one shape with k >= 1, "
+                         f"got {deltas_task.shape} and {deltas_st.shape}")
+    # one norm per row: a vectorised norm rounds differently in the last bit
+    denoms = [np.linalg.norm(row) for row in deltas_st + deltas_task]
+    ratios = [np.linalg.norm(dt) / d for dt, d in zip(deltas_task, denoms) if d != 0.0]
     if not ratios:
         raise ValueError("task impact undefined: every instance had a zero denominator")
     return float(np.mean(ratios))
@@ -93,8 +94,8 @@ def mt_module_rule(m_tenc: float, m_dec: float) -> float:
 def schedule_step(step: int, weights: TaskWeights, probe_fn) -> TaskWeights:
     """One scheduled update: draw probes, measure impact, decay, prune.
 
-    probe_fn() returns a list (one entry per probe instance) of dicts
-    {task: {module: flat ATTEN gradient vector}} including "st".
+    probe_fn() returns {task: {module: [k, n] ATTEN gradients}}, "st"
+    included, with row j holding probe instance j's gradients.
     A probe failure, or an impact that is undefined, leaves the weights
     and history unchanged and records a warning.
     """
@@ -104,8 +105,7 @@ def schedule_step(step: int, weights: TaskWeights, probe_fn) -> TaskWeights:
         weights.warnings.append((step, f"probe failed: {exc}"))
         return weights
     try:
-        module_ms = {task: [task_impact([p[task][module] for p in probes],
-                                        [p["st"][module] for p in probes])
+        module_ms = {task: [task_impact(probes[task][module], probes["st"][module])
                             for module in MODULES_FOR_TASK[task]]
                      for task in weights.active_tasks()}
     except ValueError as exc:

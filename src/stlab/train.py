@@ -151,17 +151,10 @@ def make_probe_fn(model: Model, config: RunConfig, weights: sched.TaskWeights,
     forward and one backward over it (analysis.capture_instance_gradients,
     per-example ATTEN parameters). Each task is probed as the run trains
     it: ASR under the configured variant, MT under the run's input noise,
-    drawn for each instance from its own stream."""
+    drawn for each instance from its own stream. The probe returns
+    {task: {partition: [k, n]}} for ST and every active task, with row j
+    holding instance j's ATTEN gradients."""
     tg, seed, k = config.toggles, config.training.seed, config.scheduler.k
-
-    def atten_vectors(vectors):
-        out = {}
-        for part in ("A-Enc", "T-Enc", "Decoder"):
-            keys = sorted((key for key in vectors if key.partition == part),
-                          key=lambda key: key.layer)
-            if keys:
-                out[part] = np.concatenate([vectors[key] for key in keys])
-        return out
 
     def probe():
         seeds = np.concatenate([np.random.default_rng((seed, _STREAM_PROBE, step, j))
@@ -173,12 +166,9 @@ def make_probe_fn(model: Model, config: RunConfig, weights: sched.TaskWeights,
             "mt": {"mt_noise_p": tg.mt_noise(),
                    "mt_noise_rngs": [np.random.default_rng((seed, _STREAM_PROBE, step, j, 1))
                                      for j in range(k)]}}
-        tasks = ["st"] + weights.active_tasks()
-        captured = {task: analysis.capture_instance_gradients(model, batch, task,
-                                                              **forward_kw[task])
-                    for task in tasks}
-        return [{task: atten_vectors(captured[task][j]) for task in tasks}
-                for j in range(k)]
+        return {task: analysis.capture_instance_gradients(model, batch, task,
+                                                          **forward_kw[task])
+                for task in ["st"] + weights.active_tasks()}
 
     return probe
 

@@ -196,7 +196,8 @@ def atten_by_partition(vectors):
 def probe_instances(model, config, weights, step, shrink_active):
     """The impact probe as k batch-1 instances: each instance is its own
     batch, and each task one capture_gradients call on it. The seeds and
-    the MT noise streams are those of `stlab.train.make_probe_fn`."""
+    the MT noise streams are those of `stlab.train.make_probe_fn`, and so is
+    the layout: {task: {partition: [k, n]}}, row j from instance j."""
     tg, seed = config.toggles, config.training.seed
     instances = []
     for j in range(config.scheduler.k):
@@ -213,4 +214,6 @@ def probe_instances(model, config, weights, step, shrink_active):
             entry[task] = atten_by_partition(
                 analysis.capture_gradients(model, batch, task, **kw).vectors)
         instances.append(entry)
-    return instances
+    return {task: {part: np.stack([entry[task][part] for entry in instances])
+                   for part in instances[0][task]}
+            for task in instances[0]}

@@ -155,10 +155,10 @@ def test_gradient_correctness_all_losses():
 
 def test_task_impact_hand_cases():
     st = np.array([3.0, 4.0])
-    assert task_impact([np.zeros(2)], [st]) == 0.0
+    assert task_impact(np.zeros((1, 2)), st[None]) == 0.0
     d = np.array([1.0, -2.0, 2.0])
-    assert task_impact([d], [d.copy()]) == 0.5
-    assert task_impact([np.array([4.0, 0.0])], [np.array([0.0, 3.0])]) == 0.8
+    assert task_impact(d[None], d[None].copy()) == 0.5
+    assert task_impact(np.array([[4.0, 0.0]]), np.array([[0.0, 3.0]])) == 0.8
     print("\nPASS impact-hand-cases: m = 0, 0.5, 0.8 exact")
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import per_item_reference as reference
+import stlab.model as model_mod
 from stlab import analysis
 from stlab.analysis import (GradSnapshot, attention_entropy, capture_gradients,
                             consistency_protocol, cosine, grad_consistency,
@@ -28,7 +30,7 @@ def test_cosine_basics():
 
 
 def snap(task, vectors):
-    return GradSnapshot(task, 0, vectors)
+    return GradSnapshot(task, vectors)
 
 
 def key(p, l, k):
@@ -97,9 +99,10 @@ def test_capture_gradients_wraps_failures():
     ("asr", {"asr_variant": "ctc"}), ("asr", {"asr_variant": "ce", "use_shrink": True}),
     ("asr", {"asr_variant": "ctc+ce"}), ("mt", {"mt_noise_p": 0.3})])
 def test_capture_instance_gradients_match_batch_one(task, kw):
-    """Item b's ATTEN vectors from one batched pass are those of
-    capture_gradients on item b alone, with the same groups present; the
-    model's parameters and grads are left as they were."""
+    """Row b of each partition's [B, n] matrix from one batched pass holds
+    the ATTEN gradients capture_gradients reports for item b alone, in layer
+    order, with the same partitions present; the model's parameters and
+    grads are left as they were."""
     model = Model(MODEL_CFG, CORPUS)
     seeds = [3, 4, 5]
     params = [t.data for t in model.parameters()]
@@ -110,14 +113,15 @@ def test_capture_instance_gradients_match_batch_one(task, kw):
 
     got = analysis.capture_instance_gradients(model, make_batch(CORPUS, seeds), task,
                                               **kw, **noise(range(3)))
-    assert len(got) == 3
-    for j, vectors in enumerate(got):
+    for j in range(3):
         alone = capture_gradients(model, make_batch(CORPUS, seeds[j:j + 1]), task,
                                   **kw, **noise([j]))
-        want = {k: v for k, v in alone.vectors.items() if k.kind == "ATTEN"}
-        assert want and vectors.keys() == want.keys()
-        for k, v in want.items():
-            np.testing.assert_allclose(vectors[k], v, rtol=0, atol=1e-12 * np.abs(v).max())
+        want = reference.atten_by_partition(alone.vectors)
+        assert want and got.keys() == want.keys()
+        for part, v in want.items():
+            assert got[part].shape == (3, v.size)
+            np.testing.assert_allclose(got[part][j], v, rtol=0,
+                                       atol=1e-12 * np.abs(v).max())
     assert all(t.data is d for t, d in zip(model.parameters(), params))
     assert all(p.grad is None for p in model.parameters())
 
@@ -149,6 +153,23 @@ def test_consistency_protocol_deterministic():
                               probe_kwargs_a=MT_NOISE)
     assert [(a.partition, a.kind, a.mean) for a in r1] == \
            [(b.partition, b.kind, b.mean) for b in r2]
+
+
+def test_consistency_protocol_draws_mt_noise_per_item_and_repeat(monkeypatch):
+    """An MT side draws item j's input noise in repeat r from a generator
+    of its own, seeded (seed, 0xAB, r, j)."""
+    states = []
+    noise_inject = model_mod.noise_inject
+
+    def recording_noise(tokens, p, rng):
+        states.append(rng.bit_generator.state)
+        return noise_inject(tokens, p, rng)
+
+    monkeypatch.setattr(model_mod, "noise_inject", recording_noise)
+    consistency_protocol(Model(MODEL_CFG, CORPUS), CORPUS, ("mt", "st"), n=3, repeats=2,
+                         seed=4, probe_kwargs_a=MT_NOISE)
+    assert states == [np.random.default_rng((4, 0xAB, r, j)).bit_generator.state
+                      for r in range(2) for j in range(3)]
 
 
 # -- entropy ----------------------------------------------------------------

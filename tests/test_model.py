@@ -141,6 +141,16 @@ def test_mt_forward_needs_its_noise(model, batch):
                            mt_noise_rngs=[np.random.default_rng(0)])
 
 
+def test_noisy_mt_forward_needs_its_generators(model, batch):
+    """Noisy MT draws from the caller's generators, one per item: a call
+    without them raises instead of drawing from a stream seeded at 0.
+    Without noise nothing is drawn, so none are needed."""
+    with pytest.raises(ValueError, match="mt_noise_rngs"):
+        model.forward_task(batch, "mt", mt_noise_p=0.2)
+    clean = model.forward_task(batch, "mt", mt_noise_p=0.0)
+    np.testing.assert_array_equal(clean.tenc_mask, batch.src_tokens != batch.pad_id)
+
+
 def test_st_and_mt_share_t_enc_parameters(model, batch):
     """The same tensor objects receive gradients from both streams."""
     from stlab.losses import ce_loss

@@ -12,15 +12,20 @@ from stlab.scheduler import (HistoryRow, TaskWeights, mt_module_rule,
 # -- impact hand cases (||d_task|| / ||d_st + d_task||) -----------------------
 
 
+def rows(*vectors):
+    """A [k, n] gradient matrix, one row per probe instance."""
+    return np.stack(vectors)
+
+
 def test_impact_zero_auxiliary_gradient():
     z = np.zeros(4)
     st = np.array([1.0, 2.0, 3.0, 4.0])
-    assert task_impact([z], [st]) == 0.0
+    assert task_impact(rows(z), rows(st)) == 0.0
 
 
 def test_impact_equal_gradients_is_half():
     d = np.array([1.0, -2.0, 0.5])
-    assert task_impact([d], [d.copy()]) == pytest.approx(0.5, abs=1e-15)
+    assert task_impact(rows(d), rows(d.copy())) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_impact_three_four_five_case():
@@ -28,24 +33,34 @@ def test_impact_three_four_five_case():
     impact 4/5 = 0.8."""
     d_task = np.array([4.0, 0.0])
     d_st = np.array([0.0, 3.0])
-    assert task_impact([d_task], [d_st]) == pytest.approx(0.8, abs=1e-15)
+    assert task_impact(rows(d_task), rows(d_st)) == pytest.approx(0.8, abs=1e-15)
 
 
 def test_impact_averages_over_instances():
     d = np.array([1.0, 0.0])
-    got = task_impact([d, np.zeros(2)], [d.copy(), d.copy()])
+    got = task_impact(rows(d, np.zeros(2)), rows(d.copy(), d.copy()))
     assert got == pytest.approx(0.25)  # mean of 0.5 and 0
 
 
 def test_impact_skips_zero_denominators():
     d = np.array([1.0, 0.0])
     # instance 2 cancels exactly -> skipped, mean over the rest
-    got = task_impact([d, d], [d.copy(), -d])
+    got = task_impact(rows(d, d), rows(d.copy(), -d))
     assert got == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        task_impact([d], [-d])  # every instance degenerate
+        task_impact(rows(d), rows(-d))  # every instance degenerate
     with pytest.raises(ValueError):
-        task_impact([], [])
+        task_impact(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+def test_impact_rejects_mismatched_and_1d_input():
+    d = np.array([1.0, 0.0])
+    for task, st in ((rows(d), rows(d, d)),          # k differs
+                     (rows(d), rows(np.ones(3))),    # n differs
+                     (d, d),                         # one instance as a 1-D vector
+                     (d[None, None], d[None, None])):
+        with pytest.raises(ValueError, match=r"\[k, n\]"):
+            task_impact(task, st)
 
 
 # -- weight update ------------------------------------------------------------
@@ -79,19 +94,20 @@ def test_mt_module_rule_takes_max():
 
 
 def make_probe(ms):
-    """Probe where ||d_task||/||d_st+d_task|| is exactly ms[task][module]."""
+    """One-instance probe ([1, n] matrices) where ||d_task||/||d_st+d_task||
+    is exactly ms[task][module]."""
     def probe():
-        entry = {"st": {}, "asr": {}, "mt": {}}
+        probes = {"st": {}, "asr": {}, "mt": {}}
         modules = {"asr": ["A-Enc"], "mt": ["T-Enc", "Decoder"]}
         for task, mods in modules.items():
             for mod in mods:
                 m = ms[task][mod]
                 # orthogonal construction: task norm m, st chosen so the
                 # combined norm is 1
-                entry[task][mod] = np.array([m, 0.0])
-                entry["st"][mod] = np.array([0.0, np.sqrt(1 - m * m)])
-        entry["st"].setdefault("A-Enc", np.zeros(2))
-        return [entry]
+                probes[task][mod] = np.array([[m, 0.0]])
+                probes["st"][mod] = np.array([[0.0, np.sqrt(1 - m * m)]])
+        probes["st"].setdefault("A-Enc", np.zeros((1, 2)))
+        return probes
     return probe
 
 
@@ -149,16 +165,16 @@ def test_probe_failure_keeps_weights():
 def test_undefined_impact_keeps_weights():
     """An all-zero-denominator impact is recorded as a warning, like a probe
     failure, and no task's weight moves, not even one measured before it."""
-    zeros = {"A-Enc": np.zeros(2), "T-Enc": np.zeros(2), "Decoder": np.zeros(2)}
+    zeros = {"A-Enc": np.zeros((1, 2)), "T-Enc": np.zeros((1, 2)), "Decoder": np.zeros((1, 2))}
     tw = fresh_weights()
-    schedule_step(500, tw, lambda: [{"st": zeros, "asr": zeros, "mt": zeros}])
+    schedule_step(500, tw, lambda: {"st": zeros, "asr": zeros, "mt": zeros})
     assert tw.weights == {"asr": 1.0, "mt": 1.0}
     assert tw.history == [] and tw.last_update_step == 0
     assert len(tw.warnings) == 1 and tw.warnings[0][0] == 500
 
-    asr_defined = {"st": dict(zeros, **{"A-Enc": np.array([0.0, 1.0])}),
-                   "asr": {"A-Enc": np.array([1.0, 0.0])}, "mt": zeros}
-    schedule_step(1000, tw, lambda: [asr_defined])
+    asr_defined = {"st": dict(zeros, **{"A-Enc": np.array([[0.0, 1.0]])}),
+                   "asr": {"A-Enc": np.array([[1.0, 0.0]])}, "mt": zeros}
+    schedule_step(1000, tw, lambda: asr_defined)
     assert tw.weights == {"asr": 1.0, "mt": 1.0}
     assert tw.history == [] and len(tw.warnings) == 2
 

@@ -192,20 +192,22 @@ def test_checkpoint_without_warnings_still_restores():
 
 def assert_probe_matches_reference(cfg, shrink):
     """The batched probe gives every instance the ATTEN gradients of its
-    batch-1 reference (same partitions, each vector to 1e-12 of its largest
-    entry), and schedule_step reads the same impacts from both to 1e-10."""
+    batch-1 reference (same tasks and partitions, one [k, n] matrix each,
+    row j to 1e-12 of its largest entry), and schedule_step reads the same
+    impacts from both to 1e-10."""
     model = train_mod.build_model(cfg)
     weights = make_task_weights(cfg)
     batched = train_mod.make_probe_fn(model, cfg, weights, 4, shrink)()
     per_item = reference.probe_instances(model, cfg, weights, 4, shrink)
-    assert len(batched) == len(per_item) == cfg.scheduler.k
-    for got, want in zip(batched, per_item):
-        assert got.keys() == want.keys()
-        for task in want:
-            assert got[task].keys() == want[task].keys(), task
-            for part, vec in want[task].items():
-                np.testing.assert_allclose(got[task][part], vec, rtol=0,
-                                           atol=1e-12 * np.abs(vec).max(), err_msg=task)
+    assert batched.keys() == per_item.keys()
+    for task, parts in per_item.items():
+        assert batched[task].keys() == parts.keys(), task
+        for part, want in parts.items():
+            got = batched[task][part]
+            assert got.shape == want.shape and len(want) == cfg.scheduler.k, (task, part)
+            for got_row, row in zip(got, want):
+                np.testing.assert_allclose(got_row, row, rtol=0,
+                                           atol=1e-12 * np.abs(row).max(), err_msg=task)
     impacts = []
     for probe in (train_mod.make_probe_fn(model, cfg, weights, 4, shrink),
                   lambda: reference.probe_instances(model, cfg, weights, 4, shrink)):
