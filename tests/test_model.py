@@ -132,21 +132,17 @@ def test_st_touches_all_partitions(model, batch):
 
 
 def test_mt_forward_needs_its_noise(model, batch):
-    """The MT input noise has one owner, the run's toggles: a call without
-    it raises instead of falling back to a default of its own."""
+    """The MT input noise has one owner, the run's toggles, and noisy MT
+    draws from the caller's generators, one per item: a call without either
+    raises instead of falling back to a default of its own. Without noise
+    nothing is drawn, so no generators are needed."""
     with pytest.raises(ValueError, match="mt_noise_p"):
         model.forward_task(batch, "mt")
+    with pytest.raises(ValueError, match="mt_noise_rngs"):
+        model.forward_task(batch, "mt", mt_noise_p=0.2)
     with pytest.raises(ValueError, match="3 items"):
         model.forward_task(batch, "mt", mt_noise_p=0.2,
                            mt_noise_rngs=[np.random.default_rng(0)])
-
-
-def test_noisy_mt_forward_needs_its_generators(model, batch):
-    """Noisy MT draws from the caller's generators, one per item: a call
-    without them raises instead of drawing from a stream seeded at 0.
-    Without noise nothing is drawn, so none are needed."""
-    with pytest.raises(ValueError, match="mt_noise_rngs"):
-        model.forward_task(batch, "mt", mt_noise_p=0.2)
     clean = model.forward_task(batch, "mt", mt_noise_p=0.0)
     np.testing.assert_array_equal(clean.tenc_mask, batch.src_tokens != batch.pad_id)
 
