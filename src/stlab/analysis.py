@@ -34,13 +34,11 @@ class ConsistencyRow:
     repeats: int
 
 
-def task_probe_loss(model, batch, task: str, *, asr_variant="ctc", per_item=False,
-                    **forward_kw):
+def task_probe_loss(model, batch, task: str, *, per_item=False, **forward_kw):
     """The probed task's own unweighted loss (no CL/consistency terms), or
     with per_item the sum of each item's own loss; forward_kw go to
     Model.forward_task."""
-    out = model.forward_task(batch, task, asr_variant=asr_variant, **forward_kw)
-    return task_loss(out, batch, task, asr_variant, per_item)
+    return task_loss(model.forward_task(batch, task, **forward_kw), batch, task, per_item)
 
 
 def capture_gradients(model, batch, task: str, **kwargs) -> GradSnapshot:
@@ -214,28 +212,3 @@ def stream_entropy_report(attention_weights, mask, stream: str):
         data = w.data if hasattr(w, "data") else w
         rows.append(EntropyRow(i, stream, attention_entropy(data, mask, mask)))
     return rows
-
-
-def consistency_over_training(checkpoints, corpus: CorpusConfig, task_pair, load_fn, *,
-                              n=32, repeats=3, seed=0, kinds=("ATTEN", "FFN"),
-                              **proto_kwargs):
-    """Run the consistency protocol at each checkpoint.
-
-    checkpoints: list of (step, path); load_fn(path) gives the model to
-    probe. A checkpoint that fails to load (OSError or ValueError) is
-    skipped with a warning entry naming its step and the error. Returns
-    (series rows, warnings); each series row is (step, partition, kind,
-    layer, mean)."""
-    series, warnings = [], []
-    for step, path in sorted(checkpoints):
-        try:
-            model = load_fn(path)
-        except (OSError, ValueError) as exc:
-            warnings.append(f"skipping the step-{step} checkpoint: {exc}")
-            continue
-        rows = consistency_protocol(model, corpus, task_pair, n=n,
-                                    repeats=repeats, seed=seed, kinds=kinds,
-                                    **proto_kwargs)
-        for r in rows:
-            series.append((step, r.partition, r.kind, r.layer, r.mean))
-    return series, warnings

@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--preset", choices=PRESETS, required=True)
     p.add_argument("--checkpoint", type=Path, default=None,
-                   help="checkpoint to analyze (run dir for over-training)")
+                   help="checkpoint to analyze")
     p.add_argument("--run-dir", type=Path, default=None,
                    help="run directory holding checkpoints (over-training preset)")
     p.add_argument("--samples", type=int, default=32, help="probe batch size")
@@ -90,14 +90,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_analyze(args) -> int:
     config = _resolve_config(args)
-    if args.preset == "over-training":
-        target = args.run_dir or args.checkpoint
-        if target is None:
-            raise ConfigError("over-training preset needs --run-dir")
-    else:
-        target = args.checkpoint
-        if target is None:
-            raise ConfigError(f"preset {args.preset!r} needs --checkpoint")
+    over_training = args.preset == "over-training"
+    target = args.run_dir if over_training else args.checkpoint
+    if target is None:
+        raise ConfigError(f"preset {args.preset!r} needs "
+                          f"{'--run-dir' if over_training else '--checkpoint'}")
     paths = run_preset(args.preset, config, target, args.out,
                        n=args.samples, repeats=args.repeats,
                        seed=args.seed if args.seed is not None else 0)

@@ -139,22 +139,25 @@ def ctc_loss(log_probs: Tensor, targets, frame_lens=None, target_lens=None,
     return ag._make(np.asarray(loss), (log_probs,), bwd)
 
 
-def task_loss(out, batch, task: str, asr_variant: str = "ctc",
-              per_item: bool = False) -> Tensor:
+def task_loss(out, batch, task: str, per_item: bool = False) -> Tensor:
     """A task's own unweighted loss from its forward outputs (TaskOutputs).
 
-    CE on the logits for ST and MT. For ASR: the batch mean of the CTC loss
-    over each item's valid frames (`ctc`), CE on the decoded source (`ce`),
-    or their sum (`ctc+ce`). With per_item, the sum over items of each
-    item's own loss, so each item's gradient is the one it has alone.
+    CE on the logits for ST and MT. ASR reads its terms off its outputs:
+    the batch mean of the CTC loss over each item's valid frames when
+    `ctc_log_probs` is set, CE on the decoded source when `logits` is set,
+    and their sum, CTC first, when both are. With per_item, the sum over
+    items of each item's own loss, so each item's gradient is the one it
+    has alone.
     """
-    if task != "asr" or asr_variant == "ce":
+    if task != "asr":
         return ce_loss(out.logits, out.targets, batch.pad_id, per_item)
-    ctc = ctc_loss(out.ctc_log_probs, batch.src_tokens, batch.speech_lens, batch.src_lens,
-                   per_item)
-    if asr_variant == "ctc":
-        return ctc
-    return ctc + ce_loss(out.logits, out.targets, batch.pad_id, per_item)
+    terms = []
+    if out.ctc_log_probs is not None:
+        terms.append(ctc_loss(out.ctc_log_probs, batch.src_tokens, batch.speech_lens,
+                              batch.src_lens, per_item))
+    if out.logits is not None:
+        terms.append(ce_loss(out.logits, out.targets, batch.pad_id, per_item))
+    return sum(terms[1:], terms[0])
 
 
 def ctc_loss_bruteforce(log_probs, target) -> float:
@@ -234,46 +237,30 @@ def consistency_loss(extractor_outs, attention_outs, mask) -> Tensor:
     return total / len(per_layer)
 
 
+CL_WEIGHT = 0.3  # the contrastive term's fixed weight in the training objective
+
+
 @dataclass
 class LossBundle:
-    l_st: Tensor
-    l_asr: Tensor | None
-    l_mt: Tensor | None
-    l_cl: Tensor | None
-    l_consistency: Tensor | None
-    w_asr: float
-    w_mt: float
-    w_cl: float
+    terms: dict  # {name: Tensor, or None for a term that is off}, in summing order
     total: Tensor
-    l_ctc: Tensor | None = None
 
     def scalars(self):
-        def v(t):
-            return None if t is None else t.item()
-        return {"st": v(self.l_st), "asr": v(self.l_asr), "mt": v(self.l_mt),
-                "cl": v(self.l_cl), "consistency": v(self.l_consistency),
-                "ctc": v(self.l_ctc), "total": self.total.item()}
+        return {**{name: None if t is None else t.item() for name, t in self.terms.items()},
+                "total": self.total.item()}
 
 
-def total_loss(l_st: Tensor, l_asr=None, l_mt=None, l_cl=None, l_consistency=None,
-               w_asr: float = 1.0, w_mt: float = 1.0, w_cl: float = 0.3,
-               l_ctc=None) -> LossBundle:
-    """Weighted multi-task objective; the consistency regularizer and the
-    segmenter CTC term (kept once ASR is pruned) enter with fixed
-    coefficient 1. Pruned tasks are passed as None."""
-    for name, w in (("w_asr", w_asr), ("w_mt", w_mt), ("w_cl", w_cl)):
+def total_loss(terms: dict, weights: dict) -> LossBundle:
+    """The weighted objective: the sum, in table order, of the
+    {name: loss or None} table's terms, each scaled by its entry in
+    `weights`; a term without one enters at weight 1, and None marks a
+    term that is off (a pruned task)."""
+    for name, w in weights.items():
         if w < 0:
-            raise ValueError(f"{name} must be non-negative, got {w}")
-    total = l_st
-    if l_asr is not None:
-        total = total + ag.mul_scalar(l_asr, w_asr)
-    if l_mt is not None:
-        total = total + ag.mul_scalar(l_mt, w_mt)
-    if l_cl is not None:
-        total = total + ag.mul_scalar(l_cl, w_cl)
-    if l_consistency is not None:
-        total = total + l_consistency
-    if l_ctc is not None:
-        total = total + l_ctc
-    return LossBundle(l_st, l_asr, l_mt, l_cl, l_consistency, w_asr, w_mt, w_cl,
-                      total, l_ctc)
+            raise ValueError(f"the weight of {name!r} must be non-negative, got {w}")
+    total = None
+    for name, t in terms.items():
+        if t is not None:
+            t = ag.mul_scalar(t, weights[name]) if name in weights else t
+            total = t if total is None else total + t
+    return LossBundle(terms, total)

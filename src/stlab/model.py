@@ -229,7 +229,6 @@ class TaskOutputs:
     attention_outs: list = field(default_factory=list)
     attention_weights: list = field(default_factory=list)
     length_ratio: float | None = None
-    shrunk: list | None = None
 
 
 def _drop(x, drop):
@@ -367,12 +366,10 @@ class Model:
     def ctc_log_probs(self, features):
         return ag.log_softmax(self.ctc_head(features), axis=-1)
 
-    def t_enc_forward(self, features, mask, add_positions=True):
+    def t_enc_forward(self, features, mask):
         """Shared textual encoder. features: Tensor [B, L, d]; mask: bool [B, L].
         Returns (repr, extractor outs, attention sublayer outs, attention weights)."""
-        x = features
-        if add_positions:
-            x = x + self._pos(features.shape[1])
+        x = features + self._pos(features.shape[1])
         bias = _key_bias(mask)
         ext_outs, attn_outs, weights = [], [], []
         drop = self._drop_ctx()
@@ -417,10 +414,8 @@ class Model:
         ctc_lp = self.ctc_log_probs(feats)
         out = TaskOutputs(ctc_log_probs=ctc_lp)
         if use_shrink:
-            fused, s_mask, shrunks, ratio = shrink_mod.shrink_batch(
+            out.tenc_input, out.tenc_mask, _, out.length_ratio = shrink_mod.shrink_batch(
                 feats, ctc_lp, batch.speech_lens, self.lbm, use_lbm=self.use_lbm)
-            out.tenc_input, out.tenc_mask = fused, s_mask
-            out.length_ratio, out.shrunk = ratio, shrunks
         else:
             out.tenc_input, out.tenc_mask = feats, mask
             out.length_ratio = 1.0

@@ -131,25 +131,30 @@ def find_checkpoints(run_dir):
 
 def preset_over_training(config: RunConfig, run_dir, out_dir, *, n=32, repeats=3,
                          seed=0):
-    """Consistency time series across every checkpoint of a run."""
+    """Consistency time series across every checkpoint of a run: each
+    checkpoint is loaded once and probed with both pairs. One that fails to
+    load (OSError or ValueError) is skipped with one line on stderr."""
     ckpts = find_checkpoints(run_dir)
     if not ckpts:
         raise FileNotFoundError(f"no checkpoints found in {run_dir}")
-    paths, warnings = [], {}
-    out_dir = Path(out_dir)
-    for pair_name, (pair, kw_a, kw_b) in _probe_pairs(config, shrunk=False).items():
-        series, pair_warnings = analysis.consistency_over_training(
-            ckpts, config.corpus, pair, lambda p: _load(p, config)[0], n=n,
-            repeats=repeats, seed=seed, probe_kwargs_a=kw_a, probe_kwargs_b=kw_b)
-        path = out_dir / f"consistency_over_training_{pair_name}.csv"
-        with open(path, "w") as fh:
-            fh.write("step,partition,kind,layer,mean\n")
-            for step, part, kind, layer, mean_v in series:
-                fh.write(f"{step},{part},{kind},{layer},{mean_v:.17g}\n")
-        paths.append(path)
-        warnings.update(dict.fromkeys(pair_warnings))
-    for message in warnings:  # each pair meets the same unloadable checkpoints
-        print(message, file=sys.stderr)
+    pairs = _probe_pairs(config, shrunk=False)
+    rows = {pair_name: [] for pair_name in pairs}
+    for step, path in sorted(ckpts):
+        try:
+            model, _ = _load(path, config)
+        except (OSError, ValueError) as exc:
+            print(f"skipping the step-{step} checkpoint: {exc}", file=sys.stderr)
+            continue
+        for pair_name, (pair, kw_a, kw_b) in pairs.items():
+            rows[pair_name] += [
+                f"{step},{r.partition},{r.kind},{r.layer},{r.mean:.17g}\n"
+                for r in analysis.consistency_protocol(
+                    model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
+                    probe_kwargs_a=kw_a, probe_kwargs_b=kw_b)]
+    paths = [Path(out_dir) / f"consistency_over_training_{pair_name}.csv"
+             for pair_name in pairs]
+    for path, lines in zip(paths, rows.values()):
+        path.write_text("step,partition,kind,layer,mean\n" + "".join(lines))
     return paths
 
 
@@ -165,7 +170,7 @@ def shrink_eval(config: RunConfig, checkpoint, out_path, *, batches=4,
             batch = make_batch(config.corpus, rng.integers(0, 2**62, size=batch_size))
             out = model.forward_task(batch, "st", use_shrink=True)
             n_mean = float(np.mean(batch.speech_lens))
-            m_mean = float(np.mean([s.m for s in out.shrunk]))
+            m_mean = float(np.mean(out.tenc_mask.sum(axis=1)))
             fh.write(f"{step},{bi},{n_mean:.17g},{m_mean:.17g},"
                      f"{out.length_ratio:.17g}\n")
     return out_path

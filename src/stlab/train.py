@@ -20,8 +20,8 @@ from . import analysis, scheduler as sched
 from .config import RunConfig, save_config
 from .data import make_batch
 # ce_loss and ctc_loss are looked up here by name (perfbench/tracer.py)
-from .losses import (ce_loss, consistency_loss, contrastive_loss,  # noqa: F401
-                     ctc_loss, task_loss, total_loss)
+from .losses import (CL_WEIGHT, ce_loss, consistency_loss,  # noqa: F401
+                     contrastive_loss, ctc_loss, task_loss, total_loss)
 from .model import Model, load_checkpoint, save_checkpoint
 from .optim import Adam
 
@@ -99,48 +99,43 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
     the segmenter keeps training. Pruning MT removes its forward pass.
     """
     tg = config.toggles
+    # every term the objective can hold, in the order total_loss sums them
+    terms = dict.fromkeys(("st", "asr", "mt", "cl", "consistency", "ctc"))
     st_out = model.forward_task(batch, "st", use_shrink=shrink_active)
-    l_st = task_loss(st_out, batch, "st")
+    terms["st"] = task_loss(st_out, batch, "st")
 
     cons_terms = []
     if tg.use_l2g:
         cons_terms.append(consistency_loss(
             st_out.extractor_outs, st_out.attention_outs, st_out.tenc_mask))
 
-    asr_out = l_asr = l_ctc = None
+    asr_out = None
     if tg.use_asr and weights.active("asr"):
         asr_out = model.asr_outputs(st_out, batch, tg.asr_variant)
-        l_asr = task_loss(asr_out, batch, "asr", tg.asr_variant)
+        terms["asr"] = task_loss(asr_out, batch, "asr")
     if tg.use_asr and shrink_active and (asr_out is None or asr_out.ctc_log_probs is None):
-        l_ctc = task_loss(st_out, batch, "asr", "ctc")
+        terms["ctc"] = task_loss(model.asr_outputs(st_out, batch, "ctc"), batch, "asr")
 
-    l_mt = None
     if tg.use_mt and weights.active("mt"):
         mt_rng = np.random.default_rng((config.training.seed, _STREAM_NOISE, step))
         mt_out = model.forward_task(batch, "mt", mt_noise_rngs=[mt_rng] * batch.batch_size,
                                     mt_noise_p=tg.mt_noise())
-        l_mt = task_loss(mt_out, batch, "mt")
+        terms["mt"] = task_loss(mt_out, batch, "mt")
         if tg.use_l2g:
             cons_terms.append(consistency_loss(
                 mt_out.extractor_outs, mt_out.attention_outs, mt_out.tenc_mask))
 
-    l_cl = None
     if tg.use_cl and batch.batch_size >= 2:
         src_mask = batch.src_tokens != batch.pad_id
         clean_text = model.embed_src(batch.src_tokens, batch.pad_id)
-        l_cl = contrastive_loss(st_out.tenc_input, st_out.tenc_mask,
-                                clean_text, src_mask)
+        terms["cl"] = contrastive_loss(st_out.tenc_input, st_out.tenc_mask,
+                                       clean_text, src_mask)
 
-    l_cons = None
     if cons_terms:
-        l_cons = cons_terms[0]
-        for t in cons_terms[1:]:
-            l_cons = l_cons + t
-        l_cons = l_cons / len(cons_terms)
+        terms["consistency"] = sum(cons_terms[1:], cons_terms[0]) / len(cons_terms)
 
-    bundle = total_loss(l_st, l_asr, l_mt, l_cl, l_cons,
-                        w_asr=weights.weights.get("asr", 0.0),
-                        w_mt=weights.weights.get("mt", 0.0), l_ctc=l_ctc)
+    bundle = total_loss(terms, {"asr": weights.weights.get("asr", 0.0),
+                                "mt": weights.weights.get("mt", 0.0), "cl": CL_WEIGHT})
     return bundle, st_out
 
 

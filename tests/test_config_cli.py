@@ -192,6 +192,13 @@ def test_cli_analyze_requires_checkpoint(cfg_path, tmp_path):
     assert rc == 1
 
 
+def test_cli_over_training_reads_only_run_dir(cfg_path, tmp_path, capsys):
+    """over-training takes its run directory from --run-dir alone."""
+    rc = cli.main(["analyze", "--config", str(cfg_path), "--preset", "over-training",
+                   "--checkpoint", str(tmp_path), "--out", str(tmp_path / "rep")])
+    assert rc == 1 and "--run-dir" in capsys.readouterr().err
+
+
 def test_cli_seed_override_changes_run(cfg_path, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out1)]) == 0

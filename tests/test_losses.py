@@ -9,9 +9,13 @@ import per_item_reference as reference
 from stlab import autograd as ag
 from stlab.autograd import Tensor
 from stlab.gradcheck import check_gradients, finite_difference
-from stlab.losses import (CtcInfeasibleError, ce_loss, consistency_loss,
+from stlab.losses import (CL_WEIGHT, CtcInfeasibleError, ce_loss, consistency_loss,
                           contrastive_loss, ctc_feasible, ctc_loss,
-                          ctc_loss_bruteforce, masked_mean_pool, total_loss)
+                          ctc_loss_bruteforce, masked_mean_pool, task_loss,
+                          total_loss)
+from stlab.model import ASR_VARIANTS
+from stlab.train import batch_for_step, build_model, compute_losses, make_task_weights
+from test_train import tiny_config
 
 
 def random_log_probs(rng, T, V):
@@ -329,33 +333,59 @@ def _scalar(v):
 
 
 def test_total_loss_weighting():
-    bundle = total_loss(_scalar(1.0), _scalar(2.0), _scalar(3.0), _scalar(4.0),
-                        _scalar(5.0), w_asr=0.5, w_mt=0.25, w_cl=0.3)
+    bundle = total_loss({"st": _scalar(1.0), "asr": _scalar(2.0), "mt": _scalar(3.0),
+                         "cl": _scalar(4.0), "consistency": _scalar(5.0)},
+                        {"asr": 0.5, "mt": 0.25, "cl": 0.3})
     assert bundle.total.item() == pytest.approx(1 + 1.0 + 0.75 + 1.2 + 5.0)
     scal = bundle.scalars()
     assert scal["st"] == 1.0 and scal["consistency"] == 5.0
 
 
 def test_total_loss_skips_none():
-    bundle = total_loss(_scalar(1.5))
+    bundle = total_loss({"st": _scalar(1.5), "asr": None}, {"asr": 1.0})
     assert bundle.total.item() == 1.5
     assert bundle.scalars()["asr"] is None
 
 
 def test_total_loss_default_cl_weight():
-    bundle = total_loss(_scalar(0.0), l_cl=_scalar(10.0))
-    assert bundle.w_cl == 0.3
+    """The trainer weights the contrastive term by CL_WEIGHT = 0.3."""
+    assert CL_WEIGHT == 0.3
+    bundle = total_loss({"st": _scalar(0.0), "cl": _scalar(10.0)}, {"cl": CL_WEIGHT})
     assert bundle.total.item() == pytest.approx(3.0)
+    cfg = tiny_config(use_asr=False, use_mt=False, use_l2g=False)
+    bundle, _ = compute_losses(build_model(cfg), batch_for_step(cfg, 1, 3), cfg,
+                               make_task_weights(cfg), 1, False)
+    s = bundle.scalars()
+    assert s["cl"] is not None
+    assert s["total"] == pytest.approx(s["st"] + 0.3 * s["cl"], rel=1e-12)
 
 
 def test_total_loss_rejects_negative_weight():
     with pytest.raises(ValueError):
-        total_loss(_scalar(1.0), _scalar(1.0), w_asr=-0.1)
+        total_loss({"st": _scalar(1.0), "asr": _scalar(1.0)}, {"asr": -0.1})
 
 
 def test_total_loss_gradient_flows_to_all_terms():
     parts = [_scalar(v) for v in (1, 2, 3, 4, 5)]
-    bundle = total_loss(*parts, w_asr=0.5, w_mt=2.0, w_cl=0.3)
+    bundle = total_loss(dict(zip(("st", "asr", "mt", "cl", "consistency"), parts)),
+                        {"asr": 0.5, "mt": 2.0, "cl": 0.3})
     bundle.total.backward()
     grads = [float(p.grad) for p in parts]
     assert grads == pytest.approx([1.0, 0.5, 2.0, 0.3, 1.0])
+
+
+@pytest.mark.parametrize("variant", ASR_VARIANTS)
+def test_task_loss_reads_the_asr_terms_off_the_outputs(variant):
+    """An ASR loss is CTC when the outputs carry CTC log-probs, CE when they
+    carry logits, and CTC + CE when they carry both, bitwise."""
+    cfg = tiny_config(asr_variant=variant)
+    model, batch = build_model(cfg), batch_for_step(cfg, 1, 3)
+    out = model.asr_outputs(model.forward_task(batch, "st", use_shrink=True), batch, variant)
+    terms = []
+    if variant != "ce":
+        terms.append(ctc_loss(out.ctc_log_probs, batch.src_tokens, batch.speech_lens,
+                              batch.src_lens))
+    if variant != "ctc":
+        terms.append(ce_loss(out.logits, batch.src_tokens, batch.pad_id))
+    want = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    assert task_loss(out, batch, "asr").item() == want.item()

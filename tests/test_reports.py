@@ -1,8 +1,11 @@
 """Analysis presets probe a checkpoint under its run's toggles."""
 
+from collections import Counter
+
 import pytest
 
 import stlab.model as model_mod
+import stlab.reports as reports_mod
 import stlab.shrink as shrink_mod
 from stlab.config import RunConfig, Toggles
 from stlab.data import CorpusConfig
@@ -60,7 +63,7 @@ def test_every_load_applies_the_run_toggles(tmp_path, monkeypatch):
 
 def test_over_training_names_an_unloadable_checkpoint_once(tmp_path, capsys):
     """A truncated checkpoint is left out of the series and reported once on
-    stderr, though both probe pairs meet it."""
+    stderr."""
     cfg = ablation_config()
     run = tmp_path / "run"
     run.mkdir()
@@ -101,3 +104,24 @@ def test_over_training_skips_a_cut_or_padded_checkpoint(tmp_path, capsys, damage
         assert rows and {row.split(",")[0] for row in rows} == {"1"}
     err_lines = [line for line in capsys.readouterr().err.splitlines() if line]
     assert len(err_lines) == 1 and str(bad) in err_lines[0]
+
+
+def test_over_training_loads_each_checkpoint_once(tmp_path, monkeypatch):
+    """Both probe pairs run on one load of each checkpoint."""
+    cfg = ablation_config()
+    run = tmp_path / "run"
+    run.mkdir()
+    for step in (1, 2):
+        save_checkpoint(run / f"checkpoint_{step:06d}.stlab", Model(cfg.model, cfg.corpus),
+                        extra_meta={"step": step})
+    loads = Counter()
+    load_checkpoint = reports_mod.load_checkpoint
+
+    def counting_load(path):
+        loads[path.name] += 1
+        return load_checkpoint(path)
+
+    monkeypatch.setattr(reports_mod, "load_checkpoint", counting_load)
+    paths = run_preset("over-training", cfg, run, tmp_path / "rep", n=2, repeats=1)
+    assert len(paths) == 2
+    assert loads == {"checkpoint_000001.stlab": 1, "checkpoint_000002.stlab": 1}
