@@ -5,6 +5,11 @@ backward pass releases each node once its closure has run (its gradient,
 closure and parent links), so the graph's interior memory is freed as the
 pass goes and a second pass over a released node raises. No broadcasting
 beyond what the model layers actually use.
+
+A closure computes a gradient only for the inputs that require one, and
+every rewrite of a closure for speed keeps its bits: each gradient is
+summed in the same order as the plain form it replaced (the tests compare
+them with assert_array_equal), so a run stays bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -189,8 +194,10 @@ def add(a, b):
         raise ShapeError("add", a.shape, b.shape)
 
     def bwd(g):
-        _acc(a, _unbroadcast(g, a.data.shape))
-        _acc(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _acc(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _acc(b, _unbroadcast(g, b.data.shape))
 
     return _make(out, (a, b), bwd)
 
@@ -203,8 +210,10 @@ def mul(a, b):
         raise ShapeError("mul", a.shape, b.shape)
 
     def bwd(g):
-        _acc(a, _unbroadcast(g * b.data, a.data.shape))
-        _acc(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _acc(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _acc(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out, (a, b), bwd)
 
@@ -302,15 +311,24 @@ def stack(tensors, axis=0):
     return _make(out, tuple(tensors), bwd)
 
 
+def _scatter_add(g, key, shape):
+    """np.add.at(np.zeros(shape), key, g) as one bincount over the flat
+    positions that `key` reads. bincount adds its weights in input order,
+    the order np.add.at uses, so the two agree bit for bit."""
+    size = int(np.prod(shape))
+    pos = np.ravel(np.arange(size).reshape(shape)[key])
+    return np.bincount(pos, weights=np.ravel(g), minlength=size).reshape(shape)
+
+
 def take(a, key):
-    """General indexing (slices, int arrays, tuples); backward scatter-adds."""
+    """General indexing (slices, ints, int arrays and tuples of them). The
+    backward scatter-adds g into the positions read, summing repeated
+    positions in read order."""
     out = a.data[key]
 
     def bwd(g):
         if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, key, g)
-            _acc(a, buf)
+            _acc(a, _scatter_add(g, key, a.data.shape))
 
     return _make(out, (a,), bwd)
 
@@ -324,8 +342,10 @@ def matmul(a, b):
     out = np.matmul(a.data, b.data)
 
     def bwd(g):
-        _acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        _acc(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+        if a.requires_grad:
+            _acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        if b.requires_grad:
+            _acc(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     return _make(out, (a, b), bwd)
 
@@ -337,17 +357,20 @@ def linear(x, w, b):
     are those of item i's slice alone."""
     *lead, d_in, d_out = w.data.shape
     b_shape = (*lead, 1, d_out) if lead else (d_out,)
-    if (x.data.shape[-1] != d_in or b.data.shape != b_shape
+    if (x.data.ndim not in (2, 3) or x.data.shape[-1] != d_in or b.data.shape != b_shape
             or (lead and x.data.shape[:-2] != tuple(lead))):
         raise ShapeError("linear", x.shape, w.shape, b.shape)
-    out = np.matmul(x.data, w.data) + b.data
+    out = np.matmul(x.data, w.data)
+    out += b.data
 
     def bwd(g):
         if x.requires_grad:
             _acc(x, np.matmul(g, np.swapaxes(w.data, -1, -2)))
         if w.requires_grad:
-            _acc(w, _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.data.shape))
-        _acc(b, _unbroadcast(g, b.data.shape))
+            gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
+            _acc(w, gw.sum(axis=0) if gw.ndim > w.data.ndim else gw)
+        if b.requires_grad:
+            _acc(b, g.sum(axis=1, keepdims=True) if lead else g.reshape(-1, d_out).sum(axis=0))
 
     return _make(out, (x, w, b), bwd)
 
@@ -361,9 +384,7 @@ def embedding(table, ids):
 
     def bwd(g):
         if table.requires_grad:
-            buf = np.zeros_like(table.data)
-            np.add.at(buf, ids, g)
-            _acc(table, buf)
+            _acc(table, _scatter_add(g, ids, table.data.shape))
 
     return _make(out, (table,), bwd)
 
@@ -421,14 +442,18 @@ def _normalize(x, eps):
     xc = x - x.sum(axis=-1, keepdims=True) / d
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    return xc * inv, inv
+    xc *= inv
+    return xc, inv
 
 
 def _normalize_grad(g, out, inv):
     d = g.shape[-1]
     gm = g.sum(axis=-1, keepdims=True) / d
     gym = (g * out).sum(axis=-1, keepdims=True) / d
-    return inv * (g - gm - out * gym)
+    r = g - gm
+    r -= out * gym
+    r *= inv
+    return r
 
 
 def layer_norm(a, eps=LAYERNORM_EPS):
@@ -443,12 +468,18 @@ def layer_norm(a, eps=LAYERNORM_EPS):
 
 def affine_norm(x, gain, bias, eps=LAYERNORM_EPS):
     """layer_norm(x) * gain + bias as one node; gain, bias: [d]."""
+    d = x.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeError("affine_norm", x.shape, gain.shape, bias.shape)
     xhat, inv = _normalize(x.data, eps)
-    out = xhat * gain.data + bias.data
+    out = xhat * gain.data
+    out += bias.data
 
     def bwd(g):
-        _acc(gain, _unbroadcast(g * xhat, gain.data.shape))
-        _acc(bias, _unbroadcast(g, bias.data.shape))
+        if gain.requires_grad:
+            _acc(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+        if bias.requires_grad:
+            _acc(bias, g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             _acc(x, _normalize_grad(g * gain.data, xhat, inv))
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import struct
@@ -548,7 +549,8 @@ class Model:
 
 def save_checkpoint(path, model: Model, extra_meta=None, extra_buffers=None):
     """Versioned binary: magic, JSON header, then raw float64 buffers in
-    deterministic group order (extra buffers follow, sorted by name).
+    deterministic group order (extra buffers follow, sorted by name), and a
+    trailer: the sha256 digest of all the bytes before it.
 
     Written to `<path>.tmp` and moved onto `path`, so a write that fails
     part-way leaves any checkpoint already at `path` as it was."""
@@ -565,15 +567,21 @@ def save_checkpoint(path, model: Model, extra_meta=None, extra_buffers=None):
     }
     blob = json.dumps(header, sort_keys=True).encode()
     tmp = f"{os.fspath(path)}.tmp"
+    digest = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
+            def write(chunk):
+                fh.write(chunk)
+                digest.update(chunk)
+
+            write(CHECKPOINT_MAGIC)
+            write(struct.pack("<Q", len(blob)))
+            write(blob)
             for b in buffers:
-                fh.write(np.ascontiguousarray(b, dtype=np.float64).tobytes())
+                write(np.ascontiguousarray(b, dtype=np.float64).tobytes())
             for n in extra_names:
-                fh.write(np.ascontiguousarray(extra_buffers[n], dtype=np.float64).tobytes())
+                write(np.ascontiguousarray(extra_buffers[n], dtype=np.float64).tobytes())
+            fh.write(digest.digest())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -584,11 +592,13 @@ def save_checkpoint(path, model: Model, extra_meta=None, extra_buffers=None):
 def load_checkpoint(path):
     """Returns (model, meta, extra_buffers), the model built from the model
     and corpus configs its header records. Raises ValueError naming the file
-    when it is not a checkpoint, is cut short anywhere, has a malformed
-    header, or has bytes after its last buffer."""
+    when it is not a checkpoint, or when its trailer does not match the bytes
+    before it (cut short, extended or altered anywhere), before parsing any
+    of them; and when a header is malformed or the buffers it declares do
+    not fill the file exactly."""
     with open(path, "rb") as fh:
         data = fh.read()
-    pos = 0
+    pos, trailer = 0, hashlib.sha256().digest_size
 
     def read(n, what):
         nonlocal pos
@@ -604,6 +614,11 @@ def load_checkpoint(path):
     try:
         if read(len(CHECKPOINT_MAGIC), "magic") != CHECKPOINT_MAGIC:
             raise ValueError("not a checkpoint file")
+        if (len(data) < pos + trailer
+                or hashlib.sha256(data[:-trailer]).digest() != data[-trailer:]):
+            raise ValueError("sha256 trailer does not match: the file is cut short, "
+                             "extended or corrupt")
+        data = data[:-trailer]
         (hlen,) = struct.unpack("<Q", read(8, "header length"))
         header = json.loads(read(hlen, "header").decode())
         model = Model(ModelConfig(**header["model_config"]),

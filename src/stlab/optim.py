@@ -1,6 +1,17 @@
-"""Adam with linear warmup followed by inverse-sqrt decay."""
+"""Adam with linear warmup followed by inverse-sqrt decay.
+
+The moments live in one flat buffer each, in parameter order; `m[i]` and
+`v[i]` are views of parameter i's slice. A step updates each maximal run
+of consecutive parameters that hold a gradient with one elementwise
+expression over the run's slice, in the same order of operations as a
+per-tensor update, so the result is bit for bit the same. A parameter
+without a gradient keeps its data and moments. The checkpoint buffers
+(`opt_t`, then `opt_m_i` and `opt_v_i` per parameter) are as before.
+"""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -20,23 +31,57 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.warmup_steps = warmup_steps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self._offsets = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        n = self._offsets[-1]
+        # moments, and two scratch buffers the update reuses every step
+        self._m, self._v, self._g, self._tmp = np.zeros((4, n))
+        self.m, self.v, self._steps = (
+            [flat[lo:hi].reshape(p.data.shape)
+             for p, lo, hi in zip(self.params, self._offsets, self._offsets[1:])]
+            for flat in (self._m, self._v, self._g))
 
     def step(self):
+        """One Adam update. Raises FloatingPointError, before any state
+        changes, when a gradient holds a non-finite value."""
+        off = self._offsets
+        runs, first = [], 0  # [first, stop) ranges of parameters with a grad
+        for has_grad, group in itertools.groupby(self.params, lambda p: p.grad is not None):
+            stop = first + len(list(group))
+            if has_grad:
+                runs.append((first, stop))
+            first = stop
+        for first, stop in runs:
+            g = self._g[off[first]:off[stop]]
+            np.concatenate([p.grad.ravel() for p in self.params[first:stop]], out=g)
+            if not np.isfinite(g).all():
+                bad = next(i for i in range(first, stop)
+                           if not np.isfinite(self.params[i].grad).all())
+                raise FloatingPointError(f"non-finite gradient in parameter {bad}")
         self.t += 1
         lr = lr_at(self.t, self.lr, self.warmup_steps)
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
+        for first, stop in runs:
+            lo, hi = off[first], off[stop]
+            g, tmp, m, v = self._g[lo:hi], self._tmp[lo:hi], self._m[lo:hi], self._v[lo:hi]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
             m *= b1
-            m += (1 - b1) * p.grad
+            np.multiply(g, 1 - b2, out=tmp)
+            tmp *= g
+            g *= 1 - b1
+            m += g
             v *= b2
-            v += (1 - b2) * p.grad * p.grad
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += tmp
+            # step = lr (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=g)
+            g *= lr
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            g /= tmp
+            for p, step in zip(self.params[first:stop], self._steps[first:stop]):
+                p.data -= step
 
     def zero_grad(self):
         for p in self.params:
@@ -52,7 +97,8 @@ class Adam:
         return out
 
     def load_state_buffers(self, buffers):
+        """Copies into the moment views; they stay views of the flat state."""
         self.t = int(buffers["opt_t"][0])
         for i in range(len(self.params)):
-            self.m[i] = buffers[f"opt_m_{i:04d}"].reshape(self.m[i].shape).copy()
-            self.v[i] = buffers[f"opt_v_{i:04d}"].reshape(self.v[i].shape).copy()
+            self.m[i][...] = buffers[f"opt_m_{i:04d}"].reshape(self.m[i].shape)
+            self.v[i][...] = buffers[f"opt_v_{i:04d}"].reshape(self.v[i].shape)

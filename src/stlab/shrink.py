@@ -162,12 +162,12 @@ def shrink_sequence(features: Tensor, log_probs, lbm: LbmParams,
     n, d = features.shape
     lp = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs)
     out, _, (shrunk,), ratio = shrink_batch(
-        ag.reshape(features, (1, n, d)), lp[None], [n], lbm, use_lbm)
+        ag.reshape(features, (1, n, d)), lp[None], [n], lbm, use_lbm, per_item=True)
     return shrunk, ag.reshape(out, (shrunk.m, d)), ratio
 
 
 def shrink_batch(features: Tensor, log_probs, lens, lbm: LbmParams,
-                 use_lbm: bool = True):
+                 use_lbm: bool = True, per_item: bool = False):
     """Shrink every item of a padded batch in one pass.
 
     features: [B, T, d]; log_probs: [B, T, V] (Tensor or array); lens: valid
@@ -175,8 +175,8 @@ def shrink_batch(features: Tensor, log_probs, lens, lbm: LbmParams,
     that stay inside their item, one look-back over all M shrunk positions
     reads windows bounded by each item's own frames, one fusion maps the
     [M, d] rows, and one gather pads them to [B, m_max, d].
-    Returns (padded fused [B, m_max, d], mask [B, m_max], ShrunkSequence
-    per item, mean ratio m/n over items).
+    Returns (padded fused [B, m_max, d], mask [B, m_max], a ShrunkSequence
+    per item if `per_item` else None, mean ratio m/n over items).
     """
     B, T, d = features.shape
     lens = np.asarray(lens)
@@ -208,9 +208,10 @@ def shrink_batch(features: Tensor, log_probs, lens, lbm: LbmParams,
     index[mask] = np.arange(len(j))
     padded = ag.concat([fused, Tensor(np.zeros((1, d)))], axis=0)[(index,)]
 
-    # per-item fields in item-local frame indices
-    split = np.cumsum(counts)[:-1]
-    fields = [np.split(a, split) for a in (tokens[starts], j - first, lo - first,
-                                           hi - first, bound)]
-    shrunks = [ShrunkSequence(*parts) for parts in zip(*fields)]
+    shrunks = None
+    if per_item:  # per-item fields in item-local frame indices
+        split = np.cumsum(counts)[:-1]
+        fields = [np.split(a, split) for a in (tokens[starts], j - first, lo - first,
+                                               hi - first, bound)]
+        shrunks = [ShrunkSequence(*parts) for parts in zip(*fields)]
     return padded, mask, shrunks, float(np.mean(counts / lens))

@@ -34,9 +34,11 @@ _STREAM_DROPOUT = 5
 
 
 class NanAbort(RuntimeError):
-    def __init__(self, step, last_checkpoint):
+    """A non-finite loss, or gradient, at `step`; the step changed no state."""
+
+    def __init__(self, step, last_checkpoint, what="loss"):
         super().__init__(
-            f"non-finite loss at step {step}; last good checkpoint: {last_checkpoint}")
+            f"non-finite {what} at step {step}; last good checkpoint: {last_checkpoint}")
         self.step = step
         self.last_checkpoint = last_checkpoint
 
@@ -282,7 +284,10 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
             if not np.isfinite(bundle.total.data):
                 raise NanAbort(step, last_checkpoint)
             bundle.total.backward()
-            opt.step()
+            try:
+                opt.step()
+            except FloatingPointError as exc:
+                raise NanAbort(step, last_checkpoint, "gradient") from exc
             model.zero_grad()
 
             if shrink_active:

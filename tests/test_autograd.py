@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stlab.train as train_mod
 import unfused_reference as unfused
@@ -83,6 +85,52 @@ def test_embedding_scatter_adds_repeated_ids():
     out.sum().backward()
     np.testing.assert_array_equal(table.grad[1], [2.0, 2.0, 2.0])
     np.testing.assert_array_equal(table.grad[0], [0.0, 0.0, 0.0])
+
+
+def _scatter_key(data, shape):
+    """A take key over `shape`: a 1-tuple of repeated row ids, an int, a
+    slice, one index array per axis, or an index array, a slice and another
+    index array (the advanced axes move to the front of the result)."""
+    ids = lambda n: st.lists(st.integers(0, n - 1), min_size=1, max_size=12).map(np.array)
+    kinds = ["rows", "int", "slice", "arrays"] + (["split"] if len(shape) == 3 else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "rows":
+        return (data.draw(ids(shape[0])),)
+    if kind == "int":
+        return data.draw(st.integers(0, shape[0] - 1))
+    if kind == "slice":
+        lo = data.draw(st.integers(0, shape[0] - 1))
+        return slice(lo, data.draw(st.integers(lo + 1, shape[0])))
+    n = data.draw(st.integers(1, 12))
+    pick = lambda d: data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+    if kind == "arrays":
+        return tuple(np.array(pick(d)) for d in shape)
+    return (np.array(pick(shape[0])), slice(None), np.array(pick(shape[2])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_take_scatter_add_is_add_at_bit_for_bit(data):
+    """The bincount scatter-add sums repeated positions in np.add.at's order:
+    equal bits for every key form take accepts, with terms of mixed scale so
+    that a different order would round differently."""
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    key = _scatter_key(data, shape)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = Tensor(rng.normal(size=shape), requires_grad=True)
+    out = ag.take(a, key)
+    g = rng.normal(size=out.shape) * 10.0 ** rng.integers(-8, 9, size=out.shape)
+    ag.mul(out, Tensor(g)).sum().backward()
+    np.testing.assert_array_equal(a.grad, unfused.scatter_add(g, key, shape))
+
+
+def test_embedding_grad_is_add_at_bit_for_bit():
+    rng = np.random.default_rng(12)
+    table = rand_tensor(rng, 5, 3)
+    ids = rng.integers(0, 5, size=(4, 7))
+    g = rng.normal(size=(4, 7, 3)) * 10.0 ** rng.integers(-8, 9, size=(4, 7, 3))
+    ag.mul(ag.embedding(table, ids), Tensor(g)).sum().backward()
+    np.testing.assert_array_equal(table.grad, unfused.scatter_add(g, ids, table.shape))
 
 
 def test_embedding_rejects_out_of_range():
@@ -246,7 +294,33 @@ def test_linear_per_example_fd():
     fd_check(lambda: (ag.linear(x, w, b) * Tensor(up)).sum(), [x, w, b])
 
 
+@pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+    ((7, 4), (4, 3), (3,)),               # 2-D, as lbm_fuse runs it
+    ((3, 5, 4), (4, 3), (3,)),            # 3-D
+    ((3, 5, 4), (3, 4, 3), (3, 1, 3)),    # per-example parameters
+])
+def test_linear_param_grads_are_the_unbroadcast_form_bit_for_bit(x_shape, w_shape, b_shape):
+    rng = np.random.default_rng(34)
+    x, w, b = (rand_tensor(rng, *s) for s in (x_shape, w_shape, b_shape))
+    upstream = rng.normal(size=x_shape[:-1] + w_shape[-1:])
+    out, (_, gw, gb) = forward_backward(ag.linear, [x, w, b], upstream)
+    np.testing.assert_array_equal(out, np.matmul(x.data, w.data) + b.data)
+    for got, want in zip((gw, gb), unfused.linear_param_grads(x.data, w.data, b.data,
+                                                             upstream)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_linear_skips_a_constant_bias():
+    rng = np.random.default_rng(35)
+    x, w = rand_tensor(rng, 2, 3, 4), rand_tensor(rng, 4, 3)
+    b = Tensor(rng.normal(size=3))
+    ag.linear(x, w, b).sum().backward()
+    assert b.grad is None and w.grad is not None
+
+
 def test_linear_shape_error():
+    with pytest.raises(ShapeError):  # x is 2-D or 3-D
+        ag.linear(Tensor(np.zeros((2, 2, 3, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
     with pytest.raises(ShapeError):
         ag.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
     with pytest.raises(ShapeError):
@@ -274,6 +348,26 @@ def test_affine_norm_matches_layer_norm_mul_add(x_shape, x_grad):
     assert_fused_matches(ag.affine_norm, unfused.affine_norm, inputs, rng)
     zero_row = ag.affine_norm(*inputs).data[..., 0, :]
     np.testing.assert_allclose(zero_row - inputs[2].data, 0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("x_shape", [(7, 6), (3, 5, 6)])
+def test_affine_norm_is_the_out_of_place_form_bit_for_bit(x_shape):
+    rng = np.random.default_rng(36)
+    x, gain, bias = norm_inputs(rng, x_shape)
+    x.data[..., 0, :] = 2.5  # a zero-variance row
+    upstream = rng.normal(size=x_shape)
+    out, grads = forward_backward(ag.affine_norm, [x, gain, bias], upstream)
+    want = unfused.affine_norm_forward_backward(x.data, gain.data, bias.data, upstream)
+    for got, ref in zip([out] + grads, want):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_affine_norm_shape_error():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError):  # gain and bias are [d]
+        ag.affine_norm(x, Tensor(np.ones((1, 4))), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        ag.affine_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(3)))
 
 
 def test_affine_norm_fd():

@@ -1,10 +1,16 @@
 """Network wiring: shapes, masking, causality, parameter routing, and
 checkpoint round-trips."""
 
+import functools
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlab.autograd import Tensor
 from stlab.data import CorpusConfig, make_batch
@@ -260,9 +266,13 @@ def test_checkpoint_bytes_deterministic(tmp_path, model):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+TRAILER = hashlib.sha256().digest_size
+
+
 def checkpoint_regions(tmp_path, model):
     """A checkpoint with one extra buffer, and a cut inside each of its
-    regions: magic, header length, header, first parameter, extra buffer."""
+    regions: magic, header length, header, first parameter, extra buffer,
+    sha256 trailer."""
     path = tmp_path / "ckpt.stlab"
     save_checkpoint(path, model, extra_meta={"step": 3},
                     extra_buffers={"opt_m": np.arange(6.0)})
@@ -271,12 +281,13 @@ def checkpoint_regions(tmp_path, model):
     header_end = magic + 8 + int.from_bytes(blob[magic:magic + 8], "little")
     cuts = {"magic": 7, "header length": magic + 4, "header": header_end - 10,
             "at the header end": header_end, "parameter": header_end + 12,
-            "extra buffer": len(blob) - 4}
+            "extra buffer": len(blob) - TRAILER - 4, "trailer": len(blob) - 4}
     return path, blob, cuts
 
 
 @pytest.mark.parametrize("region", ["magic", "header length", "header",
-                                    "at the header end", "parameter", "extra buffer"])
+                                    "at the header end", "parameter", "extra buffer",
+                                    "trailer"])
 def test_checkpoint_cut_short_raises_value_error(tmp_path, model, region):
     path, blob, cuts = checkpoint_regions(tmp_path, model)
     path.write_bytes(blob[: cuts[region]])
@@ -293,23 +304,24 @@ def test_checkpoint_with_trailing_bytes_raises_value_error(tmp_path, model):
 
 def damage_header(path, how):
     """Rewrite a checkpoint's header: flip its first byte, add an unknown
-    model_config key, or drop the corpus config."""
+    model_config key, or drop the corpus config. The sha256 trailer is
+    rewritten to match, so the damage reaches the header parser."""
     blob = bytearray(path.read_bytes())
     magic = len(b"STLAB-CKPT-v1\n")
     start = magic + 8
     end = start + int.from_bytes(blob[magic:start], "little")
+    del blob[-TRAILER:]
     if how == "corrupt byte":
         blob[start] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        return
-    header = json.loads(blob[start:end])
-    if how == "unknown model key":
-        header["model_config"]["frame_dim"] = 16
     else:
-        del header["corpus"]
-    text = json.dumps(header, sort_keys=True).encode()
-    path.write_bytes(bytes(blob[:magic]) + len(text).to_bytes(8, "little") + text
-                     + bytes(blob[end:]))
+        header = json.loads(blob[start:end])
+        if how == "unknown model key":
+            header["model_config"]["frame_dim"] = 16
+        else:
+            del header["corpus"]
+        text = json.dumps(header, sort_keys=True).encode()
+        blob[magic:end] = len(text).to_bytes(8, "little") + text
+    path.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
 
 
 HEADER_DAMAGE = ["corrupt byte", "unknown model key", "no corpus"]
@@ -322,6 +334,49 @@ def test_checkpoint_malformed_header_raises_value_error(tmp_path, model, how):
     damage_header(path, how)
     with pytest.raises(ValueError, match=str(path)):
         load_checkpoint(path)
+
+
+@functools.lru_cache(maxsize=None)
+def checkpoint_blob():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.stlab"
+        save_checkpoint(path, Model(tiny_config(), CORPUS), extra_meta={"step": 3},
+                        extra_buffers={"opt_m": np.arange(6.0)})
+        return path.read_bytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16), step=st.integers(0, 10**6),
+       extra=st.lists(st.floats(allow_nan=False), max_size=5))
+def test_checkpoint_round_trips(seed, step, extra):
+    model = Model(tiny_config(seed=seed), CORPUS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.stlab"
+        save_checkpoint(path, model, extra_meta={"step": step},
+                        extra_buffers={"x": np.array(extra, dtype=np.float64)})
+        loaded, meta, buffers = load_checkpoint(path)
+    assert meta == {"step": step} and loaded.config == model.config
+    np.testing.assert_array_equal(buffers["x"], extra)
+    for a, b in zip(loaded.state_buffers(), model.state_buffers()):
+        np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_cut_or_bit_flip_anywhere_raises_value_error(data):
+    """A file cut at any offset, or with any one bit flipped, raises a
+    ValueError naming it instead of loading."""
+    blob = bytearray(checkpoint_blob())
+    if data.draw(st.booleans(), label="cut"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        blob[data.draw(st.integers(0, len(blob) - 1), label="byte")] ^= 1 << data.draw(
+            st.integers(0, 7), label="bit")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.stlab"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=str(path)):
+            load_checkpoint(path)
 
 
 def test_failed_checkpoint_write_keeps_the_old_file(tmp_path, model, batch):

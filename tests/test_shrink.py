@@ -1,5 +1,7 @@
 """Length compression: greedy path, run merging, look-back attention, fusion."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,7 +163,8 @@ def test_shrink_batch_padding_and_mask():
     feats = Tensor(rng.normal(size=(B, T, d)), requires_grad=True)
     lp = Tensor(rng.normal(size=(B, T, V)))
     lens = np.array([6, 4, 2])
-    out, mask, shrunks, ratio = shrink_batch(feats, lp, lens, make_lbm())
+    out, mask, shrunks, ratio = shrink_batch(feats, lp, lens, make_lbm(), per_item=True)
+    assert shrink_batch(feats, lp, lens, make_lbm())[2] is None  # per item only on request
     m_max = max(s.m for s in shrunks)
     assert out.shape == (B, m_max, d)
     for b, s in enumerate(shrunks):
@@ -214,7 +217,7 @@ def test_shrink_batch_matches_per_item_loop(data):
     weights = rng.normal(size=(B, T, d))
 
     out, mask, shrunks, ratio, grads = _shrink_and_backward(
-        shrink_batch, feats, lp, lens, lbm, use_lbm, weights)
+        functools.partial(shrink_batch, per_item=True), feats, lp, lens, lbm, use_lbm, weights)
     ref_out, ref_mask, ref_shrunks, ref_ratio, ref_grads = _shrink_and_backward(
         reference.shrink_batch, feats, lp, lens, lbm, use_lbm, weights)
 
@@ -245,5 +248,6 @@ def test_shrink_batch_fd():
         out, _, _, _ = shrink_batch(feats, lp, lens, lbm)
         return ag.mul(out, weights[(slice(None), slice(0, out.shape[1]))]).sum()
 
-    assert any(s.m < n for s, n in zip(shrink_batch(feats, lp, lens, lbm)[2], lens))
+    shrunks = shrink_batch(feats, lp, lens, lbm, per_item=True)[2]
+    assert any(s.m < n for s, n in zip(shrunks, lens))
     check_gradients(loss, [feats] + lbm.tensors, rel_tol=1e-4, step=1e-6)

@@ -374,6 +374,39 @@ def test_nan_abort(tmp_path, monkeypatch):
     assert exc.value.last_checkpoint.exists()
 
 
+def test_non_finite_gradient_aborts_and_the_last_checkpoint_resumes(tmp_path, monkeypatch):
+    """An inf injected into a gradient at step 5 aborts the run with NanAbort
+    before the optimizer changes anything: parameters and moments are as
+    after step 4, whose checkpoint resumes to the clean run's final bytes."""
+    cfg = tiny_config(steps=6)
+    clean = train(cfg, tmp_path / "clean")
+    seen = {}
+
+    class PoisonedAdam(train_mod.Adam):
+        def step(self):
+            if self.t == 4:
+                p = next(p for p in self.params if p.grad is not None)
+                p.grad = p.grad.copy()
+                p.grad.flat[0] = np.inf
+                seen["opt"] = self
+                seen["before"] = [a.copy() for a in
+                                  [p.data for p in self.params] + self.m + self.v]
+            super().step()
+
+    monkeypatch.setattr(train_mod, "Adam", PoisonedAdam)
+    with pytest.raises(NanAbort, match="non-finite gradient at step 5") as exc:
+        train(cfg, tmp_path / "run")
+    assert exc.value.step == 5
+    assert exc.value.last_checkpoint.name == "checkpoint_000004.stlab"
+    opt = seen["opt"]
+    assert opt.t == 4
+    for now, was in zip([p.data for p in opt.params] + opt.m + opt.v, seen["before"]):
+        np.testing.assert_array_equal(now, was)
+    monkeypatch.undo()
+    resumed = train(cfg, tmp_path / "run", resume_from=exc.value.last_checkpoint)
+    assert resumed.final_checkpoint.read_bytes() == clean.final_checkpoint.read_bytes()
+
+
 def test_train_reports_accuracy_vs_baseline(tmp_path):
     cfg = tiny_config(steps=4)
     res = train(cfg, tmp_path / "run")
