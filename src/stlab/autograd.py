@@ -449,9 +449,10 @@ def _normalize(x, eps):
 def _normalize_grad(g, out, inv):
     d = g.shape[-1]
     gm = g.sum(axis=-1, keepdims=True) / d
-    gym = (g * out).sum(axis=-1, keepdims=True) / d
+    t = g * out
+    gym = t.sum(axis=-1, keepdims=True) / d
     r = g - gm
-    r -= out * gym
+    r -= np.multiply(out, gym, out=t)
     r *= inv
     return r
 
@@ -558,19 +559,23 @@ def multi_head_attention(q, k, v, n_heads, bias=None):
         return x.transpose(0, 2, 1, 3).reshape(B, -1, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+    w = np.matmul(qh, kh.swapaxes(-1, -2))  # scores, then their softmax, in place
+    w *= scale
     if bias is not None:
-        scores = scores + bias
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)
+        w += bias
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
     out = merge(np.matmul(w, vh))
 
     def bwd(g):
         gh = split(g)
         if v.requires_grad:
             _acc(v, merge(np.matmul(w.swapaxes(-1, -2), gh)))
-        gw = np.matmul(gh, vh.swapaxes(-1, -2))
-        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
+        gs = np.matmul(gh, vh.swapaxes(-1, -2))  # w * (gw - sum(gw * w)) * scale
+        gs -= (gs * w).sum(axis=-1, keepdims=True)
+        gs *= w
+        gs *= scale
         if q.requires_grad:
             _acc(q, merge(np.matmul(gs, kh)))
         if k.requires_grad:

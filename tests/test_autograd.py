@@ -409,6 +409,18 @@ def test_multi_head_attention_matches_split_attend_merge(name):
     assert np.all(w.data[np.broadcast_to(bias, w.shape) < 0] == 0.0)
 
 
+@pytest.mark.parametrize("name", ["self", "b1", "cross", "causal"])
+def test_multi_head_attention_is_the_out_of_place_form_bit_for_bit(name):
+    rng = np.random.default_rng(37)
+    q, k, v, bias = attention_case(name, rng)
+    upstream = rng.normal(size=q.shape)
+    out, w = ag.multi_head_attention(q, k, v, 2, bias=bias)
+    ag.mul(out, Tensor(upstream)).sum().backward()
+    want = unfused.attention_forward_backward(q.data, k.data, v.data, 2, bias, upstream)
+    for got, ref in zip((out.data, w.data, q.grad, k.grad, v.grad), want):
+        np.testing.assert_array_equal(got, ref)
+
+
 def test_multi_head_attention_fd():
     rng = np.random.default_rng(35)
     q, k, v, bias = attention_case("cross", rng)

@@ -2,8 +2,8 @@
 compare against: the primitive chains that `stlab.autograd.linear`,
 `affine_norm` and `multi_head_attention` fused, in the model and in the
 look-back fusion; and the plain forms of code rewritten to be bitwise
-equal (the take scatter-add, the linear and affine_norm gradients, and the
-per-tensor Adam step)."""
+equal (the take scatter-add, the linear, affine_norm and attention
+arithmetic, and the per-tensor Adam step)."""
 
 import numpy as np
 
@@ -76,6 +76,24 @@ def affine_norm_forward_backward(x, gain, bias, g, eps=ag.LAYERNORM_EPS):
     gx = inv * (gg - gm - xhat * gym)
     return (xhat * gain + bias, gx, ag._unbroadcast(g * xhat, gain.shape),
             ag._unbroadcast(g, bias.shape))
+
+
+def attention_forward_backward(q, k, v, n_heads, bias, g):
+    """multi_head_attention's output, weights and q, k, v gradients under
+    upstream g, in the out-of-place form the node used before."""
+    B, _, d = q.shape
+    dh = d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    split = lambda x: x.reshape(B, -1, n_heads, dh).transpose(0, 2, 1, 3)
+    merge = lambda x: x.transpose(0, 2, 1, 3).reshape(B, -1, d)
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale + bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    gw = np.matmul(gh, vh.swapaxes(-1, -2))
+    gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
+    return (merge(np.matmul(w, vh)), w, merge(np.matmul(gs, kh)),
+            merge(np.matmul(gs.swapaxes(-1, -2), qh)), merge(np.matmul(w.swapaxes(-1, -2), gh)))
 
 
 class PerTensorAdam:
