@@ -301,16 +301,6 @@ def concat(tensors, axis=0):
     return _make(out, tuple(tensors), bwd)
 
 
-def stack(tensors, axis=0):
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def bwd(g):
-        for i, t in enumerate(tensors):
-            _acc(t, np.take(g, i, axis=axis))
-
-    return _make(out, tuple(tensors), bwd)
-
-
 def _scatter_add(g, key, shape):
     """np.add.at(np.zeros(shape), key, g) as one bincount over the flat
     positions that `key` reads. bincount adds its weights in input order,
@@ -376,17 +366,12 @@ def linear(x, w, b):
 
 
 def embedding(table, ids):
-    """Row lookup into a [V, d] table with an integer id array."""
+    """Row lookup into a [V, d] table with an integer id array: `take`, once
+    every id is known to name a row."""
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ShapeError("embedding", table.shape, ("id range", int(ids.min()), int(ids.max())))
-    out = table.data[ids]
-
-    def bwd(g):
-        if table.requires_grad:
-            _acc(table, _scatter_add(g, ids, table.data.shape))
-
-    return _make(out, (table,), bwd)
+    return take(table, ids)
 
 
 # -- normalization / softmax ------------------------------------------------
@@ -516,18 +501,6 @@ def depthwise_conv1d(x, kernel):
             _acc(x, gp[:, left:left + L, :])
 
     return _make(out, (x, kernel), bwd)
-
-
-def dropout(a, p: float, rng: np.random.Generator):
-    if p <= 0.0:
-        return a
-    mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
-    out = a.data * mask
-
-    def bwd(g):
-        _acc(a, g * mask)
-
-    return _make(out, (a,), bwd)
 
 
 # -- attention ---------------------------------------------------------------

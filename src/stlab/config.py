@@ -20,7 +20,7 @@ class ConfigError(ValueError):
 
 def _require_positive(section, *names):
     for name in names:
-        if getattr(section, name) <= 0:
+        if not getattr(section, name) > 0:  # NaN fails too
             raise ConfigError(f"{name} must be positive, got {getattr(section, name)}")
 
 
@@ -36,7 +36,7 @@ class SchedulerConfig:
     def __post_init__(self):
         if self.exponent_mode not in ("absolute", "delta"):
             raise ConfigError(f"unknown exponent_mode {self.exponent_mode!r}")
-        _require_positive(self, "update_every", "k")
+        _require_positive(self, "s_asr", "s_mt", "update_every", "k")
 
     def smoothing(self, task: str) -> float:
         return {"asr": self.s_asr, "mt": self.s_mt}[task]
@@ -57,8 +57,8 @@ class TrainingConfig:
     checkpoint_every: int = 1000
 
     def __post_init__(self):
-        _require_positive(self, "steps", "batch_size", "eval_batch_size", "log_every",
-                          "eval_every", "checkpoint_every")
+        _require_positive(self, "steps", "batch_size", "learning_rate", "eval_batch_size",
+                          "log_every", "eval_every", "checkpoint_every")
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,8 @@ class Toggles:
     def __post_init__(self):
         if self.asr_variant not in ASR_VARIANTS:
             raise ConfigError(f"asr_variant must be one of {ASR_VARIANTS}")
+        if not 0.0 <= self.mt_noise_p < 1.0:
+            raise ConfigError(f"mt_noise_p must be in [0, 1), got {self.mt_noise_p}")
 
     def mt_noise(self) -> float:
         """The MT input noise the run trains and probes with: mt_noise_p,

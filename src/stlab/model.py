@@ -60,7 +60,6 @@ class ModelConfig:
     dec_layers: int = 2
     l2g_base_kernel: int = 5   # kernel of T-Enc layer 0
     l2g_stride: int = 3        # kernel growth per layer
-    dropout: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -157,11 +156,11 @@ class EncoderLayer:
         self.ln2 = AffineNorm(d_model)
         self.ffn = Ffn(rng, d_model, ffn_dim)
 
-    def __call__(self, x, bias, drop=None):
+    def __call__(self, x, bias):
         normed = self.ln1(x)
         h, w = self.attn(normed, normed, bias)
-        a = x + _drop(h, drop)
-        out = a + _drop(self.ffn(self.ln2(a)), drop)
+        a = x + h
+        out = a + self.ffn(self.ln2(a))
         return out, a, w  # a is the attention sublayer output (post-residual)
 
 
@@ -193,9 +192,9 @@ class TEncLayer:
         self.extractor = L2GExtractor(rng, d_model, kernel)
         self.transformer = EncoderLayer(rng, d_model, n_heads, ffn_dim)
 
-    def __call__(self, x, mask, bias, drop=None, use_extractor=True):
+    def __call__(self, x, mask, bias, use_extractor=True):
         ext = self.extractor(x, mask) if use_extractor else x
-        out, attn_out, w = self.transformer(ext, bias, drop)
+        out, attn_out, w = self.transformer(ext, bias)
         return out, ext, attn_out, w
 
 
@@ -208,13 +207,13 @@ class DecoderLayer:
         self.ln3 = AffineNorm(d_model)
         self.ffn = Ffn(rng, d_model, ffn_dim)
 
-    def __call__(self, x, memory, self_bias, cross_bias, drop=None):
+    def __call__(self, x, memory, self_bias, cross_bias):
         normed = self.ln1(x)
         h, _ = self.self_attn(normed, normed, self_bias)
-        x = x + _drop(h, drop)
+        x = x + h
         h, cw = self.cross_attn(self.ln2(x), memory, cross_bias)
-        x = x + _drop(h, drop)
-        return x + _drop(self.ffn(self.ln3(x)), drop), cw
+        x = x + h
+        return x + self.ffn(self.ln3(x)), cw
 
 
 @dataclass
@@ -230,13 +229,6 @@ class TaskOutputs:
     attention_outs: list = field(default_factory=list)
     attention_weights: list = field(default_factory=list)
     length_ratio: float | None = None
-
-
-def _drop(x, drop):
-    if drop is None:
-        return x
-    p, rng = drop
-    return ag.dropout(x, p, rng)
 
 
 def _key_bias(valid_mask):
@@ -274,7 +266,6 @@ class Model:
 
         self.param_groups = self._build_groups()
         self._check_coverage()
-        self.dropout_rng = None   # set by the trainer for dropout > 0 runs
         self.use_l2g = True       # False bypasses the extractors (ablation)
         self.use_lbm = True       # False shrinks without the look-back (ablation)
 
@@ -342,11 +333,6 @@ class Model:
     def _pos(self, L):
         return Tensor(sinusoidal_positions(L, self.config.d_model))
 
-    def _drop_ctx(self):
-        if self.dropout_rng is None or self.config.dropout <= 0.0:
-            return None
-        return (self.config.dropout, self.dropout_rng)
-
     def a_enc_forward(self, speech, speech_lens):
         """speech: [B, T, frame_dim] ndarray or Tensor. Returns (features,
         valid mask, per-layer attention weights)."""
@@ -358,9 +344,8 @@ class Model:
         bias = _key_bias(mask)
         x = self.in_proj(x) + self._pos(T)
         weights = []
-        drop = self._drop_ctx()
         for layer in self.a_layers:
-            x, _, w = layer(x, bias, drop)
+            x, _, w = layer(x, bias)
             weights.append(w)
         return self.a_final_ln(x), mask, weights
 
@@ -373,9 +358,8 @@ class Model:
         x = features + self._pos(features.shape[1])
         bias = _key_bias(mask)
         ext_outs, attn_outs, weights = [], [], []
-        drop = self._drop_ctx()
         for layer in self.t_layers:
-            x, ext, attn_out, w = layer(x, mask, bias, drop, use_extractor=self.use_l2g)
+            x, ext, attn_out, w = layer(x, mask, bias, use_extractor=self.use_l2g)
             ext_outs.append(ext)
             attn_outs.append(attn_out)
             weights.append(w)
@@ -398,9 +382,8 @@ class Model:
         prefix_mask = tgt_prefix != pad_id
         self_bias = _causal_bias(L) + _key_bias(prefix_mask)
         cross_bias = _key_bias(memory_mask)
-        drop = self._drop_ctx()
         for layer in self.dec_layers:
-            x, _ = layer(x, memory, self_bias, cross_bias, drop)
+            x, _ = layer(x, memory, self_bias, cross_bias)
         return self.out_proj(self.dec_final_ln(x))
 
     # -- speech-side encoding (shared by ST and the CE-ASR probe) -----------
@@ -425,9 +408,8 @@ class Model:
         return out
 
     def _teacher_logits(self, enc: TaskOutputs, tokens, lens, pad_id):
-        """Teacher-forced decoder logits for `tokens`, attending to enc.memory
-        (BOS is pad + 1 in the symbol table)."""
-        prefix = self._teacher_prefix(tokens, lens, pad_id + 1, pad_id)
+        """Teacher-forced decoder logits for `tokens`, attending to enc.memory."""
+        prefix = self._teacher_prefix(tokens, lens, self.corpus.bos_id, pad_id)
         return self.decoder_forward(prefix, enc.memory, enc.tenc_mask, pad_id)
 
     def asr_outputs(self, speech: TaskOutputs, batch: SyntheticBatch,
@@ -521,7 +503,7 @@ class Model:
         B = batch.batch_size
         L = int(batch.tgt_lens.max())
         prefix = np.full((B, L), pad, dtype=np.int64)
-        prefix[:, 0] = pad + 1  # BOS
+        prefix[:, 0] = self.corpus.bos_id
         out = np.full((B, L), pad, dtype=np.int64)
         for i in range(L):
             logits = self.decoder_forward(prefix[:, : i + 1], memory, mem_mask, pad)

@@ -83,10 +83,6 @@ class Adam:
             for p, step in zip(self.params[first:stop], self._steps[first:stop]):
                 p.data -= step
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
     # -- resume support ----------------------------------------------------
 
     def state_buffers(self):

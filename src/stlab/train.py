@@ -30,7 +30,6 @@ _STREAM_BATCH = 1
 _STREAM_NOISE = 2
 _STREAM_PROBE = 3
 _STREAM_EVAL = 4
-_STREAM_DROPOUT = 5
 
 
 class NanAbort(RuntimeError):
@@ -92,8 +91,8 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
 
     Speech is encoded once per step. ASR reads the ST pass's outputs: its
     CTC log-probs, and for the `ce` variants the source decoded from its
-    T-Enc memory. With dropout > 0, ST and ASR therefore share dropout masks.
-    While active, the ASR loss enters at weight w_asr, reported as "asr".
+    T-Enc memory. While active, the ASR loss enters at weight w_asr,
+    reported as "asr".
 
     Shrinking reads the CTC head, so whenever the ASR term holds no CTC
     (ASR pruned, or the `ce` variant) and shrinking is active, the CTC loss
@@ -272,9 +271,6 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
     try:
         for step in range(start_step + 1, tr.steps + 1):
             t0 = time.perf_counter()
-            if config.model.dropout > 0:
-                # fresh per-step stream so resume replays identical masks
-                model.dropout_rng = np.random.default_rng((tr.seed, _STREAM_DROPOUT, step))
             shrink_active = (config.toggles.shrink_warmup_fraction < 1.0
                              and step > shrink_start)
             batch = batch_for_step(config, step, tr.batch_size)
@@ -294,7 +290,6 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
                 last_ratio = st_out.length_ratio
 
             if weights.active_tasks() and step % config.scheduler.update_every == 0:
-                model.dropout_rng = None  # probes run without dropout
                 sched.schedule_step(step, weights,
                                     make_probe_fn(model, config, weights,
                                                   step, shrink_active))
@@ -304,7 +299,6 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
                 n_events = len(weights.warnings)
 
             if step % tr.eval_every == 0 or step == tr.steps:
-                model.dropout_rng = None
                 last_accuracy = greedy_st_accuracy(model, ev_batch, shrink_active)
 
             if step % tr.log_every == 0 or step == tr.steps:

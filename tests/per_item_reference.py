@@ -175,8 +175,8 @@ def shrink_batch(features: Tensor, log_probs: Tensor, lens, lbm: LbmParams,
     for f in fused_items:
         if f.shape[0] < m_max:
             f = ag.concat([f, Tensor(np.zeros((m_max - f.shape[0], d)))], axis=0)
-        padded.append(f)
-    out = ag.stack(padded, axis=0)
+        padded.append(ag.reshape(f, (1, m_max, d)))
+    out = ag.concat(padded, axis=0)
     mask = np.arange(m_max)[None, :] < np.array([s.m for s in shrunks])[:, None]
     return out, mask, shrunks, float(np.mean(ratios))
 

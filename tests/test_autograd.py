@@ -67,14 +67,14 @@ def test_broadcast_add_unbroadcasts_grad():
     np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
 
 
-def test_concat_stack_take_fd():
+def test_concat_take_fd():
     rng = np.random.default_rng(3)
     a, b = rand_tensor(rng, 2, 3), rand_tensor(rng, 4, 3)
 
     def f():
         c = ag.concat([a, b], axis=0)
         picked = c[(np.array([0, 0, 5]),)]  # repeated index -> scatter-add
-        return picked.sum() + ag.stack([a, a], axis=0).sum()
+        return picked.sum()
 
     fd_check(f, [a, b])
 
@@ -427,16 +427,6 @@ def test_multi_head_attention_fd():
     up = rng.normal(size=q.shape)
     fd_check(lambda: (ag.multi_head_attention(q, k, v, 2, bias)[0] * Tensor(up)).sum(),
              [q, k, v])
-
-
-def test_dropout_scaling_and_determinism():
-    x = Tensor(np.ones((100, 100)), requires_grad=True)
-    out1 = ag.dropout(x, 0.5, np.random.default_rng(5))
-    out2 = ag.dropout(x, 0.5, np.random.default_rng(5))
-    np.testing.assert_array_equal(out1.data, out2.data)
-    kept = out1.data[out1.data > 0]
-    assert np.allclose(kept, 2.0)  # inverted scaling keeps the expectation
-    assert abs(out1.data.mean() - 1.0) < 0.05
 
 
 def test_backward_requires_scalar():

@@ -52,9 +52,10 @@ def test_unknown_keys_rejected():
 
 
 def test_old_model_size_keys_rejected():
-    """The corpus alone sets the model's sizes; a config that still sets
-    them in the model section is rejected."""
-    for key in ("frame_dim", "vocab_size_src", "vocab_size_tgt", "ctc_classes"):
+    """The corpus alone sets the model's sizes, and the model has no
+    dropout; a config that still sets them in the model section is
+    rejected."""
+    for key in ("frame_dim", "vocab_size_src", "vocab_size_tgt", "ctc_classes", "dropout"):
         with pytest.raises(ConfigError, match=f"unknown keys.*{key}"):
             config_from_dict({"model": {key: 8}})
 
@@ -120,10 +121,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     cases = [({"training": {"bogus": 1}}, "bogus"),
              ({"scheduler": {"exponent_mode": "cubic"}}, "exponent_mode")]
-    cases += [({"scheduler": {name: 0}}, name) for name in ("update_every", "k")]
+    cases += [({"scheduler": {name: 0}}, name) for name in ("s_asr", "update_every", "k")]
     cases += [({"training": {name: 0}}, name)
               for name in ("steps", "batch_size", "eval_batch_size", "log_every",
                            "eval_every", "checkpoint_every")]
+    cases += [({"scheduler": {"s_mt": -5}}, "s_mt"),
+              ({"training": {"learning_rate": -1e-3}}, "learning_rate")]
+    cases += [({"toggles": {"mt_noise_p": p}}, "mt_noise_p") for p in (1.0, -0.1)]
     for doc, field in cases:
         bad.write_text(json.dumps(doc))
         rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])

@@ -203,7 +203,6 @@ def test_greedy_decode_shape_and_padding(model, batch):
     assert pred.shape == batch.tgt_tokens.shape
     for b in range(batch.batch_size):
         assert np.all(pred[b, batch.tgt_lens[b]:] == batch.pad_id)
-        assert np.all(pred[b, :batch.tgt_lens[b]] != batch.pad_id) or True
 
 
 def test_greedy_decode_matches_teacher_forcing_argmax(model, batch):
@@ -211,9 +210,8 @@ def test_greedy_decode_matches_teacher_forcing_argmax(model, batch):
     reproduces the same argmax at each step."""
     pred = model.greedy_decode(batch)
     pad = batch.pad_id
-    bos = pad + 1
     prefix = np.full_like(pred, pad)
-    prefix[:, 0] = bos
+    prefix[:, 0] = model.corpus.bos_id
     prefix[:, 1:] = pred[:, :-1]
     cols = np.arange(pred.shape[1])[None, :]
     prefix = np.where(cols < batch.tgt_lens[:, None], prefix, pad)
@@ -304,8 +302,9 @@ def test_checkpoint_with_trailing_bytes_raises_value_error(tmp_path, model):
 
 def damage_header(path, how):
     """Rewrite a checkpoint's header: flip its first byte, add an unknown
-    model_config key, or drop the corpus config. The sha256 trailer is
-    rewritten to match, so the damage reaches the header parser."""
+    model_config key, add `dropout` (which every checkpoint written while
+    ModelConfig had it records), or drop the corpus config. The sha256
+    trailer is rewritten to match, so the damage reaches the header parser."""
     blob = bytearray(path.read_bytes())
     magic = len(b"STLAB-CKPT-v1\n")
     start = magic + 8
@@ -317,6 +316,8 @@ def damage_header(path, how):
         header = json.loads(blob[start:end])
         if how == "unknown model key":
             header["model_config"]["frame_dim"] = 16
+        elif how == "dropout key":
+            header["model_config"]["dropout"] = 0.0
         else:
             del header["corpus"]
         text = json.dumps(header, sort_keys=True).encode()
@@ -324,7 +325,7 @@ def damage_header(path, how):
     path.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
 
 
-HEADER_DAMAGE = ["corrupt byte", "unknown model key", "no corpus"]
+HEADER_DAMAGE = ["corrupt byte", "unknown model key", "dropout key", "no corpus"]
 
 
 @pytest.mark.parametrize("how", HEADER_DAMAGE)
