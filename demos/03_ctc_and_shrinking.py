@@ -9,8 +9,7 @@ import numpy as np
 
 from stlab.autograd import Tensor
 from stlab.losses import ctc_loss, ctc_loss_bruteforce
-from stlab.shrink import (LbmParams, ctc_greedy_path, merge_repeats,
-                          shrink_sequence)
+from stlab.shrink import LbmParams, ctc_greedy_path, shrink_sequence
 
 rng = np.random.default_rng(3)
 
@@ -34,17 +33,14 @@ feats = Tensor(rng.normal(size=(10, d)), requires_grad=True)
 tokens = np.array([1, 1, 1, 0, 2, 2, 0, 0, 3, 3])
 lp = np.full((10, V), -8.0)
 lp[np.arange(10), tokens] = -0.05
-path = ctc_greedy_path(lp)
-print(f"greedy path     : {path.tokens.tolist()}")
+print(f"greedy path     : {ctc_greedy_path(lp).tokens.tolist()}")
 
-shrunk = merge_repeats(path)
+lbm = LbmParams(np.random.default_rng(0), d, 12)
+shrunk, fused, ratio = shrink_sequence(feats, Tensor(lp), lbm)
 print(f"merged tokens   : {shrunk.unique_tokens.tolist()}  (blanks kept)")
 print(f"representatives : {shrunk.origin_index.tolist()}")
 print(f"boundaries      : {shrunk.boundary.tolist()}")
 print(f"decompression   : {shrunk.decompress().tolist()}")
-
-lbm = LbmParams(np.random.default_rng(0), d, 12)
-shrunk, fused, ratio = shrink_sequence(feats, Tensor(lp), lbm)
 print(f"fused output    : {fused.shape}  (ratio {ratio:.2f})")
 
 fused.sum().backward()

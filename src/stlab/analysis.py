@@ -123,7 +123,7 @@ def grad_consistency(snap_a: GradSnapshot, snap_b: GradSnapshot, *,
 
 def consistency_protocol(model, corpus: CorpusConfig, task_pair, *, n: int = 32,
                          repeats: int = 5, seed: int = 0, partitions=None,
-                         kinds=("ATTEN", "FFN"), per_layer: bool = False,
+                         per_layer: bool = False,
                          probe_kwargs_a=None, probe_kwargs_b=None):
     """Averaged consistency over `repeats` probe draws of n samples each.
 
@@ -152,7 +152,7 @@ def consistency_protocol(model, corpus: CorpusConfig, task_pair, *, n: int = 32,
             shared_partitions = sorted({k.partition for k in snap_a.vectors}
                                        & {k.partition for k in snap_b.vectors})
         for part in shared_partitions:
-            for kind in kinds:
+            for kind in ("ATTEN", "FFN"):
                 try:
                     res = grad_consistency(snap_a, snap_b, partition=part,
                                            kind=kind, per_layer=per_layer)

@@ -26,16 +26,13 @@ def _require_positive(section, *names):
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    s_asr: float = 500.0             # smoothing s of a task's update w <- w * m^(u/s)
+    s_asr: float = 500.0   # smoothing s of a task's update w <- w * m^(u/s), u the global step
     s_mt: float = 1000.0
     update_every: int = 500
     prune_threshold: float = 0.1
-    k: int = 16                      # probe instances per impact measurement
-    exponent_mode: str = "absolute"  # u = step, or steps since the last update ("delta")
+    k: int = 16            # probe instances per impact measurement
 
     def __post_init__(self):
-        if self.exponent_mode not in ("absolute", "delta"):
-            raise ConfigError(f"unknown exponent_mode {self.exponent_mode!r}")
         _require_positive(self, "s_asr", "s_mt", "update_every", "k")
 
     def smoothing(self, task: str) -> float:
@@ -59,6 +56,9 @@ class TrainingConfig:
     def __post_init__(self):
         _require_positive(self, "steps", "batch_size", "learning_rate", "eval_batch_size",
                           "log_every", "eval_every", "checkpoint_every")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:  # NaN fails too
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

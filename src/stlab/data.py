@@ -19,8 +19,6 @@ import numpy as np
 
 BLANK_ID = 0
 
-TRANSLATION_RULES = ("fixed-permutation", "reverse-and-permute")
-
 
 @dataclass(frozen=True)
 class CorpusConfig:
@@ -31,7 +29,6 @@ class CorpusConfig:
     blank_insert_prob: float = 0.2
     frame_noise_std: float = 0.1
     frame_dim: int = 16
-    translation_rule: str = "fixed-permutation"
     seed: int = 0
 
     def __post_init__(self):
@@ -39,8 +36,6 @@ class CorpusConfig:
             raise ValueError("need 1 <= expansion_min <= expansion_max")
         if not (0.0 <= self.blank_insert_prob < 1.0):
             raise ValueError("blank_insert_prob must be in [0, 1)")
-        if self.translation_rule not in TRANSLATION_RULES:
-            raise ValueError(f"unknown translation_rule {self.translation_rule!r}")
 
     @property
     def pad_id(self):
@@ -105,16 +100,6 @@ def content_permutation(config: CorpusConfig) -> np.ndarray:
     return table
 
 
-def translate(src_tokens, rule: str, permutation: np.ndarray) -> np.ndarray:
-    """Deterministic, length-preserving translation of content tokens."""
-    src_tokens = np.asarray(src_tokens)
-    if rule == "fixed-permutation":
-        return permutation[src_tokens]
-    if rule == "reverse-and-permute":
-        return permutation[src_tokens[::-1]]
-    raise ValueError(f"unknown translation_rule {rule!r}")
-
-
 def expand_to_speech(src_tokens, config: CorpusConfig, sample_seed: int):
     """Expand a token sequence into frames plus a per-frame alignment.
 
@@ -171,8 +156,7 @@ def generate_sample(config: CorpusConfig, sample_seed: int):
     rng = np.random.default_rng((config.seed, int(sample_seed), 0x5A3D))
     length = int(rng.integers(1, config.max_src_len + 1))
     src = rng.integers(1, config.vocab_size + 1, size=length)
-    perm = content_permutation(config)
-    tgt = translate(src, config.translation_rule, perm)
+    tgt = content_permutation(config)[src]
     frames, alignment = expand_to_speech(src, config, sample_seed)
     return frames, src, tgt, alignment
 

@@ -4,7 +4,8 @@ tasks, with pruning once a weight falls below threshold.
 Per probe instance j the impact of auxiliary task i is
     m_i = (1/k) * sum_j ||delta_i^j|| / ||delta_st^j + delta_i^j||
 over flattened self-attention gradients of the relevant module; weights
-update as w_i <- w_i * m_i^(u/s) and the task is dropped below threshold.
+update as w_i <- w_i * m_i^(u/s), with u the global step, and the task is
+dropped below threshold.
 The probes (train.make_probe_fn) measure each task as the run trains it:
 ASR under the configured variant, MT under the run's input noise. The k
 instances form one batch, and each task's k gradients come from one forward
@@ -49,7 +50,6 @@ class TaskWeights:
     pruned: set = field(default_factory=set)
     history: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
-    last_update_step: int = 0
 
     def active(self, task: str) -> bool:
         return task in self.weights and task not in self.pruned
@@ -112,31 +112,23 @@ def schedule_step(step: int, weights: TaskWeights, probe_fn) -> TaskWeights:
         weights.warnings.append((step, f"impact failed: {exc}"))
         return weights
     cfg = weights.config
-    u = step if cfg.exponent_mode == "absolute" else step - weights.last_update_step
     for task, ms in module_ms.items():
         m = mt_module_rule(*ms) if len(ms) > 1 else ms[0]
-        w = update_weight(weights.weights[task], m, u, cfg.smoothing(task))
+        w = update_weight(weights.weights[task], m, step, cfg.smoothing(task))
         weights.weights[task] = w
         weights.history.append(HistoryRow(step, task, m, w))
         if w < cfg.prune_threshold:
             weights.pruned.add(task)
-    weights.last_update_step = step
     return weights
 
 
 def verify_history(weights: TaskWeights, initial=None) -> bool:
     """Replay every recorded (step, m) pair from the initial weights and
     check the stored w values match to 1e-12."""
-    initial = initial or {t: 1.0 for t in AUX_TASKS}
-    cfg = weights.config
-    current = dict(initial)
-    prev_update = 0
-    current_update = 0
+    current = dict(initial or {t: 1.0 for t in AUX_TASKS})
     for row in weights.history:
-        if row.step != current_update:
-            prev_update, current_update = current_update, row.step
-        u = row.step if cfg.exponent_mode == "absolute" else row.step - prev_update
-        expected = update_weight(current[row.task], row.m, u, cfg.smoothing(row.task))
+        expected = update_weight(current[row.task], row.m, row.step,
+                                 weights.config.smoothing(row.task))
         if abs(expected - row.w) > 1e-12 * max(1.0, abs(expected)):
             return False
         current[row.task] = row.w

@@ -101,15 +101,6 @@ def _merge_runs(tokens, confidences, item):
     return starts, ends, np.minimum.reduceat(at_best, starts)
 
 
-def merge_repeats(path: CtcPath) -> ShrunkSequence:
-    """One position per maximal run of equal tokens; the representative is
-    the highest-confidence frame in the run (ties leftmost). Blanks are kept."""
-    toks = path.tokens
-    starts, ends, origin = _merge_runs(toks, path.confidences, np.zeros(len(toks), dtype=int))
-    b = np.maximum(origin - starts, ends - origin)
-    return ShrunkSequence(toks[starts], origin, starts, ends, b)
-
-
 def _lookback(frames: Tensor, s_prime: Tensor, j, lo, hi, lbm: LbmParams) -> Tensor:
     """Windowed look-back attention over frame rows [N, d], vectorized over
     positions: position i, whose representative row j[i] is s_prime[i],
@@ -132,17 +123,6 @@ def _lookback(frames: Tensor, s_prime: Tensor, j, lo, hi, lbm: LbmParams) -> Ten
     gathered = ag.reshape(ag.matmul(att, window), (m, d))
     nonempty = valid.any(axis=1).astype(np.float64)[:, None]
     return ag.mul(gathered, Tensor(nonempty))
-
-
-def lbm_lookback(features: Tensor, shrunk: ShrunkSequence, lbm: LbmParams) -> Tensor:
-    """Windowed look-back attention for one sequence, features: [n, d].
-
-    For position i with representative j and boundary b, the search window
-    is frames max(0, j-b)..min(j+b, n-1) excluding j.
-    """
-    j, b = shrunk.origin_index, shrunk.boundary
-    return _lookback(features, features[(j,)], j, np.maximum(0, j - b),
-                     np.minimum(features.shape[0] - 1, j + b), lbm)
 
 
 def lbm_fuse(s_prime: Tensor, s_tilde: Tensor, lbm: LbmParams) -> Tensor:

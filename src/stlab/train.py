@@ -181,7 +181,6 @@ def _weights_state(weights: sched.TaskWeights):
         "weights": weights.weights,
         "pruned": sorted(weights.pruned),
         "history": weights.as_rows(),
-        "last_update_step": weights.last_update_step,
         "warnings": weights.warnings,
     }
 
@@ -191,9 +190,7 @@ def _restore_weights(state, config: RunConfig) -> sched.TaskWeights:
     tw.weights = dict(state["weights"])
     tw.pruned = set(state["pruned"])
     tw.history = [sched.HistoryRow(*row) for row in state["history"]]
-    tw.last_update_step = state["last_update_step"]
-    # checkpoints from before events.jsonl existed hold no warnings
-    tw.warnings = [tuple(w) for w in state.get("warnings", [])]
+    tw.warnings = [tuple(w) for w in state["warnings"]]
     return tw
 
 

@@ -120,7 +120,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     config loads, before any step runs."""
     bad = tmp_path / "bad.json"
     cases = [({"training": {"bogus": 1}}, "bogus"),
-             ({"scheduler": {"exponent_mode": "cubic"}}, "exponent_mode")]
+             ({"scheduler": {"exponent_mode": "absolute"}}, "exponent_mode"),
+             ({"corpus": {"translation_rule": "fixed-permutation"}}, "translation_rule")]
     cases += [({"scheduler": {name: 0}}, name) for name in ("s_asr", "update_every", "k")]
     cases += [({"training": {name: 0}}, name)
               for name in ("steps", "batch_size", "eval_batch_size", "log_every",
@@ -128,6 +129,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cases += [({"scheduler": {"s_mt": -5}}, "s_mt"),
               ({"training": {"learning_rate": -1e-3}}, "learning_rate")]
     cases += [({"toggles": {"mt_noise_p": p}}, "mt_noise_p") for p in (1.0, -0.1)]
+    cases += [({"training": {"beta1": 1.0}}, "beta1"), ({"training": {"beta2": 1.0}}, "beta2"),
+              ({"training": {"beta1": -0.1}}, "beta1")]
     for doc, field in cases:
         bad.write_text(json.dumps(doc))
         rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])

@@ -13,7 +13,7 @@ from stlab.data import (BLANK_ID, CorpusConfig, alignment_shrink_ratio,
                         compress_alignment, content_permutation,
                         expand_to_speech, expected_frame_count, export_corpus,
                         generate_sample, make_batch, noise_inject,
-                        token_prototypes, translate)
+                        token_prototypes)
 
 CFG = CorpusConfig(seed=11)
 
@@ -31,8 +31,6 @@ def test_config_validation():
         CorpusConfig(expansion_min=3, expansion_max=2)
     with pytest.raises(ValueError):
         CorpusConfig(blank_insert_prob=1.0)
-    with pytest.raises(ValueError):
-        CorpusConfig(translation_rule="word-salad")
 
 
 def test_prototypes_near_orthogonal_and_deterministic():
@@ -52,6 +50,8 @@ def test_permutation_is_derangement():
     # specials map to themselves
     assert table[BLANK_ID] == BLANK_ID
     assert table[CFG.pad_id] == CFG.pad_id
+    _, src, tgt, _ = generate_sample(CFG, 3)  # the translation is the table lookup
+    np.testing.assert_array_equal(tgt, table[src])
 
 
 def test_per_config_tables_are_cached_read_only():
@@ -64,8 +64,7 @@ def test_per_config_tables_are_cached_read_only():
 
 
 @pytest.mark.parametrize("config", [CFG, CorpusConfig(
-    vocab_size=7, max_src_len=5, expansion_min=1, expansion_max=3, frame_dim=24,
-    translation_rule="reverse-and-permute", seed=4)])
+    vocab_size=7, max_src_len=5, expansion_min=1, expansion_max=3, frame_dim=24, seed=4)])
 def test_make_batch_unchanged_by_the_table_cache(config, monkeypatch):
     """Batches built with the cached tables equal, bit for bit, batches
     that rebuild both tables for every sample."""
@@ -105,7 +104,7 @@ def per_frame_expand_to_speech(src_tokens, config, sample_seed):
 
 @pytest.mark.parametrize("config", [CFG, CorpusConfig(
     vocab_size=7, max_src_len=5, expansion_min=1, expansion_max=3, frame_dim=24,
-    blank_insert_prob=0.5, translation_rule="reverse-and-permute", seed=4)])
+    blank_insert_prob=0.5, seed=4)])
 def test_make_batch_unchanged_by_the_single_gather(config, monkeypatch):
     """Frames gathered in one indexing call equal, bit for bit, frames
     appended one prototype row at a time."""
@@ -118,15 +117,6 @@ def test_make_batch_unchanged_by_the_single_gather(config, monkeypatch):
         assert getattr(gathered, name).tobytes() == getattr(appended, name).tobytes(), name
     for a, b in zip(gathered.alignments, appended.alignments):
         assert a.tobytes() == b.tobytes()
-
-
-def test_translate_rules():
-    perm = content_permutation(CFG)
-    src = np.array([3, 1, 4])
-    np.testing.assert_array_equal(translate(src, "fixed-permutation", perm),
-                                  perm[src])
-    np.testing.assert_array_equal(translate(src, "reverse-and-permute", perm),
-                                  perm[src[::-1]])
 
 
 def test_expansion_bounds_and_alignment():

@@ -302,9 +302,10 @@ def test_checkpoint_with_trailing_bytes_raises_value_error(tmp_path, model):
 
 def damage_header(path, how):
     """Rewrite a checkpoint's header: flip its first byte, add an unknown
-    model_config key, add `dropout` (which every checkpoint written while
-    ModelConfig had it records), or drop the corpus config. The sha256
-    trailer is rewritten to match, so the damage reaches the header parser."""
+    model_config key, add `dropout` or `translation_rule` (which every
+    checkpoint written while ModelConfig or CorpusConfig had it records), or
+    drop the corpus config. The sha256 trailer is rewritten to match, so the
+    damage reaches the header parser."""
     blob = bytearray(path.read_bytes())
     magic = len(b"STLAB-CKPT-v1\n")
     start = magic + 8
@@ -318,6 +319,8 @@ def damage_header(path, how):
             header["model_config"]["frame_dim"] = 16
         elif how == "dropout key":
             header["model_config"]["dropout"] = 0.0
+        elif how == "translation_rule key":
+            header["corpus"]["translation_rule"] = "fixed-permutation"
         else:
             del header["corpus"]
         text = json.dumps(header, sort_keys=True).encode()
@@ -325,7 +328,8 @@ def damage_header(path, how):
     path.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
 
 
-HEADER_DAMAGE = ["corrupt byte", "unknown model key", "dropout key", "no corpus"]
+HEADER_DAMAGE = ["corrupt byte", "unknown model key", "dropout key",
+                 "translation_rule key", "no corpus"]
 
 
 @pytest.mark.parametrize("how", HEADER_DAMAGE)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stlab.config import ConfigError, SchedulerConfig
+from stlab.config import SchedulerConfig
 from stlab.scheduler import (HistoryRow, TaskWeights, mt_module_rule,
                              schedule_step, task_impact, update_weight,
                              verify_history)
@@ -169,7 +169,7 @@ def test_undefined_impact_keeps_weights():
     tw = fresh_weights()
     schedule_step(500, tw, lambda: {"st": zeros, "asr": zeros, "mt": zeros})
     assert tw.weights == {"asr": 1.0, "mt": 1.0}
-    assert tw.history == [] and tw.last_update_step == 0
+    assert tw.history == []
     assert len(tw.warnings) == 1 and tw.warnings[0][0] == 500
 
     asr_defined = {"st": dict(zeros, **{"A-Enc": np.array([[0.0, 1.0]])}),
@@ -177,21 +177,6 @@ def test_undefined_impact_keeps_weights():
     schedule_step(1000, tw, lambda: asr_defined)
     assert tw.weights == {"asr": 1.0, "mt": 1.0}
     assert tw.history == [] and len(tw.warnings) == 2
-
-
-def test_delta_exponent_mode():
-    tw = fresh_weights(exponent_mode="delta")
-    probe = make_probe({"asr": {"A-Enc": 0.5}, "mt": {"T-Enc": 0.5, "Decoder": 0.5}})
-    schedule_step(500, tw, probe)
-    schedule_step(1000, tw, probe)
-    # both updates used u = 500 (steps since last update)
-    assert tw.weights["asr"] == pytest.approx(0.5 ** 1 * 0.5 ** 1)
-    assert verify_history(tw)
-
-
-def test_exponent_mode_validated():
-    with pytest.raises(ConfigError, match="exponent_mode"):
-        SchedulerConfig(exponent_mode="cubic")
 
 
 def test_verify_history_detects_tampering():

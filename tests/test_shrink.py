@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_item_reference as reference
+from per_item_reference import lbm_lookback, merge_repeats
 from stlab import autograd as ag
 from stlab.autograd import Tensor
 from stlab.gradcheck import check_gradients
 from stlab.shrink import (CtcPath, LbmParams, ctc_greedy_path, lbm_fuse,
-                          lbm_lookback, merge_repeats, shrink_batch,
-                          shrink_sequence)
+                          shrink_batch, shrink_sequence)
 
 
 def make_lbm(d=4, f=8, seed=0):
