@@ -9,7 +9,8 @@ import numpy as np
 
 from stlab.autograd import Tensor
 from stlab.losses import ctc_loss, ctc_loss_bruteforce
-from stlab.shrink import LbmParams, ctc_greedy_path, shrink_sequence
+from stlab.model import LbmParams
+from stlab.shrink import ctc_greedy_path, shrink_sequence
 
 rng = np.random.default_rng(3)
 

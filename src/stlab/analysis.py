@@ -207,8 +207,5 @@ def stream_entropy_report(attention_weights, mask, stream: str):
 
     attention_weights: list (per layer) of [B, H, L, L] arrays; mask is both
     the query and key validity mask."""
-    rows = []
-    for i, w in enumerate(attention_weights):
-        data = w.data if hasattr(w, "data") else w
-        rows.append(EntropyRow(i, stream, attention_entropy(data, mask, mask)))
-    return rows
+    return [EntropyRow(i, stream, attention_entropy(w, mask, mask))
+            for i, w in enumerate(attention_weights)]

@@ -4,7 +4,8 @@ Define-by-run: every op builds a fresh node with a backward closure. A
 backward pass releases each node once its closure has run (its gradient,
 closure and parent links), so the graph's interior memory is freed as the
 pass goes and a second pass over a released node raises. No broadcasting
-beyond what the model layers actually use.
+beyond what the model layers actually use. A value read off the graph, such
+as the attention weights, is a plain ndarray, not a constant Tensor.
 
 A closure computes a gradient only for the inputs that require one, and
 every rewrite of a closure for speed keeps its bits: each gradient is
@@ -515,8 +516,8 @@ def multi_head_attention(q, k, v, n_heads, bias=None):
     [B, H, Lq, Lk] (use MASK_BIAS at forbidden keys). Splits d into n_heads
     heads, scales the scores by 1/sqrt(d/H), adds the bias, takes the
     softmax over keys, applies it to v and merges the heads. Returns
-    (output [B, Lq, d], weights [B, H, Lq, Lk]); the weights are a constant
-    Tensor, outside the graph.
+    (output [B, Lq, d], weights [B, H, Lq, Lk]); the weights are an ndarray,
+    outside the graph.
     """
     B, Lq, d = q.data.shape
     Lk = k.data.shape[1]
@@ -554,7 +555,7 @@ def multi_head_attention(q, k, v, n_heads, bias=None):
         if k.requires_grad:
             _acc(k, merge(np.matmul(gs.swapaxes(-1, -2), qh)))
 
-    return _make(out, (q, k, v), bwd), Tensor(w)
+    return _make(out, (q, k, v), bwd), w
 
 
 # -- parameter bookkeeping ----------------------------------------------------

@@ -24,6 +24,12 @@ def _require_positive(section, *names):
             raise ConfigError(f"{name} must be positive, got {getattr(section, name)}")
 
 
+def _require_in(section, lo, hi, *names):
+    for name in names:
+        if not lo <= getattr(section, name) < hi:  # NaN fails too
+            raise ConfigError(f"{name} must be in [{lo}, {hi}), got {getattr(section, name)}")
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
     s_asr: float = 500.0   # smoothing s of a task's update w <- w * m^(u/s), u the global step
@@ -56,9 +62,8 @@ class TrainingConfig:
     def __post_init__(self):
         _require_positive(self, "steps", "batch_size", "learning_rate", "eval_batch_size",
                           "log_every", "eval_every", "checkpoint_every")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:  # NaN fails too
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        _require_in(self, 0, 1, "beta1", "beta2")
+        _require_in(self, 0, float("inf"), "warmup_fraction")  # finite
 
 
 @dataclass(frozen=True)
@@ -68,15 +73,15 @@ class Toggles:
     use_cl: bool = True
     use_lbm: bool = True
     use_l2g: bool = True
-    shrink_warmup_fraction: float = 0.1   # >= 1.0 disables shrinking entirely
+    shrink_warmup_fraction: float = 0.1   # finite, >= 0; >= 1.0 disables shrinking
     mt_noise_p: float = 0.2
     asr_variant: str = "ctc"
 
     def __post_init__(self):
         if self.asr_variant not in ASR_VARIANTS:
             raise ConfigError(f"asr_variant must be one of {ASR_VARIANTS}")
-        if not 0.0 <= self.mt_noise_p < 1.0:
-            raise ConfigError(f"mt_noise_p must be in [0, 1), got {self.mt_noise_p}")
+        _require_in(self, 0, 1, "mt_noise_p")
+        _require_in(self, 0, float("inf"), "shrink_warmup_fraction")  # finite
 
     def mt_noise(self) -> float:
         """The MT input noise the run trains and probes with: mt_noise_p,

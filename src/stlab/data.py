@@ -161,26 +161,23 @@ def generate_sample(config: CorpusConfig, sample_seed: int):
     return frames, src, tgt, alignment
 
 
+def pad_sequences(seqs, fill):
+    """Pad ragged arrays [L_b, ...] into one [B, L_max, ...] array, `fill`
+    past each length (its dtype follows `fill`). Returns it and the lengths."""
+    lens = np.array([len(s) for s in seqs])
+    out = np.full((len(seqs), int(lens.max())) + np.shape(seqs[0])[1:], fill)
+    out[np.arange(out.shape[1])[None, :] < lens[:, None]] = np.concatenate(seqs)
+    return out, lens
+
+
 def make_batch(config: CorpusConfig, sample_seeds) -> SyntheticBatch:
     sample_seeds = np.asarray(sample_seeds, dtype=np.int64)
-    items = [generate_sample(config, s) for s in sample_seeds]
-    speech_lens = np.array([f.shape[0] for f, _, _, _ in items])
-    src_lens = np.array([len(s) for _, s, _, _ in items])
-    tgt_lens = np.array([len(t) for _, _, t, _ in items])
-    B = len(items)
-    T = int(speech_lens.max())
-    Lx, Ly = int(src_lens.max()), int(tgt_lens.max())
-    speech = np.zeros((B, T, config.frame_dim))
-    src = np.full((B, Lx), config.pad_id, dtype=np.int64)
-    tgt = np.full((B, Ly), config.pad_id, dtype=np.int64)
-    alignments = []
-    for b, (frames, s, t, al) in enumerate(items):
-        speech[b, : frames.shape[0]] = frames
-        src[b, : len(s)] = s
-        tgt[b, : len(t)] = t
-        alignments.append(al)
+    frames, src, tgt, alignments = zip(*[generate_sample(config, s) for s in sample_seeds])
+    speech, speech_lens = pad_sequences(frames, 0.0)
+    src, src_lens = pad_sequences(src, config.pad_id)
+    tgt, tgt_lens = pad_sequences(tgt, config.pad_id)
     return SyntheticBatch(speech, speech_lens, src, src_lens, tgt, tgt_lens,
-                          sample_seeds, alignments, config.pad_id)
+                          sample_seeds, list(alignments), config.pad_id)
 
 
 def alignment_shrink_ratio(alignment) -> float:

@@ -142,22 +142,15 @@ def ctc_loss(log_probs: Tensor, targets, frame_lens=None, target_lens=None,
 def task_loss(out, batch, task: str, per_item: bool = False) -> Tensor:
     """A task's own unweighted loss from its forward outputs (TaskOutputs).
 
-    CE on the logits for ST and MT. ASR reads its terms off its outputs:
-    the batch mean of the CTC loss over each item's valid frames when
-    `ctc_log_probs` is set, CE on the decoded source when `logits` is set,
-    and their sum, CTC first, when both are. With per_item, the sum over
-    items of each item's own loss, so each item's gradient is the one it
-    has alone.
+    CE on the logits when the outputs carry them (ST, MT and the `ce` ASR
+    variant); otherwise, for `ctc` ASR, the batch mean of the CTC loss over
+    each item's valid frames. With per_item, the sum over items of each
+    item's own loss, so each item's gradient is the one it has alone.
     """
-    if task != "asr":
-        return ce_loss(out.logits, out.targets, batch.pad_id, per_item)
-    terms = []
-    if out.ctc_log_probs is not None:
-        terms.append(ctc_loss(out.ctc_log_probs, batch.src_tokens, batch.speech_lens,
-                              batch.src_lens, per_item))
     if out.logits is not None:
-        terms.append(ce_loss(out.logits, out.targets, batch.pad_id, per_item))
-    return sum(terms[1:], terms[0])
+        return ce_loss(out.logits, out.targets, batch.pad_id, per_item)
+    return ctc_loss(out.ctc_log_probs, batch.src_tokens, batch.speech_lens,
+                    batch.src_lens, per_item)
 
 
 def ctc_loss_bruteforce(log_probs, target) -> float:

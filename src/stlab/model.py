@@ -16,8 +16,8 @@ the batch itself.
 Each projection is one `autograd.linear` node, each norm one
 `autograd.affine_norm` node and each attention core one
 `autograd.multi_head_attention` node (heads split, masked softmax and heads
-merged inside it); the attention weights the layers return are constants,
-read only by the entropy reports.
+merged inside it); its weights are an ndarray outside the graph, and only
+the T-Enc returns them, for the entropy reports.
 
 Its sizes come from the corpus: the frame width, the one symbol table both
 sides share, and the CTC classes. A checkpoint records both configs.
@@ -42,12 +42,12 @@ import numpy as np
 from . import autograd as ag
 from . import shrink as shrink_mod
 from .autograd import Tensor, GroupKey, ParamGroup
-from .data import CorpusConfig, SyntheticBatch, noise_inject
+from .data import CorpusConfig, SyntheticBatch, noise_inject, pad_sequences
 
 CHECKPOINT_MAGIC = b"STLAB-CKPT-v1\n"
 
 TASKS = ("st", "asr", "mt")
-ASR_VARIANTS = ("ctc", "ce", "ctc+ce")
+ASR_VARIANTS = ("ctc", "ce")
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ class MultiHeadAttention:
 
     def __call__(self, q_in, kv_in, bias):
         """bias: ndarray broadcastable to [B, H, Lq, Lk]. Returns (out,
-        weights); the weights are a constant, read only by the reports."""
+        weights); the weights are an ndarray, read only by the reports."""
         ctx, w = ag.multi_head_attention(self.wq(q_in), self.wk(kv_in), self.wv(kv_in),
                                          self.n_heads, bias)
         return self.wo(ctx), w
@@ -145,6 +145,21 @@ class Ffn:
     @property
     def tensors(self):
         return self.w1.tensors + self.w2.tensors
+
+
+class LbmParams:
+    """Learned pieces of the look-back step: the shared linear map R and the
+    fusion FFN with its entry norm."""
+
+    def __init__(self, rng, d_model, ffn_dim):
+        self.r_map = Tensor(rng.normal(scale=np.sqrt(1.0 / d_model),
+                                       size=(d_model, d_model)), requires_grad=True)
+        self.norm = AffineNorm(d_model)
+        self.ffn = Ffn(rng, d_model, ffn_dim)
+
+    @property
+    def tensors(self):
+        return [self.r_map] + self.norm.tensors + self.ffn.tensors
 
 
 class EncoderLayer:
@@ -211,9 +226,9 @@ class DecoderLayer:
         normed = self.ln1(x)
         h, _ = self.self_attn(normed, normed, self_bias)
         x = x + h
-        h, cw = self.cross_attn(self.ln2(x), memory, cross_bias)
+        h, _ = self.cross_attn(self.ln2(x), memory, cross_bias)
         x = x + h
-        return x + self.ffn(self.ln3(x)), cw
+        return x + self.ffn(self.ln3(x))
 
 
 @dataclass
@@ -250,7 +265,7 @@ class Model:
         self.a_layers = [EncoderLayer(rng, d, h, f) for _ in range(config.a_enc_layers)]
         self.a_final_ln = AffineNorm(d)
         self.ctc_head = Linear(rng, d, corpus.vocab_size + 1)
-        self.lbm = shrink_mod.LbmParams(rng, d, f)
+        self.lbm = LbmParams(rng, d, f)
 
         self.src_embed = Tensor(rng.normal(scale=0.1, size=(corpus.n_symbols, d)),
                                 requires_grad=True)
@@ -319,10 +334,7 @@ class Model:
                 seen.add(id(t))
 
     def parameters(self):
-        out = []
-        for g in self.param_groups:
-            out.extend(g.tensors)
-        return out
+        return [t for g in self.param_groups for t in g.tensors]
 
     def zero_grad(self):
         for p in self.parameters():
@@ -335,7 +347,7 @@ class Model:
 
     def a_enc_forward(self, speech, speech_lens):
         """speech: [B, T, frame_dim] ndarray or Tensor. Returns (features,
-        valid mask, per-layer attention weights)."""
+        valid mask)."""
         x = speech if isinstance(speech, Tensor) else Tensor(speech)
         B, T, _ = x.shape
         if T == 0:
@@ -343,11 +355,9 @@ class Model:
         mask = np.arange(T)[None, :] < np.asarray(speech_lens)[:, None]
         bias = _key_bias(mask)
         x = self.in_proj(x) + self._pos(T)
-        weights = []
         for layer in self.a_layers:
-            x, _, w = layer(x, bias)
-            weights.append(w)
-        return self.a_final_ln(x), mask, weights
+            x, _, _ = layer(x, bias)
+        return self.a_final_ln(x), mask
 
     def ctc_log_probs(self, features):
         return ag.log_softmax(self.ctc_head(features), axis=-1)
@@ -383,7 +393,7 @@ class Model:
         self_bias = _causal_bias(L) + _key_bias(prefix_mask)
         cross_bias = _key_bias(memory_mask)
         for layer in self.dec_layers:
-            x, _ = layer(x, memory, self_bias, cross_bias)
+            x = layer(x, memory, self_bias, cross_bias)
         return self.out_proj(self.dec_final_ln(x))
 
     # -- speech-side encoding (shared by ST and the CE-ASR probe) -----------
@@ -394,7 +404,7 @@ class Model:
         Returns the outputs: CTC log-probs, T-Enc input, mask, memory and
         intermediates, and the measured length ratio.
         """
-        feats, mask, _ = self.a_enc_forward(batch.speech, batch.speech_lens)
+        feats, mask = self.a_enc_forward(batch.speech, batch.speech_lens)
         ctc_lp = self.ctc_log_probs(feats)
         out = TaskOutputs(ctc_log_probs=ctc_lp)
         if use_shrink:
@@ -416,16 +426,15 @@ class Model:
                     asr_variant: str = "ctc") -> TaskOutputs:
         """ASR outputs on already-encoded speech (an ST forward's outputs or
         encode_speech's): its CTC log-probs for `ctc`, the source decoded
-        from its T-Enc memory for `ce`, both for `ctc+ce`."""
+        from its T-Enc memory for `ce`. The `ctc` outputs carry no logits,
+        not even an ST pass's, since `task_loss` reads CE off any logits."""
         if asr_variant not in ASR_VARIANTS:
             raise ValueError(f"unknown asr_variant {asr_variant!r}")
-        logits = None
-        if asr_variant != "ctc":
-            logits = self._teacher_logits(speech, batch.src_tokens, batch.src_lens,
-                                          batch.pad_id)
-        return dataclasses.replace(
-            speech, logits=logits, targets=batch.src_tokens,
-            ctc_log_probs=None if asr_variant == "ce" else speech.ctc_log_probs)
+        ce = asr_variant == "ce"
+        logits = self._teacher_logits(speech, batch.src_tokens, batch.src_lens,
+                                      batch.pad_id) if ce else None
+        return dataclasses.replace(speech, logits=logits, targets=batch.src_tokens,
+                                   ctc_log_probs=None if ce else speech.ctc_log_probs)
 
     # -- task forwards -------------------------------------------------------
 
@@ -449,7 +458,7 @@ class Model:
 
         if task == "asr":
             if asr_variant == "ctc":  # the CTC head alone reads only the A-Enc
-                feats, _, _ = self.a_enc_forward(batch.speech, batch.speech_lens)
+                feats, _ = self.a_enc_forward(batch.speech, batch.speech_lens)
                 speech = TaskOutputs(ctc_log_probs=self.ctc_log_probs(feats))
             else:
                 speech = self.encode_speech(batch, use_shrink)
@@ -466,17 +475,10 @@ class Model:
         if len(mt_noise_rngs) != batch.batch_size:
             raise ValueError(f"mt_noise_rngs holds {len(mt_noise_rngs)} generators "
                              f"for {batch.batch_size} items")
-        noisy, noisy_lens = [], []
-        for b, rng in enumerate(mt_noise_rngs):
-            toks = batch.src_tokens[b, : batch.src_lens[b]]
-            n = noise_inject(toks, mt_noise_p, rng)
-            noisy.append(n)
-            noisy_lens.append(len(n))
-        Ln = max(noisy_lens)
-        noisy_tok = np.full((batch.batch_size, Ln), pad, dtype=np.int64)
-        for b, n in enumerate(noisy):
-            noisy_tok[b, : len(n)] = n
-        mask = np.arange(Ln)[None, :] < np.asarray(noisy_lens)[:, None]
+        noisy_tok, noisy_lens = pad_sequences(
+            [noise_inject(batch.src_tokens[b, : batch.src_lens[b]], mt_noise_p, rng)
+             for b, rng in enumerate(mt_noise_rngs)], pad)
+        mask = np.arange(noisy_tok.shape[1])[None, :] < noisy_lens[:, None]
         out = TaskOutputs(tenc_input=self.embed_src(noisy_tok, pad), tenc_mask=mask)
         out.memory, out.extractor_outs, out.attention_outs, out.attention_weights = \
             self.t_enc_forward(out.tenc_input, mask)
@@ -517,10 +519,10 @@ class Model:
     # -- checkpointing ---------------------------------------------------------
 
     def state_buffers(self):
-        return [t.data for g in self.param_groups for t in g.tensors]
+        return [t.data for t in self.parameters()]
 
     def load_state_buffers(self, buffers):
-        tensors = [t for g in self.param_groups for t in g.tensors]
+        tensors = self.parameters()
         if len(buffers) != len(tensors):
             raise ValueError("checkpoint parameter count mismatch")
         for t, b in zip(tensors, buffers):

@@ -12,6 +12,9 @@ A batch shrinks in one pass: the greedy path of every valid frame is
 merged into runs that never cross an item, one look-back covers all shrunk
 positions with windows inside each item's frames, and one fusion maps
 them; a single sequence is the B = 1 case.
+
+`lbm` is the model's `LbmParams`: the map `r_map` and the fusion's `norm`
+and `ffn`, which are the model's own `AffineNorm` and `Ffn` layers.
 """
 
 from __future__ import annotations
@@ -51,29 +54,6 @@ class ShrunkSequence:
         return np.repeat(self.unique_tokens, self.seg_end - self.seg_start + 1)
 
 
-class LbmParams:
-    """Learned pieces of the look-back step: the shared linear map R and the
-    fusion FFN with its entry norm."""
-
-    def __init__(self, rng, d_model, ffn_dim):
-        scale = np.sqrt(1.0 / d_model)
-        self.r_map = Tensor(rng.normal(scale=scale, size=(d_model, d_model)),
-                            requires_grad=True)
-        self.norm_gain = Tensor(np.ones(d_model), requires_grad=True)
-        self.norm_bias = Tensor(np.zeros(d_model), requires_grad=True)
-        self.w1 = Tensor(rng.normal(scale=np.sqrt(2.0 / (d_model + ffn_dim)),
-                                    size=(d_model, ffn_dim)), requires_grad=True)
-        self.b1 = Tensor(np.zeros(ffn_dim), requires_grad=True)
-        self.w2 = Tensor(rng.normal(scale=np.sqrt(2.0 / (d_model + ffn_dim)),
-                                    size=(ffn_dim, d_model)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(d_model), requires_grad=True)
-
-    @property
-    def tensors(self):
-        return [self.r_map, self.norm_gain, self.norm_bias,
-                self.w1, self.b1, self.w2, self.b2]
-
-
 def ctc_greedy_path(log_probs) -> CtcPath:
     """Per-frame argmax over log-probability rows [..., V]; ties break
     toward the lower token id (np.argmax convention)."""
@@ -101,7 +81,7 @@ def _merge_runs(tokens, confidences, item):
     return starts, ends, np.minimum.reduceat(at_best, starts)
 
 
-def _lookback(frames: Tensor, s_prime: Tensor, j, lo, hi, lbm: LbmParams) -> Tensor:
+def _lookback(frames: Tensor, s_prime: Tensor, j, lo, hi, lbm) -> Tensor:
     """Windowed look-back attention over frame rows [N, d], vectorized over
     positions: position i, whose representative row j[i] is s_prime[i],
     attends to frames lo[i]..hi[i] except j[i]; an empty window yields the
@@ -125,16 +105,14 @@ def _lookback(frames: Tensor, s_prime: Tensor, j, lo, hi, lbm: LbmParams) -> Ten
     return ag.mul(gathered, Tensor(nonempty))
 
 
-def lbm_fuse(s_prime: Tensor, s_tilde: Tensor, lbm: LbmParams) -> Tensor:
+def lbm_fuse(s_prime: Tensor, s_tilde: Tensor, lbm) -> Tensor:
     """FFN(Norm(s' + s_tilde)), literal form without a residual."""
     if s_prime.shape != s_tilde.shape:
         raise ag.ShapeError("lbm_fuse", s_prime.shape, s_tilde.shape)
-    h = ag.affine_norm(s_prime + s_tilde, lbm.norm_gain, lbm.norm_bias)
-    return ag.linear(ag.relu(ag.linear(h, lbm.w1, lbm.b1)), lbm.w2, lbm.b2)
+    return lbm.ffn(lbm.norm(s_prime + s_tilde))
 
 
-def shrink_sequence(features: Tensor, log_probs, lbm: LbmParams,
-                    use_lbm: bool = True):
+def shrink_sequence(features: Tensor, log_probs, lbm, use_lbm: bool = True):
     """Compress one sequence. features: [n, d]; log_probs: [n, V] rows.
 
     Returns (ShrunkSequence, fused features [m, d], length ratio m/n).
@@ -146,7 +124,7 @@ def shrink_sequence(features: Tensor, log_probs, lbm: LbmParams,
     return shrunk, ag.reshape(out, (shrunk.m, d)), ratio
 
 
-def shrink_batch(features: Tensor, log_probs, lens, lbm: LbmParams,
+def shrink_batch(features: Tensor, log_probs, lens, lbm,
                  use_lbm: bool = True, per_item: bool = False):
     """Shrink every item of a padded batch in one pass.
 

@@ -74,12 +74,6 @@ def token_accuracy(pred, target, pad_id) -> float:
     return float((pred[mask] == target[mask]).mean())
 
 
-def copy_baseline_accuracy(batch) -> float:
-    """Oracle baseline: the decoder that just copies the transcription."""
-    mask = batch.tgt_tokens != batch.pad_id
-    return float((batch.src_tokens[mask] == batch.tgt_tokens[mask]).mean())
-
-
 def greedy_st_accuracy(model, batch, use_shrink) -> float:
     pred = model.greedy_decode(batch, use_shrink=use_shrink)
     return token_accuracy(pred, batch.tgt_tokens, batch.pad_id)
@@ -90,7 +84,7 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
     """Forward every active task once and assemble the weighted bundle.
 
     Speech is encoded once per step. ASR reads the ST pass's outputs: its
-    CTC log-probs, and for the `ce` variants the source decoded from its
+    CTC log-probs, and for the `ce` variant the source decoded from its
     T-Enc memory. While active, the ASR loss enters at weight w_asr,
     reported as "asr".
 
@@ -248,7 +242,8 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
     n_events = len(weights.warnings)  # the scheduler's warnings written so far
 
     ev_batch = eval_batch(config)
-    baseline = copy_baseline_accuracy(ev_batch)
+    # the decoder that just copies the transcription (equal lengths, one mask)
+    baseline = token_accuracy(ev_batch.src_tokens, ev_batch.tgt_tokens, ev_batch.pad_id)
     # carried-forward log fields live in the checkpoint so a resumed run
     # replays the metrics stream bitwise
     last_accuracy = resumed_meta["last_accuracy"] if resumed_meta else None

@@ -10,7 +10,8 @@ from stlab import autograd as ag
 from stlab.autograd import Tensor
 from stlab.data import BLANK_ID, make_batch
 from stlab.losses import CtcInfeasibleError, ctc_feasible
-from stlab.shrink import CtcPath, LbmParams, ShrunkSequence, lbm_fuse
+from stlab.model import LbmParams
+from stlab.shrink import CtcPath, ShrunkSequence, lbm_fuse
 from stlab.train import _STREAM_PROBE
 
 

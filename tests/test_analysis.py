@@ -11,6 +11,7 @@ from stlab.analysis import (GradSnapshot, attention_entropy, capture_gradients,
                             stream_entropy_report)
 from stlab.autograd import GroupKey
 from stlab.data import CorpusConfig, make_batch
+from stlab.losses import ce_loss, ctc_loss
 from stlab.model import Model, ModelConfig
 
 CORPUS = CorpusConfig(vocab_size=6, max_src_len=4, seed=5)
@@ -97,7 +98,7 @@ def test_capture_gradients_wraps_failures():
 @pytest.mark.parametrize("task, kw", [
     ("st", {}), ("st", {"use_shrink": True}),
     ("asr", {"asr_variant": "ctc"}), ("asr", {"asr_variant": "ce", "use_shrink": True}),
-    ("asr", {"asr_variant": "ctc+ce"}), ("mt", {"mt_noise_p": 0.3})])
+    ("asr", {"asr_variant": "ce"}), ("mt", {"mt_noise_p": 0.3})])
 def test_capture_instance_gradients_match_batch_one(task, kw):
     """Row b of each partition's [B, n] matrix from one batched pass holds
     the ATTEN gradients capture_gradients reports for item b alone, in layer
@@ -229,9 +230,14 @@ def test_stream_entropy_report_layers():
 
 
 def test_task_probe_loss_variants():
+    """The probed ASR loss is the variant's own term: CTC on the CTC head's
+    log-probs, or CE on the source decoded from the speech memory."""
     model = Model(MODEL_CFG, CORPUS)
     batch = make_batch(CORPUS, [4, 5])
     l_ctc = analysis.task_probe_loss(model, batch, "asr", asr_variant="ctc")
     l_ce = analysis.task_probe_loss(model, batch, "asr", asr_variant="ce")
-    l_both = analysis.task_probe_loss(model, batch, "asr", asr_variant="ctc+ce")
-    assert l_both.item() == pytest.approx(l_ctc.item() + l_ce.item(), rel=1e-9)
+    feats, _ = model.a_enc_forward(batch.speech, batch.speech_lens)
+    assert l_ctc.item() == ctc_loss(model.ctc_log_probs(feats), batch.src_tokens,
+                                    batch.speech_lens, batch.src_lens).item()
+    ce = model.asr_outputs(model.encode_speech(batch, False), batch, "ce")
+    assert l_ce.item() == ce_loss(ce.logits, batch.src_tokens, batch.pad_id).item()

@@ -211,7 +211,7 @@ def test_scaled_dot_attention_masking_and_fd():
     bias = np.zeros((1, 4, 4))
     bias[:, :, 2:] = ag.MASK_BIAS
     out, w = ag.multi_head_attention(q, k, v, 1, bias=bias)
-    assert np.all(w.data[..., 2:] < 1e-12)
+    assert np.all(w[..., 2:] < 1e-12)
     fd_check(lambda: ag.multi_head_attention(q, k, v, 1, bias=bias)[0].sum(), [q, k, v])
 
 
@@ -403,10 +403,10 @@ def test_multi_head_attention_matches_split_attend_merge(name):
 
     assert_fused_matches(fused, reference, [q, k, v], rng)
     w = ag.multi_head_attention(q, k, v, 2, bias)[1]
-    np.testing.assert_allclose(w.data, unfused.multi_head_attention(q, k, v, 2, bias)[1].data,
+    np.testing.assert_allclose(w, unfused.multi_head_attention(q, k, v, 2, bias)[1].data,
                                rtol=1e-12, atol=1e-12)
-    assert not w.requires_grad and w._backward is None  # a constant, outside the graph
-    assert np.all(w.data[np.broadcast_to(bias, w.shape) < 0] == 0.0)
+    assert type(w) is np.ndarray  # outside the graph
+    assert np.all(w[np.broadcast_to(bias, w.shape) < 0] == 0.0)
 
 
 @pytest.mark.parametrize("name", ["self", "b1", "cross", "causal"])
@@ -417,7 +417,7 @@ def test_multi_head_attention_is_the_out_of_place_form_bit_for_bit(name):
     out, w = ag.multi_head_attention(q, k, v, 2, bias=bias)
     ag.mul(out, Tensor(upstream)).sum().backward()
     want = unfused.attention_forward_backward(q.data, k.data, v.data, 2, bias, upstream)
-    for got, ref in zip((out.data, w.data, q.grad, k.grad, v.grad), want):
+    for got, ref in zip((out.data, w, q.grad, k.grad, v.grad), want):
         np.testing.assert_array_equal(got, ref)
 
 

@@ -131,6 +131,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cases += [({"toggles": {"mt_noise_p": p}}, "mt_noise_p") for p in (1.0, -0.1)]
     cases += [({"training": {"beta1": 1.0}}, "beta1"), ({"training": {"beta2": 1.0}}, "beta2"),
               ({"training": {"beta1": -0.1}}, "beta1")]
+    cases += [({section: {name: v}}, name)
+              for section, name in (("training", "warmup_fraction"),
+                                    ("toggles", "shrink_warmup_fraction"))
+              for v in (float("nan"), -5, float("inf"))]
+    cases += [({"toggles": {"asr_variant": "ctc+ce"}}, "asr_variant")]
     for doc, field in cases:
         bad.write_text(json.dumps(doc))
         rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])

@@ -376,16 +376,15 @@ def test_total_loss_gradient_flows_to_all_terms():
 
 @pytest.mark.parametrize("variant", ASR_VARIANTS)
 def test_task_loss_reads_the_asr_terms_off_the_outputs(variant):
-    """An ASR loss is CTC when the outputs carry CTC log-probs, CE when they
-    carry logits, and CTC + CE when they carry both, bitwise."""
+    """An ASR loss is CE when the outputs carry logits and CTC otherwise,
+    bitwise; the `ctc` outputs read off an ST pass drop its ST logits."""
     cfg = tiny_config(asr_variant=variant)
     model, batch = build_model(cfg), batch_for_step(cfg, 1, 3)
     out = model.asr_outputs(model.forward_task(batch, "st", use_shrink=True), batch, variant)
-    terms = []
-    if variant != "ce":
-        terms.append(ctc_loss(out.ctc_log_probs, batch.src_tokens, batch.speech_lens,
-                              batch.src_lens))
-    if variant != "ctc":
-        terms.append(ce_loss(out.logits, batch.src_tokens, batch.pad_id))
-    want = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    if variant == "ce":
+        want = ce_loss(out.logits, batch.src_tokens, batch.pad_id)
+    else:
+        assert out.logits is None
+        want = ctc_loss(out.ctc_log_probs, batch.src_tokens, batch.speech_lens,
+                        batch.src_lens)
     assert task_loss(out, batch, "asr").item() == want.item()

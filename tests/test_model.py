@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlab.autograd import Tensor
-from stlab.data import CorpusConfig, make_batch
+from stlab.data import CorpusConfig, make_batch, noise_inject
 from stlab.model import (Model, ModelConfig, load_checkpoint, save_checkpoint,
                          sinusoidal_positions)
 
@@ -151,6 +151,25 @@ def test_mt_forward_needs_its_noise(model, batch):
                            mt_noise_rngs=[np.random.default_rng(0)])
     clean = model.forward_task(batch, "mt", mt_noise_p=0.0)
     np.testing.assert_array_equal(clean.tenc_mask, batch.src_tokens != batch.pad_id)
+
+
+def test_noisy_mt_layout(model):
+    """Row b of the MT T-Enc input embeds item b's own noisy tokens, drawn
+    from item b's generator, and its mask is true for exactly their length."""
+    batch = make_batch(CORPUS, [10, 11, 12, 13])
+    p, B = 0.5, batch.batch_size
+    out = model.forward_task(batch, "mt", mt_noise_p=p,
+                             mt_noise_rngs=[np.random.default_rng((3, b)) for b in range(B)])
+    want = [noise_inject(batch.src_tokens[b, : batch.src_lens[b]], p,
+                         np.random.default_rng((3, b))) for b in range(B)]
+    assert len({len(w) for w in want}) > 1  # ragged rows
+    assert any(len(w) > n for w, n in zip(want, batch.src_lens))  # noise was drawn
+    L = out.tenc_mask.shape[1]
+    assert L == max(len(w) for w in want)
+    for b, toks in enumerate(want):
+        np.testing.assert_array_equal(out.tenc_mask[b], np.arange(L) < len(toks))
+        np.testing.assert_array_equal(out.tenc_input.data[b, : len(toks)],
+                                      model.src_embed.data[toks])
 
 
 def test_st_and_mt_share_t_enc_parameters(model, batch):

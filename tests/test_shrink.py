@@ -12,8 +12,8 @@ from per_item_reference import lbm_lookback, merge_repeats
 from stlab import autograd as ag
 from stlab.autograd import Tensor
 from stlab.gradcheck import check_gradients
-from stlab.shrink import (CtcPath, LbmParams, ctc_greedy_path, lbm_fuse,
-                          shrink_batch, shrink_sequence)
+from stlab.model import LbmParams
+from stlab.shrink import CtcPath, ctc_greedy_path, lbm_fuse, shrink_batch, shrink_sequence
 
 
 def make_lbm(d=4, f=8, seed=0):
@@ -109,8 +109,8 @@ def test_fuse_no_residual():
     """Fusion output depends on the inputs only through FFN(Norm(.)): with
     zero FFN weights, the output is the bias, not the input."""
     lbm = make_lbm()
-    lbm.w2.data[:] = 0.0
-    lbm.b2.data[:] = 7.0
+    lbm.ffn.w2.w.data[:] = 0.0
+    lbm.ffn.w2.b.data[:] = 7.0
     rng = np.random.default_rng(3)
     out = lbm_fuse(Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(2, 4))), lbm)
     np.testing.assert_allclose(out.data, 7.0)
