@@ -20,9 +20,8 @@ from stlab.data import (CorpusConfig, alignment_shrink_ratio, make_batch)
 from stlab.gradcheck import check_gradients
 from stlab.losses import (ce_loss, consistency_loss, contrastive_loss,
                           ctc_feasible, ctc_loss, ctc_loss_bruteforce)
-from stlab.model import Model, ModelConfig
+from stlab.model import LbmParams, Model, ModelConfig
 from stlab.scheduler import task_impact, update_weight
-from stlab.model import LbmParams
 from stlab.shrink import ctc_greedy_path, shrink_sequence
 from stlab.train import eval_batch, train
 
