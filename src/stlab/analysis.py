@@ -38,7 +38,7 @@ def task_probe_loss(model, batch, task: str, *, per_item=False, **forward_kw):
     """The probed task's own unweighted loss (no CL/consistency terms), or
     with per_item the sum of each item's own loss; forward_kw go to
     Model.forward_task."""
-    return task_loss(model.forward_task(batch, task, **forward_kw), batch, task, per_item)
+    return task_loss(model.forward_task(batch, task, **forward_kw), batch, per_item)
 
 
 def capture_gradients(model, batch, task: str, **kwargs) -> GradSnapshot:

@@ -7,10 +7,13 @@ pass goes and a second pass over a released node raises. No broadcasting
 beyond what the model layers actually use. A value read off the graph, such
 as the attention weights, is a plain ndarray, not a constant Tensor.
 
-A closure computes a gradient only for the inputs that require one, and
-every rewrite of a closure for speed keeps its bits: each gradient is
-summed in the same order as the plain form it replaced (the tests compare
-them with assert_array_equal), so a run stays bitwise reproducible.
+A closure computes a gradient only for the inputs that require one. Kernels
+may sum in another order than numpy's reductions: short last-axis and column
+sums are matrix-vector products with a ones vector, and a shared weight's
+gradient is one GEMM over the flattened rows. The tests bound each kernel
+against its unfused primitive chain (rtol 1e-12) and pin each in-place
+rewrite to its out-of-place form bit for bit. Each kernel has one arithmetic
+path, so a run stays bitwise reproducible from one run to the next.
 """
 
 from __future__ import annotations
@@ -170,6 +173,19 @@ def _acc(t, g):
         t.grad = np.asarray(g, dtype=np.float64, order="C")
     else:
         t.grad = t.grad + g
+
+
+def _rowsum(x):
+    """x.sum(axis=-1, keepdims=True) as a product with a ones vector: BLAS
+    sums a short last axis several times faster than numpy's reduction."""
+    return np.matmul(x, np.ones(x.shape[-1]))[..., None]
+
+
+def _colsum(x):
+    """x.reshape(-1, d).sum(axis=0) for d = x.shape[-1], as a product with a
+    ones vector."""
+    d = x.shape[-1]
+    return np.ones(x.size // d) @ x.reshape(-1, d)
 
 
 def _unbroadcast(g, shape):
@@ -334,7 +350,8 @@ def matmul(a, b):
 
     def bwd(g):
         if a.requires_grad:
-            _acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+            bt = np.ascontiguousarray(np.swapaxes(b.data, -1, -2))
+            _acc(a, _unbroadcast(np.matmul(g, bt), a.data.shape))
         if b.requires_grad:
             _acc(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
@@ -345,7 +362,10 @@ def linear(x, w, b):
     """x @ w + b as one node; x: [..., d_in] (2-D or 3-D), w: [d_in, d_out],
     b: [d_out]. Per-example parameters w: [B, d_in, d_out], b: [B, 1, d_out]
     with x: [B, L, d_in] get per-example gradients: item i's w and b grads
-    are those of item i's slice alone."""
+    are those of item i's slice alone. A shared w's gradient is one GEMM
+    over the flattened rows; the input gradient multiplies by a C-ordered
+    copy of w^T, except per example, where copying w costs more than it
+    saves."""
     *lead, d_in, d_out = w.data.shape
     b_shape = (*lead, 1, d_out) if lead else (d_out,)
     if (x.data.ndim not in (2, 3) or x.data.shape[-1] != d_in or b.data.shape != b_shape
@@ -356,12 +376,13 @@ def linear(x, w, b):
 
     def bwd(g):
         if x.requires_grad:
-            _acc(x, np.matmul(g, np.swapaxes(w.data, -1, -2)))
+            wt = np.swapaxes(w.data, -1, -2)
+            _acc(x, np.matmul(g, wt if lead else np.ascontiguousarray(wt)))
         if w.requires_grad:
-            gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
-            _acc(w, gw.sum(axis=0) if gw.ndim > w.data.ndim else gw)
+            _acc(w, np.matmul(np.swapaxes(x.data, -1, -2), g) if lead
+                 else x.data.reshape(-1, d_in).T @ g.reshape(-1, d_out))
         if b.requires_grad:
-            _acc(b, g.sum(axis=1, keepdims=True) if lead else g.reshape(-1, d_out).sum(axis=0))
+            _acc(b, g.sum(axis=1, keepdims=True) if lead else _colsum(g))
 
     return _make(out, (x, w, b), bwd)
 
@@ -378,26 +399,32 @@ def embedding(table, ids):
 # -- normalization / softmax ------------------------------------------------
 
 
+def _check_last_axis(op, a, axis):
+    if axis not in (-1, a.data.ndim - 1):
+        raise ShapeError(op, a.shape, ("axis", axis))
+
+
 def softmax(a, axis=-1):
-    x = a.data - a.data.max(axis=axis, keepdims=True)
+    """Softmax over the last axis, which `axis` must name."""
+    _check_last_axis("softmax", a, axis)
+    x = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(x)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / _rowsum(e)
 
     def bwd(g):
-        s = (g * out).sum(axis=axis, keepdims=True)
-        _acc(a, out * (g - s))
+        _acc(a, out * (g - _rowsum(g * out)))
 
     return _make(out, (a,), bwd)
 
 
 def log_softmax(a, axis=-1):
-    x = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(x).sum(axis=axis, keepdims=True))
-    out = x - lse
+    """Log-softmax over the last axis, which `axis` must name."""
+    _check_last_axis("log_softmax", a, axis)
+    x = a.data - a.data.max(axis=-1, keepdims=True)
+    out = x - np.log(_rowsum(np.exp(x)))
 
     def bwd(g):
-        sm = np.exp(out)
-        _acc(a, g - sm * g.sum(axis=axis, keepdims=True))
+        _acc(a, g - np.exp(out) * _rowsum(g))
 
     return _make(out, (a,), bwd)
 
@@ -424,9 +451,9 @@ def _normalize(x, eps):
 
     A zero-variance row maps to zeros: eps sits inside the square root.
     """
-    d = x.shape[-1]  # sum / d is np.mean's arithmetic, without its overhead
-    xc = x - x.sum(axis=-1, keepdims=True) / d
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    d = x.shape[-1]
+    xc = x - _rowsum(x) / d
+    var = _rowsum(xc * xc) / d
     inv = 1.0 / np.sqrt(var + eps)
     xc *= inv
     return xc, inv
@@ -434,9 +461,9 @@ def _normalize(x, eps):
 
 def _normalize_grad(g, out, inv):
     d = g.shape[-1]
-    gm = g.sum(axis=-1, keepdims=True) / d
+    gm = _rowsum(g) / d
     t = g * out
-    gym = t.sum(axis=-1, keepdims=True) / d
+    gym = _rowsum(t) / d
     r = g - gm
     r -= np.multiply(out, gym, out=t)
     r *= inv
@@ -464,9 +491,9 @@ def affine_norm(x, gain, bias, eps=LAYERNORM_EPS):
 
     def bwd(g):
         if gain.requires_grad:
-            _acc(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+            _acc(gain, _colsum(g * xhat))
         if bias.requires_grad:
-            _acc(bias, g.reshape(-1, d).sum(axis=0))
+            _acc(bias, _colsum(g))
         if x.requires_grad:
             _acc(x, _normalize_grad(g * gain.data, xhat, inv))
 
@@ -539,7 +566,7 @@ def multi_head_attention(q, k, v, n_heads, bias=None):
         w += bias
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= _rowsum(w)
     out = merge(np.matmul(w, vh))
 
     def bwd(g):
@@ -547,7 +574,7 @@ def multi_head_attention(q, k, v, n_heads, bias=None):
         if v.requires_grad:
             _acc(v, merge(np.matmul(w.swapaxes(-1, -2), gh)))
         gs = np.matmul(gh, vh.swapaxes(-1, -2))  # w * (gw - sum(gw * w)) * scale
-        gs -= (gs * w).sum(axis=-1, keepdims=True)
+        gs -= _rowsum(gs * w)
         gs *= w
         gs *= scale
         if q.requires_grad:

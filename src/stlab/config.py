@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .data import CorpusConfig
@@ -96,6 +97,13 @@ class RunConfig:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
     toggles: Toggles = field(default_factory=Toggles)
+
+    def __post_init__(self):
+        steps = self.training.steps
+        for name, frac in (("warmup_fraction", self.training.warmup_fraction),
+                           ("shrink_warmup_fraction", self.toggles.shrink_warmup_fraction)):
+            if not math.isfinite(frac * steps):  # train rounds it to a step with int()
+                raise ConfigError(f"{name} x steps must be finite, got {frac} x {steps}")
 
 
 def default_config(**training_overrides) -> RunConfig:

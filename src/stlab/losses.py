@@ -139,7 +139,7 @@ def ctc_loss(log_probs: Tensor, targets, frame_lens=None, target_lens=None,
     return ag._make(np.asarray(loss), (log_probs,), bwd)
 
 
-def task_loss(out, batch, task: str, per_item: bool = False) -> Tensor:
+def task_loss(out, batch, per_item: bool = False) -> Tensor:
     """A task's own unweighted loss from its forward outputs (TaskOutputs).
 
     CE on the logits when the outputs carry them (ST, MT and the `ce` ASR

@@ -97,7 +97,7 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
     # every term the objective can hold, in the order total_loss sums them
     terms = dict.fromkeys(("st", "asr", "mt", "cl", "consistency", "ctc"))
     st_out = model.forward_task(batch, "st", use_shrink=shrink_active)
-    terms["st"] = task_loss(st_out, batch, "st")
+    terms["st"] = task_loss(st_out, batch)
 
     cons_terms = []
     if tg.use_l2g:
@@ -107,15 +107,15 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
     asr_out = None
     if tg.use_asr and weights.active("asr"):
         asr_out = model.asr_outputs(st_out, batch, tg.asr_variant)
-        terms["asr"] = task_loss(asr_out, batch, "asr")
+        terms["asr"] = task_loss(asr_out, batch)
     if tg.use_asr and shrink_active and (asr_out is None or asr_out.ctc_log_probs is None):
-        terms["ctc"] = task_loss(model.asr_outputs(st_out, batch, "ctc"), batch, "asr")
+        terms["ctc"] = task_loss(model.asr_outputs(st_out, batch, "ctc"), batch)
 
     if tg.use_mt and weights.active("mt"):
         mt_rng = np.random.default_rng((config.training.seed, _STREAM_NOISE, step))
         mt_out = model.forward_task(batch, "mt", mt_noise_rngs=[mt_rng] * batch.batch_size,
                                     mt_noise_p=tg.mt_noise())
-        terms["mt"] = task_loss(mt_out, batch, "mt")
+        terms["mt"] = task_loss(mt_out, batch)
         if tg.use_l2g:
             cons_terms.append(consistency_loss(
                 mt_out.extractor_outs, mt_out.attention_outs, mt_out.tenc_mask))

@@ -165,6 +165,14 @@ def test_softmax_rows_sum_to_one():
     np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("op", [ag.softmax, ag.log_softmax])
+def test_softmax_takes_the_last_axis_only(op):
+    a = Tensor(np.zeros((2, 3, 4)))
+    assert op(a, axis=2).shape == op(a).shape == (2, 3, 4)
+    with pytest.raises(ShapeError):
+        op(a, axis=1)
+
+
 def test_layer_norm_zero_variance_row_is_zero():
     out = ag.layer_norm(Tensor(np.full((2, 4), 3.0)))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-9)
@@ -419,6 +427,40 @@ def test_multi_head_attention_is_the_out_of_place_form_bit_for_bit(name):
     want = unfused.attention_forward_backward(q.data, k.data, v.data, 2, bias, upstream)
     for got, ref in zip((out.data, w, q.grad, k.grad, v.grad), want):
         np.testing.assert_array_equal(got, ref)
+
+
+def test_sum_helpers_match_numpy_sums():
+    """The kernels' ones-vector sums agree with numpy's reductions to 1e-14
+    relative to the sum of magnitudes, the scale on which reordering a sum
+    rounds, on the default model's shapes (d = 32, FFN 64, two heads, batch
+    32, speech and text lengths), with a zero-variance norm row and an
+    attention row whose keys are all masked but two."""
+    rng = np.random.default_rng(38)
+
+    def check(x):
+        scale = np.abs(x).sum(axis=-1, keepdims=True)
+        assert np.all(np.abs(ag._rowsum(x) - x.sum(axis=-1, keepdims=True)) <= 1e-14 * scale)
+        rows = x.reshape(-1, x.shape[-1])
+        assert np.all(np.abs(ag._colsum(x) - rows.sum(axis=0))
+                      <= 1e-14 * np.abs(rows).sum(axis=0))
+
+    for L in (36, 9):
+        x = rng.normal(size=(32, L, 32)) * 3.0 + 0.7
+        x[0, 0] = 0.1  # a zero-variance row
+        xhat, inv = ag._normalize(x, ag.LAYERNORM_EPS)
+        assert np.all(np.abs(xhat[0, 0]) < 1e-9)
+        g = rng.normal(size=x.shape)
+        xc = x - ag._rowsum(x) / 32
+        for arr in (x, xc * xc, g, g * xhat, rng.normal(size=(32, L, 64))):
+            check(arr)
+        scores = rng.normal(size=(32, 2, L, L)) * 4.0
+        scores[0, :, :, 2:] += ag.MASK_BIAS  # item 0 has two keys
+        w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        check(w)
+        check(w * rng.normal(size=w.shape))
+        w /= ag._rowsum(w)
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=1e-14)
+        assert np.all(w[0, :, :, 2:] == 0.0)
 
 
 def test_multi_head_attention_fd():

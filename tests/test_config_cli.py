@@ -144,6 +144,20 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert not (tmp_path / "o").exists(), doc
 
 
+def test_cli_config_error_on_an_overflowing_warmup(tmp_path, capsys):
+    """A finite fraction whose product with steps overflows is a config error
+    naming the field, before the run directory or config.json is written."""
+    bad = tmp_path / "bad.json"
+    for doc, field in (({"training": {"warmup_fraction": 1e308, "steps": 2}}, "warmup_fraction"),
+                       ({"training": {"steps": 2}, "toggles": {"shrink_warmup_fraction": 1e308}},
+                        "shrink_warmup_fraction")):
+        bad.write_text(json.dumps(doc))
+        rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1 and "config error" in err and field in err, doc
+        assert not (tmp_path / "o").exists(), doc
+
+
 def test_cli_runtime_error_exit_code(cfg_path, tmp_path, capsys):
     rc = cli.main(["shrink-eval", "--config", str(cfg_path),
                    "--checkpoint", str(tmp_path / "missing.stlab"),

@@ -387,4 +387,4 @@ def test_task_loss_reads_the_asr_terms_off_the_outputs(variant):
         assert out.logits is None
         want = ctc_loss(out.ctc_log_probs, batch.src_tokens, batch.speech_lens,
                         batch.src_lens)
-    assert task_loss(out, batch, "asr").item() == want.item()
+    assert task_loss(out, batch).item() == want.item()

@@ -3,7 +3,9 @@ compare against: the primitive chains that `stlab.autograd.linear`,
 `affine_norm` and `multi_head_attention` fused, in the model and in the
 look-back fusion; and the plain forms of code rewritten to be bitwise
 equal (the take scatter-add, the linear, affine_norm and attention
-arithmetic, and the per-tensor Adam step)."""
+arithmetic, and the per-tensor Adam step). The plain forms sum in the
+kernels' order: last-axis and column sums through `ag._rowsum` and
+`ag._colsum`, a shared weight's gradient as one GEMM over the rows."""
 
 import numpy as np
 
@@ -56,26 +58,28 @@ def scatter_add(g, key, shape):
 
 
 def linear_param_grads(x, w, b, g):
-    """The weight and bias gradients of linear(x, w, b) under upstream g, in
-    the _unbroadcast form the node used before."""
-    gw = ag._unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), w.shape)
-    return gw, ag._unbroadcast(g, b.shape)
+    """The weight and bias gradients of linear(x, w, b) under upstream g:
+    per example, the batched product and the _unbroadcast form; for a
+    shared weight, one GEMM and one column sum over the flattened rows."""
+    if w.ndim == 3:
+        return np.matmul(np.swapaxes(x, -1, -2), g), ag._unbroadcast(g, b.shape)
+    x2, g2 = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
+    return np.matmul(x2.T, g2), ag._colsum(g2)
 
 
 def affine_norm_forward_backward(x, gain, bias, g, eps=ag.LAYERNORM_EPS):
     """affine_norm's output and its x, gain and bias gradients under
     upstream g, in the out-of-place form the node used before."""
     d = x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) / d
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    xc = x - ag._rowsum(x) / d
+    var = ag._rowsum(xc * xc) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     gg = g * gain
-    gm = gg.sum(axis=-1, keepdims=True) / d
-    gym = (gg * xhat).sum(axis=-1, keepdims=True) / d
+    gm = ag._rowsum(gg) / d
+    gym = ag._rowsum(gg * xhat) / d
     gx = inv * (gg - gm - xhat * gym)
-    return (xhat * gain + bias, gx, ag._unbroadcast(g * xhat, gain.shape),
-            ag._unbroadcast(g, bias.shape))
+    return xhat * gain + bias, gx, ag._colsum(g * xhat), ag._colsum(g)
 
 
 def attention_forward_backward(q, k, v, n_heads, bias, g):
@@ -89,9 +93,9 @@ def attention_forward_backward(q, k, v, n_heads, bias, g):
     qh, kh, vh, gh = split(q), split(k), split(v), split(g)
     scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale + bias
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)
+    w = e / ag._rowsum(e)
     gw = np.matmul(gh, vh.swapaxes(-1, -2))
-    gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
+    gs = w * (gw - ag._rowsum(gw * w)) * scale
     return (merge(np.matmul(w, vh)), w, merge(np.matmul(gs, kh)),
             merge(np.matmul(gs.swapaxes(-1, -2), qh)), merge(np.matmul(w.swapaxes(-1, -2), gh)))
 
