@@ -69,7 +69,7 @@ def linear_param_grads(x, w, b, g):
 
 def affine_norm_forward_backward(x, gain, bias, g, eps=ag.LAYERNORM_EPS):
     """affine_norm's output and its x, gain and bias gradients under
-    upstream g, in the out-of-place form the node used before."""
+    upstream g, in out-of-place form."""
     d = x.shape[-1]
     xc = x - ag._rowsum(x) / d
     var = ag._rowsum(xc * xc) / d
@@ -84,7 +84,7 @@ def affine_norm_forward_backward(x, gain, bias, g, eps=ag.LAYERNORM_EPS):
 
 def attention_forward_backward(q, k, v, n_heads, bias, g):
     """multi_head_attention's output, weights and q, k, v gradients under
-    upstream g, in the out-of-place form the node used before."""
+    upstream g, in out-of-place form."""
     B, _, d = q.shape
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
