@@ -16,7 +16,7 @@ from .losses import (CtcInfeasibleError, ce_loss, consistency_loss,
                      contrastive_loss, ctc_loss, task_loss, total_loss)
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .optim import Adam
-from .scheduler import TaskWeights, schedule_step, task_impact, verify_history
+from .scheduler import TaskWeights, schedule_step, task_impact
 from .shrink import ShrunkSequence, shrink_batch, shrink_sequence
 from .train import NanAbort, TrainResult
 
@@ -29,5 +29,5 @@ __all__ = [
     "consistency_loss", "contrastive_loss", "ctc_loss", "default_config",
     "export_corpus", "load_checkpoint", "load_config", "make_batch",
     "save_checkpoint", "save_config", "schedule_step", "shrink_batch",
-    "shrink_sequence", "task_impact", "task_loss", "total_loss", "verify_history",
+    "shrink_sequence", "task_impact", "task_loss", "total_loss",
 ]

@@ -18,12 +18,6 @@ from .losses import ce_loss, ctc_loss, task_loss  # noqa: F401
 
 
 @dataclass
-class GradSnapshot:
-    task: str
-    vectors: dict  # GroupKey -> flat gradient ndarray (touched groups only)
-
-
-@dataclass
 class ConsistencyRow:
     partition: str
     kind: str
@@ -34,20 +28,13 @@ class ConsistencyRow:
     repeats: int
 
 
-def task_probe_loss(model, batch, task: str, *, per_item=False, **forward_kw):
-    """The probed task's own unweighted loss (no CL/consistency terms), or
-    with per_item the sum of each item's own loss; forward_kw go to
-    Model.forward_task."""
-    return task_loss(model.forward_task(batch, task, **forward_kw), batch, per_item)
-
-
-def capture_gradients(model, batch, task: str, **kwargs) -> GradSnapshot:
-    """Backward the task's unweighted loss and snapshot flat grads of every
-    touched parameter group; untouched groups are absent."""
+def capture_gradients(model, batch, task: str, **forward_kw) -> dict:
+    """Backward the task's own unweighted loss (no CL/consistency terms) and
+    return {GroupKey: flat grad} for every touched parameter group;
+    untouched groups are absent. forward_kw go to Model.forward_task."""
     model.zero_grad()
     try:
-        loss = task_probe_loss(model, batch, task, **kwargs)
-        loss.backward()
+        task_loss(model.forward_task(batch, task, **forward_kw), batch).backward()
     except Exception as exc:
         raise RuntimeError(f"gradient capture failed for task {task!r}: {exc}") from exc
     vectors = {}
@@ -55,7 +42,7 @@ def capture_gradients(model, batch, task: str, **kwargs) -> GradSnapshot:
         if g.has_grads():
             vectors[g.key] = g.flat_grad()
     model.zero_grad()
-    return GradSnapshot(task, vectors)
+    return vectors
 
 
 def capture_instance_gradients(model, batch, task: str, **forward_kw) -> dict:
@@ -76,7 +63,8 @@ def capture_instance_gradients(model, batch, task: str, **forward_kw) -> dict:
         for t, data in saved:  # biases [d] become [B, 1, d]
             item = data if data.ndim == 2 else data[None]
             t.data = np.broadcast_to(item, (batch.batch_size,) + item.shape)
-        task_probe_loss(model, batch, task, per_item=True, **forward_kw).backward()
+        task_loss(model.forward_task(batch, task, **forward_kw), batch,
+                  per_item=True).backward()
         rows = {}
         for g in groups:
             if g.has_grads():
@@ -98,26 +86,25 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-def grad_consistency(snap_a: GradSnapshot, snap_b: GradSnapshot, *,
+def grad_consistency(grads_a: dict, grads_b: dict, *,
                      partition: str, kind: str, per_layer: bool = False):
-    """Cosine between the two snapshots' gradients under a group filter.
+    """Cosine between two capture_gradients results under a group filter.
 
     Module-level (default): concatenate all matching groups into one vector
-    per snapshot. per_layer=True: one cosine per layer index instead.
+    per side. per_layer=True: one cosine per layer index instead.
     Returns {layer_or_None: cosine}.
     """
-    common = [k for k in snap_a.vectors
-              if k in snap_b.vectors and k.partition == partition and k.kind == kind
+    common = [k for k in grads_a
+              if k in grads_b and k.partition == partition and k.kind == kind
               and k.layer >= 0]
     if not common:
-        raise ValueError(
-            f"tasks {snap_a.task!r} and {snap_b.task!r} share no parameters "
-            f"under filter ({partition}, {kind})")
+        raise ValueError(f"the two gradients share no parameters under filter "
+                         f"({partition}, {kind})")
     common.sort(key=lambda k: k.layer)
     if per_layer:
-        return {k.layer: cosine(snap_a.vectors[k], snap_b.vectors[k]) for k in common}
-    a = np.concatenate([snap_a.vectors[k] for k in common])
-    b = np.concatenate([snap_b.vectors[k] for k in common])
+        return {k.layer: cosine(grads_a[k], grads_b[k]) for k in common}
+    a = np.concatenate([grads_a[k] for k in common])
+    b = np.concatenate([grads_b[k] for k in common])
     return {None: cosine(a, b)}
 
 
@@ -141,20 +128,20 @@ def consistency_protocol(model, corpus: CorpusConfig, task_pair, *, n: int = 32,
         rng = np.random.default_rng((seed, 0xAB, r))
         seeds = rng.integers(0, 2**62, size=n)
         batch = make_batch(corpus, seeds)
-        snaps = []
+        grads = []
         for task, kw in ((task_a, probe_kwargs_a), (task_b, probe_kwargs_b)):
             if task == "mt":
                 kw = {**kw, "mt_noise_rngs": [np.random.default_rng((seed, 0xAB, r, j))
                                               for j in range(n)]}
-            snaps.append(capture_gradients(model, batch, task, **kw))
-        snap_a, snap_b = snaps
+            grads.append(capture_gradients(model, batch, task, **kw))
+        grads_a, grads_b = grads
         if shared_partitions is None:
-            shared_partitions = sorted({k.partition for k in snap_a.vectors}
-                                       & {k.partition for k in snap_b.vectors})
+            shared_partitions = sorted({k.partition for k in grads_a}
+                                       & {k.partition for k in grads_b})
         for part in shared_partitions:
             for kind in ("ATTEN", "FFN"):
                 try:
-                    res = grad_consistency(snap_a, snap_b, partition=part,
+                    res = grad_consistency(grads_a, grads_b, partition=part,
                                            kind=kind, per_layer=per_layer)
                 except ValueError:
                     continue

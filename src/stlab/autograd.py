@@ -60,9 +60,6 @@ class Tensor:
     def detach(self):
         return Tensor(self.data.copy())
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Accumulate d(self)/d(leaf) into every leaf's grad. Each node is
         released once its closure has run: its grad, closure and parents
@@ -303,17 +300,15 @@ def transpose(a, axes):
     return _make(out, (a,), bwd)
 
 
-def concat(tensors, axis=0):
+def concat(tensors):
+    """Concatenation along the first axis."""
     datas = [t.data for t in tensors]
-    out = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
+    out = np.concatenate(datas)
+    offsets = np.cumsum([0] + [d.shape[0] for d in datas])
 
     def bwd(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _acc(t, g[tuple(sl)])
+            _acc(t, g[lo:hi])
 
     return _make(out, tuple(tensors), bwd)
 
@@ -399,14 +394,8 @@ def embedding(table, ids):
 # -- normalization / softmax ------------------------------------------------
 
 
-def _check_last_axis(op, a, axis):
-    if axis not in (-1, a.data.ndim - 1):
-        raise ShapeError(op, a.shape, ("axis", axis))
-
-
-def softmax(a, axis=-1):
-    """Softmax over the last axis, which `axis` must name."""
-    _check_last_axis("softmax", a, axis)
+def softmax(a):
+    """Softmax over the last axis."""
     x = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(x)
     out = e / _rowsum(e)
@@ -417,9 +406,8 @@ def softmax(a, axis=-1):
     return _make(out, (a,), bwd)
 
 
-def log_softmax(a, axis=-1):
-    """Log-softmax over the last axis, which `axis` must name."""
-    _check_last_axis("log_softmax", a, axis)
+def log_softmax(a):
+    """Log-softmax over the last axis."""
     x = a.data - a.data.max(axis=-1, keepdims=True)
     out = x - np.log(_rowsum(np.exp(x)))
 
@@ -429,16 +417,15 @@ def log_softmax(a, axis=-1):
     return _make(out, (a,), bwd)
 
 
-def logsumexp(a, axis=-1, keepdims=False):
-    m = a.data.max(axis=axis, keepdims=True)
+def logsumexp(a):
+    """log(sum(exp(a))) over the last axis, which is dropped."""
+    m = a.data.max(axis=-1, keepdims=True)
     e = np.exp(a.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out_k = np.log(s) + m
-    out = out_k if keepdims else np.squeeze(out_k, axis=axis)
+    s = e.sum(axis=-1, keepdims=True)
+    out = np.squeeze(np.log(s) + m, axis=-1)
 
     def bwd(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        _acc(a, gg * (e / s))
+        _acc(a, g[..., None] * (e / s))
 
     return _make(out, (a,), bwd)
 
@@ -446,15 +433,16 @@ def logsumexp(a, axis=-1, keepdims=False):
 LAYERNORM_EPS = 1e-5
 
 
-def _normalize(x, eps):
+def _normalize(x):
     """Last-axis zero mean / unit variance, and the inverse deviation.
 
-    A zero-variance row maps to zeros: eps sits inside the square root.
+    A zero-variance row maps to zeros: LAYERNORM_EPS sits inside the square
+    root.
     """
     d = x.shape[-1]
     xc = x - _rowsum(x) / d
     var = _rowsum(xc * xc) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xc *= inv
     return xc, inv
 
@@ -470,9 +458,9 @@ def _normalize_grad(g, out, inv):
     return r
 
 
-def layer_norm(a, eps=LAYERNORM_EPS):
+def layer_norm(a):
     """Normalize the last axis to zero mean / unit variance (no affine)."""
-    out, inv = _normalize(a.data, eps)
+    out, inv = _normalize(a.data)
 
     def bwd(g):
         _acc(a, _normalize_grad(g, out, inv))
@@ -480,12 +468,12 @@ def layer_norm(a, eps=LAYERNORM_EPS):
     return _make(out, (a,), bwd)
 
 
-def affine_norm(x, gain, bias, eps=LAYERNORM_EPS):
+def affine_norm(x, gain, bias):
     """layer_norm(x) * gain + bias as one node; gain, bias: [d]."""
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError("affine_norm", x.shape, gain.shape, bias.shape)
-    xhat, inv = _normalize(x.data, eps)
+    xhat, inv = _normalize(x.data)
     out = xhat * gain.data
     out += bias.data
 

@@ -21,11 +21,14 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_NAN = 3
 
+# count options that must be at least 1 wherever a command takes them
+_COUNT_OPTIONS = ("count", "samples", "repeats", "batches", "batch_size")
 
-def _add_common(p, *, out_required=True):
+
+def _add_common(p):
     p.add_argument("--config", type=Path, default=None,
                    help="JSON run config (defaults to the built-in desk-scale config)")
-    p.add_argument("--out", type=Path, required=out_required, help="output directory")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None,
                    help="override the corpus/model/training seeds")
 
@@ -144,6 +147,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in _COUNT_OPTIONS:
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

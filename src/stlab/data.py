@@ -200,19 +200,12 @@ def compress_alignment(alignment, src_tokens) -> np.ndarray:
     return np.asarray(out)
 
 
-def export_corpus(config: CorpusConfig, sample_seeds, path) -> int:
-    """Dump JSON-lines records {sample_seed, src, tgt, T} for inspection.
-
-    sample_seeds may be an iterable of seeds or an int count (seeds 0..n-1).
-    """
-    if isinstance(sample_seeds, int):
-        sample_seeds = range(sample_seeds)
-    n = 0
+def export_corpus(config: CorpusConfig, count: int, path):
+    """Dump JSON-lines records {sample_seed, src, tgt, T} of sample seeds
+    0..count-1 for inspection."""
     with open(path, "w") as fh:
-        for s in sample_seeds:
-            frames, src, tgt, _ = generate_sample(config, int(s))
-            rec = {"sample_seed": int(s), "src": [int(x) for x in src],
+        for s in range(count):
+            frames, src, tgt, _ = generate_sample(config, s)
+            rec = {"sample_seed": s, "src": [int(x) for x in src],
                    "tgt": [int(x) for x in tgt], "T": int(frames.shape[0])}
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            n += 1
-    return n

@@ -31,7 +31,7 @@ def ce_loss(logits: Tensor, targets, pad_id: int, per_item: bool = False) -> Ten
     n_valid = int(mask.sum())
     if n_valid == 0:
         raise ValueError("ce_loss: batch contains only padding")
-    lp = ag.log_softmax(logits, axis=-1)
+    lp = ag.log_softmax(logits)
     b_idx, l_idx = np.nonzero(mask)
     picked = lp[(b_idx, l_idx, targets[b_idx, l_idx])]
     if per_item:
@@ -188,11 +188,10 @@ def masked_mean_pool(seq: Tensor, mask) -> Tensor:
     return ag.mul(weighted.sum(axis=1), Tensor(1.0 / counts))
 
 
-def contrastive_loss(speech_seq: Tensor, speech_mask, text_seq: Tensor, text_mask,
-                     tau: float = 0.1) -> Tensor:
+def contrastive_loss(speech_seq: Tensor, speech_mask, text_seq: Tensor, text_mask) -> Tensor:
     """Batch-negative contrastive alignment of pooled sequence pairs.
 
-    Cosine similarity of mean-pooled sequences scaled by 1/tau; for each
+    Cosine similarity of mean-pooled sequences scaled by 1/CL_TAU; for each
     example the denominator sums over in-batch negatives j != i only.
     """
     B = speech_seq.shape[0]
@@ -202,11 +201,11 @@ def contrastive_loss(speech_seq: Tensor, speech_mask, text_seq: Tensor, text_mas
     x = masked_mean_pool(text_seq, text_mask)
     s_norm = ag.mul(s, ag.pow_scalar((s * s).sum(axis=1, keepdims=True) + 1e-12, -0.5))
     x_norm = ag.mul(x, ag.pow_scalar((x * x).sum(axis=1, keepdims=True) + 1e-12, -0.5))
-    sims = ag.mul_scalar(ag.matmul(s_norm, ag.transpose(x_norm, (1, 0))), 1.0 / tau)
+    sims = ag.mul_scalar(ag.matmul(s_norm, ag.transpose(x_norm, (1, 0))), 1.0 / CL_TAU)
     diag_idx = (np.arange(B), np.arange(B))
     pos = sims[diag_idx]
     off_diag_bias = np.where(np.eye(B, dtype=bool), ag.MASK_BIAS, 0.0)
-    denom = ag.logsumexp(ag.add(sims, Tensor(off_diag_bias)), axis=1)
+    denom = ag.logsumexp(ag.add(sims, Tensor(off_diag_bias)))
     return (denom - pos).sum() / B
 
 
@@ -231,6 +230,7 @@ def consistency_loss(extractor_outs, attention_outs, mask) -> Tensor:
 
 
 CL_WEIGHT = 0.3  # the contrastive term's fixed weight in the training objective
+CL_TAU = 0.1     # the temperature of contrastive_loss's similarities
 
 
 @dataclass

@@ -360,7 +360,7 @@ class Model:
         return self.a_final_ln(x), mask
 
     def ctc_log_probs(self, features):
-        return ag.log_softmax(self.ctc_head(features), axis=-1)
+        return ag.log_softmax(self.ctc_head(features))
 
     def t_enc_forward(self, features, mask):
         """Shared textual encoder. features: Tensor [B, L, d]; mask: bool [B, L].

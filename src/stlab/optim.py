@@ -15,6 +15,8 @@ import itertools
 
 import numpy as np
 
+ADAM_EPS = 1e-9  # added to sqrt(v) in the update's denominator
+
 
 def lr_at(step: int, base_lr: float, warmup_steps: int) -> float:
     warmup_steps = max(1, warmup_steps)
@@ -24,11 +26,10 @@ def lr_at(step: int, base_lr: float, warmup_steps: int) -> float:
 
 
 class Adam:
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.98, eps=1e-9,
-                 warmup_steps=1):
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.98, warmup_steps=1):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.beta1, self.beta2 = beta1, beta2
         self.warmup_steps = warmup_steps
         self.t = 0
         self._offsets = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
@@ -78,7 +79,7 @@ class Adam:
             g *= lr
             np.divide(v, bc2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += self.eps
+            tmp += ADAM_EPS
             g /= tmp
             for p, step in zip(self.params[first:stop], self._steps[first:stop]):
                 p.data -= step

@@ -13,7 +13,7 @@ import numpy as np
 from . import analysis
 from .config import RunConfig
 from .data import make_batch
-from .model import load_checkpoint
+from .train import load_run_checkpoint
 
 CONSISTENCY_HEADER = "partition,kind,layer,mean,std\n"
 
@@ -37,8 +37,10 @@ def _write_variants(model, config: RunConfig, variants, path, *, n, repeats, see
 
 
 def _load(checkpoint, config: RunConfig):
-    """A checkpoint's model under the run's toggles, and its meta."""
-    model, meta, _ = load_checkpoint(checkpoint)
+    """A checkpoint's model under the run's toggles, and its meta; raises
+    ValueError when the checkpoint was not trained under `config`'s model
+    and corpus."""
+    model, meta, _ = load_run_checkpoint(checkpoint, config)
     return model.apply_toggles(config.toggles), meta
 
 

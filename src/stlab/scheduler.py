@@ -15,7 +15,7 @@ row j is delta^j.
 
 Dropping a task removes its weighted term, and for MT its forward pass too.
 ASR reads the ST pass's speech encoding, so dropping it saves only its
-loss (and, for the `ce` variants, the source decode). The CTC objective
+loss (and, for the `ce` variant, the source decode). The CTC objective
 that shrinking reads stays, on the ST pass's log-probs at weight 1 (see
 train.compute_losses), so the segmenter does not freeze once ASR is gone.
 """
@@ -120,16 +120,3 @@ def schedule_step(step: int, weights: TaskWeights, probe_fn) -> TaskWeights:
         if w < cfg.prune_threshold:
             weights.pruned.add(task)
     return weights
-
-
-def verify_history(weights: TaskWeights, initial=None) -> bool:
-    """Replay every recorded (step, m) pair from the initial weights and
-    check the stored w values match to 1e-12."""
-    current = dict(initial or {t: 1.0 for t in AUX_TASKS})
-    for row in weights.history:
-        expected = update_weight(current[row.task], row.m, row.step,
-                                 weights.config.smoothing(row.task))
-        if abs(expected - row.w) > 1e-12 * max(1.0, abs(expected)):
-            return False
-        current[row.task] = row.w
-    return True

@@ -99,7 +99,7 @@ def _lookback(frames: Tensor, s_prime: Tensor, j, lo, hi, lbm) -> Tensor:
     scores = ag.matmul(ag.reshape(rq, (m, 1, d)),
                        ag.transpose(ra, (0, 2, 1)))  # [m, 1, w]
     bias = np.where(valid, 0.0, ag.MASK_BIAS)[:, None, :]
-    att = ag.softmax(ag.add(scores, Tensor(bias)), axis=-1)
+    att = ag.softmax(ag.add(scores, Tensor(bias)))
     gathered = ag.reshape(ag.matmul(att, window), (m, d))
     nonempty = valid.any(axis=1).astype(np.float64)[:, None]
     return ag.mul(gathered, Tensor(nonempty))
@@ -164,7 +164,7 @@ def shrink_batch(features: Tensor, log_probs, lens, lbm,
     # position (b, i) reads fused row offset_b + i; padding reads the zero row M
     index = np.full((B, m_max), len(j))
     index[mask] = np.arange(len(j))
-    padded = ag.concat([fused, Tensor(np.zeros((1, d)))], axis=0)[(index,)]
+    padded = ag.concat([fused, Tensor(np.zeros((1, d)))])[(index,)]
 
     shrunks = None
     if per_item:  # per-item fields in item-local frame indices

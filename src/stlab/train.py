@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, scheduler as sched
-from .config import RunConfig, save_config
+from .config import ConfigError, RunConfig, save_config
 from .data import make_batch
 # ce_loss and ctc_loss are looked up here by name (perfbench/tracer.py)
 from .losses import (CL_WEIGHT, ce_loss, consistency_loss,  # noqa: F401
@@ -201,12 +201,28 @@ def make_task_weights(config: RunConfig) -> sched.TaskWeights:
     return sched.TaskWeights(config.scheduler, {t: 1.0 for t, use in on.items() if use})
 
 
+def load_run_checkpoint(path, config: RunConfig):
+    """load_checkpoint for a run under `config`: raises ValueError naming
+    the file when the checkpoint records another model or corpus config."""
+    model, meta, extra = load_checkpoint(path)
+    if (model.config, model.corpus) != (config.model, config.corpus):
+        raise ValueError(f"checkpoint {path} records another model or corpus "
+                         f"config: {model.config}, {model.corpus}")
+    return model, meta, extra
+
+
 def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
+    tr = config.training
+    resumed_meta = None
+    if resume_from is not None:
+        ckpt_model, resumed_meta, extra = load_run_checkpoint(resume_from, config)
+        if resumed_meta["step"] > tr.steps:
+            raise ConfigError(f"checkpoint {resume_from} is at step {resumed_meta['step']}, "
+                              f"past training.steps = {tr.steps}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, out_dir / "config.json")
 
-    tr = config.training
     metrics_path = out_dir / "metrics.jsonl"
     timings_path = out_dir / "timings.jsonl"
     events_path = out_dir / "events.jsonl"
@@ -218,18 +234,11 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
                beta2=tr.beta2, warmup_steps=warmup)
     weights = make_task_weights(config)
     start_step = 0
-
-    resumed_meta = None
-    if resume_from is not None:
-        ckpt_model, meta, extra = load_checkpoint(resume_from)
-        if (ckpt_model.config, ckpt_model.corpus) != (config.model, config.corpus):
-            raise ValueError(f"checkpoint {resume_from} records another model or corpus "
-                             f"config: {ckpt_model.config}, {ckpt_model.corpus}")
+    if resumed_meta is not None:
         model.load_state_buffers(ckpt_model.state_buffers())
         opt.load_state_buffers(extra)
-        weights = _restore_weights(meta["task_weights"], config)
-        start_step = meta["step"]
-        resumed_meta = meta
+        weights = _restore_weights(resumed_meta["task_weights"], config)
+        start_step = resumed_meta["step"]
 
     mode = "a" if start_step > 0 else "w"
     if start_step > 0:  # an in-place resume rewrites the rows past its step

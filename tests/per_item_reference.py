@@ -131,7 +131,7 @@ def lbm_lookback(features: Tensor, shrunk: ShrunkSequence, lbm: LbmParams) -> Te
     scores = ag.matmul(ag.reshape(rq, (m, 1, d)),
                        ag.transpose(ra, (0, 2, 1)))  # [m, 1, w]
     bias = np.where(valid, 0.0, ag.MASK_BIAS)[:, None, :]
-    att = ag.softmax(ag.add(scores, Tensor(bias)), axis=-1)
+    att = ag.softmax(ag.add(scores, Tensor(bias)))
     gathered = ag.reshape(ag.matmul(att, window), (m, d))
     nonempty = valid.any(axis=1).astype(np.float64)[:, None]
     return ag.mul(gathered, Tensor(nonempty))
@@ -175,16 +175,16 @@ def shrink_batch(features: Tensor, log_probs: Tensor, lens, lbm: LbmParams,
     padded = []
     for f in fused_items:
         if f.shape[0] < m_max:
-            f = ag.concat([f, Tensor(np.zeros((m_max - f.shape[0], d)))], axis=0)
+            f = ag.concat([f, Tensor(np.zeros((m_max - f.shape[0], d)))])
         padded.append(ag.reshape(f, (1, m_max, d)))
-    out = ag.concat(padded, axis=0)
+    out = ag.concat(padded)
     mask = np.arange(m_max)[None, :] < np.array([s.m for s in shrunks])[:, None]
     return out, mask, shrunks, float(np.mean(ratios))
 
 
 def atten_by_partition(vectors):
-    """The probe's layout: a snapshot's ATTEN gradients ({GroupKey: flat
-    vector}) concatenated per partition in layer order."""
+    """The probe's layout: capture_gradients' ATTEN gradients ({GroupKey:
+    flat vector}) concatenated per partition in layer order."""
     out = {}
     for part in ag.PARTITIONS:
         keys = sorted((k for k in vectors if k.partition == part and k.kind == "ATTEN"),
@@ -205,7 +205,7 @@ def probe_instances(model, config, weights, step, shrink_active):
         rng = np.random.default_rng((seed, _STREAM_PROBE, step, j))
         batch = make_batch(config.corpus, rng.integers(0, 2**62, size=1))
         entry = {"st": atten_by_partition(analysis.capture_gradients(
-            model, batch, "st", use_shrink=shrink_active).vectors)}
+            model, batch, "st", use_shrink=shrink_active))}
         for task in weights.active_tasks():
             if task == "asr":
                 kw = {"asr_variant": tg.asr_variant, "use_shrink": shrink_active}
@@ -213,7 +213,7 @@ def probe_instances(model, config, weights, step, shrink_active):
                 kw = {"mt_noise_p": tg.mt_noise(),
                       "mt_noise_rngs": [np.random.default_rng((seed, _STREAM_PROBE, step, j, 1))]}
             entry[task] = atten_by_partition(
-                analysis.capture_gradients(model, batch, task, **kw).vectors)
+                analysis.capture_gradients(model, batch, task, **kw))
         instances.append(entry)
     return {task: {part: np.stack([entry[task][part] for entry in instances])
                    for part in instances[0][task]}

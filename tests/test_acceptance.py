@@ -293,10 +293,10 @@ def test_consistency_analyzer_sanity(toy_run):
     model, _, _ = load_checkpoint(result.final_checkpoint)
 
     batch = make_batch(config.corpus, [1, 2, 3, 4])
-    snap = capture_gradients(model, batch, "st", use_shrink=True)
-    for key, vec in snap.vectors.items():
+    grads = capture_gradients(model, batch, "st", use_shrink=True)
+    for key, vec in grads.items():
         assert cosine(vec, vec.copy()) == 1.0
-    same = grad_consistency(snap, snap, partition="T-Enc", kind="ATTEN")
+    same = grad_consistency(grads, grads, partition="T-Enc", kind="ATTEN")
     assert same[None] == 1.0
 
     votes = []

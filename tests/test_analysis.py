@@ -6,12 +6,12 @@ import pytest
 import per_item_reference as reference
 import stlab.model as model_mod
 from stlab import analysis
-from stlab.analysis import (GradSnapshot, attention_entropy, capture_gradients,
+from stlab.analysis import (attention_entropy, capture_gradients,
                             consistency_protocol, cosine, grad_consistency,
                             stream_entropy_report)
 from stlab.autograd import GroupKey
 from stlab.data import CorpusConfig, make_batch
-from stlab.losses import ce_loss, ctc_loss
+from stlab.losses import ce_loss, ctc_loss, task_loss
 from stlab.model import Model, ModelConfig
 
 CORPUS = CorpusConfig(vocab_size=6, max_src_len=4, seed=5)
@@ -30,10 +30,6 @@ def test_cosine_basics():
     assert cosine(np.array([1.0, 0.0]), np.array([0.0, 5.0])) == pytest.approx(0.0)
 
 
-def snap(task, vectors):
-    return GradSnapshot(task, vectors)
-
-
 def key(p, l, k):
     return GroupKey(p, l, k)
 
@@ -42,8 +38,7 @@ def test_grad_consistency_self_is_one():
     rng = np.random.default_rng(0)
     vectors = {key("T-Enc", 0, "ATTEN"): rng.normal(size=10),
                key("T-Enc", 1, "ATTEN"): rng.normal(size=10)}
-    res = grad_consistency(snap("a", vectors), snap("b", dict(vectors)),
-                           partition="T-Enc", kind="ATTEN")
+    res = grad_consistency(vectors, dict(vectors), partition="T-Enc", kind="ATTEN")
     assert res[None] == pytest.approx(1.0)
 
 
@@ -51,8 +46,7 @@ def test_grad_consistency_negation_is_minus_one():
     rng = np.random.default_rng(1)
     vectors = {key("Decoder", 0, "FFN"): rng.normal(size=8)}
     neg = {k: -v for k, v in vectors.items()}
-    res = grad_consistency(snap("a", vectors), snap("b", neg),
-                           partition="Decoder", kind="FFN")
+    res = grad_consistency(vectors, neg, partition="Decoder", kind="FFN")
     assert res[None] == pytest.approx(-1.0)
 
 
@@ -62,28 +56,25 @@ def test_grad_consistency_per_layer_vs_concat():
          key("T-Enc", 1, "FFN"): np.array([0.0, 3.0])}
     b = {key("T-Enc", 0, "FFN"): np.array([1.0, 0.0]),
          key("T-Enc", 1, "FFN"): np.array([0.0, -3.0])}
-    per = grad_consistency(snap("a", a), snap("b", b), partition="T-Enc",
-                           kind="FFN", per_layer=True)
+    per = grad_consistency(a, b, partition="T-Enc", kind="FFN", per_layer=True)
     assert per == {0: pytest.approx(1.0), 1: pytest.approx(-1.0)}
-    concat = grad_consistency(snap("a", a), snap("b", b), partition="T-Enc",
-                              kind="FFN")[None]
+    concat = grad_consistency(a, b, partition="T-Enc", kind="FFN")[None]
     assert concat == pytest.approx((1 - 9) / 10)
 
 
 def test_grad_consistency_excludes_plumbing_layers():
     a = {key("A-Enc", -1, "OTHER"): np.ones(3)}
     with pytest.raises(ValueError, match="share no parameters"):
-        grad_consistency(snap("a", a), snap("b", dict(a)),
-                         partition="A-Enc", kind="OTHER")
+        grad_consistency(a, dict(a), partition="A-Enc", kind="OTHER")
 
 
 def test_capture_gradients_snapshot_contents():
     model = Model(MODEL_CFG, CORPUS)
     batch = make_batch(CORPUS, [1, 2])
     s = capture_gradients(model, batch, "asr", asr_variant="ctc")
-    parts = {k.partition for k in s.vectors}
+    parts = {k.partition for k in s}
     assert parts == {"A-Enc"}
-    assert all(np.isfinite(v).all() for v in s.vectors.values())
+    assert all(np.isfinite(v).all() for v in s.values())
     # grads are cleared afterwards
     assert all(p.grad is None for p in model.parameters())
 
@@ -117,7 +108,7 @@ def test_capture_instance_gradients_match_batch_one(task, kw):
     for j in range(3):
         alone = capture_gradients(model, make_batch(CORPUS, seeds[j:j + 1]), task,
                                   **kw, **noise([j]))
-        want = reference.atten_by_partition(alone.vectors)
+        want = reference.atten_by_partition(alone)
         assert want and got.keys() == want.keys()
         for part, v in want.items():
             assert got[part].shape == (3, v.size)
@@ -229,13 +220,13 @@ def test_stream_entropy_report_layers():
     assert all(r.stream == "mt" and r.entropy_bits >= 0.0 for r in rows)
 
 
-def test_task_probe_loss_variants():
+def test_asr_task_loss_variants():
     """The probed ASR loss is the variant's own term: CTC on the CTC head's
     log-probs, or CE on the source decoded from the speech memory."""
     model = Model(MODEL_CFG, CORPUS)
     batch = make_batch(CORPUS, [4, 5])
-    l_ctc = analysis.task_probe_loss(model, batch, "asr", asr_variant="ctc")
-    l_ce = analysis.task_probe_loss(model, batch, "asr", asr_variant="ce")
+    l_ctc, l_ce = (task_loss(model.forward_task(batch, "asr", asr_variant=v), batch)
+                   for v in ("ctc", "ce"))
     feats, _ = model.a_enc_forward(batch.speech, batch.speech_lens)
     assert l_ctc.item() == ctc_loss(model.ctc_log_probs(feats), batch.src_tokens,
                                     batch.speech_lens, batch.src_lens).item()

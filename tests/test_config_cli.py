@@ -10,7 +10,7 @@ from stlab.config import (ConfigError, RunConfig, SchedulerConfig,
                           config_to_json, default_config, load_config,
                           save_config, with_seed)
 from stlab.data import CorpusConfig, make_batch
-from stlab.model import ModelConfig
+from stlab.model import ModelConfig, save_checkpoint
 from stlab.train import build_model
 
 
@@ -117,7 +117,8 @@ def test_cli_train_and_outputs(cfg_path, tmp_path, capsys):
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
     """A bad key or value is a config error naming the field, raised when the
-    config loads, before any step runs."""
+    config loads, before any step runs; a count option below 1 is one naming
+    the flag, raised before anything is written."""
     bad = tmp_path / "bad.json"
     cases = [({"training": {"bogus": 1}}, "bogus"),
              ({"scheduler": {"exponent_mode": "absolute"}}, "exponent_mode"),
@@ -142,6 +143,22 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 1 and "config error" in err and field in err, doc
         assert not (tmp_path / "o").exists(), doc
+    # a count option below 1, on a config and checkpoint that would run
+    cfg = tmp_path / "tiny.json"
+    save_config(tiny_run_config(), cfg)
+    ckpt = tmp_path / "checkpoint.stlab"
+    save_checkpoint(ckpt, build_model(tiny_run_config()), extra_meta={"step": 0})
+    analyze = ["analyze", "--preset", "modules-bar", "--checkpoint", str(ckpt)]
+    shrink = ["shrink-eval", "--checkpoint", str(ckpt)]
+    for argv, flag in ((["export-corpus", "--count", "-3"], "--count"),
+                       (analyze + ["--samples", "0"], "--samples"),
+                       (analyze + ["--repeats", "0"], "--repeats"),
+                       (shrink + ["--batches", "0"], "--batches"),
+                       (shrink + ["--batch-size", "0"], "--batch-size")):
+        rc = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1 and "config error" in err and flag in err, argv
+        assert not (tmp_path / "o").exists(), argv
 
 
 def test_cli_config_error_on_an_overflowing_warmup(tmp_path, capsys):

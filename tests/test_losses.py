@@ -9,7 +9,7 @@ import per_item_reference as reference
 from stlab import autograd as ag
 from stlab.autograd import Tensor
 from stlab.gradcheck import check_gradients, finite_difference
-from stlab.losses import (CL_WEIGHT, CtcInfeasibleError, ce_loss, consistency_loss,
+from stlab.losses import (CL_TAU, CL_WEIGHT, CtcInfeasibleError, ce_loss, consistency_loss,
                           contrastive_loss, ctc_feasible, ctc_loss,
                           ctc_loss_bruteforce, masked_mean_pool, task_loss,
                           total_loss)
@@ -117,7 +117,7 @@ def test_ctc_gradient_fd():
         target = np.array([1, 2, 1])
 
         def f():
-            return ctc_loss(ag.log_softmax(lp, axis=-1), target)
+            return ctc_loss(ag.log_softmax(lp), target)
 
         check_gradients(f, [lp], rel_tol=1e-5, step=1e-6)
 
@@ -204,11 +204,11 @@ def test_ctc_batch_matches_per_item_dp(data):
     logits = rng.normal(scale=2.0, size=(B, T, V))
 
     x = Tensor(logits, requires_grad=True)
-    batched = ctc_loss(ag.log_softmax(x, axis=-1), padded, frames,
+    batched = ctc_loss(ag.log_softmax(x), padded, frames,
                        [len(t) for t in targets])
     batched.backward()
     x_ref = Tensor(logits, requires_grad=True)
-    lp_ref = ag.log_softmax(x_ref, axis=-1)
+    lp_ref = ag.log_softmax(x_ref)
     terms = [reference.ctc_loss(lp_ref[b][(slice(0, n),)], targets[b])
              for b, n in enumerate(frames)]
     per_item = sum(terms[1:], terms[0]) / B
@@ -247,8 +247,8 @@ def test_contrastive_matches_manual():
     s = rng.normal(size=(B, L, d))
     x = rng.normal(size=(B, L, d))
     mask = np.ones((B, L), dtype=bool)
-    loss = contrastive_loss(Tensor(s), mask, Tensor(x), mask, tau=0.1)
-    expect = _manual_contrastive(s.mean(axis=1), x.mean(axis=1), 0.1)
+    loss = contrastive_loss(Tensor(s), mask, Tensor(x), mask)
+    expect = _manual_contrastive(s.mean(axis=1), x.mean(axis=1), CL_TAU)
     assert loss.item() == pytest.approx(expect, abs=1e-8)
 
 
@@ -259,9 +259,9 @@ def test_contrastive_identical_pairs_can_go_negative():
     vecs = np.eye(B, d)
     seq = Tensor(vecs[:, None, :])
     mask = np.ones((B, 1), dtype=bool)
-    loss = contrastive_loss(seq, mask, Tensor(vecs[:, None, :]), mask, tau=0.1)
-    # positives at sim 1/tau = 10, negatives at 0: L = log(B-1) - 10
-    assert loss.item() == pytest.approx(np.log(B - 1) - 10.0, abs=1e-9)
+    loss = contrastive_loss(seq, mask, Tensor(vecs[:, None, :]), mask)
+    # positives at sim 1/CL_TAU, negatives at 0: L = log(B-1) - 1/CL_TAU
+    assert loss.item() == pytest.approx(np.log(B - 1) - 1.0 / CL_TAU, abs=1e-9)
 
 
 def test_contrastive_needs_negatives():

@@ -9,7 +9,7 @@ from stlab.optim import Adam
 from unfused_reference import PerTensorAdam
 
 SHAPES = [(4, 3), (3,), (2, 2, 3), (1,), (5,), (3, 4)]
-SETTINGS = dict(lr=3e-3, beta1=0.9, beta2=0.98, eps=1e-9, warmup_steps=5)
+SETTINGS = dict(lr=3e-3, beta1=0.9, beta2=0.98, warmup_steps=5)
 
 
 def make_params(rng):

@@ -1,13 +1,15 @@
 """Analysis presets probe a checkpoint under its run's toggles."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
 
 import stlab.model as model_mod
-import stlab.reports as reports_mod
 import stlab.shrink as shrink_mod
-from stlab.config import RunConfig, Toggles
+import stlab.train as train_mod
+from stlab import cli
+from stlab.config import RunConfig, Toggles, save_config
 from stlab.data import CorpusConfig
 from stlab.model import Model, ModelConfig, save_checkpoint
 from stlab.reports import PRESETS, run_preset, shrink_eval
@@ -20,6 +22,10 @@ def ablation_config():
     model = ModelConfig(d_model=16, n_heads=2, ffn_dim=24, seed=3)
     return RunConfig(corpus=corpus, model=model,
                      toggles=Toggles(use_l2g=False, use_lbm=False))
+
+
+def other_corpus(cfg):
+    return dataclasses.replace(cfg.corpus, seed=cfg.corpus.seed + 1)
 
 
 def test_every_load_applies_the_run_toggles(tmp_path, monkeypatch):
@@ -81,11 +87,13 @@ def test_over_training_names_an_unloadable_checkpoint_once(tmp_path, capsys):
     assert err.count(str(torn)) == 1
 
 
-@pytest.mark.parametrize("damage", ["cut to 16 bytes", "4 trailing bytes", *HEADER_DAMAGE])
+@pytest.mark.parametrize("damage", ["cut to 16 bytes", "4 trailing bytes", *HEADER_DAMAGE,
+                                    "another corpus"])
 def test_over_training_skips_a_cut_or_padded_checkpoint(tmp_path, capsys, damage):
     """A checkpoint cut inside its header length, with bytes after its last
-    buffer, or with a malformed header, is skipped with one stderr line
-    instead of crashing the preset or loading silently."""
+    buffer, with a malformed header, or trained on another corpus, is
+    skipped with one stderr line instead of crashing the preset or loading
+    silently."""
     cfg = ablation_config()
     run = tmp_path / "run"
     run.mkdir()
@@ -96,6 +104,8 @@ def test_over_training_skips_a_cut_or_padded_checkpoint(tmp_path, capsys, damage
     blob = bad.read_bytes()
     if damage in HEADER_DAMAGE:
         damage_header(bad, damage)
+    elif damage == "another corpus":
+        save_checkpoint(bad, Model(cfg.model, other_corpus(cfg)), extra_meta={"step": 2})
     else:
         bad.write_bytes(blob[:16] if damage == "cut to 16 bytes" else blob + b"\0\0\0\0")
     paths = run_preset("over-training", cfg, run, tmp_path / "rep", n=2, repeats=1)
@@ -115,13 +125,33 @@ def test_over_training_loads_each_checkpoint_once(tmp_path, monkeypatch):
         save_checkpoint(run / f"checkpoint_{step:06d}.stlab", Model(cfg.model, cfg.corpus),
                         extra_meta={"step": step})
     loads = Counter()
-    load_checkpoint = reports_mod.load_checkpoint
+    load_checkpoint = train_mod.load_checkpoint
 
     def counting_load(path):
         loads[path.name] += 1
         return load_checkpoint(path)
 
-    monkeypatch.setattr(reports_mod, "load_checkpoint", counting_load)
+    monkeypatch.setattr(train_mod, "load_checkpoint", counting_load)
     paths = run_preset("over-training", cfg, run, tmp_path / "rep", n=2, repeats=1)
     assert len(paths) == 2
     assert loads == {"checkpoint_000001.stlab": 1, "checkpoint_000002.stlab": 1}
+
+
+def test_analysis_refuses_a_checkpoint_of_another_corpus(tmp_path, capsys):
+    """Every single-checkpoint preset and shrink-eval raise ValueError naming
+    a checkpoint trained on another corpus, which the CLI reports with exit
+    code 2, instead of probing it with this config's corpus."""
+    cfg = ablation_config()
+    ckpt = tmp_path / "checkpoint_000001.stlab"
+    save_checkpoint(ckpt, Model(cfg.model, other_corpus(cfg)), extra_meta={"step": 1})
+    for preset in PRESETS:
+        if preset != "over-training":
+            with pytest.raises(ValueError, match=str(ckpt)):
+                run_preset(preset, cfg, ckpt, tmp_path / "rep", n=2, repeats=1)
+    with pytest.raises(ValueError, match=str(ckpt)):
+        shrink_eval(cfg, ckpt, tmp_path / "shrink_eval.csv", batches=1, batch_size=2)
+    save_config(cfg, tmp_path / "cfg.json")
+    for argv in (["analyze", "--preset", "modules-bar"], ["shrink-eval"]):
+        rc = cli.main([*argv, "--config", str(tmp_path / "cfg.json"), "--checkpoint",
+                       str(ckpt), "--out", str(tmp_path / "cli")])
+        assert rc == 2 and str(ckpt) in capsys.readouterr().err, argv

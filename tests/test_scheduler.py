@@ -4,9 +4,21 @@ import numpy as np
 import pytest
 
 from stlab.config import SchedulerConfig
-from stlab.scheduler import (HistoryRow, TaskWeights, mt_module_rule,
-                             schedule_step, task_impact, update_weight,
-                             verify_history)
+from stlab.scheduler import (AUX_TASKS, HistoryRow, TaskWeights, mt_module_rule,
+                             schedule_step, task_impact, update_weight)
+
+
+def verify_history(weights: TaskWeights) -> bool:
+    """Replay every recorded (step, m) pair from weights of 1 and check the
+    stored w values match to 1e-12."""
+    current = {t: 1.0 for t in AUX_TASKS}
+    for row in weights.history:
+        expected = update_weight(current[row.task], row.m, row.step,
+                                 weights.config.smoothing(row.task))
+        if abs(expected - row.w) > 1e-12 * max(1.0, abs(expected)):
+            return False
+        current[row.task] = row.w
+    return True
 
 
 # -- impact hand cases (||d_task|| / ||d_st + d_task||) -----------------------

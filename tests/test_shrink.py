@@ -189,7 +189,7 @@ SHRUNK_FIELDS = ("unique_tokens", "origin_index", "seg_start", "seg_end", "bound
 def _shrink_and_backward(shrink_fn, feats, lp, lens, lbm, use_lbm, weights):
     x = Tensor(feats, requires_grad=True)
     for t in lbm.tensors:
-        t.zero_grad()
+        t.grad = None
     out, mask, shrunks, ratio = shrink_fn(x, Tensor(lp), lens, lbm, use_lbm=use_lbm)
     ag.mul(out, Tensor(weights[:, :out.shape[1]])).sum().backward()
     grads = [x.grad] + [t.grad for t in lbm.tensors]

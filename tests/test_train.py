@@ -11,10 +11,10 @@ import pytest
 import per_item_reference as reference
 import stlab.model as model_mod
 import stlab.train as train_mod
-from stlab import analysis
 from stlab import scheduler as sched
-from stlab.config import (RunConfig, SchedulerConfig, Toggles, TrainingConfig)
+from stlab.config import (ConfigError, RunConfig, SchedulerConfig, Toggles, TrainingConfig)
 from stlab.data import CorpusConfig
+from stlab.losses import task_loss
 from stlab.model import ASR_VARIANTS, Model, ModelConfig, load_checkpoint
 from stlab.train import (NanAbort, batch_for_step, compute_losses, eval_batch,
                          make_task_weights, token_accuracy, train)
@@ -125,13 +125,18 @@ def test_resume_replays_exactly(tmp_path):
 
 def test_resume_checks_the_recorded_configs(tmp_path):
     """A checkpoint records its model and corpus configs; a resume under
-    another corpus raises naming the file, while a resume that only runs
-    longer goes ahead."""
+    another corpus raises naming the file, and one from a checkpoint past
+    training.steps is a config error naming both steps, each before the run
+    directory is made; a resume that only runs longer goes ahead."""
     cfg = tiny_config(steps=4)
     full = train(cfg, tmp_path / "full")
     other = dataclasses.replace(cfg, corpus=dataclasses.replace(cfg.corpus, seed=7))
     with pytest.raises(ValueError, match=str(full.final_checkpoint)):
         train(other, tmp_path / "other", resume_from=full.final_checkpoint)
+    shorter = dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, steps=2))
+    with pytest.raises(ConfigError, match="step 4.*steps = 2"):
+        train(shorter, tmp_path / "shorter", resume_from=full.final_checkpoint)
+    assert not (tmp_path / "other").exists() and not (tmp_path / "shorter").exists()
     longer = dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, steps=5))
     assert train(longer, tmp_path / "longer", resume_from=full.final_checkpoint).steps_run == 1
 
@@ -338,8 +343,8 @@ def test_asr_variant_paths():
                                        shrink)
             l_asr = bundle.scalars()["asr"]
             assert np.isfinite(l_asr)
-            probe = analysis.task_probe_loss(model, batch, "asr", asr_variant=variant,
-                                             use_shrink=shrink)
+            probe = task_loss(model.forward_task(batch, "asr", asr_variant=variant,
+                                                 use_shrink=shrink), batch)
             assert abs(l_asr - probe.item()) <= 1e-12, (variant, shrink)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from stlab import autograd as ag
 from stlab.autograd import Tensor
-from stlab.optim import lr_at
+from stlab.optim import ADAM_EPS, lr_at
 
 
 def linear(x, w, b):
@@ -30,7 +30,7 @@ def scaled_dot_attention(q, k, v, bias=None):
     scores = ag.mul_scalar(scores, 1.0 / np.sqrt(dh))
     if bias is not None:
         scores = ag.add(scores, Tensor(bias))
-    w = ag.softmax(scores, axis=-1)
+    w = ag.softmax(scores)
     return ag.matmul(w, v), w
 
 
@@ -67,13 +67,13 @@ def linear_param_grads(x, w, b, g):
     return np.matmul(x2.T, g2), ag._colsum(g2)
 
 
-def affine_norm_forward_backward(x, gain, bias, g, eps=ag.LAYERNORM_EPS):
+def affine_norm_forward_backward(x, gain, bias, g):
     """affine_norm's output and its x, gain and bias gradients under
     upstream g, in out-of-place form."""
     d = x.shape[-1]
     xc = x - ag._rowsum(x) / d
     var = ag._rowsum(xc * xc) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + ag.LAYERNORM_EPS)
     xhat = xc * inv
     gg = g * gain
     gm = ag._rowsum(gg) / d
@@ -104,11 +104,10 @@ class PerTensorAdam:
     """Adam as a loop over parameters with one m and v array each, the form
     stlab.optim.Adam replaced with its flat update."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.98, eps=1e-9,
-                 warmup_steps=1):
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.98, warmup_steps=1):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.beta1, self.beta2 = beta1, beta2
         self.warmup_steps = warmup_steps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -127,4 +126,4 @@ class PerTensorAdam:
             m += (1 - b1) * p.grad
             v *= b2
             v += (1 - b2) * p.grad * p.grad
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
