@@ -240,3 +240,10 @@ def test_export_corpus_roundtrip(tmp_path):
         assert r["tgt"] == list(map(int, tgt))
         assert r["T"] == frames.shape[0]
 
+
+def test_export_corpus_accepts_count(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    export_corpus(CFG, 4, path)
+    rows = [json.loads(ln) for ln in path.read_text().splitlines()]
+    assert [r["sample_seed"] for r in rows] == [0, 1, 2, 3]
+
