@@ -108,7 +108,6 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_shrink_eval(args) -> int:
     config = _resolve_config(args)
-    args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "shrink_eval.csv"
     shrink_eval(config, args.checkpoint, out_path, batches=args.batches,
                 batch_size=args.batch_size,

@@ -61,12 +61,11 @@ _PAIR_LAYOUTS = {
 }
 
 
-def preset_pairs(preset: str, config: RunConfig, checkpoint, out_dir, *, n=32,
+def preset_pairs(preset: str, config: RunConfig, model, out_dir, *, n=32,
                  repeats=5, seed=0):
     """ASR-ST and MT-ST consistency on shrunk speech: one cosine per
     (partition, sublayer kind) for modules-bar, per T-Enc layer for
     per-layer."""
-    model, _ = _load(checkpoint, config)
     prefix, layout = _PAIR_LAYOUTS[preset]
     return [_write_variants(model, config, [(None, *probe)],
                             Path(out_dir) / f"{prefix}_{pair_name}.csv",
@@ -74,10 +73,9 @@ def preset_pairs(preset: str, config: RunConfig, checkpoint, out_dir, *, n=32,
             for pair_name, probe in _probe_pairs(config).items()]
 
 
-def preset_asr_variants(config: RunConfig, checkpoint, out_dir, *, n=32, repeats=5,
+def preset_asr_variants(config: RunConfig, model, out_dir, *, n=32, repeats=5,
                         seed=0):
     """ASR-ST consistency with the CTC-after-A-Enc vs CE-after-decoder probes."""
-    model, _ = _load(checkpoint, config)
     pair, kw_a, kw_b = _probe_pairs(config)["asr_st"]
     variants = [(v, pair, {**kw_a, "asr_variant": v}, kw_b) for v in ("ctc", "ce")]
     return [_write_variants(model, config, variants,
@@ -85,11 +83,10 @@ def preset_asr_variants(config: RunConfig, checkpoint, out_dir, *, n=32, repeats
                             n=n, repeats=repeats, seed=seed)]
 
 
-def preset_shrink_cl(config: RunConfig, checkpoint, out_dir, *, n=32, repeats=5,
+def preset_shrink_cl(config: RunConfig, model, out_dir, *, n=32, repeats=5,
                      seed=0):
     """MT-ST consistency with and without shrinking, plus the per-stream
     attention-entropy report."""
-    model, _ = _load(checkpoint, config)
     out_dir = Path(out_dir)
     variants = [(variant, *_probe_pairs(config, shrunk)["mt_st"])
                 for variant, shrunk in (("plain", False), ("shrink", True))]
@@ -162,9 +159,11 @@ def preset_over_training(config: RunConfig, run_dir, out_dir, *, n=32, repeats=3
 
 def shrink_eval(config: RunConfig, checkpoint, out_path, *, batches=4,
                 batch_size=16, seed=0):
-    """Per-batch shrink statistics CSV: step,batch,n_mean,m_mean,ratio."""
+    """Per-batch shrink statistics CSV: step,batch,n_mean,m_mean,ratio.
+    The checkpoint loads before `out_path`'s directory is made."""
     model, meta = _load(checkpoint, config)
     step = meta.get("step", 0)
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w") as fh:
         fh.write("step,batch,n_mean,m_mean,ratio\n")
         for bi in range(batches):
@@ -189,8 +188,13 @@ PRESETS = tuple(_PRESET_FNS)
 
 
 def run_preset(preset: str, config: RunConfig, target, out_dir, **kwargs):
+    """Run `preset` on a checkpoint (a run directory for over-training).
+    The checkpoint loads before `out_dir` is made, so one that fails to
+    load leaves no report directory behind."""
     if preset not in _PRESET_FNS:
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
+    if preset != "over-training":
+        target, _ = _load(target, config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return _PRESET_FNS[preset](config, target, out_dir, **kwargs)

@@ -9,7 +9,10 @@ file so the metrics stream itself stays deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import mmap
+import multiprocessing
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, scheduler as sched
+from .autograd import Tensor
 from .config import ConfigError, RunConfig, save_config
 from .data import make_batch
 # ce_loss and ctc_loss are looked up here by name (perfbench/tracer.py)
@@ -79,8 +83,22 @@ def greedy_st_accuracy(model, batch, use_shrink) -> float:
     return token_accuracy(pred, batch.tgt_tokens, batch.pad_id)
 
 
+def mt_terms(model: Model, batch, config: RunConfig, step: int):
+    """The MT branch of a step: MT's forward on the step's noisy source,
+    its task loss, and its consistency term (None with the L2G extractors
+    off). compute_losses calls it in-process; the trainer's MT worker calls
+    it in its own process."""
+    tg = config.toggles
+    mt_rng = np.random.default_rng((config.training.seed, _STREAM_NOISE, step))
+    mt_out = model.forward_task(batch, "mt", mt_noise_rngs=[mt_rng] * batch.batch_size,
+                                mt_noise_p=tg.mt_noise())
+    cons = consistency_loss(mt_out.extractor_outs, mt_out.attention_outs,
+                            mt_out.tenc_mask) if tg.use_l2g else None
+    return task_loss(mt_out, batch), cons
+
+
 def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWeights,
-                   step: int, shrink_active: bool):
+                   step: int, shrink_active: bool, mt_branch=None):
     """Forward every active task once and assemble the weighted bundle.
 
     Speech is encoded once per step. ASR reads the ST pass's outputs: its
@@ -92,6 +110,11 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
     (ASR pruned, or the `ce` variant) and shrinking is active, the CTC loss
     on the ST pass's log-probs enters at weight 1, reported as "ctc", and
     the segmenter keeps training. Pruning MT removes its forward pass.
+
+    MT's loss and consistency term come from mt_terms, or from
+    `mt_branch()` when another process runs the MT branch: it returns the
+    two terms as constants, so the total's value is the same and its
+    backward covers the rest of the step.
     """
     tg = config.toggles
     # every term the objective can hold, in the order total_loss sums them
@@ -111,20 +134,18 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
     if tg.use_asr and shrink_active and (asr_out is None or asr_out.ctc_log_probs is None):
         terms["ctc"] = task_loss(model.asr_outputs(st_out, batch, "ctc"), batch)
 
-    if tg.use_mt and weights.active("mt"):
-        mt_rng = np.random.default_rng((config.training.seed, _STREAM_NOISE, step))
-        mt_out = model.forward_task(batch, "mt", mt_noise_rngs=[mt_rng] * batch.batch_size,
-                                    mt_noise_p=tg.mt_noise())
-        terms["mt"] = task_loss(mt_out, batch)
-        if tg.use_l2g:
-            cons_terms.append(consistency_loss(
-                mt_out.extractor_outs, mt_out.attention_outs, mt_out.tenc_mask))
-
     if tg.use_cl and batch.batch_size >= 2:
         src_mask = batch.src_tokens != batch.pad_id
         clean_text = model.embed_src(batch.src_tokens, batch.pad_id)
         terms["cl"] = contrastive_loss(st_out.tenc_input, st_out.tenc_mask,
                                        clean_text, src_mask)
+
+    # last, so a worker running the MT branch has the most time to finish
+    if tg.use_mt and weights.active("mt"):
+        terms["mt"], mt_cons = (mt_terms(model, batch, config, step) if mt_branch is None
+                                else mt_branch())
+        if mt_cons is not None:
+            cons_terms.append(mt_cons)
 
     if cons_terms:
         terms["consistency"] = sum(cons_terms[1:], cons_terms[0]) / len(cons_terms)
@@ -211,14 +232,122 @@ def load_run_checkpoint(path, config: RunConfig):
     return model, meta, extra
 
 
+def _shared_views(params):
+    """One anonymous shared mapping laid out as `params`: a zeroed view
+    shaped as each tensor's data, in order. A forked process sees writes
+    to the mapping from either side."""
+    offsets = np.cumsum([0] + [p.data.size for p in params]).tolist()
+    flat = np.frombuffer(mmap.mmap(-1, 8 * max(1, offsets[-1])), dtype=np.float64)
+    return [flat[lo:hi].reshape(p.data.shape)
+            for p, lo, hi in zip(params, offsets, offsets[1:])]
+
+
+def _mt_worker_loop(model: Model, config: RunConfig, conn, parent_end, grads):
+    """The MT worker's body: per message (batch, step, w_mt), send MT's two
+    loss values, backpropagate MT's share of the total, write the gradients
+    to `grads` and send the indices of the parameters that got one. An
+    exception is sent back as its message; None or EOF ends the loop."""
+    parent_end.close()  # so the trainer's exit reads as EOF here
+    params = model.parameters()
+    while True:
+        try:
+            msg = conn.recv()
+        except EOFError:
+            return
+        if msg is None:
+            return
+        batch, step, w_mt = msg
+        try:
+            mt, cons = mt_terms(model, batch, config, step)
+            conn.send(("losses", (mt.item(), None if cons is None else cons.item())))
+            # the total holds w_mt * mt, and cons in the mean of the ST and
+            # MT consistency terms (there are two whenever MT has one)
+            loss = mt * w_mt if cons is None else mt * w_mt + cons / 2
+            loss.backward()
+            got = [i for i, p in enumerate(params) if p.grad is not None]
+            for i in got:
+                grads[i][...] = params[i].grad
+            conn.send(("done", got))
+        except Exception as exc:  # the trainer re-raises it
+            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+        finally:
+            model.zero_grad()
+
+
+class MtWorker:
+    """Runs each step's MT branch in one forked process, on the second CPU,
+    while the trainer runs the rest of the step.
+
+    The model's parameters move into one anonymous shared mapping, so
+    Adam's in-place updates reach the worker without a copy; a second
+    mapping carries the worker's gradients back. Per step, `submit` sends
+    the batch (speech cut to zero frames: MT reads text only), `terms`
+    returns MT's loss and consistency term as constants for
+    compute_losses, and `add_grads` adds the worker's gradients to the
+    trainer's. Each shared parameter gets one gradient contribution from
+    each side, and IEEE addition is commutative, so the sum is the one a
+    single-graph backward accumulates. `wait_s` is the time the trainer
+    blocked on the worker since the last `submit`."""
+
+    def __init__(self, model: Model, config: RunConfig):
+        self.params = model.parameters()
+        for p, view in zip(self.params, _shared_views(self.params)):
+            view[...] = p.data
+            p.data = view
+        self.grads = _shared_views(self.params)
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_end = ctx.Pipe()
+        self.proc = ctx.Process(target=_mt_worker_loop, daemon=True,
+                                args=(model, config, child_end, self.conn, self.grads))
+        self.proc.start()
+        child_end.close()  # so the worker's exit reads as EOF here
+        self.wait_s = 0.0
+
+    def submit(self, batch, step: int, w_mt: float):
+        self.wait_s = 0.0
+        self.conn.send((dataclasses.replace(batch, speech=batch.speech[:, :0]), step, w_mt))
+
+    def _recv(self):
+        t0 = time.perf_counter()
+        try:
+            kind, value = self.conn.recv()
+        except EOFError:
+            raise RuntimeError("the MT worker exited") from None
+        finally:
+            self.wait_s += time.perf_counter() - t0
+        if kind == "error":
+            raise RuntimeError(f"MT worker: {value}")
+        return value
+
+    def terms(self):
+        mt, cons = self._recv()
+        return Tensor(mt), None if cons is None else Tensor(cons)
+
+    def add_grads(self):
+        for i in self._recv():
+            p, g = self.params[i], self.grads[i]
+            p.grad = g.copy() if p.grad is None else p.grad + g
+
+    def close(self):
+        try:
+            self.conn.send(None)
+        except OSError:  # the worker is gone already
+            pass
+        self.proc.join(timeout=5)
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join()
+        self.conn.close()
+
+
 def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
     tr = config.training
     resumed_meta = None
     if resume_from is not None:
         ckpt_model, resumed_meta, extra = load_run_checkpoint(resume_from, config)
-        if resumed_meta["step"] > tr.steps:
+        if resumed_meta["step"] >= tr.steps:
             raise ConfigError(f"checkpoint {resume_from} is at step {resumed_meta['step']}, "
-                              f"past training.steps = {tr.steps}")
+                              f"so training.steps = {tr.steps} leaves no step to run")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, out_dir / "config.json")
@@ -245,11 +374,6 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
         _keep_rows_through(metrics_path, start_step)
         _keep_rows_through(timings_path, start_step)
         _keep_rows_through(events_path, start_step)
-    metrics_fh = open(metrics_path, mode)
-    timings_fh = open(timings_path, mode)
-    events_fh = open(events_path, mode)
-    n_events = len(weights.warnings)  # the scheduler's warnings written so far
-
     ev_batch = eval_batch(config)
     # the decoder that just copies the transcription (equal lengths, one mask)
     baseline = token_accuracy(ev_batch.src_tokens, ev_batch.tgt_tokens, ev_batch.pad_id)
@@ -259,6 +383,7 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
     last_ratio = resumed_meta["last_ratio"] if resumed_meta else None
     last_checkpoint = None
     shrink_start = int(config.toggles.shrink_warmup_fraction * tr.steps)
+    n_events = len(weights.warnings)  # the scheduler's warnings written so far
 
     def write_checkpoint(step):
         nonlocal last_checkpoint
@@ -269,23 +394,35 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
         last_checkpoint = path
         return path
 
+    metrics_fh = open(metrics_path, mode)
+    timings_fh = open(timings_path, mode)
+    events_fh = open(events_path, mode)
+    worker = None
     try:
+        if weights.active("mt"):
+            worker = MtWorker(model, config)
         for step in range(start_step + 1, tr.steps + 1):
             t0 = time.perf_counter()
             shrink_active = (config.toggles.shrink_warmup_fraction < 1.0
                              and step > shrink_start)
             batch = batch_for_step(config, step, tr.batch_size)
             model.zero_grad()
-            bundle, st_out = compute_losses(model, batch, config, weights,
-                                            step, shrink_active)
+            if worker is not None:
+                worker.submit(batch, step, weights.weights["mt"])
+            bundle, st_out = compute_losses(
+                model, batch, config, weights, step, shrink_active,
+                mt_branch=None if worker is None else worker.terms)
             if not np.isfinite(bundle.total.data):
                 raise NanAbort(step, last_checkpoint)
             bundle.total.backward()
+            if worker is not None:
+                worker.add_grads()
             try:
                 opt.step()
             except FloatingPointError as exc:
                 raise NanAbort(step, last_checkpoint, "gradient") from exc
             model.zero_grad()
+            mt_wait_s = 0.0 if worker is None else worker.wait_s
 
             if shrink_active:
                 last_ratio = st_out.length_ratio
@@ -298,6 +435,9 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
                     events_fh.write(json.dumps({"step": ev_step, "event": event}) + "\n")
                 events_fh.flush()
                 n_events = len(weights.warnings)
+                if worker is not None and not weights.active("mt"):
+                    worker.close()
+                    worker = None
 
             if step % tr.eval_every == 0 or step == tr.steps:
                 last_accuracy = greedy_st_accuracy(model, ev_batch, shrink_active)
@@ -311,11 +451,14 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
                        "st_greedy_accuracy": last_accuracy}
                 metrics_fh.write(json.dumps(row, sort_keys=True) + "\n")
                 timings_fh.write(json.dumps(
-                    {"step": step, "wall_clock_s": time.perf_counter() - t0}) + "\n")
+                    {"step": step, "wall_clock_s": time.perf_counter() - t0,
+                     "mt_wait_s": mt_wait_s}) + "\n")
 
             if step % tr.checkpoint_every == 0 or step == tr.steps:
                 write_checkpoint(step)
     finally:
+        if worker is not None:
+            worker.close()
         for fh in (metrics_fh, timings_fh, events_fh):
             fh.close()
 

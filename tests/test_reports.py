@@ -155,3 +155,24 @@ def test_analysis_refuses_a_checkpoint_of_another_corpus(tmp_path, capsys):
         rc = cli.main([*argv, "--config", str(tmp_path / "cfg.json"), "--checkpoint",
                        str(ckpt), "--out", str(tmp_path / "cli")])
         assert rc == 2 and str(ckpt) in capsys.readouterr().err, argv
+
+
+def test_a_refused_checkpoint_leaves_no_report_directory(tmp_path, capsys):
+    """The checkpoint loads and passes the config check before the output
+    directory is made: a refused one leaves no empty report directory, from
+    the presets, shrink_eval or the CLI."""
+    cfg = ablation_config()
+    ckpt = tmp_path / "checkpoint_000001.stlab"
+    save_checkpoint(ckpt, Model(cfg.model, other_corpus(cfg)), extra_meta={"step": 1})
+    for preset in PRESETS:
+        if preset != "over-training":
+            with pytest.raises(ValueError, match=str(ckpt)):
+                run_preset(preset, cfg, ckpt, tmp_path / "rep", n=2, repeats=1)
+    with pytest.raises(ValueError, match=str(ckpt)):
+        shrink_eval(cfg, ckpt, tmp_path / "se" / "shrink_eval.csv", batches=1, batch_size=2)
+    save_config(cfg, tmp_path / "cfg.json")
+    for argv in (["analyze", "--preset", "modules-bar"], ["shrink-eval"]):
+        rc = cli.main([*argv, "--config", str(tmp_path / "cfg.json"), "--checkpoint",
+                       str(ckpt), "--out", str(tmp_path / "cli")])
+        assert rc == 2 and str(ckpt) in capsys.readouterr().err, argv
+    assert not any((tmp_path / name).exists() for name in ("rep", "se", "cli"))

@@ -1,8 +1,10 @@
 """Training loop: metrics stream, determinism, resume, toggles, NaN abort."""
 
+import copy
 import dataclasses
 import importlib
 import json
+import multiprocessing
 from collections import Counter
 
 import numpy as np
@@ -415,3 +417,165 @@ def test_train_reports_accuracy_vs_baseline(tmp_path):
     res = train(cfg, tmp_path / "run")
     assert 0.0 <= res.final_accuracy <= 1.0
     assert res.copy_baseline == 0.0
+
+
+def test_resume_at_the_final_step_is_a_config_error(tmp_path):
+    """A checkpoint at training.steps leaves no step to run: the resume is a
+    config error naming the step, raised before the run directory's files
+    are touched, in place or in a new directory."""
+    cfg = tiny_config(steps=4)
+    full = train(cfg, tmp_path / "run")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    for out in ("run", "fresh"):
+        with pytest.raises(ConfigError, match="at step 4"):
+            train(cfg, tmp_path / out, resume_from=full.final_checkpoint)
+    assert not (tmp_path / "fresh").exists()
+    assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
+
+
+# -- the MT worker -------------------------------------------------------------
+
+
+def trainer_grads(monkeypatch, cfg, out_dir, resume_from=None):
+    """Train under `cfg`, recording for every step the inputs of
+    compute_losses (parameter values, batch, task weights, shrink flag) and
+    the gradients the trainer hands to Adam."""
+    steps, real = [], train_mod.compute_losses
+
+    def recording(model, batch, config, weights, step, shrink_active, **kw):
+        steps.append({"params": [p.data.copy() for p in model.parameters()],
+                      "batch": batch, "weights": copy.deepcopy(weights),
+                      "step": step, "shrink": shrink_active})
+        return real(model, batch, config, weights, step, shrink_active, **kw)
+
+    class RecordingAdam(train_mod.Adam):
+        def step(self):
+            steps[-1]["grads"] = [None if p.grad is None else p.grad.copy()
+                                  for p in self.params]
+            super().step()
+
+    with monkeypatch.context() as m:
+        m.setattr(train_mod, "compute_losses", recording)
+        m.setattr(train_mod, "Adam", RecordingAdam)
+        train(cfg, out_dir, resume_from=resume_from)
+    return steps
+
+
+def assert_single_graph_grads(cfg, rec):
+    """The recorded gradients equal, bit for bit, those of one backward
+    through the whole in-process objective at the same parameters."""
+    model = train_mod.build_model(cfg)
+    for p, data in zip(model.parameters(), rec["params"]):
+        p.data[...] = data
+    bundle, _ = compute_losses(model, rec["batch"], cfg, rec["weights"], rec["step"],
+                               rec["shrink"])
+    assert bundle.scalars()["mt"] is not None
+    bundle.total.backward()
+    for i, (p, got) in enumerate(zip(model.parameters(), rec["grads"])):
+        assert (p.grad is None) == (got is None), i
+        if got is not None:
+            assert np.array_equal(p.grad, got), (rec["step"], i)
+
+
+@pytest.mark.parametrize("variant", ASR_VARIANTS)
+def test_worker_gradients_equal_the_single_graph_bitwise(tmp_path, monkeypatch, variant):
+    """With MT in the worker, the gradients Adam steps on equal those of one
+    backward through the whole objective: at step 1, at step 2 (after an
+    Adam update the worker must see through the shared parameters), and at
+    the first step after a resume. Shrinking is active from step 1."""
+    cfg = tiny_config(steps=6, asr_variant=variant, shrink_warmup_fraction=0.0)
+    run = trainer_grads(monkeypatch, cfg, tmp_path / "run")
+    resumed = trainer_grads(monkeypatch, cfg, tmp_path / "resumed",
+                            resume_from=tmp_path / "run" / "checkpoint_000004.stlab")
+    assert [r["step"] for r in resumed] == [5, 6]
+    for rec in (run[0], run[1], resumed[0]):
+        assert_single_graph_grads(cfg, rec)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """The MtWorkers train() makes, and the number of live child processes
+    at the start of each step."""
+    made, alive = [], []
+
+    class Recording(train_mod.MtWorker):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    real_batch = train_mod.batch_for_step
+
+    def counting_batch(*args):
+        alive.append(len(multiprocessing.active_children()))
+        return real_batch(*args)
+
+    monkeypatch.setattr(train_mod, "MtWorker", Recording)
+    monkeypatch.setattr(train_mod, "batch_for_step", counting_batch)
+    return made, alive
+
+
+def test_worker_runs_while_mt_is_active_and_stops_with_train(tmp_path, workers):
+    """One worker serves the run while MT trains and is gone when train()
+    returns; timings.jsonl says how long each step waited on it."""
+    made, alive = workers
+    train(tiny_config(steps=4), tmp_path / "run")
+    assert len(made) == 1 and alive == [1, 1, 1, 1]
+    assert multiprocessing.active_children() == []
+    waits = [r["mt_wait_s"] for r in read_metrics(tmp_path / "run" / "timings.jsonl")]
+    assert len(waits) == 4 and all(w >= 0.0 for w in waits)
+
+
+def test_no_worker_without_mt_and_none_after_mt_is_pruned(tmp_path, monkeypatch, workers):
+    """use_mt=False forks no worker; pruning MT closes the worker at once,
+    and a resume from a checkpoint with MT pruned forks none."""
+    made, alive = workers
+    train(tiny_config(steps=2, use_mt=False), tmp_path / "off")
+    assert made == [] and alive == [0, 0]
+    assert {r["mt_wait_s"] for r in read_metrics(tmp_path / "off" / "timings.jsonl")} == {0.0}
+
+    def prune_mt(step, weights, probe):
+        weights.pruned.add("mt")
+        return weights
+
+    alive.clear()
+    monkeypatch.setattr(train_mod.sched, "schedule_step", prune_mt)
+    cfg = tiny_config(steps=6)
+    train(cfg, tmp_path / "run")
+    assert len(made) == 1 and alive == [1, 1, 1, 1, 0, 0]
+    made.clear()
+    cfg8 = dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, steps=8))
+    train(cfg8, tmp_path / "run", resume_from=tmp_path / "run" / "checkpoint_000004.stlab")
+    assert made == []
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_stops_after_a_nan_abort(tmp_path, monkeypatch):
+    real = train_mod.compute_losses
+
+    def poisoned(model, batch, config, weights, step, shrink_active, **kw):
+        bundle, out = real(model, batch, config, weights, step, shrink_active, **kw)
+        if step == 2:
+            bundle.total.data = np.asarray(np.nan)
+        return bundle, out
+
+    monkeypatch.setattr(train_mod, "compute_losses", poisoned)
+    with pytest.raises(NanAbort):
+        train(tiny_config(steps=4), tmp_path / "run")
+    assert multiprocessing.active_children() == []
+
+
+def test_an_error_in_the_worker_surfaces_in_the_trainer(tmp_path, monkeypatch):
+    """An exception raised in mt_terms inside the worker is re-raised in the
+    trainer with its message, and the worker is gone afterwards."""
+    real = train_mod.mt_terms
+
+    def exploding(model, batch, config, step):
+        if step == 3:
+            raise ValueError("MT branch exploded at step 3")
+        return real(model, batch, config, step)
+
+    monkeypatch.setattr(train_mod, "mt_terms", exploding)
+    with pytest.raises(RuntimeError, match="ValueError: MT branch exploded at step 3"):
+        train(tiny_config(steps=4), tmp_path / "run")
+    assert multiprocessing.active_children() == []
+    assert [r["step"] for r in read_metrics(tmp_path / "run" / "metrics.jsonl")] == [1, 2]
