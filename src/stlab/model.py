@@ -528,7 +528,7 @@ class Model:
         for t, b in zip(tensors, buffers):
             if t.data.shape != b.shape:
                 raise ValueError(f"checkpoint shape mismatch: {t.data.shape} vs {b.shape}")
-            t.data[...] = b  # in place: the arrays stay where the trainer put them
+            t.data[...] = b  # in place, so a shared parameter stays shared
 
 
 def save_checkpoint(path, model: Model, extra_meta=None, extra_buffers=None):

@@ -150,6 +150,7 @@ def preset_over_training(config: RunConfig, run_dir, out_dir, *, n=32, repeats=3
                 for r in analysis.consistency_protocol(
                     model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
                     probe_kwargs_a=kw_a, probe_kwargs_b=kw_b)]
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     paths = [Path(out_dir) / f"consistency_over_training_{pair_name}.csv"
              for pair_name in pairs]
     for path, lines in zip(paths, rows.values()):
@@ -193,8 +194,8 @@ def run_preset(preset: str, config: RunConfig, target, out_dir, **kwargs):
     load leaves no report directory behind."""
     if preset not in _PRESET_FNS:
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
-    if preset != "over-training":
-        target, _ = _load(target, config)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if preset != "over-training":  # over-training makes out_dir once it finds one
+        target, _ = _load(target, config)
+        out_dir.mkdir(parents=True, exist_ok=True)
     return _PRESET_FNS[preset](config, target, out_dir, **kwargs)

@@ -5,6 +5,13 @@ Every random draw derives from (seed, purpose, step), so resuming from a
 checkpoint replays the exact remaining trajectory and two identical runs
 produce bitwise-identical outputs. Wall-clock goes to a sidecar timings
 file so the metrics stream itself stays deterministic.
+
+While MT trains, its branch (forward, loss, consistency term, backward)
+runs in one forked worker process (MtWorker) beside the rest of the step.
+The parameters live in shared memory, the worker's gradients are added to
+the trainer's before Adam steps, and the run's outputs are the bytes a
+single process writes. The worker closes when MT is pruned and when
+train() returns or raises.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import mmap
-import multiprocessing
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -237,7 +243,7 @@ def _shared_views(params):
     shaped as each tensor's data, in order. A forked process sees writes
     to the mapping from either side."""
     offsets = np.cumsum([0] + [p.data.size for p in params]).tolist()
-    flat = np.frombuffer(mmap.mmap(-1, 8 * max(1, offsets[-1])), dtype=np.float64)
+    flat = np.frombuffer(mmap.mmap(-1, 8 * offsets[-1]), dtype=np.float64)
     return [flat[lo:hi].reshape(p.data.shape)
             for p, lo, hi in zip(params, offsets, offsets[1:])]
 
@@ -284,10 +290,10 @@ class MtWorker:
     the batch (speech cut to zero frames: MT reads text only), `terms`
     returns MT's loss and consistency term as constants for
     compute_losses, and `add_grads` adds the worker's gradients to the
-    trainer's. Each shared parameter gets one gradient contribution from
-    each side, and IEEE addition is commutative, so the sum is the one a
-    single-graph backward accumulates. `wait_s` is the time the trainer
-    blocked on the worker since the last `submit`."""
+    trainer's. A single-graph backward also adds MT's contribution to a
+    shared parameter last (MT's term follows ST's and ASR's in the total),
+    so every sum is the single-graph one bit for bit. `wait_s` is the time
+    the trainer blocked on the worker since the last `submit`."""
 
     def __init__(self, model: Model, config: RunConfig):
         self.params = model.parameters()
@@ -295,6 +301,8 @@ class MtWorker:
             view[...] = p.data
             p.data = view
         self.grads = _shared_views(self.params)
+        # imported here: the import is about 3% of a fresh process's set-up
+        import multiprocessing
         ctx = multiprocessing.get_context("fork")
         self.conn, child_end = ctx.Pipe()
         self.proc = ctx.Process(target=_mt_worker_loop, daemon=True,
@@ -374,6 +382,11 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
         _keep_rows_through(metrics_path, start_step)
         _keep_rows_through(timings_path, start_step)
         _keep_rows_through(events_path, start_step)
+    metrics_fh = open(metrics_path, mode)
+    timings_fh = open(timings_path, mode)
+    events_fh = open(events_path, mode)
+    n_events = len(weights.warnings)  # the scheduler's warnings written so far
+
     ev_batch = eval_batch(config)
     # the decoder that just copies the transcription (equal lengths, one mask)
     baseline = token_accuracy(ev_batch.src_tokens, ev_batch.tgt_tokens, ev_batch.pad_id)
@@ -383,7 +396,6 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
     last_ratio = resumed_meta["last_ratio"] if resumed_meta else None
     last_checkpoint = None
     shrink_start = int(config.toggles.shrink_warmup_fraction * tr.steps)
-    n_events = len(weights.warnings)  # the scheduler's warnings written so far
 
     def write_checkpoint(step):
         nonlocal last_checkpoint
@@ -394,9 +406,6 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
         last_checkpoint = path
         return path
 
-    metrics_fh = open(metrics_path, mode)
-    timings_fh = open(timings_path, mode)
-    events_fh = open(events_path, mode)
     worker = None
     try:
         if weights.active("mt"):

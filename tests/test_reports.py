@@ -160,7 +160,8 @@ def test_analysis_refuses_a_checkpoint_of_another_corpus(tmp_path, capsys):
 def test_a_refused_checkpoint_leaves_no_report_directory(tmp_path, capsys):
     """The checkpoint loads and passes the config check before the output
     directory is made: a refused one leaves no empty report directory, from
-    the presets, shrink_eval or the CLI."""
+    the presets, shrink_eval or the CLI; nor does over-training on a run
+    directory without checkpoints."""
     cfg = ablation_config()
     ckpt = tmp_path / "checkpoint_000001.stlab"
     save_checkpoint(ckpt, Model(cfg.model, other_corpus(cfg)), extra_meta={"step": 1})
@@ -175,4 +176,7 @@ def test_a_refused_checkpoint_leaves_no_report_directory(tmp_path, capsys):
         rc = cli.main([*argv, "--config", str(tmp_path / "cfg.json"), "--checkpoint",
                        str(ckpt), "--out", str(tmp_path / "cli")])
         assert rc == 2 and str(ckpt) in capsys.readouterr().err, argv
-    assert not any((tmp_path / name).exists() for name in ("rep", "se", "cli"))
+    (tmp_path / "empty").mkdir()
+    with pytest.raises(FileNotFoundError, match="no checkpoints"):
+        run_preset("over-training", cfg, tmp_path / "empty", tmp_path / "ot", n=2, repeats=1)
+    assert not any((tmp_path / name).exists() for name in ("rep", "se", "cli", "ot"))

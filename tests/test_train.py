@@ -1,10 +1,12 @@
-"""Training loop: metrics stream, determinism, resume, toggles, NaN abort."""
+"""Training loop: metrics stream, determinism, resume, toggles, NaN abort,
+the MT worker."""
 
 import copy
 import dataclasses
 import importlib
 import json
 import multiprocessing
+import signal
 from collections import Counter
 
 import numpy as np
@@ -377,6 +379,7 @@ def test_nan_abort(tmp_path, monkeypatch):
     # the checkpoint from step 4 survives for post-mortems
     assert exc.value.last_checkpoint.name == "checkpoint_000004.stlab"
     assert exc.value.last_checkpoint.exists()
+    assert multiprocessing.active_children() == []  # the MT worker stopped too
 
 
 def test_non_finite_gradient_aborts_and_the_last_checkpoint_resumes(tmp_path, monkeypatch):
@@ -549,21 +552,6 @@ def test_no_worker_without_mt_and_none_after_mt_is_pruned(tmp_path, monkeypatch,
     assert multiprocessing.active_children() == []
 
 
-def test_worker_stops_after_a_nan_abort(tmp_path, monkeypatch):
-    real = train_mod.compute_losses
-
-    def poisoned(model, batch, config, weights, step, shrink_active, **kw):
-        bundle, out = real(model, batch, config, weights, step, shrink_active, **kw)
-        if step == 2:
-            bundle.total.data = np.asarray(np.nan)
-        return bundle, out
-
-    monkeypatch.setattr(train_mod, "compute_losses", poisoned)
-    with pytest.raises(NanAbort):
-        train(tiny_config(steps=4), tmp_path / "run")
-    assert multiprocessing.active_children() == []
-
-
 def test_an_error_in_the_worker_surfaces_in_the_trainer(tmp_path, monkeypatch):
     """An exception raised in mt_terms inside the worker is re-raised in the
     trainer with its message, and the worker is gone afterwards."""
@@ -574,8 +562,17 @@ def test_an_error_in_the_worker_surfaces_in_the_trainer(tmp_path, monkeypatch):
             raise ValueError("MT branch exploded at step 3")
         return real(model, batch, config, step)
 
+    def hung(*_):
+        raise TimeoutError("train() hung on the failed worker")
+
     monkeypatch.setattr(train_mod, "mt_terms", exploding)
-    with pytest.raises(RuntimeError, match="ValueError: MT branch exploded at step 3"):
-        train(tiny_config(steps=4), tmp_path / "run")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="ValueError: MT branch exploded at step 3"):
+            train(tiny_config(steps=4), tmp_path / "run")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert multiprocessing.active_children() == []
     assert [r["step"] for r in read_metrics(tmp_path / "run" / "metrics.jsonl")] == [1, 2]
