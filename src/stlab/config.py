@@ -123,6 +123,10 @@ def _build(cls, data, path):
     unknown = set(data) - names
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    for f in dataclasses.fields(cls):
+        value = data.get(f.name, 0)
+        if f.type in (int, "int") and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ConfigError(f"{path}.{f.name} must be an integer, got {value!r}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:

@@ -6,17 +6,17 @@ checkpoint replays the exact remaining trajectory and two identical runs
 produce bitwise-identical outputs. Wall-clock goes to a sidecar timings
 file so the metrics stream itself stays deterministic.
 
-While MT trains, its branch (forward, loss, consistency term, backward)
-runs in one forked worker process (MtWorker) beside the rest of the step.
-The parameters live in shared memory, the worker's gradients are added to
-the trainer's before Adam steps, and the run's outputs are the bytes a
-single process writes. The worker closes when MT is pruned and when
-train() returns or raises.
+Every train() call forks one step worker (StepWorker) that runs beside
+the trainer. While the trainer runs step s, the worker makes the batch of
+step s + 1 and, while MT trains, runs MT's branch of step s (forward,
+loss, consistency term, backward). The parameters live in shared memory,
+the worker's gradients are added to the trainer's before Adam steps, and
+the run's outputs are the bytes a single process writes. The worker
+closes when train() returns or raises.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import mmap
 import time
@@ -67,10 +67,16 @@ def build_model(config: RunConfig) -> Model:
     return Model(config.model, config.corpus).apply_toggles(config.toggles)
 
 
-def batch_for_step(config: RunConfig, step: int, size: int):
+def _make_step_batch(config: RunConfig, step: int, size: int):
     rng = np.random.default_rng((config.training.seed, _STREAM_BATCH, step))
-    seeds = rng.integers(0, 2**62, size=size)
-    return make_batch(config.corpus, seeds)
+    return make_batch(config.corpus, rng.integers(0, 2**62, size=size))
+
+
+def batch_for_step(config: RunConfig, step: int, size: int, worker=None):
+    """The batch of `step`: received from `worker`, which made it a step
+    ahead, or made here without one. train() calls it once, at the start of
+    every step (perfbench/run.py marks steps by it)."""
+    return _make_step_batch(config, step, size) if worker is None else worker.batch()
 
 
 def eval_batch(config: RunConfig):
@@ -92,8 +98,8 @@ def greedy_st_accuracy(model, batch, use_shrink) -> float:
 def mt_terms(model: Model, batch, config: RunConfig, step: int):
     """The MT branch of a step: MT's forward on the step's noisy source,
     its task loss, and its consistency term (None with the L2G extractors
-    off). compute_losses calls it in-process; the trainer's MT worker calls
-    it in its own process."""
+    off). compute_losses calls it in-process; the trainer's step worker
+    calls it in its own process."""
     tg = config.toggles
     mt_rng = np.random.default_rng((config.training.seed, _STREAM_NOISE, step))
     mt_out = model.forward_task(batch, "mt", mt_noise_rngs=[mt_rng] * batch.batch_size,
@@ -248,54 +254,61 @@ def _shared_views(params):
             for p, lo, hi in zip(params, offsets, offsets[1:])]
 
 
-def _mt_worker_loop(model: Model, config: RunConfig, conn, parent_end, grads):
-    """The MT worker's body: per message (batch, step, w_mt), send MT's two
-    loss values, backpropagate MT's share of the total, write the gradients
-    to `grads` and send the indices of the parameters that got one. An
-    exception is sent back as its message; None or EOF ends the loop."""
+def _step_worker_loop(model: Model, config: RunConfig, conn, parent_end, grads, step):
+    """The step worker's body. It makes and sends the batch of step + 1,
+    then per message (step, w_mt): with w_mt set, it sends MT's two loss
+    values, backpropagates MT's share of the total, writes the gradients to
+    `grads` and sends the indices of the parameters that got one; then,
+    before the last step, it makes and sends the next step's batch. An
+    exception is sent back as its message; EOF, or a send to a closed
+    trainer, ends the loop."""
     parent_end.close()  # so the trainer's exit reads as EOF here
-    params = model.parameters()
-    while True:
-        try:
-            msg = conn.recv()
-        except EOFError:
-            return
-        if msg is None:
-            return
-        batch, step, w_mt = msg
-        try:
-            mt, cons = mt_terms(model, batch, config, step)
-            conn.send(("losses", (mt.item(), None if cons is None else cons.item())))
-            # the total holds w_mt * mt, and cons in the mean of the ST and
-            # MT consistency terms (there are two whenever MT has one)
-            loss = mt * w_mt if cons is None else mt * w_mt + cons / 2
-            loss.backward()
-            got = [i for i, p in enumerate(params) if p.grad is not None]
-            for i in got:
-                grads[i][...] = params[i].grad
-            conn.send(("done", got))
-        except Exception as exc:  # the trainer re-raises it
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        finally:
-            model.zero_grad()
+    params, tr = model.parameters(), config.training
+    batch, w_mt = None, None
+    try:
+        while True:
+            try:
+                if w_mt is not None:
+                    mt, cons = mt_terms(model, batch, config, step)
+                    conn.send(("losses", (mt.item(), None if cons is None else cons.item())))
+                    # the total holds w_mt * mt, and cons in the mean of the ST
+                    # and MT consistency terms (there are two whenever MT has one)
+                    loss = mt * w_mt if cons is None else mt * w_mt + cons / 2
+                    loss.backward()
+                    got = [i for i, p in enumerate(params) if p.grad is not None]
+                    for i in got:
+                        grads[i][...] = params[i].grad
+                    conn.send(("done", got))
+                if step < tr.steps:
+                    batch = _make_step_batch(config, step + 1, tr.batch_size)
+                    conn.send(("batch", batch))
+            except Exception as exc:  # the trainer re-raises it
+                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            finally:
+                model.zero_grad()
+            step, w_mt = conn.recv()
+    except (EOFError, OSError):  # the trainer closed its end
+        return
 
 
-class MtWorker:
-    """Runs each step's MT branch in one forked process, on the second CPU,
-    while the trainer runs the rest of the step.
+class StepWorker:
+    """One forked process, on the second CPU, that makes each step's batch
+    a step ahead and, while MT trains, runs each step's MT branch while the
+    trainer runs the rest of the step.
 
     The model's parameters move into one anonymous shared mapping, so
     Adam's in-place updates reach the worker without a copy; a second
-    mapping carries the worker's gradients back. Per step, `submit` sends
-    the batch (speech cut to zero frames: MT reads text only), `terms`
-    returns MT's loss and consistency term as constants for
-    compute_losses, and `add_grads` adds the worker's gradients to the
-    trainer's. A single-graph backward also adds MT's contribution to a
-    shared parameter last (MT's term follows ST's and ASR's in the total),
-    so every sum is the single-graph one bit for bit. `wait_s` is the time
-    the trainer blocked on the worker since the last `submit`."""
+    mapping carries the worker's MT gradients back. Per step, `batch`
+    returns the batch the worker made, `submit` starts the worker on the
+    step (w_mt None while MT is pruned or off), `terms` returns MT's loss
+    and consistency term as constants for compute_losses, and `add_grads`
+    adds the worker's gradients to the trainer's. A single-graph backward
+    also adds MT's contribution to a shared parameter last (MT's term
+    follows ST's and ASR's in the total), so every sum is the single-graph
+    one bit for bit. `wait_s` is the time the trainer blocked on the worker
+    since the last `batch`."""
 
-    def __init__(self, model: Model, config: RunConfig):
+    def __init__(self, model: Model, config: RunConfig, start_step: int):
         self.params = model.parameters()
         for p, view in zip(self.params, _shared_views(self.params)):
             view[...] = p.data
@@ -305,26 +318,30 @@ class MtWorker:
         import multiprocessing
         ctx = multiprocessing.get_context("fork")
         self.conn, child_end = ctx.Pipe()
-        self.proc = ctx.Process(target=_mt_worker_loop, daemon=True,
-                                args=(model, config, child_end, self.conn, self.grads))
+        self.proc = ctx.Process(target=_step_worker_loop, daemon=True,
+                                args=(model, config, child_end, self.conn, self.grads,
+                                      start_step))
         self.proc.start()
         child_end.close()  # so the worker's exit reads as EOF here
         self.wait_s = 0.0
 
-    def submit(self, batch, step: int, w_mt: float):
+    def batch(self):
         self.wait_s = 0.0
-        self.conn.send((dataclasses.replace(batch, speech=batch.speech[:, :0]), step, w_mt))
+        return self._recv()
+
+    def submit(self, step: int, w_mt):
+        self.conn.send((step, w_mt))
 
     def _recv(self):
         t0 = time.perf_counter()
         try:
             kind, value = self.conn.recv()
         except EOFError:
-            raise RuntimeError("the MT worker exited") from None
+            raise RuntimeError("the step worker exited") from None
         finally:
             self.wait_s += time.perf_counter() - t0
         if kind == "error":
-            raise RuntimeError(f"MT worker: {value}")
+            raise RuntimeError(f"step worker: {value}")
         return value
 
     def terms(self):
@@ -337,15 +354,11 @@ class MtWorker:
             p.grad = g.copy() if p.grad is None else p.grad + g
 
     def close(self):
-        try:
-            self.conn.send(None)
-        except OSError:  # the worker is gone already
-            pass
+        self.conn.close()  # the worker reads EOF, or fails to send a batch
         self.proc.join(timeout=5)
         if self.proc.is_alive():
             self.proc.terminate()
             self.proc.join()
-        self.conn.close()
 
 
 def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
@@ -408,30 +421,28 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
 
     worker = None
     try:
-        if weights.active("mt"):
-            worker = MtWorker(model, config)
+        worker = StepWorker(model, config, start_step)
         for step in range(start_step + 1, tr.steps + 1):
             t0 = time.perf_counter()
             shrink_active = (config.toggles.shrink_warmup_fraction < 1.0
                              and step > shrink_start)
-            batch = batch_for_step(config, step, tr.batch_size)
+            batch = batch_for_step(config, step, tr.batch_size, worker)
             model.zero_grad()
-            if worker is not None:
-                worker.submit(batch, step, weights.weights["mt"])
-            bundle, st_out = compute_losses(
-                model, batch, config, weights, step, shrink_active,
-                mt_branch=None if worker is None else worker.terms)
+            w_mt = weights.weights["mt"] if weights.active("mt") else None
+            worker.submit(step, w_mt)
+            bundle, st_out = compute_losses(model, batch, config, weights, step,
+                                            shrink_active, mt_branch=worker.terms)
             if not np.isfinite(bundle.total.data):
                 raise NanAbort(step, last_checkpoint)
             bundle.total.backward()
-            if worker is not None:
+            if w_mt is not None:
                 worker.add_grads()
             try:
                 opt.step()
             except FloatingPointError as exc:
                 raise NanAbort(step, last_checkpoint, "gradient") from exc
             model.zero_grad()
-            mt_wait_s = 0.0 if worker is None else worker.wait_s
+            worker_wait_s = worker.wait_s
 
             if shrink_active:
                 last_ratio = st_out.length_ratio
@@ -444,9 +455,6 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
                     events_fh.write(json.dumps({"step": ev_step, "event": event}) + "\n")
                 events_fh.flush()
                 n_events = len(weights.warnings)
-                if worker is not None and not weights.active("mt"):
-                    worker.close()
-                    worker = None
 
             if step % tr.eval_every == 0 or step == tr.steps:
                 last_accuracy = greedy_st_accuracy(model, ev_batch, shrink_active)
@@ -461,7 +469,7 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
                 metrics_fh.write(json.dumps(row, sort_keys=True) + "\n")
                 timings_fh.write(json.dumps(
                     {"step": step, "wall_clock_s": time.perf_counter() - t0,
-                     "mt_wait_s": mt_wait_s}) + "\n")
+                     "worker_wait_s": worker_wait_s}) + "\n")
 
             if step % tr.checkpoint_every == 0 or step == tr.steps:
                 write_checkpoint(step)

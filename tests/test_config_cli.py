@@ -137,6 +137,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                                     ("toggles", "shrink_warmup_fraction"))
               for v in (float("nan"), -5, float("inf"))]
     cases += [({"toggles": {"asr_variant": "ctc+ce"}}, "asr_variant")]
+    # an integer field takes neither a float nor a bool
+    cases += [({"training": {"steps": 3.0}}, "steps"), ({"training": {"steps": True}}, "steps"),
+              ({"training": {"batch_size": 4.0}}, "batch_size"),
+              ({"model": {"n_heads": 2.0}}, "n_heads")]
     for doc, field in cases:
         bad.write_text(json.dumps(doc))
         rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])

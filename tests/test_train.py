@@ -1,12 +1,14 @@
 """Training loop: metrics stream, determinism, resume, toggles, NaN abort,
-the MT worker."""
+the step worker."""
 
+import contextlib
 import copy
 import dataclasses
 import importlib
 import json
 import multiprocessing
 import signal
+import time
 from collections import Counter
 
 import numpy as np
@@ -16,7 +18,8 @@ import per_item_reference as reference
 import stlab.model as model_mod
 import stlab.train as train_mod
 from stlab import scheduler as sched
-from stlab.config import (ConfigError, RunConfig, SchedulerConfig, Toggles, TrainingConfig)
+from stlab.config import (ConfigError, RunConfig, SchedulerConfig, Toggles, TrainingConfig,
+                          default_config)
 from stlab.data import CorpusConfig
 from stlab.losses import task_loss
 from stlab.model import ASR_VARIANTS, Model, ModelConfig, load_checkpoint
@@ -436,7 +439,7 @@ def test_resume_at_the_final_step_is_a_config_error(tmp_path):
     assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
 
 
-# -- the MT worker -------------------------------------------------------------
+# -- the step worker -----------------------------------------------------------
 
 
 def trainer_grads(monkeypatch, cfg, out_dir, resume_from=None):
@@ -497,11 +500,11 @@ def test_worker_gradients_equal_the_single_graph_bitwise(tmp_path, monkeypatch, 
 
 @pytest.fixture
 def workers(monkeypatch):
-    """The MtWorkers train() makes, and the number of live child processes
+    """The StepWorkers train() makes, and the number of live child processes
     at the start of each step."""
     made, alive = [], []
 
-    class Recording(train_mod.MtWorker):
+    class Recording(train_mod.StepWorker):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
@@ -512,7 +515,7 @@ def workers(monkeypatch):
         alive.append(len(multiprocessing.active_children()))
         return real_batch(*args)
 
-    monkeypatch.setattr(train_mod, "MtWorker", Recording)
+    monkeypatch.setattr(train_mod, "StepWorker", Recording)
     monkeypatch.setattr(train_mod, "batch_for_step", counting_batch)
     return made, alive
 
@@ -524,32 +527,94 @@ def test_worker_runs_while_mt_is_active_and_stops_with_train(tmp_path, workers):
     train(tiny_config(steps=4), tmp_path / "run")
     assert len(made) == 1 and alive == [1, 1, 1, 1]
     assert multiprocessing.active_children() == []
-    waits = [r["mt_wait_s"] for r in read_metrics(tmp_path / "run" / "timings.jsonl")]
+    waits = [r["worker_wait_s"] for r in read_metrics(tmp_path / "run" / "timings.jsonl")]
     assert len(waits) == 4 and all(w >= 0.0 for w in waits)
 
 
-def test_no_worker_without_mt_and_none_after_mt_is_pruned(tmp_path, monkeypatch, workers):
-    """use_mt=False forks no worker; pruning MT closes the worker at once,
-    and a resume from a checkpoint with MT pruned forks none."""
+def test_one_worker_per_run_and_no_mt_branch_after_mt_is_pruned(tmp_path, monkeypatch,
+                                                                 workers):
+    """Every train() call forks exactly one worker: with use_mt=False, on a
+    run that prunes MT, and on a resume whose checkpoint has MT pruned.
+    Once MT is pruned the worker runs no mt_terms (counted in shared memory:
+    they run in the worker), and no worker outlives train()."""
     made, alive = workers
-    train(tiny_config(steps=2, use_mt=False), tmp_path / "off")
-    assert made == [] and alive == [0, 0]
-    assert {r["mt_wait_s"] for r in read_metrics(tmp_path / "off" / "timings.jsonl")} == {0.0}
+    mt_calls = multiprocessing.get_context("fork").Value("i", 0)
+    real_mt_terms = train_mod.mt_terms
+
+    def counting_mt_terms(*args):
+        with mt_calls.get_lock():
+            mt_calls.value += 1
+        return real_mt_terms(*args)
 
     def prune_mt(step, weights, probe):
         weights.pruned.add("mt")
         return weights
 
-    alive.clear()
+    monkeypatch.setattr(train_mod, "mt_terms", counting_mt_terms)
+    train(tiny_config(steps=2, use_mt=False), tmp_path / "off")
+    assert len(made) == 1 and alive == [1, 1] and mt_calls.value == 0
+    waits = [r["worker_wait_s"] for r in read_metrics(tmp_path / "off" / "timings.jsonl")]
+    assert len(waits) == 2 and all(w >= 0.0 for w in waits)
+
+    made.clear(), alive.clear()
     monkeypatch.setattr(train_mod.sched, "schedule_step", prune_mt)
     cfg = tiny_config(steps=6)
-    train(cfg, tmp_path / "run")
-    assert len(made) == 1 and alive == [1, 1, 1, 1, 0, 0]
-    made.clear()
+    train(cfg, tmp_path / "run")  # MT is pruned at step 4
+    assert len(made) == 1 and alive == [1] * 6 and mt_calls.value == 4
+
+    made.clear(), alive.clear()
     cfg8 = dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, steps=8))
     train(cfg8, tmp_path / "run", resume_from=tmp_path / "run" / "checkpoint_000004.stlab")
-    assert made == []
+    assert len(made) == 1 and alive == [1] * 4 and mt_calls.value == 4
     assert multiprocessing.active_children() == []
+
+
+def trained_batches(monkeypatch, cfg, out_dir, resume_from=None):
+    """{step: the batch compute_losses received} over one train() call."""
+    return {r["step"]: r["batch"]
+            for r in trainer_grads(monkeypatch, cfg, out_dir, resume_from)}
+
+
+def test_prefetched_batches_equal_batch_for_step_bitwise(tmp_path, monkeypatch):
+    """Every batch the trainer trains on, made a step ahead in the worker,
+    equals batch_for_step's in-process batch field by field, bit for bit: at
+    the default size, with MT off, and after a resume, where the first
+    prefetched step is the checkpoint's step + 1."""
+    default, off, tiny8 = default_config(steps=2), tiny_config(use_mt=False), tiny_config()
+    runs = [(default, trained_batches(monkeypatch, default, tmp_path / "default")),
+            (off, trained_batches(monkeypatch, off, tmp_path / "off"))]
+    trained_batches(monkeypatch, tiny8, tmp_path / "full")
+    resumed = trained_batches(monkeypatch, tiny8, tmp_path / "resumed",
+                              resume_from=tmp_path / "full" / "checkpoint_000004.stlab")
+    assert list(resumed) == [5, 6, 7, 8]
+    runs.append((tiny8, resumed))
+    for cfg, batches in runs:
+        for step, got in batches.items():
+            want = batch_for_step(cfg, step, cfg.training.batch_size)
+            for f in dataclasses.fields(want):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if f.name == "alignments":
+                    assert len(a) == len(b)
+                else:
+                    a, b = [a], [b]
+                for x, y in zip(map(np.asarray, a), map(np.asarray, b)):
+                    assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), \
+                        (step, f.name)
+
+
+@contextlib.contextmanager
+def hang_guard(seconds=60):
+    """Fails a test that would hang on a failed worker, after `seconds`."""
+    def hung(*_):
+        raise TimeoutError("train() hung on the failed worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_an_error_in_the_worker_surfaces_in_the_trainer(tmp_path, monkeypatch):
@@ -562,17 +627,49 @@ def test_an_error_in_the_worker_surfaces_in_the_trainer(tmp_path, monkeypatch):
             raise ValueError("MT branch exploded at step 3")
         return real(model, batch, config, step)
 
-    def hung(*_):
-        raise TimeoutError("train() hung on the failed worker")
-
     monkeypatch.setattr(train_mod, "mt_terms", exploding)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        with pytest.raises(RuntimeError, match="ValueError: MT branch exploded at step 3"):
-            train(tiny_config(steps=4), tmp_path / "run")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with hang_guard(), pytest.raises(RuntimeError,
+                                     match="ValueError: MT branch exploded at step 3"):
+        train(tiny_config(steps=4), tmp_path / "run")
     assert multiprocessing.active_children() == []
     assert [r["step"] for r in read_metrics(tmp_path / "run" / "metrics.jsonl")] == [1, 2]
+
+
+def test_an_error_making_a_batch_surfaces_in_the_trainer(tmp_path, monkeypatch):
+    """An exception raised while the worker makes the batch of step 3 is
+    re-raised in the trainer at step 3 with its message, and the worker is
+    gone afterwards."""
+    real = train_mod._make_step_batch
+
+    def exploding(config, step, size):
+        if step == 3:
+            raise ValueError("the batch of step 3 exploded")
+        return real(config, step, size)
+
+    monkeypatch.setattr(train_mod, "_make_step_batch", exploding)
+    with hang_guard(), pytest.raises(RuntimeError,
+                                     match="ValueError: the batch of step 3 exploded"):
+        train(tiny_config(steps=4), tmp_path / "run")
+    assert multiprocessing.active_children() == []
+    assert [r["step"] for r in read_metrics(tmp_path / "run" / "metrics.jsonl")] == [1, 2]
+
+
+def test_an_error_in_the_trainer_closes_the_worker_at_once(tmp_path, monkeypatch):
+    """An exception in the trainer at a default-size step, with the next
+    step's batch (about 120 KB pickled) in flight from the worker, returns
+    from train() well within the worker's 5 s join timeout, with no child
+    left."""
+    real, raised = train_mod.compute_losses, []
+
+    def failing(model, batch, config, weights, step, shrink_active, **kw):
+        out = real(model, batch, config, weights, step, shrink_active, **kw)
+        if step == 2:
+            raised.append(time.perf_counter())
+            raise ValueError("the trainer failed at step 2")
+        return out
+
+    monkeypatch.setattr(train_mod, "compute_losses", failing)
+    with hang_guard(), pytest.raises(ValueError, match="the trainer failed at step 2"):
+        train(default_config(steps=4), tmp_path / "run")
+    assert time.perf_counter() - raised[0] < 2.0
+    assert multiprocessing.active_children() == []
