@@ -123,10 +123,9 @@ def _build(cls, data, path):
     unknown = set(data) - names
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    for f in dataclasses.fields(cls):
-        value = data.get(f.name, 0)
-        if f.type in (int, "int") and (not isinstance(value, int) or isinstance(value, bool)):
-            raise ConfigError(f"{path}.{f.name} must be an integer, got {value!r}")
+    for f in dataclasses.fields(cls):  # a bool is an int to isinstance
+        if f.name in data and f.type in (int, "int") and type(data[f.name]) is not int:
+            raise ConfigError(f"{path}.{f.name} must be an integer, got {data[f.name]!r}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:

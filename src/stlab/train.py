@@ -442,7 +442,6 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
             except FloatingPointError as exc:
                 raise NanAbort(step, last_checkpoint, "gradient") from exc
             model.zero_grad()
-            worker_wait_s = worker.wait_s
 
             if shrink_active:
                 last_ratio = st_out.length_ratio
@@ -469,7 +468,7 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
                 metrics_fh.write(json.dumps(row, sort_keys=True) + "\n")
                 timings_fh.write(json.dumps(
                     {"step": step, "wall_clock_s": time.perf_counter() - t0,
-                     "worker_wait_s": worker_wait_s}) + "\n")
+                     "worker_wait_s": worker.wait_s}) + "\n")
 
             if step % tr.checkpoint_every == 0 or step == tr.steps:
                 write_checkpoint(step)
