@@ -8,13 +8,13 @@ and gradient-consistency analysis tooling.
 """
 
 from .autograd import GroupKey, ParamGroup, ShapeError, Tensor
-from .config import (ConfigError, RunConfig, SchedulerConfig, Toggles,
-                     TrainingConfig, default_config, load_config, save_config)
-from .data import CorpusConfig, SyntheticBatch, export_corpus, make_batch
+from .config import (ConfigError, CorpusConfig, ModelConfig, RunConfig, SchedulerConfig,
+                     Toggles, TrainingConfig, default_config, load_config, save_config)
+from .data import SyntheticBatch, export_corpus, make_batch
 from .gradcheck import GradCheckFailure, check_gradients
 from .losses import (CtcInfeasibleError, ce_loss, consistency_loss,
                      contrastive_loss, ctc_loss, task_loss, total_loss)
-from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
+from .model import Model, load_checkpoint, save_checkpoint
 from .optim import Adam
 from .scheduler import TaskWeights, schedule_step, task_impact
 from .shrink import ShrunkSequence, shrink_batch, shrink_sequence

@@ -1,4 +1,6 @@
-"""Run configuration: strict JSON (de)serialization of every knob a run needs.
+"""Run configuration: the five sections of a run config, each field's type
+(its annotation) and range (a rule next to its default), checked whenever a
+section is built, and strict JSON (de)serialization of every knob a run needs.
 
 Unknown keys are rejected so a typo in a config file fails loudly instead
 of silently training with a default.
@@ -11,36 +13,101 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .data import CorpusConfig
-from .model import ModelConfig, ASR_VARIANTS
-
 
 class ConfigError(ValueError):
     pass
 
 
-def _require_positive(section, *names):
-    for name in names:
-        if not getattr(section, name) > 0:  # NaN fails too
-            raise ConfigError(f"{name} must be positive, got {getattr(section, name)}")
+ASR_VARIANTS = ("ctc", "ce")
+
+# A field's rule, (test, what the test asks); NaN fails every test.
+_POSITIVE = (lambda v: v > 0, "positive")
+_UNIT = (lambda v: 0 <= v < 1, "in [0, 1)")
+_FINITE_NONNEG = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+_ASR_VARIANT = (lambda v: v in ASR_VARIANTS, f"one of {ASR_VARIANTS}")
+
+# The types a field takes, by its annotation. A bool is an int to isinstance,
+# but only a bool field takes one.
+_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
-def _require_in(section, lo, hi, *names):
-    for name in names:
-        if not lo <= getattr(section, name) < hi:  # NaN fails too
-            raise ConfigError(f"{name} must be in [{lo}, {hi}), got {getattr(section, name)}")
+def _ruled(default, rule):
+    return field(default=default, metadata={"rule": rule})
+
+
+def _check(section):
+    """Test each field of `section` against its annotated type, then its rule."""
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        if not isinstance(value, _TYPES[f.type]) or isinstance(value, bool) != (f.type == "bool"):
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+        test, what = f.metadata.get("rule", (None, None))
+        if test and not test(value):
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class CorpusConfig:
+    vocab_size: int = _ruled(20, _POSITIVE)       # content tokens, excluding the blank
+    max_src_len: int = _ruled(8, _POSITIVE)
+    expansion_min: int = _ruled(2, _POSITIVE)     # frames per token
+    expansion_max: int = _ruled(4, _POSITIVE)
+    blank_insert_prob: float = _ruled(0.2, _UNIT)
+    frame_noise_std: float = _ruled(0.1, _FINITE_NONNEG)
+    frame_dim: int = _ruled(16, _POSITIVE)
+    seed: int = _ruled(0, _FINITE_NONNEG)
+
+    def __post_init__(self):
+        _check(self)
+        if self.expansion_min > self.expansion_max:
+            raise ConfigError("expansion_min must be <= expansion_max")
+
+    @property
+    def pad_id(self):
+        return self.vocab_size + 1
+
+    @property
+    def bos_id(self):
+        return self.vocab_size + 2
+
+    @property
+    def n_symbols(self):
+        # blank + content + pad + bos
+        return self.vocab_size + 3
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    d_model: int = _ruled(32, _POSITIVE)
+    n_heads: int = _ruled(2, _POSITIVE)
+    ffn_dim: int = _ruled(64, _POSITIVE)
+    a_enc_layers: int = _ruled(2, _FINITE_NONNEG)
+    t_enc_layers: int = _ruled(2, _POSITIVE)      # the consistency loss needs one
+    dec_layers: int = _ruled(2, _FINITE_NONNEG)
+    l2g_base_kernel: int = _ruled(5, _POSITIVE)   # kernel of T-Enc layer 0
+    l2g_stride: int = _ruled(3, _FINITE_NONNEG)   # kernel growth per layer
+    seed: int = _ruled(0, _FINITE_NONNEG)
+
+    def __post_init__(self):
+        _check(self)
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError("d_model must be divisible by n_heads")
+        if self.l2g_base_kernel % 2 != 1:
+            raise ConfigError("l2g_base_kernel must be odd")
+
+    def l2g_kernel(self, layer: int) -> int:
+        return self.l2g_base_kernel + self.l2g_stride * layer
 
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    s_asr: float = 500.0   # smoothing s of a task's update w <- w * m^(u/s), u the global step
-    s_mt: float = 1000.0
-    update_every: int = 500
-    prune_threshold: float = 0.1
-    k: int = 16            # probe instances per impact measurement
+    s_asr: float = _ruled(500.0, _POSITIVE)   # smoothing s in w <- w * m^(u/s), u the global step
+    s_mt: float = _ruled(1000.0, _POSITIVE)
+    update_every: int = _ruled(500, _POSITIVE)
+    prune_threshold: float = _ruled(0.1, _FINITE_NONNEG)
+    k: int = _ruled(16, _POSITIVE)            # probe instances per impact measurement
 
-    def __post_init__(self):
-        _require_positive(self, "s_asr", "s_mt", "update_every", "k")
+    __post_init__ = _check
 
     def smoothing(self, task: str) -> float:
         return {"asr": self.s_asr, "mt": self.s_mt}[task]
@@ -48,23 +115,19 @@ class SchedulerConfig:
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    steps: int = 4000
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.98
-    warmup_fraction: float = 0.1
-    seed: int = 7
-    log_every: int = 1
-    eval_every: int = 100
-    eval_batch_size: int = 16
-    checkpoint_every: int = 1000
+    steps: int = _ruled(4000, _POSITIVE)
+    batch_size: int = _ruled(32, _POSITIVE)
+    learning_rate: float = _ruled(1e-3, _POSITIVE)
+    beta1: float = _ruled(0.9, _UNIT)
+    beta2: float = _ruled(0.98, _UNIT)
+    warmup_fraction: float = _ruled(0.1, _FINITE_NONNEG)
+    seed: int = _ruled(7, _FINITE_NONNEG)
+    log_every: int = _ruled(1, _POSITIVE)
+    eval_every: int = _ruled(100, _POSITIVE)
+    eval_batch_size: int = _ruled(16, _POSITIVE)
+    checkpoint_every: int = _ruled(1000, _POSITIVE)
 
-    def __post_init__(self):
-        _require_positive(self, "steps", "batch_size", "learning_rate", "eval_batch_size",
-                          "log_every", "eval_every", "checkpoint_every")
-        _require_in(self, 0, 1, "beta1", "beta2")
-        _require_in(self, 0, float("inf"), "warmup_fraction")  # finite
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
@@ -74,15 +137,11 @@ class Toggles:
     use_cl: bool = True
     use_lbm: bool = True
     use_l2g: bool = True
-    shrink_warmup_fraction: float = 0.1   # finite, >= 0; >= 1.0 disables shrinking
-    mt_noise_p: float = 0.2
-    asr_variant: str = "ctc"
+    shrink_warmup_fraction: float = _ruled(0.1, _FINITE_NONNEG)   # >= 1.0 disables shrinking
+    mt_noise_p: float = _ruled(0.2, _UNIT)
+    asr_variant: str = _ruled("ctc", _ASR_VARIANT)
 
-    def __post_init__(self):
-        if self.asr_variant not in ASR_VARIANTS:
-            raise ConfigError(f"asr_variant must be one of {ASR_VARIANTS}")
-        _require_in(self, 0, 1, "mt_noise_p")
-        _require_in(self, 0, float("inf"), "shrink_warmup_fraction")  # finite
+    __post_init__ = _check
 
     def mt_noise(self) -> float:
         """The MT input noise the run trains and probes with: mt_noise_p,
@@ -111,24 +170,18 @@ def default_config(**training_overrides) -> RunConfig:
     return RunConfig(training=TrainingConfig(**training_overrides))
 
 
-_SECTIONS = {"corpus": CorpusConfig, "model": ModelConfig,
-             "scheduler": SchedulerConfig, "training": TrainingConfig,
-             "toggles": Toggles}
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 
 
 def _build(cls, data, path):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    for f in dataclasses.fields(cls):  # a bool is an int to isinstance
-        if f.name in data and f.type in (int, "int") and type(data[f.name]) is not int:
-            raise ConfigError(f"{path}.{f.name} must be an integer, got {data[f.name]!r}")
     try:
         return cls(**data)
-    except (TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -164,11 +217,7 @@ def save_config(config: RunConfig, path) -> None:
 
 
 def with_seed(config: RunConfig, seed: int) -> RunConfig:
-    """Override the training and corpus seeds (CLI --seed)."""
-    return RunConfig(
-        corpus=dataclasses.replace(config.corpus, seed=seed),
-        model=dataclasses.replace(config.model, seed=seed),
-        scheduler=config.scheduler,
-        training=dataclasses.replace(config.training, seed=seed),
-        toggles=config.toggles,
-    )
+    """Override the corpus, model and training seeds (CLI --seed)."""
+    return dataclasses.replace(config, **{
+        name: dataclasses.replace(getattr(config, name), seed=seed)
+        for name in ("corpus", "model", "training")})

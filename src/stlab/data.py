@@ -2,7 +2,7 @@
 
 Speech frames are noisy copies of per-token prototype vectors, expanded to
 a variable number of frames per token with optional blank frames between
-tokens. Every sample is a pure function of (CorpusConfig, sample_seed).
+tokens. Every sample is a pure function of (config.CorpusConfig, sample_seed).
 
 Global symbol table: 0 is the blank everywhere (CTC blank, text-noise
 blank, generator blank); content tokens are 1..vocab_size; pad and BOS
@@ -17,38 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import CorpusConfig
+
 BLANK_ID = 0
-
-
-@dataclass(frozen=True)
-class CorpusConfig:
-    vocab_size: int = 20            # content tokens, excluding the blank
-    max_src_len: int = 8
-    expansion_min: int = 2          # frames per token
-    expansion_max: int = 4
-    blank_insert_prob: float = 0.2
-    frame_noise_std: float = 0.1
-    frame_dim: int = 16
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (1 <= self.expansion_min <= self.expansion_max):
-            raise ValueError("need 1 <= expansion_min <= expansion_max")
-        if not (0.0 <= self.blank_insert_prob < 1.0):
-            raise ValueError("blank_insert_prob must be in [0, 1)")
-
-    @property
-    def pad_id(self):
-        return self.vocab_size + 1
-
-    @property
-    def bos_id(self):
-        return self.vocab_size + 2
-
-    @property
-    def n_symbols(self):
-        # blank + content + pad + bos
-        return self.vocab_size + 3
 
 
 @dataclass

@@ -20,7 +20,8 @@ merged inside it); its weights are an ndarray outside the graph, and only
 the T-Enc returns them, for the entropy reports.
 
 Its sizes come from the corpus: the frame width, the one symbol table both
-sides share, and the CTC classes. A checkpoint records both configs.
+sides share, and the CTC classes. A checkpoint records both configs;
+`config.py` defines and checks them, and names the ASR variants.
 
 The model carries a run's forward settings, `use_l2g` (the extractors) and
 `use_lbm` (the look-back), which `apply_toggles` sets once per model from
@@ -42,34 +43,12 @@ import numpy as np
 from . import autograd as ag
 from . import shrink as shrink_mod
 from .autograd import Tensor, GroupKey, ParamGroup
-from .data import CorpusConfig, SyntheticBatch, noise_inject, pad_sequences
+from .config import ASR_VARIANTS, CorpusConfig, ModelConfig
+from .data import SyntheticBatch, noise_inject, pad_sequences
 
 CHECKPOINT_MAGIC = b"STLAB-CKPT-v1\n"
 
 TASKS = ("st", "asr", "mt")
-ASR_VARIANTS = ("ctc", "ce")
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    d_model: int = 32
-    n_heads: int = 2
-    ffn_dim: int = 64
-    a_enc_layers: int = 2
-    t_enc_layers: int = 2
-    dec_layers: int = 2
-    l2g_base_kernel: int = 5   # kernel of T-Enc layer 0
-    l2g_stride: int = 3        # kernel growth per layer
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
-        if self.l2g_base_kernel % 2 != 1:
-            raise ValueError("l2g_base_kernel must be odd")
-
-    def l2g_kernel(self, layer: int) -> int:
-        return self.l2g_base_kernel + self.l2g_stride * layer
 
 
 @functools.lru_cache(maxsize=128)

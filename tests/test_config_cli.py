@@ -1,5 +1,6 @@
 """Config serialization strictness and the command-line surface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -67,6 +68,25 @@ def test_bad_json_and_missing_file(tmp_path):
         load_config(path)
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.json")
+
+
+# a value of every JSON type, with the annotations that take it
+JSON_VALUES = [(True, {"bool"}), (3, {"int", "float"}), (0.5, {"float"}), ("x", {"str"}),
+               (None, set()), ([], set()), ({}, set())]
+SECTION_FIELDS = [(section.name, f) for section in dataclasses.fields(RunConfig)
+                  for f in dataclasses.fields(section.default_factory)]
+
+
+@pytest.mark.parametrize("section,field", SECTION_FIELDS,
+                         ids=[f"{s}.{f.name}" for s, f in SECTION_FIELDS])
+def test_every_field_rejects_a_wrong_json_type(section, field):
+    """A JSON value of a type the field's annotation does not take (a bool
+    for a number, a number for a bool or a string, a string for a number, a
+    null, an array or an object) is a config error naming the field."""
+    for value, takes in JSON_VALUES:
+        if field.type not in takes:
+            with pytest.raises(ConfigError, match=f"{section}: {field.name} must be of type"):
+                config_from_dict({section: {field.name: value}})
 
 
 def test_toggles_validation():
@@ -141,12 +161,26 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cases += [({"training": {"steps": 3.0}}, "steps"), ({"training": {"steps": True}}, "steps"),
               ({"training": {"batch_size": 4.0}}, "batch_size"),
               ({"model": {"n_heads": 2.0}}, "n_heads")]
+    # a wrong type in any field, or a value that would fail only once the run
+    # is under way
+    cases += [({"toggles": {"use_asr": "no"}}, "use_asr"),
+              ({"training": {"learning_rate": True}}, "learning_rate"),
+              ({"corpus": {"frame_noise_std": True}}, "frame_noise_std"),
+              ({"model": {"n_heads": 0}}, "n_heads"),
+              ({"model": {"t_enc_layers": 0}}, "t_enc_layers"),
+              ({"corpus": {"vocab_size": 0}}, "vocab_size"),
+              ({"training": {"seed": -1}}, "seed"),
+              ({"scheduler": {"prune_threshold": "x", "update_every": 1}}, "prune_threshold")]
     for doc, field in cases:
         bad.write_text(json.dumps(doc))
         rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert rc == 1 and "config error" in err and field in err, doc
         assert not (tmp_path / "o").exists(), doc
+    rc = cli.main(["train", "--seed", "-1", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1 and "config error" in err and "seed" in err
+    assert not (tmp_path / "o").exists()
     # a count option below 1, on a config and checkpoint that would run
     cfg = tmp_path / "tiny.json"
     save_config(tiny_run_config(), cfg)

@@ -322,8 +322,8 @@ def test_checkpoint_with_trailing_bytes_raises_value_error(tmp_path, model):
 def damage_header(path, how):
     """Rewrite a checkpoint's header: flip its first byte, add an unknown
     model_config key, add `dropout` or `translation_rule` (which every
-    checkpoint written while ModelConfig or CorpusConfig had it records), or
-    drop the corpus config. The sha256 trailer is rewritten to match, so the
+    checkpoint written while ModelConfig or CorpusConfig had it records),
+    give a float field a bool, or drop the corpus config. The sha256 trailer is rewritten to match, so the
     damage reaches the header parser."""
     blob = bytearray(path.read_bytes())
     magic = len(b"STLAB-CKPT-v1\n")
@@ -340,6 +340,8 @@ def damage_header(path, how):
             header["model_config"]["dropout"] = 0.0
         elif how == "translation_rule key":
             header["corpus"]["translation_rule"] = "fixed-permutation"
+        elif how == "bool frame_noise_std":
+            header["corpus"]["frame_noise_std"] = True
         else:
             del header["corpus"]
         text = json.dumps(header, sort_keys=True).encode()
@@ -348,7 +350,7 @@ def damage_header(path, how):
 
 
 HEADER_DAMAGE = ["corrupt byte", "unknown model key", "dropout key",
-                 "translation_rule key", "no corpus"]
+                 "translation_rule key", "bool frame_noise_std", "no corpus"]
 
 
 @pytest.mark.parametrize("how", HEADER_DAMAGE)
