@@ -65,8 +65,7 @@ def content_permutation(config: CorpusConfig) -> np.ndarray:
     rng = np.random.default_rng((config.seed, 0x7AB1E))
     order = rng.permutation(config.vocab_size) + 1
     table = np.arange(config.n_symbols)
-    for a, b in zip(order, np.roll(order, -1)):  # cyclic shift => derangement
-        table[a] = b
+    table[order] = np.roll(order, -1)  # cyclic shift => derangement
     table.flags.writeable = False
     return table
 
@@ -159,16 +158,10 @@ def alignment_shrink_ratio(alignment) -> float:
 
 
 def compress_alignment(alignment, src_tokens) -> np.ndarray:
-    """Run-length compress a frame alignment back to tokens (blanks kept)."""
+    """Run-length compress a non-empty frame alignment to tokens (blanks kept)."""
     alignment = np.asarray(alignment)
-    src_tokens = np.asarray(src_tokens)
-    out = []
-    prev = None
-    for a in alignment:
-        if prev is None or a != prev:
-            out.append(BLANK_ID if a < 0 else int(src_tokens[a]))
-        prev = a
-    return np.asarray(out)
+    starts = alignment[np.r_[True, alignment[1:] != alignment[:-1]]]
+    return np.where(starts < 0, BLANK_ID, np.asarray(src_tokens)[starts])
 
 
 def export_corpus(config: CorpusConfig, count: int, path):

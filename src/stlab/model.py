@@ -23,6 +23,9 @@ Its sizes come from the corpus: the frame width, the one symbol table both
 sides share, and the CTC classes. A checkpoint records both configs;
 `config.py` defines and checks them, and names the ASR variants.
 
+A layer's parameters are its Tensor attributes and its sub-layers'
+(`Layer`); the model's GroupKey groups must hold each of them exactly once.
+
 The model carries a run's forward settings, `use_l2g` (the extractors) and
 `use_lbm` (the look-back), which `apply_toggles` sets once per model from
 the run's toggles; every forward reads them from there.
@@ -64,7 +67,23 @@ def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
     return out
 
 
-class Linear:
+class Layer:
+    """A block of the network. Its parameters are its Tensor attributes and
+    those of its sub-layers, lists of layers included."""
+
+    @property
+    def tensors(self):  # in the order the attributes were assigned
+        out = []
+        for value in vars(self).values():
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, Tensor):
+                    out.append(item)
+                elif isinstance(item, Layer):
+                    out += item.tensors
+        return out
+
+
+class Linear(Layer):
     def __init__(self, rng, d_in, d_out):
         scale = np.sqrt(2.0 / (d_in + d_out))
         self.w = Tensor(rng.normal(scale=scale, size=(d_in, d_out)), requires_grad=True)
@@ -73,12 +92,8 @@ class Linear:
     def __call__(self, x):
         return ag.linear(x, self.w, self.b)
 
-    @property
-    def tensors(self):
-        return [self.w, self.b]
 
-
-class AffineNorm:
+class AffineNorm(Layer):
     """LayerNorm with learned gain/bias."""
 
     def __init__(self, d):
@@ -88,12 +103,8 @@ class AffineNorm:
     def __call__(self, x):
         return ag.affine_norm(x, self.gain, self.bias)
 
-    @property
-    def tensors(self):
-        return [self.gain, self.bias]
 
-
-class MultiHeadAttention:
+class MultiHeadAttention(Layer):
     def __init__(self, rng, d_model, n_heads):
         self.n_heads = n_heads
         self.wq = Linear(rng, d_model, d_model)
@@ -108,12 +119,8 @@ class MultiHeadAttention:
                                          self.n_heads, bias)
         return self.wo(ctx), w
 
-    @property
-    def tensors(self):
-        return self.wq.tensors + self.wk.tensors + self.wv.tensors + self.wo.tensors
 
-
-class Ffn:
+class Ffn(Layer):
     def __init__(self, rng, d_model, d_hidden):
         self.w1 = Linear(rng, d_model, d_hidden)
         self.w2 = Linear(rng, d_hidden, d_model)
@@ -121,12 +128,8 @@ class Ffn:
     def __call__(self, x):
         return self.w2(ag.relu(self.w1(x)))
 
-    @property
-    def tensors(self):
-        return self.w1.tensors + self.w2.tensors
 
-
-class LbmParams:
+class LbmParams(Layer):
     """Learned pieces of the look-back step: the shared linear map R and the
     fusion FFN with its entry norm."""
 
@@ -136,12 +139,8 @@ class LbmParams:
         self.norm = AffineNorm(d_model)
         self.ffn = Ffn(rng, d_model, ffn_dim)
 
-    @property
-    def tensors(self):
-        return [self.r_map] + self.norm.tensors + self.ffn.tensors
 
-
-class EncoderLayer:
+class EncoderLayer(Layer):
     """Pre-norm transformer encoder layer."""
 
     def __init__(self, rng, d_model, n_heads, ffn_dim):
@@ -158,7 +157,7 @@ class EncoderLayer:
         return out, a, w  # a is the attention sublayer output (post-residual)
 
 
-class L2GExtractor:
+class L2GExtractor(Layer):
     """x + PointwiseConv(DepthwiseConv(LayerNorm(x))) with a per-layer kernel."""
 
     def __init__(self, rng, d_model, kernel):
@@ -174,12 +173,8 @@ class L2GExtractor:
         h = ag.depthwise_conv1d(h, self.depthwise)
         return x + self.pointwise(h)
 
-    @property
-    def tensors(self):
-        return self.ln.tensors + [self.depthwise] + self.pointwise.tensors
 
-
-class TEncLayer:
+class TEncLayer(Layer):
     """L2G extractor followed by a transformer layer; both streams share it."""
 
     def __init__(self, rng, d_model, n_heads, ffn_dim, kernel):
@@ -192,7 +187,7 @@ class TEncLayer:
         return out, ext, attn_out, w
 
 
-class DecoderLayer:
+class DecoderLayer(Layer):
     def __init__(self, rng, d_model, n_heads, ffn_dim):
         self.ln1 = AffineNorm(d_model)
         self.self_attn = MultiHeadAttention(rng, d_model, n_heads)
@@ -234,7 +229,7 @@ def _causal_bias(L):
     return np.where(np.tril(np.ones((L, L), dtype=bool)), 0.0, ag.MASK_BIAS)[None, None, :, :]
 
 
-class Model:
+class Model(Layer):
     def __init__(self, config: ModelConfig, corpus: CorpusConfig):
         self.config, self.corpus = config, corpus
         rng = np.random.default_rng((config.seed, 0x90DE1))
@@ -274,43 +269,39 @@ class Model:
     def _build_groups(self):
         groups = []
 
-        def grp(partition, layer, kind, tensors):
-            groups.append(ParamGroup(GroupKey(partition, layer, kind), list(tensors)))
+        def grp(partition, layer, kind, *parts):  # sub-layers and bare tensors
+            tensors = [t for p in parts for t in (p.tensors if isinstance(p, Layer) else [p])]
+            groups.append(ParamGroup(GroupKey(partition, layer, kind), tensors))
 
         # layer -1 holds io plumbing, -2 the shrink/look-back parameters
-        grp("A-Enc", -1, "OTHER",
-            self.in_proj.tensors + self.ctc_head.tensors + self.a_final_ln.tensors)
-        grp("A-Enc", -2, "OTHER", self.lbm.tensors)
+        grp("A-Enc", -1, "OTHER", self.in_proj, self.ctc_head, self.a_final_ln)
+        grp("A-Enc", -2, "OTHER", self.lbm)
         for i, layer in enumerate(self.a_layers):
-            grp("A-Enc", i, "ATTEN", layer.attn.tensors)
-            grp("A-Enc", i, "FFN", layer.ffn.tensors)
-            grp("A-Enc", i, "OTHER", layer.ln1.tensors + layer.ln2.tensors)
+            grp("A-Enc", i, "ATTEN", layer.attn)
+            grp("A-Enc", i, "FFN", layer.ffn)
+            grp("A-Enc", i, "OTHER", layer.ln1, layer.ln2)
 
-        grp("T-Enc", -1, "OTHER", [self.src_embed] + self.t_final_ln.tensors)
+        grp("T-Enc", -1, "OTHER", self.src_embed, self.t_final_ln)
         for i, layer in enumerate(self.t_layers):
-            grp("T-Enc", i, "ATTEN", layer.transformer.attn.tensors)
-            grp("T-Enc", i, "FFN", layer.transformer.ffn.tensors)
+            grp("T-Enc", i, "ATTEN", layer.transformer.attn)
+            grp("T-Enc", i, "FFN", layer.transformer.ffn)
             grp("T-Enc", i, "OTHER",
-                layer.transformer.ln1.tensors + layer.transformer.ln2.tensors
-                + layer.extractor.tensors)
+                layer.transformer.ln1, layer.transformer.ln2, layer.extractor)
 
-        grp("Decoder", -1, "OTHER",
-            [self.tgt_embed] + self.dec_final_ln.tensors + self.out_proj.tensors)
+        grp("Decoder", -1, "OTHER", self.tgt_embed, self.dec_final_ln, self.out_proj)
         for i, layer in enumerate(self.dec_layers):
-            grp("Decoder", i, "ATTEN", layer.self_attn.tensors)
-            grp("Decoder", i, "FFN", layer.ffn.tensors)
-            grp("Decoder", i, "OTHER",
-                layer.ln1.tensors + layer.ln2.tensors + layer.ln3.tensors
-                + layer.cross_attn.tensors)
+            grp("Decoder", i, "ATTEN", layer.self_attn)
+            grp("Decoder", i, "FFN", layer.ffn)
+            grp("Decoder", i, "OTHER", layer.ln1, layer.ln2, layer.ln3, layer.cross_attn)
         return groups
 
     def _check_coverage(self):
-        seen = set()
-        for g in self.param_groups:
-            for t in g.tensors:
-                if id(t) in seen:
-                    raise RuntimeError(f"parameter assigned to two groups (in {g.key})")
-                seen.add(id(t))
+        """Every tensor the model holds sits in exactly one group."""
+        grouped = [id(t) for g in self.param_groups for t in g.tensors]
+        if len(set(grouped)) < len(grouped):
+            raise RuntimeError("a parameter is assigned to two groups")
+        if set(grouped) != {id(t) for t in self.tensors}:
+            raise RuntimeError("a parameter of the model is in no group")
 
     def parameters(self):
         return [t for g in self.param_groups for t in g.tensors]

@@ -5,8 +5,8 @@ The moments live in one flat buffer each, in parameter order; `m[i]` and
 of consecutive parameters that hold a gradient with one elementwise
 expression over the run's slice, in the same order of operations as a
 per-tensor update, so the result is bit for bit the same. A parameter
-without a gradient keeps its data and moments. The checkpoint buffers
-(`opt_t`, then `opt_m_i` and `opt_v_i` per parameter) are as before.
+without a gradient keeps its data and moments. The checkpoint buffers are
+`opt_t`, then `opt_m_i` and `opt_v_i` per parameter.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
-"""Deterministic SVG bar/line charts for the report CSVs (no matplotlib:
-byte-identical output for identical input is part of the contract)."""
+"""The report CSV format, both ways, and deterministic SVG bar/line charts
+of the reports (no matplotlib: byte-identical output for identical input is
+part of the contract). It imports nothing from stlab, so any module may
+write reports."""
 
 from __future__ import annotations
 
@@ -123,6 +125,16 @@ class MalformedCsvError(ValueError):
     def __init__(self, path, line_no, message):
         super().__init__(f"{path}:{line_no}: {message}")
         self.line_no = line_no
+
+
+def write_csv(path, header, rows):
+    """A header line, then one comma-joined line per row: a float cell with
+    17 significant digits, so it reads back equal, any other as its str."""
+    with open(path, "w") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(f"{c:.17g}" if isinstance(c, float) else str(c)
+                              for c in row) + "\n")
+    return path
 
 
 def read_csv(path):

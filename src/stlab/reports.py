@@ -13,9 +13,10 @@ import numpy as np
 from . import analysis
 from .config import RunConfig
 from .data import make_batch
+from .plots import write_csv
 from .train import load_run_checkpoint
 
-CONSISTENCY_HEADER = "partition,kind,layer,mean,std\n"
+CONSISTENCY_HEADER = ("partition", "kind", "layer", "mean", "std")
 
 
 def _write_variants(model, config: RunConfig, variants, path, *, n, repeats, seed,
@@ -23,25 +24,13 @@ def _write_variants(model, config: RunConfig, variants, path, *, n, repeats, see
     """Run consistency_protocol for each (label, task pair, probe kwargs of
     task a, of task b) row and write all rows to one CSV, led by a variant
     column unless the labels are None."""
-    rows = [(label, r) for label, pair, kw_a, kw_b in variants
+    labelled = variants[0][0] is not None
+    rows = [((label,) if labelled else ()) + (r.partition, r.kind, r.layer, r.mean, r.std)
+            for label, pair, kw_a, kw_b in variants
             for r in analysis.consistency_protocol(
                 model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
                 probe_kwargs_a=kw_a, probe_kwargs_b=kw_b, **layout)]
-    labelled = variants[0][0] is not None
-    with open(path, "w") as fh:
-        fh.write(("variant," if labelled else "") + CONSISTENCY_HEADER)
-        for label, r in rows:
-            fh.write(f"{label + ',' if labelled else ''}{r.partition},{r.kind},{r.layer},"
-                     f"{r.mean:.17g},{r.std:.17g}\n")
-    return path
-
-
-def _load(checkpoint, config: RunConfig):
-    """A checkpoint's model under the run's toggles, and its meta; raises
-    ValueError when the checkpoint was not trained under `config`'s model
-    and corpus."""
-    model, meta, _ = load_run_checkpoint(checkpoint, config)
-    return model.apply_toggles(config.toggles), meta
+    return write_csv(path, (("variant",) if labelled else ()) + CONSISTENCY_HEADER, rows)
 
 
 def _probe_pairs(config: RunConfig, shrunk=True):
@@ -111,11 +100,8 @@ def write_entropy_report(model, config: RunConfig, path, *, n=32, seed=0):
         st_out = model.forward_task(batch, "st", use_shrink=shrunk)
         rows += analysis.stream_entropy_report(st_out.attention_weights,
                                                st_out.tenc_mask, name)
-    with open(path, "w") as fh:
-        fh.write("layer,stream,entropy_bits\n")
-        for r in rows:
-            fh.write(f"{r.layer},{r.stream},{r.entropy_bits:.17g}\n")
-    return path
+    return write_csv(path, ("layer", "stream", "entropy_bits"),
+                     [(r.layer, r.stream, r.entropy_bits) for r in rows])
 
 
 def find_checkpoints(run_dir):
@@ -140,42 +126,37 @@ def preset_over_training(config: RunConfig, run_dir, out_dir, *, n=32, repeats=3
     rows = {pair_name: [] for pair_name in pairs}
     for step, path in sorted(ckpts):
         try:
-            model, _ = _load(path, config)
+            model, _, _ = load_run_checkpoint(path, config)
         except (OSError, ValueError) as exc:
             print(f"skipping the step-{step} checkpoint: {exc}", file=sys.stderr)
             continue
         for pair_name, (pair, kw_a, kw_b) in pairs.items():
             rows[pair_name] += [
-                f"{step},{r.partition},{r.kind},{r.layer},{r.mean:.17g}\n"
+                (step, r.partition, r.kind, r.layer, r.mean)
                 for r in analysis.consistency_protocol(
                     model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
                     probe_kwargs_a=kw_a, probe_kwargs_b=kw_b)]
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    paths = [Path(out_dir) / f"consistency_over_training_{pair_name}.csv"
-             for pair_name in pairs]
-    for path, lines in zip(paths, rows.values()):
-        path.write_text("step,partition,kind,layer,mean\n" + "".join(lines))
-    return paths
+    return [write_csv(Path(out_dir) / f"consistency_over_training_{pair_name}.csv",
+                      ("step", "partition", "kind", "layer", "mean"), pair_rows)
+            for pair_name, pair_rows in rows.items()]
 
 
 def shrink_eval(config: RunConfig, checkpoint, out_path, *, batches=4,
                 batch_size=16, seed=0):
     """Per-batch shrink statistics CSV: step,batch,n_mean,m_mean,ratio.
     The checkpoint loads before `out_path`'s directory is made."""
-    model, meta = _load(checkpoint, config)
+    model, meta, _ = load_run_checkpoint(checkpoint, config)
     step = meta.get("step", 0)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w") as fh:
-        fh.write("step,batch,n_mean,m_mean,ratio\n")
-        for bi in range(batches):
-            rng = np.random.default_rng((seed, 0x5E, bi))
-            batch = make_batch(config.corpus, rng.integers(0, 2**62, size=batch_size))
-            out = model.forward_task(batch, "st", use_shrink=True)
-            n_mean = float(np.mean(batch.speech_lens))
-            m_mean = float(np.mean(out.tenc_mask.sum(axis=1)))
-            fh.write(f"{step},{bi},{n_mean:.17g},{m_mean:.17g},"
-                     f"{out.length_ratio:.17g}\n")
-    return out_path
+    rows = []
+    for bi in range(batches):
+        rng = np.random.default_rng((seed, 0x5E, bi))
+        batch = make_batch(config.corpus, rng.integers(0, 2**62, size=batch_size))
+        out = model.forward_task(batch, "st", use_shrink=True)
+        rows.append((step, bi, float(np.mean(batch.speech_lens)),
+                     float(np.mean(out.tenc_mask.sum(axis=1))), out.length_ratio))
+    return write_csv(out_path, ("step", "batch", "n_mean", "m_mean", "ratio"), rows)
 
 
 _PRESET_FNS = {
@@ -196,6 +177,6 @@ def run_preset(preset: str, config: RunConfig, target, out_dir, **kwargs):
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
     out_dir = Path(out_dir)
     if preset != "over-training":  # over-training makes out_dir once it finds one
-        target, _ = _load(target, config)
+        target, _, _ = load_run_checkpoint(target, config)
         out_dir.mkdir(parents=True, exist_ok=True)
     return _PRESET_FNS[preset](config, target, out_dir, **kwargs)

@@ -23,6 +23,7 @@ train.compute_losses), so the segmenter does not freeze once ASR is gone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,12 +31,11 @@ from .config import SchedulerConfig
 
 AUX_TASKS = ("asr", "mt")
 
-# module each auxiliary task is judged by; mt takes the max over its two
+# modules each auxiliary task is judged by; its impact is the max over them
 MODULES_FOR_TASK = {"asr": ("A-Enc",), "mt": ("T-Enc", "Decoder")}
 
 
-@dataclass
-class HistoryRow:
+class HistoryRow(NamedTuple):
     step: int
     task: str
     m: float
@@ -56,9 +56,6 @@ class TaskWeights:
 
     def active_tasks(self):
         return [t for t in AUX_TASKS if self.active(t)]
-
-    def as_rows(self):
-        return [(r.step, r.task, r.m, r.w) for r in self.history]
 
 
 def task_impact(deltas_task, deltas_st) -> float:
@@ -86,11 +83,6 @@ def update_weight(w_prev: float, m: float, u: int, s: float) -> float:
     return w_prev * m ** (u / s)
 
 
-def mt_module_rule(m_tenc: float, m_dec: float) -> float:
-    """The MT weight follows whichever shared module it impacts more."""
-    return max(m_tenc, m_dec)
-
-
 def schedule_step(step: int, weights: TaskWeights, probe_fn) -> TaskWeights:
     """One scheduled update: draw probes, measure impact, decay, prune.
 
@@ -113,7 +105,7 @@ def schedule_step(step: int, weights: TaskWeights, probe_fn) -> TaskWeights:
         return weights
     cfg = weights.config
     for task, ms in module_ms.items():
-        m = mt_module_rule(*ms) if len(ms) > 1 else ms[0]
+        m = max(ms)
         w = update_weight(weights.weights[task], m, step, cfg.smoothing(task))
         weights.weights[task] = w
         weights.history.append(HistoryRow(step, task, m, w))

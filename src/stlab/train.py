@@ -34,6 +34,7 @@ from .losses import (CL_WEIGHT, ce_loss, consistency_loss,  # noqa: F401
                      contrastive_loss, ctc_loss, task_loss, total_loss)
 from .model import Model, load_checkpoint, save_checkpoint
 from .optim import Adam
+from .plots import write_csv
 
 # rng stream tags; all draws are (seed, tag, step[, index])
 _STREAM_BATCH = 1
@@ -196,18 +197,11 @@ def make_probe_fn(model: Model, config: RunConfig, weights: sched.TaskWeights,
     return probe
 
 
-def _write_weight_history(weights: sched.TaskWeights, path):
-    with open(path, "w") as fh:
-        fh.write("step,task,m,w\n")
-        for step, task, m, w in weights.as_rows():
-            fh.write(f"{step},{task},{m:.17g},{w:.17g}\n")
-
-
 def _weights_state(weights: sched.TaskWeights):
     return {
         "weights": weights.weights,
         "pruned": sorted(weights.pruned),
-        "history": weights.as_rows(),
+        "history": weights.history,
         "warnings": weights.warnings,
     }
 
@@ -235,13 +229,14 @@ def make_task_weights(config: RunConfig) -> sched.TaskWeights:
 
 
 def load_run_checkpoint(path, config: RunConfig):
-    """load_checkpoint for a run under `config`: raises ValueError naming
-    the file when the checkpoint records another model or corpus config."""
+    """load_checkpoint for a run under `config`: the model comes with the
+    run's toggles applied. Raises ValueError naming the file when the
+    checkpoint records another model or corpus config."""
     model, meta, extra = load_checkpoint(path)
     if (model.config, model.corpus) != (config.model, config.corpus):
         raise ValueError(f"checkpoint {path} records another model or corpus "
                          f"config: {model.config}, {model.corpus}")
-    return model, meta, extra
+    return model.apply_toggles(config.toggles), meta, extra
 
 
 def _shared_views(params):
@@ -363,41 +358,33 @@ class StepWorker:
 
 def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
     tr = config.training
-    resumed_meta = None
-    if resume_from is not None:
-        ckpt_model, resumed_meta, extra = load_run_checkpoint(resume_from, config)
-        if resumed_meta["step"] >= tr.steps:
-            raise ConfigError(f"checkpoint {resume_from} is at step {resumed_meta['step']}, "
+    if resume_from is None:
+        model, meta = build_model(config), {}
+    else:
+        model, meta, extra = load_run_checkpoint(resume_from, config)
+        if meta["step"] >= tr.steps:
+            raise ConfigError(f"checkpoint {resume_from} is at step {meta['step']}, "
                               f"so training.steps = {tr.steps} leaves no step to run")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, out_dir / "config.json")
 
-    metrics_path = out_dir / "metrics.jsonl"
-    timings_path = out_dir / "timings.jsonl"
-    events_path = out_dir / "events.jsonl"
-    history_path = out_dir / "weight_history.csv"
-
-    model = build_model(config)
     warmup = max(1, int(tr.warmup_fraction * tr.steps))
     opt = Adam(model.parameters(), lr=tr.learning_rate, beta1=tr.beta1,
                beta2=tr.beta2, warmup_steps=warmup)
     weights = make_task_weights(config)
-    start_step = 0
-    if resumed_meta is not None:
-        model.load_state_buffers(ckpt_model.state_buffers())
+    start_step = meta.get("step", 0)
+    if meta:
         opt.load_state_buffers(extra)
-        weights = _restore_weights(resumed_meta["task_weights"], config)
-        start_step = resumed_meta["step"]
+        weights = _restore_weights(meta["task_weights"], config)
 
-    mode = "a" if start_step > 0 else "w"
-    if start_step > 0:  # an in-place resume rewrites the rows past its step
-        _keep_rows_through(metrics_path, start_step)
-        _keep_rows_through(timings_path, start_step)
-        _keep_rows_through(events_path, start_step)
-    metrics_fh = open(metrics_path, mode)
-    timings_fh = open(timings_path, mode)
-    events_fh = open(events_path, mode)
+    # the JSON-lines sidecars; an in-place resume rewrites the rows past its step
+    files = {}
+    for name in ("metrics", "timings", "events"):
+        path = out_dir / f"{name}.jsonl"
+        if start_step > 0:
+            _keep_rows_through(path, start_step)
+        files[name] = open(path, "a" if start_step > 0 else "w")
     n_events = len(weights.warnings)  # the scheduler's warnings written so far
 
     ev_batch = eval_batch(config)
@@ -405,27 +392,16 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
     baseline = token_accuracy(ev_batch.src_tokens, ev_batch.tgt_tokens, ev_batch.pad_id)
     # carried-forward log fields live in the checkpoint so a resumed run
     # replays the metrics stream bitwise
-    last_accuracy = resumed_meta["last_accuracy"] if resumed_meta else None
-    last_ratio = resumed_meta["last_ratio"] if resumed_meta else None
+    last_accuracy, last_ratio = meta.get("last_accuracy"), meta.get("last_ratio")
     last_checkpoint = None
     shrink_start = int(config.toggles.shrink_warmup_fraction * tr.steps)
-
-    def write_checkpoint(step):
-        nonlocal last_checkpoint
-        path = out_dir / f"checkpoint_{step:06d}.stlab"
-        meta = {"step": step, "task_weights": _weights_state(weights),
-                "last_accuracy": last_accuracy, "last_ratio": last_ratio}
-        save_checkpoint(path, model, extra_meta=meta, extra_buffers=opt.state_buffers())
-        last_checkpoint = path
-        return path
 
     worker = None
     try:
         worker = StepWorker(model, config, start_step)
         for step in range(start_step + 1, tr.steps + 1):
             t0 = time.perf_counter()
-            shrink_active = (config.toggles.shrink_warmup_fraction < 1.0
-                             and step > shrink_start)
+            shrink_active = step > shrink_start  # never with a fraction >= 1
             batch = batch_for_step(config, step, tr.batch_size, worker)
             model.zero_grad()
             w_mt = weights.weights["mt"] if weights.active("mt") else None
@@ -451,8 +427,8 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
                                     make_probe_fn(model, config, weights,
                                                   step, shrink_active))
                 for ev_step, event in weights.warnings[n_events:]:
-                    events_fh.write(json.dumps({"step": ev_step, "event": event}) + "\n")
-                events_fh.flush()
+                    files["events"].write(json.dumps({"step": ev_step, "event": event}) + "\n")
+                files["events"].flush()
                 n_events = len(weights.warnings)
 
             if step % tr.eval_every == 0 or step == tr.steps:
@@ -465,21 +441,24 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
                        "pruned": sorted(weights.pruned),
                        "length_ratio": last_ratio,
                        "st_greedy_accuracy": last_accuracy}
-                metrics_fh.write(json.dumps(row, sort_keys=True) + "\n")
-                timings_fh.write(json.dumps(
+                files["metrics"].write(json.dumps(row, sort_keys=True) + "\n")
+                files["timings"].write(json.dumps(
                     {"step": step, "wall_clock_s": time.perf_counter() - t0,
                      "worker_wait_s": worker.wait_s}) + "\n")
 
             if step % tr.checkpoint_every == 0 or step == tr.steps:
-                write_checkpoint(step)
+                path = out_dir / f"checkpoint_{step:06d}.stlab"
+                save_checkpoint(path, model, extra_buffers=opt.state_buffers(), extra_meta={
+                    "step": step, "task_weights": _weights_state(weights),
+                    "last_accuracy": last_accuracy, "last_ratio": last_ratio})
+                last_checkpoint = path
     finally:
         if worker is not None:
             worker.close()
-        for fh in (metrics_fh, timings_fh, events_fh):
+        for fh in files.values():
             fh.close()
 
-    _write_weight_history(weights, history_path)
+    history_path = write_csv(out_dir / "weight_history.csv", sched.HistoryRow._fields,
+                             weights.history)
     return TrainResult(out_dir, tr.steps - start_step, last_checkpoint,
-                       metrics_path, history_path,
-                       last_accuracy if last_accuracy is not None else float("nan"),
-                       baseline)
+                       out_dir / "metrics.jsonl", history_path, last_accuracy, baseline)

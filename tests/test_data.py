@@ -54,6 +54,25 @@ def test_permutation_is_derangement():
     np.testing.assert_array_equal(tgt, table[src])
 
 
+@pytest.mark.parametrize("seed", [0, 4, 11])
+def test_vectorised_helpers_equal_their_loops(seed):
+    """content_permutation and compress_alignment equal the per-item loops
+    they replaced, value and dtype."""
+    config = CorpusConfig(seed=seed)
+    order = np.random.default_rng((seed, 0x7AB1E)).permutation(config.vocab_size) + 1
+    table = np.arange(config.n_symbols)
+    for a, b in zip(order, np.roll(order, -1)):
+        table[a] = b
+    got = content_permutation(config)
+    assert got.dtype == table.dtype and np.array_equal(got, table)
+    for sample_seed in range(20):
+        _, src, _, al = generate_sample(config, sample_seed)
+        want = np.asarray([BLANK_ID if a < 0 else int(src[a])
+                           for i, a in enumerate(al) if i == 0 or a != al[i - 1]])
+        got = compress_alignment(al, src)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_per_config_tables_are_cached_read_only():
     for table_fn in (token_prototypes, content_permutation):
         table = table_fn(CFG)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stlab.autograd import Tensor
+import stlab.model as model_mod
+from stlab.autograd import GroupKey, ParamGroup, Tensor
 from stlab.data import CorpusConfig, make_batch, noise_inject
 from stlab.model import (Model, ModelConfig, load_checkpoint, save_checkpoint,
                          sinusoidal_positions)
@@ -248,13 +249,40 @@ def test_model_construction_deterministic():
 
 
 def test_param_groups_cover_everything(model):
-    n_grouped = sum(t.data.size for g in model.param_groups for t in g.tensors)
-    assert n_grouped == sum(p.data.size for p in model.parameters())
+    grouped = [id(t) for g in model.param_groups for t in g.tensors]
+    assert sorted(grouped) == sorted(id(t) for t in model.tensors)
+    assert len(set(grouped)) == len(grouped)
     kinds = {(g.key.partition, g.key.kind) for g in model.param_groups}
     assert ("A-Enc", "ATTEN") in kinds and ("Decoder", "FFN") in kinds
     lbm_groups = [g for g in model.param_groups
                   if g.key.partition == "A-Enc" and g.key.layer == -2]
     assert len(lbm_groups) == 1
+
+
+def test_a_tensor_in_no_group_stops_the_build(monkeypatch):
+    """A layer tensor that _build_groups leaves out would never be updated,
+    saved or analysed, so building the model raises."""
+    init = model_mod.EncoderLayer.__init__
+
+    def with_gate(self, *args):
+        init(self, *args)
+        self.gate = Tensor(np.ones(3), requires_grad=True)
+
+    monkeypatch.setattr(model_mod.EncoderLayer, "__init__", with_gate)
+    with pytest.raises(RuntimeError, match="no group"):
+        Model(tiny_config(), CORPUS)
+
+
+def test_a_tensor_in_two_groups_stops_the_build(monkeypatch):
+    build = Model._build_groups
+
+    def twice(self):
+        groups = build(self)
+        return groups + [ParamGroup(GroupKey("Decoder", 9, "OTHER"), groups[0].tensors[:1])]
+
+    monkeypatch.setattr(Model, "_build_groups", twice)
+    with pytest.raises(RuntimeError, match="two groups"):
+        Model(tiny_config(), CORPUS)
 
 
 def test_checkpoint_roundtrip(tmp_path, model, batch):

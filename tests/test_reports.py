@@ -12,6 +12,7 @@ from stlab import cli
 from stlab.config import RunConfig, Toggles, save_config
 from stlab.data import CorpusConfig
 from stlab.model import Model, ModelConfig, save_checkpoint
+from stlab.plots import read_csv, write_csv
 from stlab.reports import PRESETS, run_preset, shrink_eval
 
 from test_model import HEADER_DAMAGE, damage_header
@@ -180,3 +181,16 @@ def test_a_refused_checkpoint_leaves_no_report_directory(tmp_path, capsys):
     with pytest.raises(FileNotFoundError, match="no checkpoints"):
         run_preset("over-training", cfg, tmp_path / "empty", tmp_path / "ot", n=2, repeats=1)
     assert not any((tmp_path / name).exists() for name in ("rep", "se", "cli", "ot"))
+
+
+def test_write_csv_round_trips_through_read_csv(tmp_path):
+    """A float cell reads back equal to the float written; None, int and
+    str cells read back as their str."""
+    floats = [0.1, 1 / 3, 1e-300, -2.5e17, 123456789.123456789, 5e-324]
+    rows = [(i, "T-Enc", None, x) for i, x in enumerate(floats)]
+    path = write_csv(tmp_path / "r.csv", ("step", "partition", "layer", "mean"), rows)
+    header, read = read_csv(path)
+    assert header == ["step", "partition", "layer", "mean"]
+    assert [float(r["mean"]) for r in read] == floats
+    assert [(r["step"], r["partition"], r["layer"]) for r in read] == \
+        [(str(i), "T-Enc", "None") for i in range(len(floats))]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from stlab.config import SchedulerConfig
-from stlab.scheduler import (AUX_TASKS, HistoryRow, TaskWeights, mt_module_rule,
-                             schedule_step, task_impact, update_weight)
+from stlab.scheduler import (AUX_TASKS, HistoryRow, TaskWeights, schedule_step,
+                             task_impact, update_weight)
 
 
 def verify_history(weights: TaskWeights) -> bool:
@@ -97,11 +97,6 @@ def test_update_weight_closed_form():
     assert w == pytest.approx(m ** (total_u / s), abs=1e-12)
 
 
-def test_mt_module_rule_takes_max():
-    assert mt_module_rule(0.3, 0.7) == 0.7
-    assert mt_module_rule(0.9, 0.2) == 0.9
-
-
 # -- scheduled stepping ----------------------------------------------------------
 
 
@@ -127,12 +122,15 @@ def fresh_weights(**over):
     return TaskWeights(SchedulerConfig(**over), weights={"asr": 1.0, "mt": 1.0})
 
 
-def test_schedule_step_updates_and_records():
+@pytest.mark.parametrize("m_tenc, m_dec", [(0.5, 0.9), (0.9, 0.2)])
+def test_schedule_step_updates_and_records(m_tenc, m_dec):
     tw = fresh_weights()
-    probe = make_probe({"asr": {"A-Enc": 0.6}, "mt": {"T-Enc": 0.5, "Decoder": 0.9}})
+    probe = make_probe({"asr": {"A-Enc": 0.6}, "mt": {"T-Enc": m_tenc, "Decoder": m_dec}})
     schedule_step(500, tw, probe)
     assert tw.weights["asr"] == pytest.approx(0.6 ** (500 / 500))
-    assert tw.weights["mt"] == pytest.approx(0.9 ** (500 / 1000))  # max rule
+    # MT follows whichever shared module it impacts more
+    assert tw.history[1].m == pytest.approx(max(m_tenc, m_dec))
+    assert tw.weights["mt"] == pytest.approx(max(m_tenc, m_dec) ** (500 / 1000))
     assert [(r.step, r.task) for r in tw.history] == [(500, "asr"), (500, "mt")]
     assert verify_history(tw)
 
