@@ -9,6 +9,7 @@ Shannon entropy of attention rows, padding keys excluded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,52 +109,42 @@ def grad_consistency(grads_a: dict, grads_b: dict, *,
     return {None: cosine(a, b)}
 
 
-def consistency_protocol(model, corpus: CorpusConfig, task_pair, *, n: int = 32,
-                         repeats: int = 5, seed: int = 0, partitions=None,
+def consistency_protocol(model, corpus: CorpusConfig, task_pair, *, n: int,
+                         repeats: int, seed: int, partitions=None,
                          per_layer: bool = False,
                          probe_kwargs_a=None, probe_kwargs_b=None):
     """Averaged consistency over `repeats` probe draws of n samples each.
 
     task_pair: (task_a, task_b) e.g. ("asr", "st"). Returns ConsistencyRow
-    list; partitions default to every partition the two tasks share. An MT
-    side draws item j's input noise from the generator seeded
-    (seed, 0xAB, repeat, j).
+    list in (partition, kind, layer) order; partitions default to every
+    partition the two tasks share, sorted. An MT side draws item j's input
+    noise from the generator seeded (seed, 0xAB, repeat, j).
     """
-    task_a, task_b = task_pair
-    probe_kwargs_a = probe_kwargs_a or {}
-    probe_kwargs_b = probe_kwargs_b or {}
-    per_repeat: dict = {}
-    shared_partitions = partitions
+    cosines: dict = {}  # (partition, kind, layer) -> one cosine per repeat, in row order
     for r in range(repeats):
         rng = np.random.default_rng((seed, 0xAB, r))
-        seeds = rng.integers(0, 2**62, size=n)
-        batch = make_batch(corpus, seeds)
+        batch = make_batch(corpus, rng.integers(0, 2**62, size=n))
         grads = []
-        for task, kw in ((task_a, probe_kwargs_a), (task_b, probe_kwargs_b)):
+        for task, kw in zip(task_pair, (probe_kwargs_a, probe_kwargs_b)):
+            kw = dict(kw or {})
             if task == "mt":
-                kw = {**kw, "mt_noise_rngs": [np.random.default_rng((seed, 0xAB, r, j))
-                                              for j in range(n)]}
+                kw["mt_noise_rngs"] = [np.random.default_rng((seed, 0xAB, r, j)) for j in range(n)]
             grads.append(capture_gradients(model, batch, task, **kw))
         grads_a, grads_b = grads
-        if shared_partitions is None:
-            shared_partitions = sorted({k.partition for k in grads_a}
-                                       & {k.partition for k in grads_b})
-        for part in shared_partitions:
+        shared = partitions if partitions is not None else sorted(
+            {k.partition for k in grads_a} & {k.partition for k in grads_b})
+        for part in shared:
             for kind in ("ATTEN", "FFN"):
                 try:
                     res = grad_consistency(grads_a, grads_b, partition=part,
                                            kind=kind, per_layer=per_layer)
                 except ValueError:
                     continue
-                for layer, value in res.items():
-                    per_repeat.setdefault((part, kind, layer), []).append(value)
-    rows = []
-    for (part, kind, layer), values in sorted(
-            per_repeat.items(), key=lambda kv: (kv[0][0], kv[0][1], -1 if kv[0][2] is None else kv[0][2])):
-        arr = np.asarray(values)
-        rows.append(ConsistencyRow(part, kind, layer, float(arr.mean()),
-                                   float(arr.std()), n, len(values)))
-    return rows
+                for layer, value in res.items():  # ascending layers
+                    cosines.setdefault((part, kind, layer), []).append(value)
+    return [ConsistencyRow(part, kind, layer, float(np.mean(values)),
+                           float(np.std(values)), n, len(values))
+            for (part, kind, layer), values in cosines.items()]
 
 
 def attention_entropy(weights, query_mask=None, key_mask=None) -> float:
@@ -182,8 +173,7 @@ def attention_entropy(weights, query_mask=None, key_mask=None) -> float:
     return float(ent[valid_q].mean())
 
 
-@dataclass
-class EntropyRow:
+class EntropyRow(NamedTuple):
     layer: int
     stream: str
     entropy_bits: float

@@ -126,10 +126,15 @@ def _cmd_export_corpus(args) -> int:
 
 
 def _cmd_export_plots(args) -> int:
+    # every chart is drawn before --out is made: a bad CSV leaves nothing behind
+    stems = [p.stem for p in args.csv]
+    same = [str(p) for p in args.csv if stems.count(p.stem) > 1]
+    if same:
+        raise ConfigError(f"inputs with one file stem would write one chart: {' '.join(same)}")
+    svgs = {args.out / (p.stem + ".svg"): export_plot(p) for p in args.csv}
     args.out.mkdir(parents=True, exist_ok=True)
-    for csv_path in args.csv:
-        out_path = args.out / (csv_path.stem + ".svg")
-        export_plot(csv_path, out_path)
+    for out_path, svg in svgs.items():
+        out_path.write_text(svg)
         print(f"wrote {out_path}")
     return EXIT_OK
 

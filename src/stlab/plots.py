@@ -1,12 +1,18 @@
 """The report CSV format, both ways, and deterministic SVG bar/line charts
 of the reports (no matplotlib: byte-identical output for identical input is
 part of the contract). It imports nothing from stlab, so any module may
-write reports."""
+write reports.
+
+The charts are one table, CHARTS, keyed by a report's first header columns
+(see there). Bars keep the order in which the rows first name their labels.
+A row that lacks a column its chart reads, or a plotted cell that is not a
+number, raises MalformedCsvError naming the file and the line."""
 
 from __future__ import annotations
 
 W, H = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 60
+BOX = (MARGIN_L, H - MARGIN_B, W - MARGIN_R, MARGIN_T)  # plot area: x0, y0 (bottom), x1, y1
 PALETTE = ("#4878b0", "#d65f5f", "#59a14f", "#b07aa1", "#e49444", "#76b7b2")
 
 
@@ -25,8 +31,7 @@ def _header(title):
 
 
 def _axes(ylabel, xlabel=""):
-    x0, y0 = MARGIN_L, H - MARGIN_B
-    x1, y1 = W - MARGIN_R, MARGIN_T
+    x0, y0, x1, y1 = BOX
     parts = [
         f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
@@ -48,8 +53,7 @@ def _scale(vmin, vmax):
 def bar_chart_svg(labels, series: dict, title="", ylabel="value") -> str:
     """Grouped bars. labels: category names; series: {name: [value per label]}."""
     parts = _header(title) + _axes(ylabel)
-    x0, y0 = MARGIN_L, H - MARGIN_B
-    x1, y1 = W - MARGIN_R, MARGIN_T
+    x0, y0, x1, y1 = BOX
     if labels and series:
         all_vals = [v for vals in series.values() for v in vals]
         lo, hi = _scale(min(0.0, min(all_vals)), max(0.0, max(all_vals)))
@@ -87,8 +91,7 @@ def bar_chart_svg(labels, series: dict, title="", ylabel="value") -> str:
 def line_chart_svg(series: dict, title="", xlabel="x", ylabel="y") -> str:
     """series: {name: [(x, y), ...]}."""
     parts = _header(title) + _axes(ylabel, xlabel)
-    x0, y0 = MARGIN_L, H - MARGIN_B
-    x1, y1 = W - MARGIN_R, MARGIN_T
+    x0, y0, x1, y1 = BOX
     points = [(x, y) for pts in series.values() for x, y in pts]
     if points:
         xs, ys = zip(*points)
@@ -124,7 +127,6 @@ def line_chart_svg(series: dict, title="", xlabel="x", ylabel="y") -> str:
 class MalformedCsvError(ValueError):
     def __init__(self, path, line_no, message):
         super().__init__(f"{path}:{line_no}: {message}")
-        self.line_no = line_no
 
 
 def write_csv(path, header, rows):
@@ -155,58 +157,57 @@ def read_csv(path):
     return header, rows
 
 
-def _float(row, key, path, line_no):
-    try:
-        return float(row[key])
-    except ValueError as exc:
-        raise MalformedCsvError(path, line_no, f"bad float in {key!r}") from exc
+def _module(row):
+    """A consistency row's bar label: partition/layer, or partition alone."""
+    layer = row["layer"]
+    return row["partition"] if layer in ("", "None") else f'{row["partition"]}/{layer}'
 
 
-def export_plot(csv_path, out_path):
-    """Dispatch a report CSV to the matching chart by its header."""
+def _number(cell):
+    """The cell as it is, once it reads as a number."""
+    float(cell)
+    return cell
+
+
+# first header columns -> (title, y label, x label, or "" for bars,
+# row -> (series, x value or bar label), the column that holds y)
+CHARTS = {
+    ("step", "task"): ("Task weights", "weight", "step",
+                       lambda r: (r["task"], float(r["step"])), "w"),
+    ("partition", "kind"): ("Gradient consistency", "cosine", "",
+                            lambda r: (r["kind"], _module(r)), "mean"),
+    ("variant", "partition", "kind"): ("Gradient consistency", "cosine", "",
+                                       lambda r: (f'{r["variant"]}:{r["kind"]}', _module(r)),
+                                       "mean"),
+    ("layer", "stream"): ("Attention entropy", "bits", "",
+                          lambda r: (r["stream"], _number(r["layer"])), "entropy_bits"),
+    ("step", "batch"): ("Shrink length ratio", "ratio", "batch",
+                        lambda r: ("ratio", float(r["step"]) + float(r["batch"])), "ratio"),
+    ("step", "partition"): ("Consistency over training", "cosine", "step",
+                            lambda r: (f'{r["partition"]}/{r["kind"]}', float(r["step"])),
+                            "mean"),
+}
+
+
+def export_plot(csv_path) -> str:
+    """The SVG chart of a report CSV, chosen by its first header columns."""
     header, rows = read_csv(csv_path)
-    if header[:2] == ["step", "task"]:          # weight history
-        series = {}
-        for i, r in enumerate(rows, start=2):
-            series.setdefault(r["task"], []).append(
-                (_float(r, "step", csv_path, i), _float(r, "w", csv_path, i)))
-        svg = line_chart_svg(series, title="Task weights", xlabel="step", ylabel="weight")
-    elif header[:2] == ["partition", "kind"] or header[:3] == ["variant", "partition", "kind"]:
-        # consistency report, optionally tagged with a probe variant column
-        labels = sorted({f'{r["partition"]}/{r["layer"]}' if r["layer"] not in ("", "None")
-                         else r["partition"] for r in rows})
-        series = {}
-        for i, r in enumerate(rows, start=2):
-            lab = (f'{r["partition"]}/{r["layer"]}'
-                   if r["layer"] not in ("", "None") else r["partition"])
-            name = f'{r["variant"]}:{r["kind"]}' if "variant" in r else r["kind"]
-            vals = series.setdefault(name, {l: 0.0 for l in labels})
-            vals[lab] = _float(r, "mean", csv_path, i)
-        series = {k: [v[l] for l in labels] for k, v in series.items()}
-        svg = bar_chart_svg(labels, series, title="Gradient consistency", ylabel="cosine")
-    elif header[:2] == ["layer", "stream"]:     # entropy report
-        labels = sorted({r["layer"] for r in rows}, key=float)
-        series = {}
-        for i, r in enumerate(rows, start=2):
-            vals = series.setdefault(r["stream"], {l: 0.0 for l in labels})
-            vals[r["layer"]] = _float(r, "entropy_bits", csv_path, i)
-        series = {k: [v[l] for l in labels] for k, v in series.items()}
-        svg = bar_chart_svg(labels, series, title="Attention entropy", ylabel="bits")
-    elif header[:2] == ["step", "batch"]:       # shrink-eval
-        series = {"ratio": [(_float(r, "step", csv_path, i) + _float(r, "batch", csv_path, i),
-                             _float(r, "ratio", csv_path, i))
-                            for i, r in enumerate(rows, start=2)]}
-        svg = line_chart_svg(series, title="Shrink length ratio", xlabel="batch",
-                             ylabel="ratio")
-    elif header[:2] == ["step", "partition"]:   # consistency-over-training series
-        series = {}
-        for i, r in enumerate(rows, start=2):
-            key = f'{r["partition"]}/{r["kind"]}'
-            series.setdefault(key, []).append(
-                (_float(r, "step", csv_path, i), _float(r, "mean", csv_path, i)))
-        svg = line_chart_svg(series, title="Consistency over training", xlabel="step",
-                             ylabel="cosine")
-    else:
+    kind = next((k for k in CHARTS if tuple(header[:len(k)]) == k), None)
+    if kind is None:
         raise MalformedCsvError(csv_path, 1, f"unrecognized report header {header}")
-    with open(out_path, "w") as fh:
-        fh.write(svg)
+    title, ylabel, xlabel, point, y_column = CHARTS[kind]
+    points = []  # (series, x or bar label, y), in row order
+    for line_no, row in enumerate(rows, start=2):
+        try:
+            points.append((*point(row), float(row[y_column])))
+        except (KeyError, ValueError) as exc:  # a missing column or a cell that is no number
+            raise MalformedCsvError(csv_path, line_no, f"cannot plot this row: {exc!r}") from exc
+    series = {}
+    for name, x, y in points:
+        series.setdefault(name, []).append((x, y))
+    if xlabel:
+        return line_chart_svg(series, title=title, xlabel=xlabel, ylabel=ylabel)
+    labels = list(dict.fromkeys(label for _, label, _ in points))
+    bars = {name: dict(pts) for name, pts in series.items()}  # a label's last row wins
+    return bar_chart_svg(labels, {name: [v.get(label, 0.0) for label in labels]
+                                  for name, v in bars.items()}, title=title, ylabel=ylabel)

@@ -1,9 +1,12 @@
 """Analysis presets: each writes one or more CSV reports for a trained
-checkpoint, mirroring the measurement protocols of the analysis module."""
+checkpoint, mirroring the measurement protocols of the analysis module.
+The presets are one table: `preset_reports` gives a preset's consistency
+reports as (CSV name, variants, consistency_protocol layout) rows, and
+`run_preset` writes each. shrink-cl also writes the attention-entropy
+report; over-training walks the checkpoints of a run in its own loop."""
 
 from __future__ import annotations
 
-import functools
 import re
 import sys
 from pathlib import Path
@@ -16,22 +19,6 @@ from .data import make_batch
 from .plots import write_csv
 from .train import load_run_checkpoint
 
-CONSISTENCY_HEADER = ("partition", "kind", "layer", "mean", "std")
-
-
-def _write_variants(model, config: RunConfig, variants, path, *, n, repeats, seed,
-                    **layout):
-    """Run consistency_protocol for each (label, task pair, probe kwargs of
-    task a, of task b) row and write all rows to one CSV, led by a variant
-    column unless the labels are None."""
-    labelled = variants[0][0] is not None
-    rows = [((label,) if labelled else ()) + (r.partition, r.kind, r.layer, r.mean, r.std)
-            for label, pair, kw_a, kw_b in variants
-            for r in analysis.consistency_protocol(
-                model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
-                probe_kwargs_a=kw_a, probe_kwargs_b=kw_b, **layout)]
-    return write_csv(path, (("variant",) if labelled else ()) + CONSISTENCY_HEADER, rows)
-
 
 def _probe_pairs(config: RunConfig, shrunk=True):
     """{pair name: (task pair, probe kwargs of task a, of task b)} for the
@@ -43,88 +30,59 @@ def _probe_pairs(config: RunConfig, shrunk=True):
             "mt_st": (("mt", "st"), {"mt_noise_p": config.toggles.mt_noise()}, st)}
 
 
-# preset -> (CSV name prefix, consistency_protocol layout)
-_PAIR_LAYOUTS = {
-    "modules-bar": ("consistency_modules", {}),
-    "per-layer": ("consistency_layers", {"partitions": ("T-Enc",), "per_layer": True}),
-}
+PRESETS = ("modules-bar", "per-layer", "asr-variants", "shrink-cl", "over-training")
 
 
-def preset_pairs(preset: str, config: RunConfig, model, out_dir, *, n=32,
-                 repeats=5, seed=0):
-    """ASR-ST and MT-ST consistency on shrunk speech: one cosine per
-    (partition, sublayer kind) for modules-bar, per T-Enc layer for
-    per-layer."""
-    prefix, layout = _PAIR_LAYOUTS[preset]
-    return [_write_variants(model, config, [(None, *probe)],
-                            Path(out_dir) / f"{prefix}_{pair_name}.csv",
-                            n=n, repeats=repeats, seed=seed, **layout)
-            for pair_name, probe in _probe_pairs(config).items()]
+def preset_reports(preset: str, config: RunConfig):
+    """The consistency reports of a single-checkpoint preset, as
+    (CSV name, variants, consistency_protocol layout) rows."""
+    pairs = _probe_pairs(config)
+    asr_pair, asr_a, asr_b = pairs["asr_st"]
+    per_layer = {"partitions": ("T-Enc",), "per_layer": True}
+    return {
+        # ASR-ST and MT-ST on shrunk speech, per (partition, sublayer kind)
+        "modules-bar": [(f"consistency_modules_{name}.csv", [(None, *probe)], {})
+                        for name, probe in pairs.items()],
+        # the same pairs, one cosine per T-Enc layer
+        "per-layer": [(f"consistency_layers_{name}.csv", [(None, *probe)], per_layer)
+                      for name, probe in pairs.items()],
+        # ASR-ST with the CTC-after-A-Enc and the CE-after-decoder probes
+        "asr-variants": [("consistency_asr_variants.csv",
+                          [(v, asr_pair, {**asr_a, "asr_variant": v}, asr_b)
+                           for v in ("ctc", "ce")], {})],
+        # MT-ST without and with shrinking
+        "shrink-cl": [("consistency_shrink_cl.csv",
+                       [("plain", *_probe_pairs(config, shrunk=False)["mt_st"]),
+                        ("shrink", *pairs["mt_st"])], {})],
+    }[preset]
 
 
-def preset_asr_variants(config: RunConfig, model, out_dir, *, n=32, repeats=5,
-                        seed=0):
-    """ASR-ST consistency with the CTC-after-A-Enc vs CE-after-decoder probes."""
-    pair, kw_a, kw_b = _probe_pairs(config)["asr_st"]
-    variants = [(v, pair, {**kw_a, "asr_variant": v}, kw_b) for v in ("ctc", "ce")]
-    return [_write_variants(model, config, variants,
-                            Path(out_dir) / "consistency_asr_variants.csv",
-                            n=n, repeats=repeats, seed=seed)]
-
-
-def preset_shrink_cl(config: RunConfig, model, out_dir, *, n=32, repeats=5,
-                     seed=0):
-    """MT-ST consistency with and without shrinking, plus the per-stream
-    attention-entropy report."""
-    out_dir = Path(out_dir)
-    variants = [(variant, *_probe_pairs(config, shrunk)["mt_st"])
-                for variant, shrunk in (("plain", False), ("shrink", True))]
-    cons_path = _write_variants(model, config, variants, out_dir / "consistency_shrink_cl.csv",
-                                n=n, repeats=repeats, seed=seed)
-    ent_path = out_dir / "entropy_streams.csv"
-    write_entropy_report(model, config, ent_path, n=n, seed=seed)
-    return [cons_path, ent_path]
-
-
-def write_entropy_report(model, config: RunConfig, path, *, n=32, seed=0):
+def write_entropy_report(model, config: RunConfig, path, *, n, seed):
     """Per-layer T-Enc attention entropy for the text stream and the speech
     stream with and without shrinking."""
-    rng = np.random.default_rng((seed, 0xE27), )
+    rng = np.random.default_rng((seed, 0xE27))
     batch = make_batch(config.corpus, rng.integers(0, 2**62, size=n))
+    mt = {"mt_noise_rngs": [np.random.default_rng((seed, 1))] * n,
+          "mt_noise_p": config.toggles.mt_noise()}
     rows = []
-    mt_out = model.forward_task(batch, "mt",
-                                mt_noise_rngs=[np.random.default_rng((seed, 1))] * n,
-                                mt_noise_p=config.toggles.mt_noise())
-    rows += analysis.stream_entropy_report(mt_out.attention_weights, mt_out.tenc_mask, "mt")
-    for name, shrunk in (("st_plain", False), ("st_shrunk", True)):
-        st_out = model.forward_task(batch, "st", use_shrink=shrunk)
-        rows += analysis.stream_entropy_report(st_out.attention_weights,
-                                               st_out.tenc_mask, name)
-    return write_csv(path, ("layer", "stream", "entropy_bits"),
-                     [(r.layer, r.stream, r.entropy_bits) for r in rows])
+    for stream, task, kw in (("mt", "mt", mt), ("st_plain", "st", {"use_shrink": False}),
+                             ("st_shrunk", "st", {"use_shrink": True})):
+        out = model.forward_task(batch, task, **kw)
+        rows += analysis.stream_entropy_report(out.attention_weights, out.tenc_mask, stream)
+    return write_csv(path, analysis.EntropyRow._fields, rows)
 
 
-def find_checkpoints(run_dir):
-    """(step, path) pairs for every checkpoint in a run directory."""
-    out = []
-    for p in sorted(Path(run_dir).glob("checkpoint_*.stlab")):
-        m = re.match(r"checkpoint_(\d+)\.stlab", p.name)
-        if m:
-            out.append((int(m.group(1)), p))
-    return out
-
-
-def preset_over_training(config: RunConfig, run_dir, out_dir, *, n=32, repeats=3,
-                         seed=0):
+def preset_over_training(config: RunConfig, run_dir, out_dir, *, n, repeats, seed):
     """Consistency time series across every checkpoint of a run: each
     checkpoint is loaded once and probed with both pairs. One that fails to
     load (OSError or ValueError) is skipped with one line on stderr."""
-    ckpts = find_checkpoints(run_dir)
+    ckpts = sorted((int(m.group(1)), p) for p in Path(run_dir).glob("checkpoint_*.stlab")
+                   if (m := re.match(r"checkpoint_(\d+)\.stlab", p.name)))
     if not ckpts:
         raise FileNotFoundError(f"no checkpoints found in {run_dir}")
     pairs = _probe_pairs(config, shrunk=False)
     rows = {pair_name: [] for pair_name in pairs}
-    for step, path in sorted(ckpts):
+    for step, path in ckpts:
         try:
             model, _, _ = load_run_checkpoint(path, config)
         except (OSError, ValueError) as exc:
@@ -159,24 +117,28 @@ def shrink_eval(config: RunConfig, checkpoint, out_path, *, batches=4,
     return write_csv(out_path, ("step", "batch", "n_mean", "m_mean", "ratio"), rows)
 
 
-_PRESET_FNS = {
-    "modules-bar": functools.partial(preset_pairs, "modules-bar"),
-    "per-layer": functools.partial(preset_pairs, "per-layer"),
-    "asr-variants": preset_asr_variants,
-    "shrink-cl": preset_shrink_cl,
-    "over-training": preset_over_training,
-}
-PRESETS = tuple(_PRESET_FNS)
-
-
-def run_preset(preset: str, config: RunConfig, target, out_dir, **kwargs):
+def run_preset(preset: str, config: RunConfig, target, out_dir, *, n, repeats, seed=0):
     """Run `preset` on a checkpoint (a run directory for over-training).
     The checkpoint loads before `out_dir` is made, so one that fails to
     load leaves no report directory behind."""
-    if preset not in _PRESET_FNS:
+    if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
+    if preset == "over-training":  # it makes out_dir once it finds a checkpoint
+        return preset_over_training(config, target, out_dir, n=n, repeats=repeats, seed=seed)
+    model, _, _ = load_run_checkpoint(target, config)
     out_dir = Path(out_dir)
-    if preset != "over-training":  # over-training makes out_dir once it finds one
-        target, _, _ = load_run_checkpoint(target, config)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    return _PRESET_FNS[preset](config, target, out_dir, **kwargs)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, variants, layout in preset_reports(preset, config):
+        labelled = variants[0][0] is not None  # else no variant column
+        rows = [((label,) if labelled else ()) + (r.partition, r.kind, r.layer, r.mean, r.std)
+                for label, pair, kw_a, kw_b in variants
+                for r in analysis.consistency_protocol(
+                    model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
+                    probe_kwargs_a=kw_a, probe_kwargs_b=kw_b, **layout)]
+        header = (("variant",) if labelled else ()) + ("partition", "kind", "layer", "mean", "std")
+        paths.append(write_csv(out_dir / name, header, rows))
+    if preset == "shrink-cl":
+        paths.append(write_entropy_report(model, config, out_dir / "entropy_streams.csv",
+                                          n=n, seed=seed))
+    return paths

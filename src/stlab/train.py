@@ -403,7 +403,6 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
             t0 = time.perf_counter()
             shrink_active = step > shrink_start  # never with a fraction >= 1
             batch = batch_for_step(config, step, tr.batch_size, worker)
-            model.zero_grad()
             w_mt = weights.weights["mt"] if weights.active("mt") else None
             worker.submit(step, w_mt)
             bundle, st_out = compute_losses(model, batch, config, weights, step,

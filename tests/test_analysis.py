@@ -164,6 +164,19 @@ def test_consistency_protocol_draws_mt_noise_per_item_and_repeat(monkeypatch):
                       for r in range(2) for j in range(3)]
 
 
+def test_consistency_protocol_rows_come_in_partition_kind_layer_order():
+    """Rows come out in (partition, kind, layer) order, twelve T-Enc layers
+    in numeric order."""
+    model = Model(ModelConfig(d_model=16, n_heads=2, ffn_dim=24, seed=5, t_enc_layers=12),
+                  CORPUS)
+    rows = consistency_protocol(model, CORPUS, ("mt", "st"), n=2, repeats=2, seed=0,
+                                per_layer=True, probe_kwargs_a=MT_NOISE)
+    keys = [(r.partition, r.kind, r.layer) for r in rows]
+    assert keys == sorted(keys)
+    assert [layer for part, kind, layer in keys
+            if (part, kind) == ("T-Enc", "ATTEN")] == list(range(12))
+
+
 # -- entropy ----------------------------------------------------------------
 
 

@@ -294,3 +294,37 @@ def test_cli_export_plots_rejects_malformed_csv(tmp_path, capsys):
     rc = cli.main(["export-plots", "--out", str(tmp_path / "p"), str(bad)])
     assert rc == 2
     assert "unrecognized" in capsys.readouterr().err
+    # a row its chart cannot read: a missing column, or a layer that is no number
+    for name, text in (("no_w.csv", "step,task\n1,asr\n"),
+                       ("no_mean.csv", "partition,kind,layer\nT-Enc,ATTEN,0\n"),
+                       ("layer_x.csv", "layer,stream,entropy_bits\nx,mt,1.0\n")):
+        bad = tmp_path / name
+        bad.write_text(text)
+        rc = cli.main(["export-plots", "--out", str(tmp_path / "p"), str(bad)])
+        assert rc == 2 and f"{bad}:2:" in capsys.readouterr().err, name
+
+
+def test_cli_export_plots_writes_nothing_when_a_csv_is_bad(tmp_path):
+    """Every chart is drawn before --out is made: a CSV it cannot read, here
+    the first of two, leaves no directory behind."""
+    bad, good = tmp_path / "weird.csv", tmp_path / "weight_history.csv"
+    bad.write_text("who,knows\n1,2\n")
+    good.write_text("step,task,m,w\n10,asr,0.5,1.0\n")
+    out = tmp_path / "plots"
+    assert cli.main(["export-plots", "--out", str(out), str(bad), str(good)]) == 2
+    assert not out.exists()
+
+
+def test_cli_export_plots_refuses_two_inputs_with_one_stem(tmp_path, capsys):
+    """Two CSVs that would write one SVG are a config error that names both;
+    nothing is written."""
+    paths = []
+    for run in ("r1", "r2"):
+        (tmp_path / run).mkdir()
+        paths.append(tmp_path / run / "weight_history.csv")
+        paths[-1].write_text("step,task,m,w\n10,asr,0.5,1.0\n")
+    out = tmp_path / "plots"
+    assert cli.main(["export-plots", "--out", str(out), *map(str, paths)]) == 1
+    err = capsys.readouterr().err
+    assert str(paths[0]) in err and str(paths[1]) in err
+    assert not out.exists()

@@ -1,6 +1,8 @@
 """Analysis presets probe a checkpoint under its run's toggles."""
 
 import dataclasses
+import hashlib
+import re
 from collections import Counter
 
 import pytest
@@ -12,7 +14,7 @@ from stlab import cli
 from stlab.config import RunConfig, Toggles, save_config
 from stlab.data import CorpusConfig
 from stlab.model import Model, ModelConfig, save_checkpoint
-from stlab.plots import read_csv, write_csv
+from stlab.plots import CHARTS, export_plot, read_csv, write_csv
 from stlab.reports import PRESETS, run_preset, shrink_eval
 
 from test_model import HEADER_DAMAGE, damage_header
@@ -194,3 +196,46 @@ def test_write_csv_round_trips_through_read_csv(tmp_path):
     assert [float(r["mean"]) for r in read] == floats
     assert [(r["step"], r["partition"], r["layer"]) for r in read] == \
         [(str(i), "T-Enc", "None") for i in range(len(floats))]
+
+
+# one small report per chart kind, and the sha256 of the SVG it draws
+CHART_CSVS = {
+    "weights": "step,task,m,w\n10,asr,0.5,1.0\n10,mt,0.25,0.75\n20,asr,0.5,1.25\n20,mt,0.125,0.5\n",
+    "consistency": ("partition,kind,layer,mean,std\nA-Enc,ATTEN,None,-0.25,0.1\n"
+                    "A-Enc,FFN,None,0.5,0.1\nDecoder,ATTEN,None,0.75,0.2\nT-Enc,FFN,None,0.125,0.05\n"),
+    "variants": ("variant,partition,kind,layer,mean,std\nctc,A-Enc,ATTEN,None,0.25,0.1\n"
+                 "ctc,A-Enc,FFN,None,-0.5,0.1\nce,A-Enc,ATTEN,None,0.125,0.1\n"
+                 "ce,Decoder,FFN,None,0.875,0.1\n"),
+    "entropy": "layer,stream,entropy_bits\n0,mt,2.5\n1,mt,2.25\n0,st_plain,3.5\n1,st_plain,3.0\n",
+    "shrink": "step,batch,n_mean,m_mean,ratio\n40,0,13.5,4.0,0.3\n40,1,12.8125,4.5,0.35\n",
+    "over-training": ("step,partition,kind,layer,mean\n10,T-Enc,ATTEN,None,0.25\n"
+                      "10,T-Enc,FFN,None,0.5\n20,T-Enc,ATTEN,None,0.375\n20,T-Enc,FFN,None,0.25\n"),
+}
+CHART_SHA256 = {
+    "weights": "2b53cc4aace27368d71d294e3b375f1b9c1f97aa1ab19d9a711298d9c47f457c",
+    "consistency": "abf3378ba7316ef153cdd3c7a6bf6b896e1f9e2756f2901b0721d4dab71676a7",
+    "variants": "8128f07287128b0fd6162d482a52a667a47706183851696ed642280b139eacc2",
+    "entropy": "c27837f43730a37c3fcbde82f0e805dc94f65586071ed235d44b270b6a66c8f3",
+    "shrink": "dfe353449774664bc0e8b8d34da3facffc4d9dbacc8e0d1f87c483eedbff09cd",
+    "over-training": "e49a4a3870ab29357fedab8070dc970c7a597610ec76110639f367494dc0bae6",
+}
+
+
+@pytest.mark.parametrize("kind", CHART_CSVS)
+def test_every_chart_kind_draws_pinned_bytes(tmp_path, kind):
+    """Identical input draws a byte-identical SVG: each chart kind's bytes
+    are pinned by their sha256, and the cases cover every kind."""
+    assert len(CHART_CSVS) == len(CHARTS)
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(CHART_CSVS[kind])
+    assert hashlib.sha256(export_plot(path).encode()).hexdigest() == CHART_SHA256[kind]
+
+
+def test_bars_follow_the_order_the_rows_name_them(tmp_path):
+    """Twelve T-Enc layers draw as T-Enc/0 ... T-Enc/11, in numeric order."""
+    rows = [("T-Enc", kind, layer, layer / 12, 0.0)
+            for kind in ("ATTEN", "FFN") for layer in range(12)]
+    path = write_csv(tmp_path / "consistency_layers_mt_st.csv",
+                     ("partition", "kind", "layer", "mean", "std"), rows)
+    labels = re.findall(r">(T-Enc/\d+)</text>", export_plot(path))
+    assert labels == [f"T-Enc/{layer}" for layer in range(12)]
