@@ -34,8 +34,7 @@ print("gradient consistency (cosine of flattened gradients, same batch):")
 for pair, kwargs in (("asr-st", {"probe_kwargs_a": {"asr_variant": "ce",
                                                     "use_shrink": True},
                                  "probe_kwargs_b": {"use_shrink": True}}),
-                     ("mt-st", {"probe_kwargs_a": {"mt_noise_p": config.toggles.mt_noise()},
-                                "probe_kwargs_b": {"use_shrink": True}})):
+                     ("mt-st", {"probe_kwargs_b": {"use_shrink": True}})):
     rows = analysis.consistency_protocol(model, corpus, tuple(pair.split("-")),
                                          n=16, repeats=3, seed=0, **kwargs)
     for r in rows:
@@ -44,7 +43,8 @@ for pair, kwargs in (("asr-st", {"probe_kwargs_a": {"asr_variant": "ce",
 
 print("\nattention entropy (bits) per T-Enc layer:")
 batch = make_batch(corpus, np.arange(16))
-mt = model.forward_task(batch, "mt", mt_noise_p=0.0)
+model.mt_noise_p = 0.0  # the clean text stream
+mt = model.forward_task(batch, "mt")
 st_plain = model.forward_task(batch, "st")
 st_shrunk = model.forward_task(batch, "st", use_shrink=True)
 for name, out in (("mt", mt), ("st raw", st_plain), ("st shrunk", st_shrunk)):

@@ -81,9 +81,9 @@ class ModelConfig:
     d_model: int = _ruled(32, _POSITIVE)
     n_heads: int = _ruled(2, _POSITIVE)
     ffn_dim: int = _ruled(64, _POSITIVE)
-    a_enc_layers: int = _ruled(2, _FINITE_NONNEG)
+    a_enc_layers: int = _ruled(2, _POSITIVE)      # the scheduler judges ASR by its ATTEN groups
     t_enc_layers: int = _ruled(2, _POSITIVE)      # the consistency loss needs one
-    dec_layers: int = _ruled(2, _FINITE_NONNEG)
+    dec_layers: int = _ruled(2, _POSITIVE)        # cross-attention carries ST's gradient back
     l2g_base_kernel: int = _ruled(5, _POSITIVE)   # kernel of T-Enc layer 0
     l2g_stride: int = _ruled(3, _FINITE_NONNEG)   # kernel growth per layer
     seed: int = _ruled(0, _FINITE_NONNEG)
@@ -142,11 +142,6 @@ class Toggles:
     asr_variant: str = _ruled("ctc", _ASR_VARIANT)
 
     __post_init__ = _check
-
-    def mt_noise(self) -> float:
-        """The MT input noise the run trains and probes with: mt_noise_p,
-        or 0 with the L2G extractors off."""
-        return self.mt_noise_p if self.use_l2g else 0.0
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,10 @@ sides share, and the CTC classes. A checkpoint records both configs;
 A layer's parameters are its Tensor attributes and its sub-layers'
 (`Layer`); the model's GroupKey groups must hold each of them exactly once.
 
-The model carries a run's forward settings, `use_l2g` (the extractors) and
-`use_lbm` (the look-back), which `apply_toggles` sets once per model from
-the run's toggles; every forward reads them from there.
+The model carries a run's forward settings, `use_l2g` (the extractors),
+`use_lbm` (the look-back) and `mt_noise_p` (MT's input noise), which
+`apply_toggles` sets once per model from the run's toggles; every forward
+reads them from there. A new model holds those of the default toggles.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 from . import autograd as ag
 from . import shrink as shrink_mod
 from .autograd import Tensor, GroupKey, ParamGroup
-from .config import ASR_VARIANTS, CorpusConfig, ModelConfig
+from .config import ASR_VARIANTS, CorpusConfig, ModelConfig, Toggles
 from .data import SyntheticBatch, noise_inject, pad_sequences
 
 CHECKPOINT_MAGIC = b"STLAB-CKPT-v1\n"
@@ -255,13 +256,14 @@ class Model(Layer):
 
         self.param_groups = self._build_groups()
         self._check_coverage()
-        self.use_l2g = True       # False bypasses the extractors (ablation)
-        self.use_lbm = True       # False shrinks without the look-back (ablation)
+        self.apply_toggles(Toggles())
 
-    def apply_toggles(self, toggles) -> "Model":
-        """Take a run's forward settings from its config.Toggles."""
-        self.use_l2g = toggles.use_l2g
-        self.use_lbm = toggles.use_lbm
+    def apply_toggles(self, toggles: Toggles) -> "Model":
+        """Take a run's forward settings from its toggles. MT trains and is
+        probed on speech-like noisy text only with the L2G extractors on."""
+        self.use_l2g = toggles.use_l2g  # False bypasses the extractors (ablation)
+        self.use_lbm = toggles.use_lbm  # False shrinks without the look-back (ablation)
+        self.mt_noise_p = toggles.mt_noise_p if toggles.use_l2g else 0.0
         return self
 
     # -- parameter bookkeeping -------------------------------------------
@@ -410,12 +412,11 @@ class Model(Layer):
 
     def forward_task(self, batch: SyntheticBatch, task: str, *,
                      asr_variant: str = "ctc", use_shrink: bool = False,
-                     mt_noise_rngs: list | None = None,
-                     mt_noise_p: float | None = None) -> TaskOutputs:
-        """One task's forward pass. MT needs its input noise `mt_noise_p`
-        (the run's `Toggles.mt_noise()`) and, when it is above 0, draws item
-        b's noise from `mt_noise_rngs[b]` (one generator for every item:
-        draws follow item order)."""
+                     mt_noise_rngs: list | None = None) -> TaskOutputs:
+        """One task's forward pass. MT reads its input noise from the
+        model's `mt_noise_p` and, when that is above 0, draws item b's noise
+        from `mt_noise_rngs[b]` (one generator for every item: draws follow
+        item order)."""
         if task not in TASKS:
             raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
         pad = batch.pad_id
@@ -435,18 +436,16 @@ class Model(Layer):
             return self.asr_outputs(speech, batch, asr_variant)
 
         # mt: noisy text -> shared T-Enc -> decoder
-        if mt_noise_p is None:
-            raise ValueError("forward_task('mt') needs mt_noise_p, the run's MT input noise")
         if mt_noise_rngs is None:
-            if mt_noise_p > 0:
-                raise ValueError(f"forward_task('mt') at mt_noise_p={mt_noise_p} needs "
+            if self.mt_noise_p > 0:
+                raise ValueError(f"forward_task('mt') at mt_noise_p={self.mt_noise_p} needs "
                                  f"mt_noise_rngs, one noise generator per item")
             mt_noise_rngs = [None] * batch.batch_size  # no noise, no draws
         if len(mt_noise_rngs) != batch.batch_size:
             raise ValueError(f"mt_noise_rngs holds {len(mt_noise_rngs)} generators "
                              f"for {batch.batch_size} items")
         noisy_tok, noisy_lens = pad_sequences(
-            [noise_inject(batch.src_tokens[b, : batch.src_lens[b]], mt_noise_p, rng)
+            [noise_inject(batch.src_tokens[b, : batch.src_lens[b]], self.mt_noise_p, rng)
              for b, rng in enumerate(mt_noise_rngs)], pad)
         mask = np.arange(noisy_tok.shape[1])[None, :] < noisy_lens[:, None]
         out = TaskOutputs(tenc_input=self.embed_src(noisy_tok, pad), tenc_mask=mask)
@@ -486,36 +485,21 @@ class Model(Layer):
         cols = np.arange(L)[None, :]
         return np.where(cols < batch.tgt_lens[:, None], out, pad)
 
-    # -- checkpointing ---------------------------------------------------------
-
-    def state_buffers(self):
-        return [t.data for t in self.parameters()]
-
-    def load_state_buffers(self, buffers):
-        tensors = self.parameters()
-        if len(buffers) != len(tensors):
-            raise ValueError("checkpoint parameter count mismatch")
-        for t, b in zip(tensors, buffers):
-            if t.data.shape != b.shape:
-                raise ValueError(f"checkpoint shape mismatch: {t.data.shape} vs {b.shape}")
-            t.data[...] = b  # in place, so a shared parameter stays shared
-
 
 def save_checkpoint(path, model: Model, extra_meta=None, extra_buffers=None):
-    """Versioned binary: magic, JSON header, then raw float64 buffers in
-    deterministic group order (extra buffers follow, sorted by name), and a
-    trailer: the sha256 digest of all the bytes before it.
+    """Versioned binary: magic, JSON header, then raw float64 buffers: the
+    parameters in group order, at the shapes the header's configs give
+    them, then the extra buffers sorted by name, with their shapes in the
+    header; and a trailer: the sha256 digest of all the bytes before it.
 
     Written to `<path>.tmp` and moved onto `path`, so a write that fails
     part-way leaves any checkpoint already at `path` as it was."""
     extra_meta = extra_meta or {}
     extra_buffers = extra_buffers or {}
-    buffers = model.state_buffers()
     extra_names = sorted(extra_buffers)
     header = {
         "model_config": asdict(model.config),
         "corpus": asdict(model.corpus),
-        "param_shapes": [list(b.shape) for b in buffers],
         "extra_buffers": {n: list(np.asarray(extra_buffers[n]).shape) for n in extra_names},
         "meta": extra_meta,
     }
@@ -531,8 +515,8 @@ def save_checkpoint(path, model: Model, extra_meta=None, extra_buffers=None):
             write(CHECKPOINT_MAGIC)
             write(struct.pack("<Q", len(blob)))
             write(blob)
-            for b in buffers:
-                write(np.ascontiguousarray(b, dtype=np.float64).tobytes())
+            for t in model.parameters():
+                write(np.ascontiguousarray(t.data, dtype=np.float64).tobytes())
             for n in extra_names:
                 write(np.ascontiguousarray(extra_buffers[n], dtype=np.float64).tobytes())
             fh.write(digest.digest())
@@ -548,8 +532,9 @@ def load_checkpoint(path):
     and corpus configs its header records. Raises ValueError naming the file
     when it is not a checkpoint, or when its trailer does not match the bytes
     before it (cut short, extended or altered anywhere), before parsing any
-    of them; and when a header is malformed or the buffers it declares do
-    not fill the file exactly."""
+    of them; and when a header is malformed or the buffers its configs and
+    header declare do not fill the file exactly. An older header's
+    `param_shapes` list is ignored."""
     with open(path, "rb") as fh:
         data = fh.read()
     pos, trailer = 0, hashlib.sha256().digest_size
@@ -577,8 +562,8 @@ def load_checkpoint(path):
         header = json.loads(read(hlen, "header").decode())
         model = Model(ModelConfig(**header["model_config"]),
                       CorpusConfig(**header["corpus"]))
-        model.load_state_buffers([read_array(shape, f"parameter {i}")
-                                  for i, shape in enumerate(header["param_shapes"])])
+        for i, t in enumerate(model.parameters()):
+            t.data[...] = read_array(t.data.shape, f"parameter {i}")
         extra = {name: read_array(shape, f"buffer {name}").copy()
                  for name, shape in header["extra_buffers"].items()}
         if pos != len(data):

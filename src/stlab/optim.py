@@ -1,12 +1,12 @@
 """Adam with linear warmup followed by inverse-sqrt decay.
 
-The moments live in one flat buffer each, in parameter order; `m[i]` and
-`v[i]` are views of parameter i's slice. A step updates each maximal run
-of consecutive parameters that hold a gradient with one elementwise
+The moments `m` and `v` live in one flat buffer each, parameter i's
+entries after those of parameters 0 .. i-1. A step updates each maximal
+run of consecutive parameters that hold a gradient with one elementwise
 expression over the run's slice, in the same order of operations as a
 per-tensor update, so the result is bit for bit the same. A parameter
 without a gradient keeps its data and moments. The checkpoint buffers are
-`opt_t`, then `opt_m_i` and `opt_v_i` per parameter.
+`opt_t`, `opt_m` and `opt_v`.
 """
 
 from __future__ import annotations
@@ -35,11 +35,9 @@ class Adam:
         self._offsets = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
         n = self._offsets[-1]
         # moments, and two scratch buffers the update reuses every step
-        self._m, self._v, self._g, self._tmp = np.zeros((4, n))
-        self.m, self.v, self._steps = (
-            [flat[lo:hi].reshape(p.data.shape)
-             for p, lo, hi in zip(self.params, self._offsets, self._offsets[1:])]
-            for flat in (self._m, self._v, self._g))
+        self.m, self.v, self._g, self._tmp = np.zeros((4, n))
+        self._steps = [self._g[lo:hi].reshape(p.data.shape)
+                       for p, lo, hi in zip(self.params, self._offsets, self._offsets[1:])]
 
     def step(self):
         """One Adam update. Raises FloatingPointError, before any state
@@ -65,7 +63,7 @@ class Adam:
         bc2 = 1.0 - b2 ** self.t
         for first, stop in runs:
             lo, hi = off[first], off[stop]
-            g, tmp, m, v = self._g[lo:hi], self._tmp[lo:hi], self._m[lo:hi], self._v[lo:hi]
+            g, tmp, m, v = self._g[lo:hi], self._tmp[lo:hi], self.m[lo:hi], self.v[lo:hi]
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
             m *= b1
             np.multiply(g, 1 - b2, out=tmp)
@@ -87,15 +85,15 @@ class Adam:
     # -- resume support ----------------------------------------------------
 
     def state_buffers(self):
-        out = {"opt_t": np.array([float(self.t)])}
-        for i, (m, v) in enumerate(zip(self.m, self.v)):
-            out[f"opt_m_{i:04d}"] = m
-            out[f"opt_v_{i:04d}"] = v
-        return out
+        return {"opt_t": np.array([float(self.t)]), "opt_m": self.m, "opt_v": self.v}
 
     def load_state_buffers(self, buffers):
-        """Copies into the moment views; they stay views of the flat state."""
+        """Copies into the flat moments. Raises ValueError when a moment
+        buffer is missing or does not hold one entry per parameter entry."""
+        for name, flat in (("opt_m", self.m), ("opt_v", self.v)):
+            buf = buffers.get(name)
+            if buf is None or buf.shape != flat.shape:
+                raise ValueError(f"no {name} buffer of {flat.size} entries, one per "
+                                 f"parameter entry")
+            flat[...] = buf
         self.t = int(buffers["opt_t"][0])
-        for i in range(len(self.params)):
-            self.m[i][...] = buffers[f"opt_m_{i:04d}"].reshape(self.m[i].shape)
-            self.v[i][...] = buffers[f"opt_v_{i:04d}"].reshape(self.v[i].shape)

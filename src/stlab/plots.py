@@ -140,20 +140,21 @@ def write_csv(path, header, rows):
 
 
 def read_csv(path):
-    """Header + float-or-string rows; raises MalformedCsvError with line number."""
+    """The header, and {line number: {column: cell}} for each non-blank line
+    after it, cells as strings; raises MalformedCsvError with the line number."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines:
         raise MalformedCsvError(path, 1, "empty file")
     header = lines[0].split(",")
-    rows = []
+    rows = {}
     for i, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
         cells = ln.split(",")
         if len(cells) != len(header):
             raise MalformedCsvError(path, i, f"expected {len(header)} cells, got {len(cells)}")
-        rows.append(dict(zip(header, cells)))
+        rows[i] = dict(zip(header, cells))
     return header, rows
 
 
@@ -197,7 +198,7 @@ def export_plot(csv_path) -> str:
         raise MalformedCsvError(csv_path, 1, f"unrecognized report header {header}")
     title, ylabel, xlabel, point, y_column = CHARTS[kind]
     points = []  # (series, x or bar label, y), in row order
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in rows.items():
         try:
             points.append((*point(row), float(row[y_column])))
         except (KeyError, ValueError) as exc:  # a missing column or a cell that is no number

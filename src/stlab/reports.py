@@ -20,23 +20,23 @@ from .plots import write_csv
 from .train import load_run_checkpoint
 
 
-def _probe_pairs(config: RunConfig, shrunk=True):
+def _probe_pairs(shrunk=True):
     """{pair name: (task pair, probe kwargs of task a, of task b)} for the
-    ASR-ST and MT-ST consistency pairs; MT runs under the run's input
-    noise. The CE-flavored ASR probe shares the whole model, so the decoder
-    column exists; the CTC probe would only cover the A-Enc."""
+    ASR-ST and MT-ST consistency pairs; MT runs under the input noise the
+    model carries. The CE-flavored ASR probe shares the whole model, so the
+    decoder column exists; the CTC probe would only cover the A-Enc."""
     st = {"use_shrink": shrunk}
     return {"asr_st": (("asr", "st"), {"asr_variant": "ce", **st}, st),
-            "mt_st": (("mt", "st"), {"mt_noise_p": config.toggles.mt_noise()}, st)}
+            "mt_st": (("mt", "st"), {}, st)}
 
 
 PRESETS = ("modules-bar", "per-layer", "asr-variants", "shrink-cl", "over-training")
 
 
-def preset_reports(preset: str, config: RunConfig):
+def preset_reports(preset: str):
     """The consistency reports of a single-checkpoint preset, as
     (CSV name, variants, consistency_protocol layout) rows."""
-    pairs = _probe_pairs(config)
+    pairs = _probe_pairs()
     asr_pair, asr_a, asr_b = pairs["asr_st"]
     per_layer = {"partitions": ("T-Enc",), "per_layer": True}
     return {
@@ -52,7 +52,7 @@ def preset_reports(preset: str, config: RunConfig):
                            for v in ("ctc", "ce")], {})],
         # MT-ST without and with shrinking
         "shrink-cl": [("consistency_shrink_cl.csv",
-                       [("plain", *_probe_pairs(config, shrunk=False)["mt_st"]),
+                       [("plain", *_probe_pairs(shrunk=False)["mt_st"]),
                         ("shrink", *pairs["mt_st"])], {})],
     }[preset]
 
@@ -62,8 +62,7 @@ def write_entropy_report(model, config: RunConfig, path, *, n, seed):
     stream with and without shrinking."""
     rng = np.random.default_rng((seed, 0xE27))
     batch = make_batch(config.corpus, rng.integers(0, 2**62, size=n))
-    mt = {"mt_noise_rngs": [np.random.default_rng((seed, 1))] * n,
-          "mt_noise_p": config.toggles.mt_noise()}
+    mt = {"mt_noise_rngs": [np.random.default_rng((seed, 1))] * n}
     rows = []
     for stream, task, kw in (("mt", "mt", mt), ("st_plain", "st", {"use_shrink": False}),
                              ("st_shrunk", "st", {"use_shrink": True})):
@@ -80,7 +79,7 @@ def preset_over_training(config: RunConfig, run_dir, out_dir, *, n, repeats, see
                    if (m := re.match(r"checkpoint_(\d+)\.stlab", p.name)))
     if not ckpts:
         raise FileNotFoundError(f"no checkpoints found in {run_dir}")
-    pairs = _probe_pairs(config, shrunk=False)
+    pairs = _probe_pairs(shrunk=False)
     rows = {pair_name: [] for pair_name in pairs}
     for step, path in ckpts:
         try:
@@ -129,7 +128,7 @@ def run_preset(preset: str, config: RunConfig, target, out_dir, *, n, repeats, s
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for name, variants, layout in preset_reports(preset, config):
+    for name, variants, layout in preset_reports(preset):
         labelled = variants[0][0] is not None  # else no variant column
         rows = [((label,) if labelled else ()) + (r.partition, r.kind, r.layer, r.mean, r.std)
                 for label, pair, kw_a, kw_b in variants

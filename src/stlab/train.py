@@ -101,12 +101,10 @@ def mt_terms(model: Model, batch, config: RunConfig, step: int):
     its task loss, and its consistency term (None with the L2G extractors
     off). compute_losses calls it in-process; the trainer's step worker
     calls it in its own process."""
-    tg = config.toggles
     mt_rng = np.random.default_rng((config.training.seed, _STREAM_NOISE, step))
-    mt_out = model.forward_task(batch, "mt", mt_noise_rngs=[mt_rng] * batch.batch_size,
-                                mt_noise_p=tg.mt_noise())
+    mt_out = model.forward_task(batch, "mt", mt_noise_rngs=[mt_rng] * batch.batch_size)
     cons = consistency_loss(mt_out.extractor_outs, mt_out.attention_outs,
-                            mt_out.tenc_mask) if tg.use_l2g else None
+                            mt_out.tenc_mask) if config.toggles.use_l2g else None
     return task_loss(mt_out, batch), cons
 
 
@@ -174,8 +172,8 @@ def make_probe_fn(model: Model, config: RunConfig, weights: sched.TaskWeights,
     probe instances form one batch, and each task is captured with one
     forward and one backward over it (analysis.capture_instance_gradients,
     per-example ATTEN parameters). Each task is probed as the run trains
-    it: ASR under the configured variant, MT under the run's input noise,
-    drawn for each instance from its own stream. The probe returns
+    it: ASR under the configured variant, MT under the input noise the
+    model carries, drawn for each instance from its own stream. The probe returns
     {task: {partition: [k, n]}} for ST and every active task, with row j
     holding instance j's ATTEN gradients."""
     tg, seed, k = config.toggles, config.training.seed, config.scheduler.k
@@ -187,8 +185,7 @@ def make_probe_fn(model: Model, config: RunConfig, weights: sched.TaskWeights,
         forward_kw = {
             "st": {"use_shrink": shrink_active},
             "asr": {"asr_variant": tg.asr_variant, "use_shrink": shrink_active},
-            "mt": {"mt_noise_p": tg.mt_noise(),
-                   "mt_noise_rngs": [np.random.default_rng((seed, _STREAM_PROBE, step, j, 1))
+            "mt": {"mt_noise_rngs": [np.random.default_rng((seed, _STREAM_PROBE, step, j, 1))
                                      for j in range(k)]}}
         return {task: analysis.capture_instance_gradients(model, batch, task,
                                                           **forward_kw[task])
@@ -365,18 +362,21 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
         if meta["step"] >= tr.steps:
             raise ConfigError(f"checkpoint {resume_from} is at step {meta['step']}, "
                               f"so training.steps = {tr.steps} leaves no step to run")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_config(config, out_dir / "config.json")
-
     warmup = max(1, int(tr.warmup_fraction * tr.steps))
     opt = Adam(model.parameters(), lr=tr.learning_rate, beta1=tr.beta1,
                beta2=tr.beta2, warmup_steps=warmup)
     weights = make_task_weights(config)
     start_step = meta.get("step", 0)
     if meta:
-        opt.load_state_buffers(extra)
+        try:
+            opt.load_state_buffers(extra)
+        except ValueError as exc:  # e.g. a checkpoint written before opt_m and opt_v
+            raise ValueError(f"checkpoint {resume_from} cannot resume the optimizer: "
+                             f"{exc}") from None
         weights = _restore_weights(meta["task_weights"], config)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_config(config, out_dir / "config.json")
 
     # the JSON-lines sidecars; an in-place resume rewrites the rows past its step
     files = {}

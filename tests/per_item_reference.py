@@ -210,8 +210,7 @@ def probe_instances(model, config, weights, step, shrink_active):
             if task == "asr":
                 kw = {"asr_variant": tg.asr_variant, "use_shrink": shrink_active}
             else:
-                kw = {"mt_noise_p": tg.mt_noise(),
-                      "mt_noise_rngs": [np.random.default_rng((seed, _STREAM_PROBE, step, j, 1))]}
+                kw = {"mt_noise_rngs": [np.random.default_rng((seed, _STREAM_PROBE, step, j, 1))]}
             entry[task] = atten_by_partition(
                 analysis.capture_gradients(model, batch, task, **kw))
         instances.append(entry)

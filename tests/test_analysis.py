@@ -16,7 +16,6 @@ from stlab.model import Model, ModelConfig
 
 CORPUS = CorpusConfig(vocab_size=6, max_src_len=4, seed=5)
 MODEL_CFG = ModelConfig(d_model=16, n_heads=2, ffn_dim=24, seed=5)
-MT_NOISE = {"mt_noise_p": 0.2}  # the MT probe needs the run's input noise
 
 
 # -- cosine ---------------------------------------------------------------
@@ -89,7 +88,7 @@ def test_capture_gradients_wraps_failures():
 @pytest.mark.parametrize("task, kw", [
     ("st", {}), ("st", {"use_shrink": True}),
     ("asr", {"asr_variant": "ctc"}), ("asr", {"asr_variant": "ce", "use_shrink": True}),
-    ("asr", {"asr_variant": "ce"}), ("mt", {"mt_noise_p": 0.3})])
+    ("asr", {"asr_variant": "ce"}), ("mt", {})])  # MT at the model's noise
 def test_capture_instance_gradients_match_batch_one(task, kw):
     """Row b of each partition's [B, n] matrix from one batched pass holds
     the ATTEN gradients capture_gradients reports for item b alone, in layer
@@ -128,8 +127,7 @@ def test_capture_instance_gradients_restores_parameters_on_failure():
 
 def test_consistency_protocol_rows():
     model = Model(MODEL_CFG, CORPUS)
-    rows = consistency_protocol(model, CORPUS, ("mt", "st"), n=3, repeats=2, seed=1,
-                                probe_kwargs_a=MT_NOISE)
+    rows = consistency_protocol(model, CORPUS, ("mt", "st"), n=3, repeats=2, seed=1)
     assert rows, "expected at least one consistency row"
     for r in rows:
         assert r.partition in ("T-Enc", "Decoder")  # mt never reaches A-Enc
@@ -139,10 +137,8 @@ def test_consistency_protocol_rows():
 
 def test_consistency_protocol_deterministic():
     model = Model(MODEL_CFG, CORPUS)
-    r1 = consistency_protocol(model, CORPUS, ("mt", "st"), n=2, repeats=2, seed=3,
-                              probe_kwargs_a=MT_NOISE)
-    r2 = consistency_protocol(model, CORPUS, ("mt", "st"), n=2, repeats=2, seed=3,
-                              probe_kwargs_a=MT_NOISE)
+    r1 = consistency_protocol(model, CORPUS, ("mt", "st"), n=2, repeats=2, seed=3)
+    r2 = consistency_protocol(model, CORPUS, ("mt", "st"), n=2, repeats=2, seed=3)
     assert [(a.partition, a.kind, a.mean) for a in r1] == \
            [(b.partition, b.kind, b.mean) for b in r2]
 
@@ -159,7 +155,7 @@ def test_consistency_protocol_draws_mt_noise_per_item_and_repeat(monkeypatch):
 
     monkeypatch.setattr(model_mod, "noise_inject", recording_noise)
     consistency_protocol(Model(MODEL_CFG, CORPUS), CORPUS, ("mt", "st"), n=3, repeats=2,
-                         seed=4, probe_kwargs_a=MT_NOISE)
+                         seed=4)
     assert states == [np.random.default_rng((4, 0xAB, r, j)).bit_generator.state
                       for r in range(2) for j in range(3)]
 
@@ -170,7 +166,7 @@ def test_consistency_protocol_rows_come_in_partition_kind_layer_order():
     model = Model(ModelConfig(d_model=16, n_heads=2, ffn_dim=24, seed=5, t_enc_layers=12),
                   CORPUS)
     rows = consistency_protocol(model, CORPUS, ("mt", "st"), n=2, repeats=2, seed=0,
-                                per_layer=True, probe_kwargs_a=MT_NOISE)
+                                per_layer=True)
     keys = [(r.partition, r.kind, r.layer) for r in rows]
     assert keys == sorted(keys)
     assert [layer for part, kind, layer in keys
@@ -227,7 +223,8 @@ def test_entropy_rejects_unnormalized_rows():
 def test_stream_entropy_report_layers():
     model = Model(MODEL_CFG, CORPUS)
     batch = make_batch(CORPUS, [1, 2, 3])
-    out = model.forward_task(batch, "mt", mt_noise_p=0.0)
+    model.mt_noise_p = 0.0
+    out = model.forward_task(batch, "mt")
     rows = stream_entropy_report(out.attention_weights, out.tenc_mask, "mt")
     assert [r.layer for r in rows] == list(range(MODEL_CFG.t_enc_layers))
     assert all(r.stream == "mt" and r.entropy_bits >= 0.0 for r in rows)

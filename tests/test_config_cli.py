@@ -1,8 +1,10 @@
 """Config serialization strictness and the command-line surface."""
 
 import dataclasses
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from stlab import cli
@@ -168,6 +170,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
               ({"corpus": {"frame_noise_std": True}}, "frame_noise_std"),
               ({"model": {"n_heads": 0}}, "n_heads"),
               ({"model": {"t_enc_layers": 0}}, "t_enc_layers"),
+              ({"model": {"a_enc_layers": 0}}, "a_enc_layers"),
+              ({"model": {"dec_layers": 0}}, "dec_layers"),
               ({"corpus": {"vocab_size": 0}}, "vocab_size"),
               ({"training": {"seed": -1}}, "seed"),
               ({"scheduler": {"prune_threshold": "x", "update_every": 1}}, "prune_threshold")]
@@ -294,14 +298,16 @@ def test_cli_export_plots_rejects_malformed_csv(tmp_path, capsys):
     rc = cli.main(["export-plots", "--out", str(tmp_path / "p"), str(bad)])
     assert rc == 2
     assert "unrecognized" in capsys.readouterr().err
-    # a row its chart cannot read: a missing column, or a layer that is no number
-    for name, text in (("no_w.csv", "step,task\n1,asr\n"),
-                       ("no_mean.csv", "partition,kind,layer\nT-Enc,ATTEN,0\n"),
-                       ("layer_x.csv", "layer,stream,entropy_bits\nx,mt,1.0\n")):
+    # a row its chart cannot read: a missing column, or a layer that is no
+    # number, named by its line, blank lines counted
+    for name, text, line in (("no_w.csv", "step,task\n1,asr\n", 2),
+                             ("no_mean.csv", "partition,kind,layer\nT-Enc,ATTEN,0\n", 2),
+                             ("layer_x.csv", "layer,stream,entropy_bits\nx,mt,1.0\n", 2),
+                             ("blank.csv", "layer,stream,entropy_bits\n\nx,mt,1.0\n", 3)):
         bad = tmp_path / name
         bad.write_text(text)
         rc = cli.main(["export-plots", "--out", str(tmp_path / "p"), str(bad)])
-        assert rc == 2 and f"{bad}:2:" in capsys.readouterr().err, name
+        assert rc == 2 and f"{bad}:{line}:" in capsys.readouterr().err, name
 
 
 def test_cli_export_plots_writes_nothing_when_a_csv_is_bad(tmp_path):
@@ -328,3 +334,38 @@ def test_cli_export_plots_refuses_two_inputs_with_one_stem(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(paths[0]) in err and str(paths[1]) in err
     assert not out.exists()
+
+
+def test_cli_resume_refuses_a_checkpoint_with_per_tensor_adam_buffers(tmp_path, capsys):
+    """A checkpoint written before Adam's flat buffers (a `param_shapes`
+    header list, one opt_m_XXXX and opt_v_XXXX buffer per parameter) holds
+    no opt_m: --resume exits 2 with one line naming the file and the
+    buffer, before the run directory is made, while analyze and
+    shrink-eval still read the file."""
+    cfg = tmp_path / "tiny.json"
+    save_config(tiny_run_config(), cfg)
+    model = build_model(tiny_run_config())
+    ckpt = tmp_path / "old.stlab"
+    save_checkpoint(ckpt, model, extra_meta={"step": 3}, extra_buffers={
+        "opt_t": np.array([3.0]),
+        **{f"opt_{k}_{i:04d}": np.zeros(p.data.shape)
+           for k in "mv" for i, p in enumerate(model.parameters())}})
+    # the header of such a checkpoint also listed every parameter's shape
+    blob = ckpt.read_bytes()[:-hashlib.sha256().digest_size]
+    start = len(b"STLAB-CKPT-v1\n") + 8
+    end = start + int.from_bytes(blob[start - 8:start], "little")
+    header = json.loads(blob[start:end])
+    header["param_shapes"] = [list(p.data.shape) for p in model.parameters()]
+    text = json.dumps(header, sort_keys=True).encode()
+    blob = blob[:start - 8] + len(text).to_bytes(8, "little") + text + blob[end:]
+    ckpt.write_bytes(blob + hashlib.sha256(blob).digest())
+
+    rc = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                   "--resume", str(ckpt)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1 and str(ckpt) in err and "opt_m" in err, err
+    assert not (tmp_path / "run").exists()
+    for argv in (["analyze", "--preset", "modules-bar", "--checkpoint", str(ckpt),
+                  "--samples", "2", "--repeats", "1"],
+                 ["shrink-eval", "--checkpoint", str(ckpt), "--batches", "1"]):
+        assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0

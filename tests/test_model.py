@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import stlab.model as model_mod
 from stlab.autograd import GroupKey, ParamGroup, Tensor
+from stlab.config import Toggles
 from stlab.data import CorpusConfig, make_batch, noise_inject
 from stlab.model import (Model, ModelConfig, load_checkpoint, save_checkpoint,
                          sinusoidal_positions)
@@ -67,7 +68,8 @@ def test_task_output_shapes(model, batch):
     assert asr.logits is None
     assert asr.ctc_log_probs.shape == (B, batch.speech.shape[1], CORPUS.vocab_size + 1)
 
-    mt = model.forward_task(batch, "mt", mt_noise_p=0.0)
+    model.mt_noise_p = 0.0  # clean text: no noise generators needed
+    mt = model.forward_task(batch, "mt")
     assert mt.logits.shape == (B, Ly, CORPUS.n_symbols)
 
 
@@ -126,7 +128,8 @@ def test_ctc_asr_touches_only_a_enc(model, batch):
 
 def test_mt_never_touches_a_enc(model, batch):
     from stlab.losses import ce_loss
-    out = model.forward_task(batch, "mt", mt_noise_p=0.0)
+    model.mt_noise_p = 0.0
+    out = model.forward_task(batch, "mt")
     loss = ce_loss(out.logits, out.targets, batch.pad_id)
     assert _touched_partitions(model, loss) == {"T-Enc", "Decoder"}
 
@@ -139,19 +142,34 @@ def test_st_touches_all_partitions(model, batch):
 
 
 def test_mt_forward_needs_its_noise(model, batch):
-    """The MT input noise has one owner, the run's toggles, and noisy MT
-    draws from the caller's generators, one per item: a call without either
-    raises instead of falling back to a default of its own. Without noise
-    nothing is drawn, so no generators are needed."""
-    with pytest.raises(ValueError, match="mt_noise_p"):
-        model.forward_task(batch, "mt")
+    """The MT input noise has one owner, the model, which holds the default
+    toggles' noise until apply_toggles sets a run's, and noisy MT draws from
+    the caller's generators, one per item: a call without them raises
+    instead of falling back to a generator of its own. Without noise nothing
+    is drawn, so no generators are needed."""
+    assert model.mt_noise_p == Toggles().mt_noise_p > 0
     with pytest.raises(ValueError, match="mt_noise_rngs"):
-        model.forward_task(batch, "mt", mt_noise_p=0.2)
+        model.forward_task(batch, "mt")
     with pytest.raises(ValueError, match="3 items"):
-        model.forward_task(batch, "mt", mt_noise_p=0.2,
-                           mt_noise_rngs=[np.random.default_rng(0)])
-    clean = model.forward_task(batch, "mt", mt_noise_p=0.0)
+        model.forward_task(batch, "mt", mt_noise_rngs=[np.random.default_rng(0)])
+    model.mt_noise_p = 0.0
+    clean = model.forward_task(batch, "mt")
     np.testing.assert_array_equal(clean.tenc_mask, batch.src_tokens != batch.pad_id)
+
+
+def test_a_bare_model_forwards_as_one_with_the_default_toggles(batch):
+    """A new model holds the default toggles' forward settings, MT's input
+    noise among them."""
+    bare = Model(tiny_config(), CORPUS)
+    applied = Model(tiny_config(), CORPUS).apply_toggles(Toggles())
+
+    def forward(model):
+        rngs = [np.random.default_rng((5, b)) for b in range(batch.batch_size)]
+        return [model.forward_task(batch, task, use_shrink=True, mt_noise_rngs=rngs).logits.data
+                for task in ("st", "mt")]
+
+    for a, b in zip(forward(bare), forward(applied)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_noisy_mt_layout(model):
@@ -159,7 +177,8 @@ def test_noisy_mt_layout(model):
     from item b's generator, and its mask is true for exactly their length."""
     batch = make_batch(CORPUS, [10, 11, 12, 13])
     p, B = 0.5, batch.batch_size
-    out = model.forward_task(batch, "mt", mt_noise_p=p,
+    model.apply_toggles(Toggles(mt_noise_p=p))
+    out = model.forward_task(batch, "mt",
                              mt_noise_rngs=[np.random.default_rng((3, b)) for b in range(B)])
     want = [noise_inject(batch.src_tokens[b, : batch.src_lens[b]], p,
                          np.random.default_rng((3, b))) for b in range(B)]
@@ -179,9 +198,10 @@ def test_st_and_mt_share_t_enc_parameters(model, batch):
     shared = [t for g in model.param_groups
               if g.key.partition == "T-Enc" and g.key.layer >= 0
               for t in g.tensors]
+    model.mt_noise_p = 0.0
     for task in ("st", "mt"):
         model.zero_grad()
-        out = model.forward_task(batch, task, mt_noise_p=0.0)
+        out = model.forward_task(batch, task)
         ce_loss(out.logits, out.targets, batch.pad_id).backward()
         assert all(t.grad is not None for t in shared), task
     model.zero_grad()
@@ -205,9 +225,10 @@ def test_l2g_extractor_receptive_field():
 
 
 def test_use_l2g_toggle_bypasses_extractors(model, batch):
-    out_on = model.forward_task(batch, "mt", mt_noise_p=0.0).logits.data.copy()
+    model.mt_noise_p = 0.0
+    out_on = model.forward_task(batch, "mt").logits.data.copy()
     model.use_l2g = False
-    out_off = model.forward_task(batch, "mt", mt_noise_p=0.0).logits.data
+    out_off = model.forward_task(batch, "mt").logits.data
     assert not np.allclose(out_on, out_off)
 
 
@@ -244,8 +265,8 @@ def test_greedy_decode_matches_teacher_forcing_argmax(model, batch):
 
 def test_model_construction_deterministic():
     m1, m2 = Model(tiny_config(), CORPUS), Model(tiny_config(), CORPUS)
-    for a, b in zip(m1.state_buffers(), m2.state_buffers()):
-        np.testing.assert_array_equal(a, b)
+    for a, b in zip(m1.parameters(), m2.parameters()):
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_param_groups_cover_everything(model):
@@ -411,8 +432,8 @@ def test_checkpoint_round_trips(seed, step, extra):
         loaded, meta, buffers = load_checkpoint(path)
     assert meta == {"step": step} and loaded.config == model.config
     np.testing.assert_array_equal(buffers["x"], extra)
-    for a, b in zip(loaded.state_buffers(), model.state_buffers()):
-        np.testing.assert_array_equal(a, b)
+    for a, b in zip(loaded.parameters(), model.parameters()):
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 @settings(max_examples=300, deadline=None)

@@ -22,11 +22,13 @@ def set_grads(params, grads):
 
 
 def assert_same_state(opt, ref):
+    """Equal parameters, and flat moments equal to the reference's
+    per-tensor moments concatenated in parameter order."""
     assert opt.t == ref.t
-    for p, q, m, rm, v, rv in zip(opt.params, ref.params, opt.m, ref.m, opt.v, ref.v):
+    for p, q in zip(opt.params, ref.params):
         np.testing.assert_array_equal(p.data, q.data)
-        np.testing.assert_array_equal(m, rm)
-        np.testing.assert_array_equal(v, rv)
+    np.testing.assert_array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
+    np.testing.assert_array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
 
 
 def test_flat_adam_is_the_per_tensor_update_bit_for_bit():
@@ -58,15 +60,26 @@ def test_flat_adam_is_the_per_tensor_update_bit_for_bit():
 
 
 def test_loaded_moments_stay_views_of_the_flat_state():
+    """Loading copies into the flat moments the update runs on: the state
+    buffers are those moments, and no loaded buffer is aliased. A moment
+    buffer that is missing, or not one entry per parameter entry, raises."""
     params = make_params(np.random.default_rng(42))
     opt = Adam(params, **SETTINGS)
-    buffers = {k: np.full_like(v, 0.5) for k, v in opt.state_buffers().items()}
+    m, v = opt.m, opt.v
+    assert sorted(opt.state_buffers()) == ["opt_m", "opt_t", "opt_v"]
+    assert opt.state_buffers()["opt_m"] is m and opt.state_buffers()["opt_v"] is v
+    assert m.shape == v.shape == (sum(p.data.size for p in params),)
+    buffers = {k: np.full_like(b, 0.5) for k, b in opt.state_buffers().items()}
     buffers["opt_t"] = np.array([3.0])
     opt.load_state_buffers(buffers)
-    assert opt.t == 3
-    for m, v in zip(opt.m, opt.v):
-        assert np.shares_memory(m, opt._m) and np.shares_memory(v, opt._v)
-    np.testing.assert_array_equal(opt._m, 0.5)
+    assert opt.t == 3 and opt.m is m and opt.v is v
+    assert not any(np.shares_memory(m, b) or np.shares_memory(v, b) for b in buffers.values())
+    np.testing.assert_array_equal(m, 0.5)
+    np.testing.assert_array_equal(v, 0.5)
+    with pytest.raises(ValueError, match="no opt_v buffer"):
+        opt.load_state_buffers({k: b for k, b in buffers.items() if k != "opt_v"})
+    with pytest.raises(ValueError, match="no opt_m buffer of 45 entries"):
+        opt.load_state_buffers({**buffers, "opt_m": np.zeros(1)})
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -76,8 +89,7 @@ def test_non_finite_gradient_raises_before_any_state_changes(bad):
     opt = Adam(params, **SETTINGS)
     set_grads(params, [rng.normal(size=s) for s in SHAPES])
     opt.step()
-    before = ([p.data.copy() for p in params], [m.copy() for m in opt.m],
-              [v.copy() for v in opt.v])
+    before = [p.data.copy() for p in params] + [opt.m.copy(), opt.v.copy()]
     grads = [rng.normal(size=s) for s in SHAPES]
     grads[1] = None
     grads[4][2] = bad  # in the second run of parameters with a gradient
@@ -85,6 +97,5 @@ def test_non_finite_gradient_raises_before_any_state_changes(bad):
     with pytest.raises(FloatingPointError, match="parameter 4"):
         opt.step()
     assert opt.t == 1
-    for now, was in zip((params, opt.m, opt.v), before):
-        for a, b in zip(now, was):
-            np.testing.assert_array_equal(getattr(a, "data", a), b)
+    for now, was in zip([p.data for p in params] + [opt.m, opt.v], before):
+        np.testing.assert_array_equal(now, was)

@@ -187,12 +187,14 @@ def test_a_refused_checkpoint_leaves_no_report_directory(tmp_path, capsys):
 
 def test_write_csv_round_trips_through_read_csv(tmp_path):
     """A float cell reads back equal to the float written; None, int and
-    str cells read back as their str."""
+    str cells read back as their str. Rows are keyed by their line."""
     floats = [0.1, 1 / 3, 1e-300, -2.5e17, 123456789.123456789, 5e-324]
     rows = [(i, "T-Enc", None, x) for i, x in enumerate(floats)]
     path = write_csv(tmp_path / "r.csv", ("step", "partition", "layer", "mean"), rows)
-    header, read = read_csv(path)
+    header, by_line = read_csv(path)
     assert header == ["step", "partition", "layer", "mean"]
+    assert list(by_line) == list(range(2, 2 + len(floats)))
+    read = list(by_line.values())
     assert [float(r["mean"]) for r in read] == floats
     assert [(r["step"], r["partition"], r["layer"]) for r in read] == \
         [(str(i), "T-Enc", "None") for i in range(len(floats))]

@@ -130,6 +130,20 @@ def test_resume_replays_exactly(tmp_path):
     assert full.final_checkpoint.read_bytes() == resumed.final_checkpoint.read_bytes()
 
 
+def test_a_checkpoint_header_holds_configs_and_three_adam_buffers(tmp_path):
+    """The header records no parameter shapes, which its configs fix, and
+    the optimizer's state is opt_t and the flat moments opt_m and opt_v,
+    one entry per parameter entry: 71436 for the default config."""
+    cfg = default_config(steps=1)
+    blob = train(cfg, tmp_path / "run").final_checkpoint.read_bytes()
+    start = len(model_mod.CHECKPOINT_MAGIC) + 8
+    header = json.loads(blob[start:start + int.from_bytes(blob[start - 8:start], "little")])
+    entries = sum(p.data.size for p in train_mod.build_model(cfg).parameters())
+    assert entries == 71436
+    assert sorted(header) == ["corpus", "extra_buffers", "meta", "model_config"]
+    assert header["extra_buffers"] == {"opt_m": [entries], "opt_t": [1], "opt_v": [entries]}
+
+
 def test_resume_checks_the_recorded_configs(tmp_path):
     """A checkpoint records its model and corpus configs; a resume under
     another corpus raises naming the file, and one from a checkpoint past
@@ -401,7 +415,7 @@ def test_non_finite_gradient_aborts_and_the_last_checkpoint_resumes(tmp_path, mo
                 p.grad.flat[0] = np.inf
                 seen["opt"] = self
                 seen["before"] = [a.copy() for a in
-                                  [p.data for p in self.params] + self.m + self.v]
+                                  [p.data for p in self.params] + [self.m, self.v]]
             super().step()
 
     monkeypatch.setattr(train_mod, "Adam", PoisonedAdam)
@@ -411,7 +425,7 @@ def test_non_finite_gradient_aborts_and_the_last_checkpoint_resumes(tmp_path, mo
     assert exc.value.last_checkpoint.name == "checkpoint_000004.stlab"
     opt = seen["opt"]
     assert opt.t == 4
-    for now, was in zip([p.data for p in opt.params] + opt.m + opt.v, seen["before"]):
+    for now, was in zip([p.data for p in opt.params] + [opt.m, opt.v], seen["before"]):
         np.testing.assert_array_equal(now, was)
     monkeypatch.undo()
     resumed = train(cfg, tmp_path / "run", resume_from=exc.value.last_checkpoint)
