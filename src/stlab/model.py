@@ -2,16 +2,16 @@
 local-to-global extractors, and decoder, with the T-Enc and decoder shared
 between the translation tasks.
 
-Forward paths:
-  st      speech -> A-Enc -> (shrink) -> T-Enc(speech) -> decoder -> tgt
-  asr/ctc speech -> A-Enc -> CTC head (A-Enc parameters only)
-  asr/ce  speech -> A-Enc -> (shrink) -> T-Enc(speech) -> decoder -> src
-  mt      src + noise -> embed -> T-Enc(text) -> decoder -> tgt
+Forward paths: speech and text each enter the T-Enc once, and one
+teacher-forced `decode` serves ST (tgt), the `ce` ASR (src) and MT (tgt).
+  speech   A-Enc -> CTC head, (shrink) -> T-Enc   encode_speech: st, asr/ce
+  text     src + noise -> embed -> T-Enc          encode_text: mt
+  asr/ctc  speech -> A-Enc -> CTC head (A-Enc parameters only)
 
 The trainer encodes speech once per step: `asr_outputs` reads ASR off the
-ST pass (its CTC log-probs, and the source decoded from its T-Enc memory).
+ST pass (its CTC log-probs, or the source decoded from its T-Enc memory).
 A standalone `forward_task("asr")`, as the impact probes run it, encodes
-the batch itself.
+the batch itself. Pad and BOS are those of the model's corpus.
 
 Each projection is one `autograd.linear` node, each norm one
 `autograd.affine_norm` node and each attention core one
@@ -318,15 +318,13 @@ class Model(Layer):
         return Tensor(sinusoidal_positions(L, self.config.d_model))
 
     def a_enc_forward(self, speech, speech_lens):
-        """speech: [B, T, frame_dim] ndarray or Tensor. Returns (features,
-        valid mask)."""
-        x = speech if isinstance(speech, Tensor) else Tensor(speech)
-        B, T, _ = x.shape
+        """speech: [B, T, frame_dim] ndarray. Returns (features, valid mask)."""
+        B, T, _ = speech.shape
         if T == 0:
             raise ValueError("a_enc_forward: empty time axis")
         mask = np.arange(T)[None, :] < np.asarray(speech_lens)[:, None]
         bias = _key_bias(mask)
-        x = self.in_proj(x) + self._pos(T)
+        x = self.in_proj(Tensor(speech)) + self._pos(T)
         for layer in self.a_layers:
             x, _, _ = layer(x, bias)
         return self.a_final_ln(x), mask
@@ -334,108 +332,57 @@ class Model(Layer):
     def ctc_log_probs(self, features):
         return ag.log_softmax(self.ctc_head(features))
 
-    def t_enc_forward(self, features, mask):
-        """Shared textual encoder. features: Tensor [B, L, d]; mask: bool [B, L].
-        Returns (repr, extractor outs, attention sublayer outs, attention weights)."""
-        x = features + self._pos(features.shape[1])
-        bias = _key_bias(mask)
-        ext_outs, attn_outs, weights = [], [], []
+    def t_enc_forward(self, out: TaskOutputs) -> TaskOutputs:
+        """Shared textual encoder on out.tenc_input [B, L, d] under
+        out.tenc_mask [B, L]. Fills out's memory and, per layer, its
+        extractor outs, attention sublayer outs and attention weights;
+        returns out."""
+        x = out.tenc_input + self._pos(out.tenc_input.shape[1])
+        bias = _key_bias(out.tenc_mask)
         for layer in self.t_layers:
-            x, ext, attn_out, w = layer(x, mask, bias, use_extractor=self.use_l2g)
-            ext_outs.append(ext)
-            attn_outs.append(attn_out)
-            weights.append(w)
-        return self.t_final_ln(x), ext_outs, attn_outs, weights
+            x, ext, attn_out, w = layer(x, out.tenc_mask, bias, use_extractor=self.use_l2g)
+            out.extractor_outs.append(ext)
+            out.attention_outs.append(attn_out)
+            out.attention_weights.append(w)
+        out.memory = self.t_final_ln(x)
+        return out
 
-    def embed_src(self, tokens, pad_id):
+    def embed_src(self, tokens):
         """Clean source embeddings; pad rows are still looked up but masked
         downstream."""
-        safe = np.where(np.asarray(tokens) == pad_id, 0, tokens)
+        safe = np.where(tokens == self.corpus.pad_id, 0, tokens)
         return ag.embedding(self.src_embed, safe)
 
-    def decoder_forward(self, tgt_prefix, memory, memory_mask, pad_id):
-        """Teacher-forced decoder logits. tgt_prefix: int [B, L] (starts with BOS)."""
-        tgt_prefix = np.asarray(tgt_prefix)
-        B, L = tgt_prefix.shape
+    def decoder_forward(self, prefix, memory, memory_mask):
+        """Decoder logits for prefix: int [B, L], BOS first, pad masked."""
+        B, L = prefix.shape
         if L == 0:
             raise ValueError("decoder_forward: empty prefix")
-        safe = np.where(tgt_prefix == pad_id, 0, tgt_prefix)
-        x = ag.embedding(self.tgt_embed, safe) + self._pos(L)
-        prefix_mask = tgt_prefix != pad_id
-        self_bias = _causal_bias(L) + _key_bias(prefix_mask)
+        pad = self.corpus.pad_id
+        x = ag.embedding(self.tgt_embed, np.where(prefix == pad, 0, prefix)) + self._pos(L)
+        self_bias = _causal_bias(L) + _key_bias(prefix != pad)
         cross_bias = _key_bias(memory_mask)
         for layer in self.dec_layers:
             x = layer(x, memory, self_bias, cross_bias)
         return self.out_proj(self.dec_final_ln(x))
 
-    # -- speech-side encoding (shared by ST and the CE-ASR probe) -----------
+    # -- the two streams into the T-Enc, and the decode --------------------
 
-    def encode_speech(self, batch: SyntheticBatch, use_shrink: bool):
-        """A-Enc, optional CTC-driven shrinking, then T-Enc on the speech stream.
-
-        Returns the outputs: CTC log-probs, T-Enc input, mask, memory and
-        intermediates, and the measured length ratio.
-        """
+    def encode_speech(self, batch: SyntheticBatch, use_shrink: bool) -> TaskOutputs:
+        """A-Enc, CTC head, optional CTC-driven shrinking, then the T-Enc:
+        the outputs carry the CTC log-probs and the measured length ratio."""
         feats, mask = self.a_enc_forward(batch.speech, batch.speech_lens)
-        ctc_lp = self.ctc_log_probs(feats)
-        out = TaskOutputs(ctc_log_probs=ctc_lp)
+        out = TaskOutputs(ctc_log_probs=self.ctc_log_probs(feats), tenc_input=feats,
+                          tenc_mask=mask, length_ratio=1.0)
         if use_shrink:
             out.tenc_input, out.tenc_mask, _, out.length_ratio = shrink_mod.shrink_batch(
-                feats, ctc_lp, batch.speech_lens, self.lbm, use_lbm=self.use_lbm)
-        else:
-            out.tenc_input, out.tenc_mask = feats, mask
-            out.length_ratio = 1.0
-        out.memory, out.extractor_outs, out.attention_outs, out.attention_weights = \
-            self.t_enc_forward(out.tenc_input, out.tenc_mask)
-        return out
+                feats, out.ctc_log_probs, batch.speech_lens, self.lbm, use_lbm=self.use_lbm)
+        return self.t_enc_forward(out)
 
-    def _teacher_logits(self, enc: TaskOutputs, tokens, lens, pad_id):
-        """Teacher-forced decoder logits for `tokens`, attending to enc.memory."""
-        prefix = self._teacher_prefix(tokens, lens, self.corpus.bos_id, pad_id)
-        return self.decoder_forward(prefix, enc.memory, enc.tenc_mask, pad_id)
-
-    def asr_outputs(self, speech: TaskOutputs, batch: SyntheticBatch,
-                    asr_variant: str = "ctc") -> TaskOutputs:
-        """ASR outputs on already-encoded speech (an ST forward's outputs or
-        encode_speech's): its CTC log-probs for `ctc`, the source decoded
-        from its T-Enc memory for `ce`. The `ctc` outputs carry no logits,
-        not even an ST pass's, since `task_loss` reads CE off any logits."""
-        if asr_variant not in ASR_VARIANTS:
-            raise ValueError(f"unknown asr_variant {asr_variant!r}")
-        ce = asr_variant == "ce"
-        logits = self._teacher_logits(speech, batch.src_tokens, batch.src_lens,
-                                      batch.pad_id) if ce else None
-        return dataclasses.replace(speech, logits=logits, targets=batch.src_tokens,
-                                   ctc_log_probs=None if ce else speech.ctc_log_probs)
-
-    # -- task forwards -------------------------------------------------------
-
-    def forward_task(self, batch: SyntheticBatch, task: str, *,
-                     asr_variant: str = "ctc", use_shrink: bool = False,
-                     mt_noise_rngs: list | None = None) -> TaskOutputs:
-        """One task's forward pass. MT reads its input noise from the
-        model's `mt_noise_p` and, when that is above 0, draws item b's noise
-        from `mt_noise_rngs[b]` (one generator for every item: draws follow
-        item order)."""
-        if task not in TASKS:
-            raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
-        pad = batch.pad_id
-
-        if task == "st":
-            out = self.encode_speech(batch, use_shrink)
-            out.logits = self._teacher_logits(out, batch.tgt_tokens, batch.tgt_lens, pad)
-            out.targets = batch.tgt_tokens
-            return out
-
-        if task == "asr":
-            if asr_variant == "ctc":  # the CTC head alone reads only the A-Enc
-                feats, _ = self.a_enc_forward(batch.speech, batch.speech_lens)
-                speech = TaskOutputs(ctc_log_probs=self.ctc_log_probs(feats))
-            else:
-                speech = self.encode_speech(batch, use_shrink)
-            return self.asr_outputs(speech, batch, asr_variant)
-
-        # mt: noisy text -> shared T-Enc -> decoder
+    def encode_text(self, batch: SyntheticBatch, mt_noise_rngs=None) -> TaskOutputs:
+        """MT's stream: the source under the model's `mt_noise_p`, item b's
+        noise drawn from `mt_noise_rngs[b]` (one generator for every item:
+        draws follow item order), embedded, then the T-Enc."""
         if mt_noise_rngs is None:
             if self.mt_noise_p > 0:
                 raise ValueError(f"forward_task('mt') at mt_noise_p={self.mt_noise_p} needs "
@@ -444,46 +391,74 @@ class Model(Layer):
         if len(mt_noise_rngs) != batch.batch_size:
             raise ValueError(f"mt_noise_rngs holds {len(mt_noise_rngs)} generators "
                              f"for {batch.batch_size} items")
-        noisy_tok, noisy_lens = pad_sequences(
+        tokens, lens = pad_sequences(
             [noise_inject(batch.src_tokens[b, : batch.src_lens[b]], self.mt_noise_p, rng)
-             for b, rng in enumerate(mt_noise_rngs)], pad)
-        mask = np.arange(noisy_tok.shape[1])[None, :] < noisy_lens[:, None]
-        out = TaskOutputs(tenc_input=self.embed_src(noisy_tok, pad), tenc_mask=mask)
-        out.memory, out.extractor_outs, out.attention_outs, out.attention_weights = \
-            self.t_enc_forward(out.tenc_input, mask)
-        out.logits = self._teacher_logits(out, batch.tgt_tokens, batch.tgt_lens, pad)
-        out.targets = batch.tgt_tokens
-        return out
+             for b, rng in enumerate(mt_noise_rngs)], self.corpus.pad_id)
+        mask = np.arange(tokens.shape[1])[None, :] < lens[:, None]
+        return self.t_enc_forward(TaskOutputs(tenc_input=self.embed_src(tokens),
+                                              tenc_mask=mask))
 
-    @staticmethod
-    def _teacher_prefix(tokens, lens, bos_id, pad_id):
-        B, L = tokens.shape
-        prefix = np.full((B, L), pad_id, dtype=np.int64)
-        prefix[:, 0] = bos_id
+    def decode(self, enc: TaskOutputs, tokens, lens) -> TaskOutputs:
+        """Teacher-forced decode of tokens [B, L] attending to enc.memory: the
+        prefix is BOS, then the tokens shifted by one, pad past each length.
+        Returns enc with those logits and the tokens as targets."""
+        L = tokens.shape[1]
+        prefix = np.full(tokens.shape, self.corpus.pad_id, dtype=np.int64)
+        prefix[:, 0] = self.corpus.bos_id
         prefix[:, 1:] = tokens[:, :-1]
-        # positions past each length stay pad
-        cols = np.arange(L)[None, :]
-        return np.where(cols < np.asarray(lens)[:, None], prefix, pad_id)
+        prefix[np.arange(L)[None, :] >= lens[:, None]] = self.corpus.pad_id
+        enc.logits = self.decoder_forward(prefix, enc.memory, enc.tenc_mask)
+        enc.targets = tokens
+        return enc
+
+    def asr_outputs(self, speech: TaskOutputs, batch: SyntheticBatch,
+                    asr_variant: str) -> TaskOutputs:
+        """ASR outputs on already-encoded speech (an ST forward's outputs or
+        encode_speech's), leaving `speech` as it is: its CTC log-probs for
+        `ctc`, the source decoded from its T-Enc memory for `ce`. The `ctc`
+        outputs carry no logits, not even an ST pass's, since `task_loss`
+        reads CE off any logits."""
+        if asr_variant not in ASR_VARIANTS:
+            raise ValueError(f"unknown asr_variant {asr_variant!r}")
+        if asr_variant == "ce":
+            return self.decode(dataclasses.replace(speech, ctc_log_probs=None),
+                               batch.src_tokens, batch.src_lens)
+        return dataclasses.replace(speech, logits=None, targets=batch.src_tokens)
+
+    # -- task forwards -------------------------------------------------------
+
+    def forward_task(self, batch: SyntheticBatch, task: str, *,
+                     asr_variant: str = "ctc", use_shrink: bool = False,
+                     mt_noise_rngs: list | None = None) -> TaskOutputs:
+        """One task's forward pass; MT's noise as in encode_text."""
+        if task not in TASKS:
+            raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
+        if task == "mt":
+            return self.decode(self.encode_text(batch, mt_noise_rngs),
+                               batch.tgt_tokens, batch.tgt_lens)
+        if task == "asr" and asr_variant == "ctc":  # the CTC head reads only the A-Enc
+            feats, _ = self.a_enc_forward(batch.speech, batch.speech_lens)
+            return self.asr_outputs(TaskOutputs(ctc_log_probs=self.ctc_log_probs(feats)),
+                                    batch, asr_variant)
+        speech = self.encode_speech(batch, use_shrink)
+        if task == "asr":
+            return self.asr_outputs(speech, batch, asr_variant)
+        return self.decode(speech, batch.tgt_tokens, batch.tgt_lens)
 
     def greedy_decode(self, batch: SyntheticBatch, *,
                       use_shrink: bool = False) -> np.ndarray:
         """Greedy autoregressive ST decode for exactly tgt_lens steps."""
-        pad = batch.pad_id
         enc = self.encode_speech(batch, use_shrink)
-        memory, mem_mask = enc.memory.detach(), enc.tenc_mask
-        B = batch.batch_size
+        memory = enc.memory.detach()
         L = int(batch.tgt_lens.max())
-        prefix = np.full((B, L), pad, dtype=np.int64)
-        prefix[:, 0] = self.corpus.bos_id
-        out = np.full((B, L), pad, dtype=np.int64)
+        # BOS, then each step's prediction, which the next step reads
+        seq = np.full((batch.batch_size, L + 1), self.corpus.pad_id, dtype=np.int64)
+        seq[:, 0] = self.corpus.bos_id
         for i in range(L):
-            logits = self.decoder_forward(prefix[:, : i + 1], memory, mem_mask, pad)
-            step = np.argmax(logits.data[:, i, :], axis=-1)
-            out[:, i] = step
-            if i + 1 < L:
-                prefix[:, i + 1] = step
-        cols = np.arange(L)[None, :]
-        return np.where(cols < batch.tgt_lens[:, None], out, pad)
+            logits = self.decoder_forward(seq[:, : i + 1], memory, enc.tenc_mask)
+            seq[:, i + 1] = np.argmax(logits.data[:, i, :], axis=-1)
+        return np.where(np.arange(L)[None, :] < batch.tgt_lens[:, None], seq[:, 1:],
+                        self.corpus.pad_id)
 
 
 def save_checkpoint(path, model: Model, extra_meta=None, extra_buffers=None):

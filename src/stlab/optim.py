@@ -89,11 +89,14 @@ class Adam:
 
     def load_state_buffers(self, buffers):
         """Copies into the flat moments. Raises ValueError when a moment
-        buffer is missing or does not hold one entry per parameter entry."""
+        buffer is missing or does not hold one entry per parameter entry,
+        or the step count is missing or does not hold exactly one."""
         for name, flat in (("opt_m", self.m), ("opt_v", self.v)):
             buf = buffers.get(name)
             if buf is None or buf.shape != flat.shape:
                 raise ValueError(f"no {name} buffer of {flat.size} entries, one per "
                                  f"parameter entry")
             flat[...] = buf
+        if buffers.get("opt_t", np.empty(0)).shape != (1,):
+            raise ValueError("no opt_t buffer of exactly one entry, the step count")
         self.t = int(buffers["opt_t"][0])

@@ -74,18 +74,21 @@ def write_entropy_report(model, config: RunConfig, path, *, n, seed):
 def preset_over_training(config: RunConfig, run_dir, out_dir, *, n, repeats, seed):
     """Consistency time series across every checkpoint of a run: each
     checkpoint is loaded once and probed with both pairs. One that fails to
-    load (OSError or ValueError) is skipped with one line on stderr."""
+    load (OSError or ValueError) is skipped with one line on stderr; when
+    every one fails, it raises and writes nothing."""
     ckpts = sorted((int(m.group(1)), p) for p in Path(run_dir).glob("checkpoint_*.stlab")
                    if (m := re.match(r"checkpoint_(\d+)\.stlab", p.name)))
     if not ckpts:
         raise FileNotFoundError(f"no checkpoints found in {run_dir}")
     pairs = _probe_pairs(shrunk=False)
     rows = {pair_name: [] for pair_name in pairs}
+    skipped = 0
     for step, path in ckpts:
         try:
             model, _, _ = load_run_checkpoint(path, config)
         except (OSError, ValueError) as exc:
             print(f"skipping the step-{step} checkpoint: {exc}", file=sys.stderr)
+            skipped += 1
             continue
         for pair_name, (pair, kw_a, kw_b) in pairs.items():
             rows[pair_name] += [
@@ -93,6 +96,8 @@ def preset_over_training(config: RunConfig, run_dir, out_dir, *, n, repeats, see
                 for r in analysis.consistency_protocol(
                     model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
                     probe_kwargs_a=kw_a, probe_kwargs_b=kw_b)]
+    if skipped == len(ckpts):
+        raise ValueError(f"no checkpoint in {run_dir} loads")
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     return [write_csv(Path(out_dir) / f"consistency_over_training_{pair_name}.csv",
                       ("step", "partition", "kind", "layer", "mean"), pair_rows)

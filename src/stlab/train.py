@@ -121,6 +121,8 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
     (ASR pruned, or the `ce` variant) and shrinking is active, the CTC loss
     on the ST pass's log-probs enters at weight 1, reported as "ctc", and
     the segmenter keeps training. Pruning MT removes its forward pass.
+    An auxiliary task trains while `weights`, which holds exactly the
+    tasks the config trains, holds it unpruned.
 
     MT's loss and consistency term come from mt_terms, or from
     `mt_branch()` when another process runs the MT branch: it returns the
@@ -139,7 +141,7 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
             st_out.extractor_outs, st_out.attention_outs, st_out.tenc_mask))
 
     asr_out = None
-    if tg.use_asr and weights.active("asr"):
+    if weights.active("asr"):
         asr_out = model.asr_outputs(st_out, batch, tg.asr_variant)
         terms["asr"] = task_loss(asr_out, batch)
     if tg.use_asr and shrink_active and (asr_out is None or asr_out.ctc_log_probs is None):
@@ -147,12 +149,12 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
 
     if tg.use_cl and batch.batch_size >= 2:
         src_mask = batch.src_tokens != batch.pad_id
-        clean_text = model.embed_src(batch.src_tokens, batch.pad_id)
+        clean_text = model.embed_src(batch.src_tokens)
         terms["cl"] = contrastive_loss(st_out.tenc_input, st_out.tenc_mask,
                                        clean_text, src_mask)
 
     # last, so a worker running the MT branch has the most time to finish
-    if tg.use_mt and weights.active("mt"):
+    if weights.active("mt"):
         terms["mt"], mt_cons = (mt_terms(model, batch, config, step) if mt_branch is None
                                 else mt_branch())
         if mt_cons is not None:
@@ -203,8 +205,17 @@ def _weights_state(weights: sched.TaskWeights):
     }
 
 
-def _restore_weights(state, config: RunConfig) -> sched.TaskWeights:
+def _restore_weights(path, meta, config: RunConfig) -> sched.TaskWeights:
+    """The task weights checkpoint `path` records, for a run under `config`.
+    Raises ValueError when it records none, and ConfigError when they name
+    other tasks than `config` trains."""
     tw = make_task_weights(config)
+    if "task_weights" not in meta:
+        raise ValueError(f"checkpoint {path} cannot resume a run: it holds no task_weights")
+    state = meta["task_weights"]
+    if set(state["weights"]) != set(tw.weights):
+        raise ConfigError(f"checkpoint {path} trains the auxiliary tasks "
+                          f"{sorted(state['weights'])}, the config {sorted(tw.weights)}")
     tw.weights = dict(state["weights"])
     tw.pruned = set(state["pruned"])
     tw.history = [sched.HistoryRow(*row) for row in state["history"]]
@@ -359,6 +370,8 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
         model, meta = build_model(config), {}
     else:
         model, meta, extra = load_run_checkpoint(resume_from, config)
+        if "step" not in meta:
+            raise ValueError(f"checkpoint {resume_from} cannot resume a run: it holds no step")
         if meta["step"] >= tr.steps:
             raise ConfigError(f"checkpoint {resume_from} is at step {meta['step']}, "
                               f"so training.steps = {tr.steps} leaves no step to run")
@@ -367,13 +380,13 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
                beta2=tr.beta2, warmup_steps=warmup)
     weights = make_task_weights(config)
     start_step = meta.get("step", 0)
-    if meta:
+    if resume_from is not None:
         try:
             opt.load_state_buffers(extra)
         except ValueError as exc:  # e.g. a checkpoint written before opt_m and opt_v
             raise ValueError(f"checkpoint {resume_from} cannot resume the optimizer: "
                              f"{exc}") from None
-        weights = _restore_weights(meta["task_weights"], config)
+        weights = _restore_weights(resume_from, meta, config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, out_dir / "config.json")
@@ -403,6 +416,7 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
             t0 = time.perf_counter()
             shrink_active = step > shrink_start  # never with a fraction >= 1
             batch = batch_for_step(config, step, tr.batch_size, worker)
+            # the test by which compute_losses runs MT's branch
             w_mt = weights.weights["mt"] if weights.active("mt") else None
             worker.submit(step, w_mt)
             bundle, st_out = compute_losses(model, batch, config, weights, step,

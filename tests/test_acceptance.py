@@ -95,7 +95,7 @@ def _loss_builders(model, batch):
     def contrastive():
         out = model.forward_task(batch, "st")
         src_mask = batch.src_tokens != pad
-        clean = model.embed_src(batch.src_tokens, pad)
+        clean = model.embed_src(batch.src_tokens)
         return contrastive_loss(out.tenc_input, out.tenc_mask, clean, src_mask)
 
     def consistency():
@@ -107,7 +107,7 @@ def _loss_builders(model, batch):
         st = model.forward_task(batch, "st", use_shrink=True)
         mt = model.forward_task(batch, "mt")
         src_mask = batch.src_tokens != pad
-        clean = model.embed_src(batch.src_tokens, pad)
+        clean = model.embed_src(batch.src_tokens)
         return (ce_loss(st.logits, st.targets, pad)
                 + 0.5 * ctc_total()
                 + 0.8 * ce_loss(mt.logits, mt.targets, pad)

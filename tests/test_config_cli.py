@@ -13,8 +13,8 @@ from stlab.config import (ConfigError, RunConfig, SchedulerConfig,
                           config_to_json, default_config, load_config,
                           save_config, with_seed)
 from stlab.data import CorpusConfig, make_batch
-from stlab.model import ModelConfig, save_checkpoint
-from stlab.train import build_model
+from stlab.model import ModelConfig, load_checkpoint, save_checkpoint
+from stlab.train import build_model, train
 
 
 def tiny_run_config(steps=6):
@@ -369,3 +369,57 @@ def test_cli_resume_refuses_a_checkpoint_with_per_tensor_adam_buffers(tmp_path, 
                   "--samples", "2", "--repeats", "1"],
                  ["shrink-eval", "--checkpoint", str(ckpt), "--batches", "1"]):
         assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
+
+
+def _trained_tiny_checkpoint(tmp_path, **toggles):
+    """A tiny run of 3 steps under `toggles`; its last checkpoint."""
+    config = tiny_run_config(steps=3)
+    config = dataclasses.replace(config, toggles=dataclasses.replace(config.toggles, **toggles))
+    train(config, tmp_path / "trained")
+    return tmp_path / "trained" / "checkpoint_000003.stlab"
+
+
+@pytest.mark.parametrize("missing", ["step", "task_weights", "opt_t", "opt_t of two entries"])
+def test_cli_resume_refuses_a_checkpoint_without_training_state(tmp_path, capsys, missing):
+    """A checkpoint without the step (as save_checkpoint(path, model) writes
+    one), the task weights or Adam's step count, or with a step count of
+    two entries, cannot resume: --resume exits 2 with one line naming the
+    file and the field, before the run directory is made."""
+    cfg = tmp_path / "tiny.json"
+    save_config(tiny_run_config(), cfg)
+    ckpt = _trained_tiny_checkpoint(tmp_path)
+    model, meta, extra = load_checkpoint(ckpt)
+    if missing == "step":
+        save_checkpoint(ckpt, model)
+    elif missing == "task_weights":
+        del meta["task_weights"]
+        save_checkpoint(ckpt, model, extra_meta=meta, extra_buffers=extra)
+    else:
+        extra["opt_t"] = np.array([3.0, 3.0])
+        if missing == "opt_t":
+            del extra["opt_t"]
+        save_checkpoint(ckpt, model, extra_meta=meta, extra_buffers=extra)
+    rc = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                   "--resume", str(ckpt)])
+    err = capsys.readouterr().err
+    field = missing.split()[0]
+    assert rc == 2 and err.count("\n") == 1 and str(ckpt) in err and field in err, err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("trained_mt", [True, False])
+def test_cli_resume_refuses_other_auxiliary_tasks(tmp_path, capsys, trained_mt):
+    """A resume trains the auxiliary tasks its checkpoint's task weights
+    name: a config that drops MT (which crashed the step worker's hand-off)
+    or adds it (which trained without MT under a config saying use_mt) is a
+    config error, raised before the run directory is made."""
+    ckpt = _trained_tiny_checkpoint(tmp_path, use_mt=trained_mt)
+    config = tiny_run_config()
+    cfg = tmp_path / "tiny.json"
+    save_config(dataclasses.replace(
+        config, toggles=dataclasses.replace(config.toggles, use_mt=not trained_mt)), cfg)
+    rc = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                   "--resume", str(ckpt)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1 and str(ckpt) in err, err
+    assert not (tmp_path / "run").exists()

@@ -16,8 +16,8 @@ import stlab.model as model_mod
 from stlab.autograd import GroupKey, ParamGroup, Tensor
 from stlab.config import Toggles
 from stlab.data import CorpusConfig, make_batch, noise_inject
-from stlab.model import (Model, ModelConfig, load_checkpoint, save_checkpoint,
-                         sinusoidal_positions)
+from stlab.model import (Model, ModelConfig, TaskOutputs, load_checkpoint,
+                         save_checkpoint, sinusoidal_positions)
 
 CORPUS = CorpusConfig(vocab_size=6, max_src_len=4, seed=2)
 
@@ -232,11 +232,17 @@ def test_use_l2g_toggle_bypasses_extractors(model, batch):
     assert not np.allclose(out_on, out_off)
 
 
-def test_teacher_prefix():
-    tokens = np.array([[4, 5, 6], [7, 9, 9]])
-    lens = np.array([3, 1])
-    prefix = Model._teacher_prefix(tokens, lens, bos_id=8, pad_id=9)
-    np.testing.assert_array_equal(prefix, [[8, 4, 5], [8, 9, 9]])
+def test_teacher_prefix(model, monkeypatch):
+    """decode feeds the decoder BOS, then the tokens shifted by one, pad
+    past each length, and returns the tokens as its targets."""
+    pad, bos = model.corpus.pad_id, model.corpus.bos_id
+    tokens = np.array([[4, 5, 6], [3, 2, pad]])
+    seen = []
+    monkeypatch.setattr(model, "decoder_forward",
+                        lambda prefix, memory, mask: seen.append(prefix) or "logits")
+    out = model.decode(TaskOutputs(), tokens, np.array([3, 1]))
+    np.testing.assert_array_equal(seen, [[[bos, 4, 5], [bos, pad, pad]]])
+    assert out.logits == "logits" and out.targets is tokens
 
 
 def test_greedy_decode_shape_and_padding(model, batch):
@@ -257,7 +263,7 @@ def test_greedy_decode_matches_teacher_forcing_argmax(model, batch):
     cols = np.arange(pred.shape[1])[None, :]
     prefix = np.where(cols < batch.tgt_lens[:, None], prefix, pad)
     enc = model.encode_speech(batch, use_shrink=False)
-    logits = model.decoder_forward(prefix, enc.memory, enc.tenc_mask, pad)
+    logits = model.decoder_forward(prefix, enc.memory, enc.tenc_mask)
     again = np.argmax(logits.data, axis=-1)
     valid = cols < batch.tgt_lens[:, None]
     np.testing.assert_array_equal(again[valid], pred[valid])

@@ -119,6 +119,29 @@ def test_over_training_skips_a_cut_or_padded_checkpoint(tmp_path, capsys, damage
     assert len(err_lines) == 1 and str(bad) in err_lines[0]
 
 
+def test_over_training_refuses_a_run_whose_every_checkpoint_is_skipped(tmp_path, capsys):
+    """When no checkpoint of the run loads (here one of another corpus and a
+    torn one), over-training exits 2 naming the run directory after one
+    stderr line per skipped file, and writes no report, as it does for a
+    run directory without checkpoints."""
+    cfg = ablation_config()
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg, cfg_path)
+    run = tmp_path / "run"
+    run.mkdir()
+    save_checkpoint(run / "checkpoint_000001.stlab", Model(cfg.model, other_corpus(cfg)),
+                    extra_meta={"step": 1})
+    torn = run / "checkpoint_000002.stlab"
+    save_checkpoint(torn, Model(cfg.model, cfg.corpus), extra_meta={"step": 2})
+    torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
+    rc = cli.main(["analyze", "--config", str(cfg_path), "--preset", "over-training",
+                   "--run-dir", str(run), "--samples", "2", "--repeats", "1",
+                   "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and len(err) == 3 and str(run) in err[-1], err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_over_training_loads_each_checkpoint_once(tmp_path, monkeypatch):
     """Both probe pairs run on one load of each checkpoint."""
     cfg = ablation_config()

@@ -211,7 +211,8 @@ def test_checkpoint_without_warnings_still_restores():
     weights = make_task_weights(cfg)
     weights.warnings.append((4, "probe failed: x"))
     state = train_mod._weights_state(weights)
-    assert train_mod._restore_weights(state, cfg).warnings == [(4, "probe failed: x")]
+    restored = train_mod._restore_weights("ckpt", {"task_weights": state}, cfg)
+    assert restored.warnings == [(4, "probe failed: x")]
 
 
 def assert_probe_matches_reference(cfg, shrink):
