@@ -13,7 +13,7 @@ from pathlib import Path
 from .config import ConfigError, default_config, load_config, with_seed
 from .data import export_corpus
 from .plots import MalformedCsvError, export_plot
-from .reports import PRESETS, run_preset, shrink_eval
+from .reports import PRESETS, run_preset
 from .train import NanAbort, train
 
 EXIT_OK = 0
@@ -22,7 +22,7 @@ EXIT_RUNTIME = 2
 EXIT_NAN = 3
 
 # count options that must be at least 1 wherever a command takes them
-_COUNT_OPTIONS = ("count", "samples", "repeats", "batches", "batch_size")
+_COUNT_OPTIONS = ("count", "samples", "repeats")
 
 
 def _add_common(p):
@@ -45,21 +45,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None,
                    help="override training.steps")
 
-    p = sub.add_parser("analyze", help="gradient-consistency / entropy reports")
+    p = sub.add_parser("analyze", help="consistency, entropy and shrink reports")
     _add_common(p)
     p.add_argument("--preset", choices=PRESETS, required=True)
     p.add_argument("--checkpoint", type=Path, default=None,
-                   help="checkpoint to analyze")
-    p.add_argument("--run-dir", type=Path, default=None,
-                   help="run directory holding checkpoints (over-training preset)")
+                   help="checkpoint to analyze (over-training: the run directory)")
     p.add_argument("--samples", type=int, default=32, help="probe batch size")
-    p.add_argument("--repeats", type=int, default=5, help="probe repeats")
-
-    p = sub.add_parser("shrink-eval", help="length-compression statistics")
-    _add_common(p)
-    p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--batches", type=int, default=4)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--repeats", type=int, default=5, help="probe repeats (shrink-eval: batches)")
 
     p = sub.add_parser("export-corpus", help="dump a synthetic corpus sample as JSONL")
     _add_common(p)
@@ -93,26 +85,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_analyze(args) -> int:
     config = _resolve_config(args)
-    over_training = args.preset == "over-training"
-    target = args.run_dir if over_training else args.checkpoint
-    if target is None:
-        raise ConfigError(f"preset {args.preset!r} needs "
-                          f"{'--run-dir' if over_training else '--checkpoint'}")
-    paths = run_preset(args.preset, config, target, args.out,
-                       n=args.samples, repeats=args.repeats,
-                       seed=args.seed if args.seed is not None else 0)
+    if args.checkpoint is None:
+        raise ConfigError(f"preset {args.preset!r} needs --checkpoint")
+    paths = run_preset(args.preset, config, args.checkpoint, args.out,
+                       n=args.samples, repeats=args.repeats, seed=args.seed or 0)
     for p in paths:
         print(f"wrote {p}")
-    return EXIT_OK
-
-
-def _cmd_shrink_eval(args) -> int:
-    config = _resolve_config(args)
-    out_path = args.out / "shrink_eval.csv"
-    shrink_eval(config, args.checkpoint, out_path, batches=args.batches,
-                batch_size=args.batch_size,
-                seed=args.seed if args.seed is not None else 0)
-    print(f"wrote {out_path}")
     return EXIT_OK
 
 
@@ -142,7 +120,6 @@ def _cmd_export_plots(args) -> int:
 _COMMANDS = {
     "train": _cmd_train,
     "analyze": _cmd_analyze,
-    "shrink-eval": _cmd_shrink_eval,
     "export-corpus": _cmd_export_corpus,
     "export-plots": _cmd_export_plots,
 }

@@ -1,9 +1,8 @@
 """Analysis presets: each writes one or more CSV reports for a trained
 checkpoint, mirroring the measurement protocols of the analysis module.
-The presets are one table: `preset_reports` gives a preset's consistency
-reports as (CSV name, variants, consistency_protocol layout) rows, and
-`run_preset` writes each. shrink-cl also writes the attention-entropy
-report; over-training walks the checkpoints of a run in its own loop."""
+The presets are one table: `preset_reports` gives a single-checkpoint
+preset's reports as (CSV name, report) rows, and `run_preset` loads the
+checkpoint and writes each; over-training walks a run's checkpoints."""
 
 from __future__ import annotations
 
@@ -30,36 +29,54 @@ def _probe_pairs(shrunk=True):
             "mt_st": (("mt", "st"), {}, st)}
 
 
-PRESETS = ("modules-bar", "per-layer", "asr-variants", "shrink-cl", "over-training")
+PRESETS = ("modules-bar", "per-layer", "asr-variants", "shrink-cl", "shrink-eval",
+           "over-training")
 
 
 def preset_reports(preset: str):
-    """The consistency reports of a single-checkpoint preset, as
-    (CSV name, variants, consistency_protocol layout) rows."""
+    """A single-checkpoint preset's reports, as (CSV name, report) rows. Each
+    report(model, step, config, n=, repeats=, seed=) returns a CSV header and rows."""
     pairs = _probe_pairs()
     asr_pair, asr_a, asr_b = pairs["asr_st"]
-    per_layer = {"partitions": ("T-Enc",), "per_layer": True}
     return {
         # ASR-ST and MT-ST on shrunk speech, per (partition, sublayer kind)
-        "modules-bar": [(f"consistency_modules_{name}.csv", [(None, *probe)], {})
+        "modules-bar": [(f"consistency_modules_{name}.csv", consistency_report([(None, *probe)]))
                         for name, probe in pairs.items()],
         # the same pairs, one cosine per T-Enc layer
-        "per-layer": [(f"consistency_layers_{name}.csv", [(None, *probe)], per_layer)
+        "per-layer": [(f"consistency_layers_{name}.csv", consistency_report(
+                           [(None, *probe)], partitions=("T-Enc",), per_layer=True))
                       for name, probe in pairs.items()],
         # ASR-ST with the CTC-after-A-Enc and the CE-after-decoder probes
-        "asr-variants": [("consistency_asr_variants.csv",
-                          [(v, asr_pair, {**asr_a, "asr_variant": v}, asr_b)
-                           for v in ("ctc", "ce")], {})],
-        # MT-ST without and with shrinking
-        "shrink-cl": [("consistency_shrink_cl.csv",
-                       [("plain", *_probe_pairs(shrunk=False)["mt_st"]),
-                        ("shrink", *pairs["mt_st"])], {})],
+        "asr-variants": [("consistency_asr_variants.csv", consistency_report(
+            [(v, asr_pair, {**asr_a, "asr_variant": v}, asr_b) for v in ("ctc", "ce")]))],
+        # MT-ST without and with shrinking, and the T-Enc attention entropy
+        "shrink-cl": [("consistency_shrink_cl.csv", consistency_report(
+                          [("plain", *_probe_pairs(shrunk=False)["mt_st"]),
+                           ("shrink", *pairs["mt_st"])])),
+                      ("entropy_streams.csv", entropy_report)],
+        # the length compression of shrinking
+        "shrink-eval": [("shrink_eval.csv", shrink_report)],
     }[preset]
 
 
-def write_entropy_report(model, config: RunConfig, path, *, n, seed):
+def consistency_report(variants, **layout):
+    """The report of `variants`, (label, task pair, probe kwargs of task a, of
+    task b) rows probed under `layout`; a label of None writes no variant column."""
+    lead = ("variant",) if variants[0][0] is not None else ()
+
+    def report(model, step, config: RunConfig, *, n, repeats, seed):
+        return lead + ("partition", "kind", "layer", "mean", "std"), [
+            ((label,) if lead else ()) + (r.partition, r.kind, r.layer, r.mean, r.std)
+            for label, pair, kw_a, kw_b in variants
+            for r in analysis.consistency_protocol(
+                model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
+                probe_kwargs_a=kw_a, probe_kwargs_b=kw_b, **layout)]
+    return report
+
+
+def entropy_report(model, step, config: RunConfig, *, n, repeats, seed):
     """Per-layer T-Enc attention entropy for the text stream and the speech
-    stream with and without shrinking."""
+    stream with and without shrinking, on one batch of `n`."""
     rng = np.random.default_rng((seed, 0xE27))
     batch = make_batch(config.corpus, rng.integers(0, 2**62, size=n))
     mt = {"mt_noise_rngs": [np.random.default_rng((seed, 1))] * n}
@@ -68,14 +85,27 @@ def write_entropy_report(model, config: RunConfig, path, *, n, seed):
                              ("st_shrunk", "st", {"use_shrink": True})):
         out = model.forward_task(batch, task, **kw)
         rows += analysis.stream_entropy_report(out.attention_weights, out.tenc_mask, stream)
-    return write_csv(path, analysis.EntropyRow._fields, rows)
+    return analysis.EntropyRow._fields, rows
 
 
-def preset_over_training(config: RunConfig, run_dir, out_dir, *, n, repeats, seed):
-    """Consistency time series across every checkpoint of a run: each
-    checkpoint is loaded once and probed with both pairs. One that fails to
-    load (OSError or ValueError) is skipped with one line on stderr; when
-    every one fails, it raises and writes nothing."""
+def shrink_report(model, step, config: RunConfig, *, n, repeats, seed):
+    """Shrink statistics of the ST pass, one row per batch: `repeats`
+    batches of `n`, batch b drawn from (seed, 0x5E, b)."""
+    rows = []
+    for bi in range(repeats):
+        rng = np.random.default_rng((seed, 0x5E, bi))
+        batch = make_batch(config.corpus, rng.integers(0, 2**62, size=n))
+        out = model.forward_task(batch, "st", use_shrink=True)
+        rows.append((step, bi, float(np.mean(batch.speech_lens)),
+                     float(np.mean(out.tenc_mask.sum(axis=1))), out.length_ratio))
+    return ("step", "batch", "n_mean", "m_mean", "ratio"), rows
+
+
+def preset_over_training(config: RunConfig, run_dir, *, n, repeats, seed):
+    """Consistency time series across every checkpoint of a run, as
+    (CSV name, header, rows) reports: each checkpoint is loaded once and
+    probed with both pairs. One that fails to load (OSError or ValueError)
+    is skipped with one line on stderr; when every one fails, it raises."""
     ckpts = sorted((int(m.group(1)), p) for p in Path(run_dir).glob("checkpoint_*.stlab")
                    if (m := re.match(r"checkpoint_(\d+)\.stlab", p.name)))
     if not ckpts:
@@ -98,51 +128,24 @@ def preset_over_training(config: RunConfig, run_dir, out_dir, *, n, repeats, see
                     probe_kwargs_a=kw_a, probe_kwargs_b=kw_b)]
     if skipped == len(ckpts):
         raise ValueError(f"no checkpoint in {run_dir} loads")
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    return [write_csv(Path(out_dir) / f"consistency_over_training_{pair_name}.csv",
-                      ("step", "partition", "kind", "layer", "mean"), pair_rows)
+    return [(f"consistency_over_training_{pair_name}.csv",
+             ("step", "partition", "kind", "layer", "mean"), pair_rows)
             for pair_name, pair_rows in rows.items()]
 
 
-def shrink_eval(config: RunConfig, checkpoint, out_path, *, batches=4,
-                batch_size=16, seed=0):
-    """Per-batch shrink statistics CSV: step,batch,n_mean,m_mean,ratio.
-    The checkpoint loads before `out_path`'s directory is made."""
-    model, meta, _ = load_run_checkpoint(checkpoint, config)
-    step = meta.get("step", 0)
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for bi in range(batches):
-        rng = np.random.default_rng((seed, 0x5E, bi))
-        batch = make_batch(config.corpus, rng.integers(0, 2**62, size=batch_size))
-        out = model.forward_task(batch, "st", use_shrink=True)
-        rows.append((step, bi, float(np.mean(batch.speech_lens)),
-                     float(np.mean(out.tenc_mask.sum(axis=1))), out.length_ratio))
-    return write_csv(out_path, ("step", "batch", "n_mean", "m_mean", "ratio"), rows)
-
-
 def run_preset(preset: str, config: RunConfig, target, out_dir, *, n, repeats, seed=0):
-    """Run `preset` on a checkpoint (a run directory for over-training).
-    The checkpoint loads before `out_dir` is made, so one that fails to
-    load leaves no report directory behind."""
+    """Run `preset` on the checkpoint `target` (for over-training, the run
+    directory whose checkpoints it walks). Every report is computed before
+    `out_dir` is made, so a checkpoint that fails to load leaves no report
+    directory behind."""
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
-    if preset == "over-training":  # it makes out_dir once it finds a checkpoint
-        return preset_over_training(config, target, out_dir, n=n, repeats=repeats, seed=seed)
-    model, _, _ = load_run_checkpoint(target, config)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, variants, layout in preset_reports(preset):
-        labelled = variants[0][0] is not None  # else no variant column
-        rows = [((label,) if labelled else ()) + (r.partition, r.kind, r.layer, r.mean, r.std)
-                for label, pair, kw_a, kw_b in variants
-                for r in analysis.consistency_protocol(
-                    model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
-                    probe_kwargs_a=kw_a, probe_kwargs_b=kw_b, **layout)]
-        header = (("variant",) if labelled else ()) + ("partition", "kind", "layer", "mean", "std")
-        paths.append(write_csv(out_dir / name, header, rows))
-    if preset == "shrink-cl":
-        paths.append(write_entropy_report(model, config, out_dir / "entropy_streams.csv",
-                                          n=n, seed=seed))
-    return paths
+    if preset == "over-training":
+        reports = preset_over_training(config, target, n=n, repeats=repeats, seed=seed)
+    else:
+        model, meta, _ = load_run_checkpoint(target, config)
+        reports = [(name, *report(model, meta.get("step", 0), config,
+                                  n=n, repeats=repeats, seed=seed))
+                   for name, report in preset_reports(preset)]
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return [write_csv(Path(out_dir) / name, header, rows) for name, header, rows in reports]

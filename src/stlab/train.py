@@ -460,6 +460,10 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
                      "worker_wait_s": worker.wait_s}) + "\n")
 
             if step % tr.checkpoint_every == 0 or step == tr.steps:
+                # every row through this step is written before the checkpoint
+                # exists, so a resume from it after a kill replays whole sidecars
+                for fh in files.values():
+                    fh.flush()
                 path = out_dir / f"checkpoint_{step:06d}.stlab"
                 save_checkpoint(path, model, extra_buffers=opt.state_buffers(), extra_meta={
                     "step": step, "task_weights": _weights_state(weights),

@@ -3,7 +3,8 @@ behaves. Each test prints one PASS line with its measured quantities.
 
 Several criteria share one real training run of the default configuration
 (vocab 20, source length <= 8, 2-4x frame expansion, 4000 steps, batch 32,
-seed 7); it is trained once per session in a session-scoped fixture.
+seed 7); it is trained once per session by the `toy_run` fixture
+(conftest.py).
 """
 
 import time
@@ -14,8 +15,7 @@ import pytest
 from stlab import analysis
 from stlab.analysis import capture_gradients, cosine, grad_consistency
 from stlab.autograd import Tensor
-from stlab.config import (RunConfig, SchedulerConfig, TrainingConfig, Toggles,
-                          default_config)
+from stlab.config import RunConfig, SchedulerConfig, TrainingConfig, Toggles
 from stlab.data import (CorpusConfig, alignment_shrink_ratio, make_batch)
 from stlab.gradcheck import check_gradients
 from stlab.losses import (ce_loss, consistency_loss, contrastive_loss,
@@ -24,17 +24,6 @@ from stlab.model import LbmParams, Model, ModelConfig
 from stlab.scheduler import task_impact, update_weight
 from stlab.shrink import ctc_greedy_path, shrink_sequence
 from stlab.train import eval_batch, train
-
-
-@pytest.fixture(scope="session")
-def toy_run(tmp_path_factory):
-    """The end-to-end training run shared by criteria 7, 8 and 9."""
-    out = tmp_path_factory.mktemp("toy_run")
-    config = default_config()
-    t0 = time.perf_counter()
-    result = train(config, out)
-    elapsed = time.perf_counter() - t0
-    return config, result, elapsed
 
 
 # -- 1: CTC forward algorithm vs alignment enumeration ------------------------

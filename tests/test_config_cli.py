@@ -190,13 +190,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     save_config(tiny_run_config(), cfg)
     ckpt = tmp_path / "checkpoint.stlab"
     save_checkpoint(ckpt, build_model(tiny_run_config()), extra_meta={"step": 0})
-    analyze = ["analyze", "--preset", "modules-bar", "--checkpoint", str(ckpt)]
-    shrink = ["shrink-eval", "--checkpoint", str(ckpt)]
-    for argv, flag in ((["export-corpus", "--count", "-3"], "--count"),
-                       (analyze + ["--samples", "0"], "--samples"),
-                       (analyze + ["--repeats", "0"], "--repeats"),
-                       (shrink + ["--batches", "0"], "--batches"),
-                       (shrink + ["--batch-size", "0"], "--batch-size")):
+    for argv, flag in [(["export-corpus", "--count", "-3"], "--count")] + [
+            (["analyze", "--preset", preset, "--checkpoint", str(ckpt), flag, "0"], flag)
+            for preset in ("modules-bar", "shrink-eval") for flag in ("--samples", "--repeats")]:
         rc = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert rc == 1 and "config error" in err and flag in err, argv
@@ -218,7 +214,7 @@ def test_cli_config_error_on_an_overflowing_warmup(tmp_path, capsys):
 
 
 def test_cli_runtime_error_exit_code(cfg_path, tmp_path, capsys):
-    rc = cli.main(["shrink-eval", "--config", str(cfg_path),
+    rc = cli.main(["analyze", "--preset", "shrink-eval", "--config", str(cfg_path),
                    "--checkpoint", str(tmp_path / "missing.stlab"),
                    "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -243,21 +239,16 @@ def test_cli_full_pipeline(cfg_path, tmp_path):
             ("asr-variants", {"consistency_asr_variants.csv": "variant," + header}),
             ("shrink-cl", {"consistency_shrink_cl.csv": "variant," + header,
                            "entropy_streams.csv": "layer,stream,entropy_bits"}),
+            ("shrink-eval", {"shrink_eval.csv": "step,batch,n_mean,m_mean,ratio"}),
             ("over-training", {"consistency_over_training_asr_st.csv": series,
                                "consistency_over_training_mt_st.csv": series})):
-        target = (["--run-dir", str(out)] if preset == "over-training"
-                  else ["--checkpoint", str(ckpt)])
+        target = out if preset == "over-training" else ckpt
         assert cli.main(["analyze", "--config", str(cfg_path), "--preset", preset,
-                         *target, "--out", str(rep),
+                         "--checkpoint", str(target), "--out", str(rep),
                          "--samples", "3", "--repeats", "2"]) == 0, preset
         for name, want in headers.items():
             lines = (rep / name).read_text().splitlines()
             assert lines[0] == want and len(lines) > 1, name
-    assert cli.main(["shrink-eval", "--config", str(cfg_path),
-                     "--checkpoint", str(ckpt), "--out", str(rep),
-                     "--batches", "2", "--batch-size", "3"]) == 0
-    assert (rep / "shrink_eval.csv").read_text().splitlines()[0] == \
-        "step,batch,n_mean,m_mean,ratio"
     assert cli.main(["export-corpus", "--config", str(cfg_path),
                      "--out", str(rep), "--count", "5"]) == 0
     assert len((rep / "corpus.jsonl").read_text().splitlines()) == 5
@@ -277,11 +268,15 @@ def test_cli_analyze_requires_checkpoint(cfg_path, tmp_path):
     assert rc == 1
 
 
-def test_cli_over_training_reads_only_run_dir(cfg_path, tmp_path, capsys):
-    """over-training takes its run directory from --run-dir alone."""
+def test_cli_over_training_refuses_a_checkpoint_file(cfg_path, tmp_path, capsys):
+    """over-training's --checkpoint names a run directory: given a checkpoint
+    file, it finds no checkpoints in it, exits 2 and writes nothing."""
+    ckpt = tmp_path / "checkpoint_000001.stlab"
+    save_checkpoint(ckpt, build_model(load_config(cfg_path)), extra_meta={"step": 1})
     rc = cli.main(["analyze", "--config", str(cfg_path), "--preset", "over-training",
-                   "--checkpoint", str(tmp_path), "--out", str(tmp_path / "rep")])
-    assert rc == 1 and "--run-dir" in capsys.readouterr().err
+                   "--checkpoint", str(ckpt), "--out", str(tmp_path / "rep")])
+    assert rc == 2 and "no checkpoints found" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_cli_seed_override_changes_run(cfg_path, tmp_path):
@@ -340,8 +335,8 @@ def test_cli_resume_refuses_a_checkpoint_with_per_tensor_adam_buffers(tmp_path, 
     """A checkpoint written before Adam's flat buffers (a `param_shapes`
     header list, one opt_m_XXXX and opt_v_XXXX buffer per parameter) holds
     no opt_m: --resume exits 2 with one line naming the file and the
-    buffer, before the run directory is made, while analyze and
-    shrink-eval still read the file."""
+    buffer, before the run directory is made, while the analyze presets
+    still read the file."""
     cfg = tmp_path / "tiny.json"
     save_config(tiny_run_config(), cfg)
     model = build_model(tiny_run_config())
@@ -367,7 +362,8 @@ def test_cli_resume_refuses_a_checkpoint_with_per_tensor_adam_buffers(tmp_path, 
     assert not (tmp_path / "run").exists()
     for argv in (["analyze", "--preset", "modules-bar", "--checkpoint", str(ckpt),
                   "--samples", "2", "--repeats", "1"],
-                 ["shrink-eval", "--checkpoint", str(ckpt), "--batches", "1"]):
+                 ["analyze", "--preset", "shrink-eval", "--checkpoint", str(ckpt),
+                  "--samples", "2", "--repeats", "1"]):
         assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
 
 

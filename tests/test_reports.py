@@ -15,7 +15,7 @@ from stlab.config import RunConfig, Toggles, save_config
 from stlab.data import CorpusConfig
 from stlab.model import Model, ModelConfig, save_checkpoint
 from stlab.plots import CHARTS, export_plot, read_csv, write_csv
-from stlab.reports import PRESETS, run_preset, shrink_eval
+from stlab.reports import PRESETS, run_preset
 
 from test_model import HEADER_DAMAGE, damage_header
 
@@ -66,8 +66,6 @@ def test_every_load_applies_the_run_toggles(tmp_path, monkeypatch):
         run_preset(preset, cfg, target, tmp_path / "rep", n=2, repeats=1)
         assert ("use_l2g", False) in seen and seen <= trained_as, (preset, seen)
         seen.clear()
-    shrink_eval(cfg, ckpt, tmp_path / "shrink_eval.csv", batches=1, batch_size=2)
-    assert seen == {("use_l2g", False), ("use_lbm", False)}
 
 
 def test_over_training_names_an_unloadable_checkpoint_once(tmp_path, capsys):
@@ -135,7 +133,7 @@ def test_over_training_refuses_a_run_whose_every_checkpoint_is_skipped(tmp_path,
     save_checkpoint(torn, Model(cfg.model, cfg.corpus), extra_meta={"step": 2})
     torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
     rc = cli.main(["analyze", "--config", str(cfg_path), "--preset", "over-training",
-                   "--run-dir", str(run), "--samples", "2", "--repeats", "1",
+                   "--checkpoint", str(run), "--samples", "2", "--repeats", "1",
                    "--out", str(tmp_path / "rep")])
     err = capsys.readouterr().err.splitlines()
     assert rc == 2 and len(err) == 3 and str(run) in err[-1], err
@@ -164,48 +162,42 @@ def test_over_training_loads_each_checkpoint_once(tmp_path, monkeypatch):
 
 
 def test_analysis_refuses_a_checkpoint_of_another_corpus(tmp_path, capsys):
-    """Every single-checkpoint preset and shrink-eval raise ValueError naming
-    a checkpoint trained on another corpus, which the CLI reports with exit
-    code 2, instead of probing it with this config's corpus."""
+    """Every single-checkpoint preset raises ValueError naming a checkpoint
+    trained on another corpus, which the CLI reports with exit code 2,
+    instead of probing it with this config's corpus."""
     cfg = ablation_config()
     ckpt = tmp_path / "checkpoint_000001.stlab"
     save_checkpoint(ckpt, Model(cfg.model, other_corpus(cfg)), extra_meta={"step": 1})
+    save_config(cfg, tmp_path / "cfg.json")
     for preset in PRESETS:
         if preset != "over-training":
             with pytest.raises(ValueError, match=str(ckpt)):
                 run_preset(preset, cfg, ckpt, tmp_path / "rep", n=2, repeats=1)
-    with pytest.raises(ValueError, match=str(ckpt)):
-        shrink_eval(cfg, ckpt, tmp_path / "shrink_eval.csv", batches=1, batch_size=2)
-    save_config(cfg, tmp_path / "cfg.json")
-    for argv in (["analyze", "--preset", "modules-bar"], ["shrink-eval"]):
-        rc = cli.main([*argv, "--config", str(tmp_path / "cfg.json"), "--checkpoint",
-                       str(ckpt), "--out", str(tmp_path / "cli")])
-        assert rc == 2 and str(ckpt) in capsys.readouterr().err, argv
+            rc = cli.main(["analyze", "--preset", preset, "--config", str(tmp_path / "cfg.json"),
+                           "--checkpoint", str(ckpt), "--out", str(tmp_path / "cli")])
+            assert rc == 2 and str(ckpt) in capsys.readouterr().err, preset
 
 
 def test_a_refused_checkpoint_leaves_no_report_directory(tmp_path, capsys):
     """The checkpoint loads and passes the config check before the output
     directory is made: a refused one leaves no empty report directory, from
-    the presets, shrink_eval or the CLI; nor does over-training on a run
-    directory without checkpoints."""
+    the presets or the CLI; nor does over-training on a run directory
+    without checkpoints."""
     cfg = ablation_config()
     ckpt = tmp_path / "checkpoint_000001.stlab"
     save_checkpoint(ckpt, Model(cfg.model, other_corpus(cfg)), extra_meta={"step": 1})
+    save_config(cfg, tmp_path / "cfg.json")
     for preset in PRESETS:
         if preset != "over-training":
             with pytest.raises(ValueError, match=str(ckpt)):
                 run_preset(preset, cfg, ckpt, tmp_path / "rep", n=2, repeats=1)
-    with pytest.raises(ValueError, match=str(ckpt)):
-        shrink_eval(cfg, ckpt, tmp_path / "se" / "shrink_eval.csv", batches=1, batch_size=2)
-    save_config(cfg, tmp_path / "cfg.json")
-    for argv in (["analyze", "--preset", "modules-bar"], ["shrink-eval"]):
-        rc = cli.main([*argv, "--config", str(tmp_path / "cfg.json"), "--checkpoint",
-                       str(ckpt), "--out", str(tmp_path / "cli")])
-        assert rc == 2 and str(ckpt) in capsys.readouterr().err, argv
+            rc = cli.main(["analyze", "--preset", preset, "--config", str(tmp_path / "cfg.json"),
+                           "--checkpoint", str(ckpt), "--out", str(tmp_path / "cli")])
+            assert rc == 2 and str(ckpt) in capsys.readouterr().err, preset
     (tmp_path / "empty").mkdir()
     with pytest.raises(FileNotFoundError, match="no checkpoints"):
         run_preset("over-training", cfg, tmp_path / "empty", tmp_path / "ot", n=2, repeats=1)
-    assert not any((tmp_path / name).exists() for name in ("rep", "se", "cli", "ot"))
+    assert not any((tmp_path / name).exists() for name in ("rep", "cli", "ot"))
 
 
 def test_write_csv_round_trips_through_read_csv(tmp_path):

@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import json
 import multiprocessing
+import os
 import signal
 import time
 from collections import Counter
@@ -16,6 +17,7 @@ import pytest
 
 import per_item_reference as reference
 import stlab.model as model_mod
+import stlab.shrink as shrink_mod
 import stlab.train as train_mod
 from stlab import scheduler as sched
 from stlab.config import (ConfigError, RunConfig, SchedulerConfig, Toggles, TrainingConfig,
@@ -173,6 +175,51 @@ def test_in_place_resume_rewrites_later_rows(tmp_path):
     assert resumed.metrics_path.read_bytes() == full.metrics_path.read_bytes()
     timings = read_metrics(tmp_path / "run" / "timings.jsonl")
     assert [r["step"] for r in timings] == list(range(1, 7))
+
+
+def _exited(pid):
+    """Whether process `pid` has exited; a zombie awaiting its reaper has."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_a_kill_after_a_checkpoint_keeps_every_row_through_it(tmp_path):
+    """The sidecars are flushed before each checkpoint is written: a trainer
+    killed right after its step-4 checkpoint has written every row through
+    step 4, so an in-place resume from that checkpoint writes the metrics of
+    an uninterrupted run. The killed trainer's step worker exits with it."""
+    cfg = tiny_config(steps=6)
+    full = train(cfg, tmp_path / "full")
+    run, pids = tmp_path / "run", tmp_path / "worker_pids"
+    pid = os.fork()
+    if pid == 0:  # the killed trainer; it never returns into pytest
+        try:
+            save_checkpoint = train_mod.save_checkpoint
+
+            def killed_after_step_4(path, model, **kw):
+                save_checkpoint(path, model, **kw)
+                if kw["extra_meta"]["step"] == 4:
+                    pids.write_text(" ".join(str(p.pid)
+                                             for p in multiprocessing.active_children()))
+                    os._exit(0)
+
+            train_mod.save_checkpoint = killed_after_step_4
+            train(cfg, run)
+        finally:
+            os._exit(1)
+    assert os.waitpid(pid, 0)[1] == 0
+    workers = [int(p) for p in pids.read_text().split()]
+    deadline = time.monotonic() + 10
+    while not all(map(_exited, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert len(workers) == 1 and _exited(workers[0])
+    assert multiprocessing.active_children() == []
+    assert [r["step"] for r in read_metrics(run / "metrics.jsonl")] == [1, 2, 3, 4]
+    resumed = train(cfg, run, resume_from=run / "checkpoint_000004.stlab")
+    assert resumed.metrics_path.read_bytes() == full.metrics_path.read_bytes()
 
 
 def failing_probe_fn(*args):
@@ -370,13 +417,25 @@ def test_asr_variant_paths():
             assert abs(l_asr - probe.item()) <= 1e-12, (variant, shrink)
 
 
-def test_shrink_warmup_disable():
-    cfg = tiny_config(steps=4, shrink_warmup_fraction=1.0)
-    # fraction >= 1 means shrinking never activates
-    shrink_start = int(cfg.toggles.shrink_warmup_fraction * cfg.training.steps)
-    active = (cfg.toggles.shrink_warmup_fraction < 1.0 and
-              cfg.training.steps > shrink_start)
-    assert not active
+def test_shrink_warmup_disable(tmp_path, monkeypatch):
+    """A shrink_warmup_fraction of 1 never shrinks: shrink_batch is never
+    called and no metrics row holds a length ratio. At 0.5 of 8 steps, the
+    first ratio is logged at step 5, the first step that shrinks."""
+    shrunk = []
+    shrink_batch = shrink_mod.shrink_batch
+
+    def counting_shrink(*args, **kw):
+        shrunk.append(kw)
+        return shrink_batch(*args, **kw)
+
+    monkeypatch.setattr(shrink_mod, "shrink_batch", counting_shrink)
+    off = train(tiny_config(steps=8, shrink_warmup_fraction=1.0), tmp_path / "off")
+    assert shrunk == []
+    assert [r["length_ratio"] for r in read_metrics(off.metrics_path)] == [None] * 8
+    half = train(tiny_config(steps=8, shrink_warmup_fraction=0.5), tmp_path / "half")
+    rows = read_metrics(half.metrics_path)
+    assert next(r["step"] for r in rows if r["length_ratio"] is not None) == int(0.5 * 8) + 1
+    assert shrunk
 
 
 def test_nan_abort(tmp_path, monkeypatch):
