@@ -35,7 +35,7 @@ for pair, kwargs in (("asr-st", {"probe_kwargs_a": {"asr_variant": "ce",
                                                     "use_shrink": True},
                                  "probe_kwargs_b": {"use_shrink": True}}),
                      ("mt-st", {"probe_kwargs_b": {"use_shrink": True}})):
-    rows = analysis.consistency_protocol(model, corpus, tuple(pair.split("-")),
+    rows = analysis.consistency_protocol(model, tuple(pair.split("-")),
                                          n=16, repeats=3, seed=0, **kwargs)
     for r in rows:
         print(f"  {pair:6} {r.partition:8} {r.kind:6} "

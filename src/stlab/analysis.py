@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CorpusConfig, make_batch
+from .data import make_batch
 # ce_loss and ctc_loss are looked up here by name (perfbench/tracer.py)
 from .losses import ce_loss, ctc_loss, task_loss  # noqa: F401
 
@@ -109,11 +109,10 @@ def grad_consistency(grads_a: dict, grads_b: dict, *,
     return {None: cosine(a, b)}
 
 
-def consistency_protocol(model, corpus: CorpusConfig, task_pair, *, n: int,
-                         repeats: int, seed: int, partitions=None,
-                         per_layer: bool = False,
+def consistency_protocol(model, task_pair, *, n: int, repeats: int, seed: int,
+                         partitions=None, per_layer: bool = False,
                          probe_kwargs_a=None, probe_kwargs_b=None):
-    """Averaged consistency over `repeats` probe draws of n samples each.
+    """Averaged consistency over `repeats` draws of n samples of the model's corpus.
 
     task_pair: (task_a, task_b) e.g. ("asr", "st"). Returns ConsistencyRow
     list in (partition, kind, layer) order; partitions default to every
@@ -123,7 +122,7 @@ def consistency_protocol(model, corpus: CorpusConfig, task_pair, *, n: int,
     cosines: dict = {}  # (partition, kind, layer) -> one cosine per repeat, in row order
     for r in range(repeats):
         rng = np.random.default_rng((seed, 0xAB, r))
-        batch = make_batch(corpus, rng.integers(0, 2**62, size=n))
+        batch = make_batch(model.corpus, rng.integers(0, 2**62, size=n))
         grads = []
         for task, kw in zip(task_pair, (probe_kwargs_a, probe_kwargs_b)):
             kw = dict(kw or {})

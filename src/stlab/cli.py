@@ -21,8 +21,8 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_NAN = 3
 
-# count options that must be at least 1 wherever a command takes them
-_COUNT_OPTIONS = ("count", "samples", "repeats")
+# options that must be at least this wherever a command takes them
+_MINIMUMS = {"count": 1, "samples": 1, "repeats": 1, "seed": 0}
 
 
 def _add_common(p):
@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override training.steps")
 
     p = sub.add_parser("analyze", help="consistency, entropy and shrink reports")
-    _add_common(p)
+    p.add_argument("--out", type=Path, required=True, help="output directory")
+    p.add_argument("--seed", type=int, default=0, help="seed of every probe batch and its noise")
     p.add_argument("--preset", choices=PRESETS, required=True)
     p.add_argument("--checkpoint", type=Path, default=None,
                    help="checkpoint to analyze (over-training: the run directory)")
@@ -65,9 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args):
     config = load_config(args.config) if args.config else default_config()
-    if getattr(args, "seed", None) is not None:
-        config = with_seed(config, args.seed)
-    return config
+    return config if args.seed is None else with_seed(config, args.seed)
 
 
 def _cmd_train(args) -> int:
@@ -84,11 +83,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    config = _resolve_config(args)
     if args.checkpoint is None:
         raise ConfigError(f"preset {args.preset!r} needs --checkpoint")
-    paths = run_preset(args.preset, config, args.checkpoint, args.out,
-                       n=args.samples, repeats=args.repeats, seed=args.seed or 0)
+    paths = run_preset(args.preset, args.checkpoint, args.out,
+                       n=args.samples, repeats=args.repeats, seed=args.seed)
     for p in paths:
         print(f"wrote {p}")
     return EXIT_OK
@@ -128,10 +126,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for name in _COUNT_OPTIONS:
+        for name, least in _MINIMUMS.items():
             value = getattr(args, name, None)
-            if value is not None and value < 1:
-                raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+            if value is not None and value < least:
+                raise ConfigError(f"--{name} must be at least {least}, got {value}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -28,8 +28,8 @@ A layer's parameters are its Tensor attributes and its sub-layers'
 
 The model carries a run's forward settings, `use_l2g` (the extractors),
 `use_lbm` (the look-back) and `mt_noise_p` (MT's input noise), which
-`apply_toggles` sets once per model from the run's toggles; every forward
-reads them from there. A new model holds those of the default toggles.
+`apply_toggles` sets once per model; every forward reads them from there.
+A new model holds those of the default toggles, a loaded one its own.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .config import ASR_VARIANTS, CorpusConfig, ModelConfig, Toggles
 from .data import SyntheticBatch, noise_inject, pad_sequences
 
 CHECKPOINT_MAGIC = b"STLAB-CKPT-v1\n"
+FORWARD_SETTINGS = ("use_l2g", "use_lbm", "mt_noise_p")  # set by apply_toggles, saved
 
 TASKS = ("st", "asr", "mt")
 
@@ -475,6 +476,7 @@ def save_checkpoint(path, model: Model, extra_meta=None, extra_buffers=None):
     header = {
         "model_config": asdict(model.config),
         "corpus": asdict(model.corpus),
+        "forward": {name: getattr(model, name) for name in FORWARD_SETTINGS},
         "extra_buffers": {n: list(np.asarray(extra_buffers[n]).shape) for n in extra_names},
         "meta": extra_meta,
     }
@@ -504,12 +506,12 @@ def save_checkpoint(path, model: Model, extra_meta=None, extra_buffers=None):
 
 def load_checkpoint(path):
     """Returns (model, meta, extra_buffers), the model built from the model
-    and corpus configs its header records. Raises ValueError naming the file
-    when it is not a checkpoint, or when its trailer does not match the bytes
-    before it (cut short, extended or altered anywhere), before parsing any
-    of them; and when a header is malformed or the buffers its configs and
-    header declare do not fill the file exactly. An older header's
-    `param_shapes` list is ignored."""
+    and corpus configs its header records and set to its forward settings.
+    Raises ValueError naming the file when it is not a checkpoint, or when
+    its trailer does not match the bytes before it (cut short, extended or
+    altered anywhere), before parsing any of them; and when a header is
+    malformed, a section of it does not hold exactly its fields, or the
+    buffers its configs and header declare do not fill the file exactly."""
     with open(path, "rb") as fh:
         data = fh.read()
     pos, trailer = 0, hashlib.sha256().digest_size
@@ -525,6 +527,11 @@ def load_checkpoint(path):
         n = int(np.prod(shape)) if shape else 1
         return np.frombuffer(read(8 * n, what), dtype=np.float64).reshape(shape)
 
+    def section(name, cls, fields=()):  # cls from header[name], which holds exactly its fields
+        if odd := set(header[name]) ^ set(fields or asdict(cls())):
+            raise ValueError(f"header {name} lacks or adds the fields {sorted(odd)}")
+        return cls(**header[name])
+
     try:
         if read(len(CHECKPOINT_MAGIC), "magic") != CHECKPOINT_MAGIC:
             raise ValueError("not a checkpoint file")
@@ -535,8 +542,8 @@ def load_checkpoint(path):
         data = data[:-trailer]
         (hlen,) = struct.unpack("<Q", read(8, "header length"))
         header = json.loads(read(hlen, "header").decode())
-        model = Model(ModelConfig(**header["model_config"]),
-                      CorpusConfig(**header["corpus"]))
+        model = Model(section("model_config", ModelConfig), section("corpus", CorpusConfig))
+        model.apply_toggles(section("forward", Toggles, FORWARD_SETTINGS))
         for i, t in enumerate(model.parameters()):
             t.data[...] = read_array(t.data.shape, f"parameter {i}")
         extra = {name: read_array(shape, f"buffer {name}").copy()

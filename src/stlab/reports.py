@@ -1,5 +1,5 @@
-"""Analysis presets: each writes one or more CSV reports for a trained
-checkpoint, mirroring the measurement protocols of the analysis module.
+"""Analysis presets: each writes CSV reports for the model a checkpoint
+restores, as it was trained, with the protocols of the analysis module.
 The presets are one table: `preset_reports` gives a single-checkpoint
 preset's reports as (CSV name, report) rows, and `run_preset` loads the
 checkpoint and writes each; over-training walks a run's checkpoints."""
@@ -13,10 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .config import RunConfig
 from .data import make_batch
+from .model import load_checkpoint
 from .plots import write_csv
-from .train import load_run_checkpoint
 
 
 def _probe_pairs(shrunk=True):
@@ -35,7 +34,7 @@ PRESETS = ("modules-bar", "per-layer", "asr-variants", "shrink-cl", "shrink-eval
 
 def preset_reports(preset: str):
     """A single-checkpoint preset's reports, as (CSV name, report) rows. Each
-    report(model, step, config, n=, repeats=, seed=) returns a CSV header and rows."""
+    report(model, step, n=, repeats=, seed=) returns a CSV header and rows."""
     pairs = _probe_pairs()
     asr_pair, asr_a, asr_b = pairs["asr_st"]
     return {
@@ -64,21 +63,21 @@ def consistency_report(variants, **layout):
     task b) rows probed under `layout`; a label of None writes no variant column."""
     lead = ("variant",) if variants[0][0] is not None else ()
 
-    def report(model, step, config: RunConfig, *, n, repeats, seed):
+    def report(model, step, *, n, repeats, seed):
         return lead + ("partition", "kind", "layer", "mean", "std"), [
             ((label,) if lead else ()) + (r.partition, r.kind, r.layer, r.mean, r.std)
             for label, pair, kw_a, kw_b in variants
             for r in analysis.consistency_protocol(
-                model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
+                model, pair, n=n, repeats=repeats, seed=seed,
                 probe_kwargs_a=kw_a, probe_kwargs_b=kw_b, **layout)]
     return report
 
 
-def entropy_report(model, step, config: RunConfig, *, n, repeats, seed):
+def entropy_report(model, step, *, n, repeats, seed):
     """Per-layer T-Enc attention entropy for the text stream and the speech
     stream with and without shrinking, on one batch of `n`."""
     rng = np.random.default_rng((seed, 0xE27))
-    batch = make_batch(config.corpus, rng.integers(0, 2**62, size=n))
+    batch = make_batch(model.corpus, rng.integers(0, 2**62, size=n))
     mt = {"mt_noise_rngs": [np.random.default_rng((seed, 1))] * n}
     rows = []
     for stream, task, kw in (("mt", "mt", mt), ("st_plain", "st", {"use_shrink": False}),
@@ -88,34 +87,39 @@ def entropy_report(model, step, config: RunConfig, *, n, repeats, seed):
     return analysis.EntropyRow._fields, rows
 
 
-def shrink_report(model, step, config: RunConfig, *, n, repeats, seed):
+def shrink_report(model, step, *, n, repeats, seed):
     """Shrink statistics of the ST pass, one row per batch: `repeats`
     batches of `n`, batch b drawn from (seed, 0x5E, b)."""
     rows = []
     for bi in range(repeats):
         rng = np.random.default_rng((seed, 0x5E, bi))
-        batch = make_batch(config.corpus, rng.integers(0, 2**62, size=n))
+        batch = make_batch(model.corpus, rng.integers(0, 2**62, size=n))
         out = model.forward_task(batch, "st", use_shrink=True)
         rows.append((step, bi, float(np.mean(batch.speech_lens)),
                      float(np.mean(out.tenc_mask.sum(axis=1))), out.length_ratio))
     return ("step", "batch", "n_mean", "m_mean", "ratio"), rows
 
 
-def preset_over_training(config: RunConfig, run_dir, *, n, repeats, seed):
+def preset_over_training(run_dir, *, n, repeats, seed):
     """Consistency time series across every checkpoint of a run, as
     (CSV name, header, rows) reports: each checkpoint is loaded once and
-    probed with both pairs. One that fails to load (OSError or ValueError)
-    is skipped with one line on stderr; when every one fails, it raises."""
+    probed with both pairs. One that fails to load (OSError or ValueError),
+    or whose configs or forward settings differ from the first loaded one's,
+    is skipped with one line on stderr; when every one is, it raises."""
     ckpts = sorted((int(m.group(1)), p) for p in Path(run_dir).glob("checkpoint_*.stlab")
                    if (m := re.match(r"checkpoint_(\d+)\.stlab", p.name)))
     if not ckpts:
         raise FileNotFoundError(f"no checkpoints found in {run_dir}")
     pairs = _probe_pairs(shrunk=False)
     rows = {pair_name: [] for pair_name in pairs}
-    skipped = 0
+    skipped, first = 0, None
     for step, path in ckpts:
         try:
-            model, _, _ = load_run_checkpoint(path, config)
+            model, _, _ = load_checkpoint(path)
+            settings = (model.config, model.corpus, model.use_l2g, model.use_lbm, model.mt_noise_p)
+            if settings != (first := first or settings):
+                raise ValueError(f"checkpoint {path} records other configs or forward "
+                                 f"settings than the run's first")
         except (OSError, ValueError) as exc:
             print(f"skipping the step-{step} checkpoint: {exc}", file=sys.stderr)
             skipped += 1
@@ -124,7 +128,7 @@ def preset_over_training(config: RunConfig, run_dir, *, n, repeats, seed):
             rows[pair_name] += [
                 (step, r.partition, r.kind, r.layer, r.mean)
                 for r in analysis.consistency_protocol(
-                    model, config.corpus, pair, n=n, repeats=repeats, seed=seed,
+                    model, pair, n=n, repeats=repeats, seed=seed,
                     probe_kwargs_a=kw_a, probe_kwargs_b=kw_b)]
     if skipped == len(ckpts):
         raise ValueError(f"no checkpoint in {run_dir} loads")
@@ -133,7 +137,7 @@ def preset_over_training(config: RunConfig, run_dir, *, n, repeats, seed):
             for pair_name, pair_rows in rows.items()]
 
 
-def run_preset(preset: str, config: RunConfig, target, out_dir, *, n, repeats, seed=0):
+def run_preset(preset: str, target, out_dir, *, n, repeats, seed=0):
     """Run `preset` on the checkpoint `target` (for over-training, the run
     directory whose checkpoints it walks). Every report is computed before
     `out_dir` is made, so a checkpoint that fails to load leaves no report
@@ -141,11 +145,10 @@ def run_preset(preset: str, config: RunConfig, target, out_dir, *, n, repeats, s
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
     if preset == "over-training":
-        reports = preset_over_training(config, target, n=n, repeats=repeats, seed=seed)
+        reports = preset_over_training(target, n=n, repeats=repeats, seed=seed)
     else:
-        model, meta, _ = load_run_checkpoint(target, config)
-        reports = [(name, *report(model, meta.get("step", 0), config,
-                                  n=n, repeats=repeats, seed=seed))
+        model, meta, _ = load_checkpoint(target)
+        reports = [(name, *report(model, meta.get("step", 0), n=n, repeats=repeats, seed=seed))
                    for name, report in preset_reports(preset)]
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     return [write_csv(Path(out_dir) / name, header, rows) for name, header, rows in reports]

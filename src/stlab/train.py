@@ -236,17 +236,6 @@ def make_task_weights(config: RunConfig) -> sched.TaskWeights:
     return sched.TaskWeights(config.scheduler, {t: 1.0 for t, use in on.items() if use})
 
 
-def load_run_checkpoint(path, config: RunConfig):
-    """load_checkpoint for a run under `config`: the model comes with the
-    run's toggles applied. Raises ValueError naming the file when the
-    checkpoint records another model or corpus config."""
-    model, meta, extra = load_checkpoint(path)
-    if (model.config, model.corpus) != (config.model, config.corpus):
-        raise ValueError(f"checkpoint {path} records another model or corpus "
-                         f"config: {model.config}, {model.corpus}")
-    return model.apply_toggles(config.toggles), meta, extra
-
-
 def _shared_views(params):
     """One anonymous shared mapping laid out as `params`: a zeroed view
     shaped as each tensor's data, in order. A forked process sees writes
@@ -369,15 +358,18 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
     if resume_from is None:
         model, meta = build_model(config), {}
     else:
-        model, meta, extra = load_run_checkpoint(resume_from, config)
+        model, meta, extra = load_checkpoint(resume_from)
+        if (model.config, model.corpus) != (config.model, config.corpus):
+            raise ValueError(f"checkpoint {resume_from} records another model or corpus "
+                             f"config: {model.config}, {model.corpus}")
+        model.apply_toggles(config.toggles)  # the run's, which may differ from the checkpoint's
         if "step" not in meta:
             raise ValueError(f"checkpoint {resume_from} cannot resume a run: it holds no step")
         if meta["step"] >= tr.steps:
             raise ConfigError(f"checkpoint {resume_from} is at step {meta['step']}, "
                               f"so training.steps = {tr.steps} leaves no step to run")
-    warmup = max(1, int(tr.warmup_fraction * tr.steps))
-    opt = Adam(model.parameters(), lr=tr.learning_rate, beta1=tr.beta1,
-               beta2=tr.beta2, warmup_steps=warmup)
+    opt = Adam(model.parameters(), lr=tr.learning_rate, beta1=tr.beta1, beta2=tr.beta2,
+               warmup_steps=max(1, int(tr.warmup_fraction * tr.steps)))
     weights = make_task_weights(config)
     start_step = meta.get("step", 0)
     if resume_from is not None:
@@ -406,7 +398,7 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
     # carried-forward log fields live in the checkpoint so a resumed run
     # replays the metrics stream bitwise
     last_accuracy, last_ratio = meta.get("last_accuracy"), meta.get("last_ratio")
-    last_checkpoint = None
+    last_checkpoint = resume_from
     shrink_start = int(config.toggles.shrink_warmup_fraction * tr.steps)
 
     worker = None

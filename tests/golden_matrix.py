@@ -70,12 +70,13 @@ def build_matrix(root):
         train(dataclasses.replace(short, toggles=dataclasses.replace(cfg.toggles, **toggles)),
               root / name)
 
-    reports, common = root / "reports", ["--config", str(main / "config.json")]
-    commands = [["analyze", *common, "--preset", preset, "--samples", "4", "--repeats", "2",
+    reports = root / "reports"
+    commands = [["analyze", "--preset", preset, "--samples", "4", "--repeats", "2",
                  "--checkpoint", str(main if preset == "over-training"
                                      else main / "checkpoint_000040.stlab"),
                  "--out", str(reports)] for preset in PRESETS]
-    commands.append(["export-corpus", *common, "--out", str(reports)])
+    commands.append(["export-corpus", "--config", str(main / "config.json"),
+                     "--out", str(reports)])
     with redirect_stdout(StringIO()):  # each command prints the files it wrote
         for argv in commands:
             if cli.main(argv) != 0:

@@ -127,7 +127,7 @@ def test_capture_instance_gradients_restores_parameters_on_failure():
 
 def test_consistency_protocol_rows():
     model = Model(MODEL_CFG, CORPUS)
-    rows = consistency_protocol(model, CORPUS, ("mt", "st"), n=3, repeats=2, seed=1)
+    rows = consistency_protocol(model, ("mt", "st"), n=3, repeats=2, seed=1)
     assert rows, "expected at least one consistency row"
     for r in rows:
         assert r.partition in ("T-Enc", "Decoder")  # mt never reaches A-Enc
@@ -137,8 +137,8 @@ def test_consistency_protocol_rows():
 
 def test_consistency_protocol_deterministic():
     model = Model(MODEL_CFG, CORPUS)
-    r1 = consistency_protocol(model, CORPUS, ("mt", "st"), n=2, repeats=2, seed=3)
-    r2 = consistency_protocol(model, CORPUS, ("mt", "st"), n=2, repeats=2, seed=3)
+    r1 = consistency_protocol(model, ("mt", "st"), n=2, repeats=2, seed=3)
+    r2 = consistency_protocol(model, ("mt", "st"), n=2, repeats=2, seed=3)
     assert [(a.partition, a.kind, a.mean) for a in r1] == \
            [(b.partition, b.kind, b.mean) for b in r2]
 
@@ -154,7 +154,7 @@ def test_consistency_protocol_draws_mt_noise_per_item_and_repeat(monkeypatch):
         return noise_inject(tokens, p, rng)
 
     monkeypatch.setattr(model_mod, "noise_inject", recording_noise)
-    consistency_protocol(Model(MODEL_CFG, CORPUS), CORPUS, ("mt", "st"), n=3, repeats=2,
+    consistency_protocol(Model(MODEL_CFG, CORPUS), ("mt", "st"), n=3, repeats=2,
                          seed=4)
     assert states == [np.random.default_rng((4, 0xAB, r, j)).bit_generator.state
                       for r in range(2) for j in range(3)]
@@ -165,7 +165,7 @@ def test_consistency_protocol_rows_come_in_partition_kind_layer_order():
     in numeric order."""
     model = Model(ModelConfig(d_model=16, n_heads=2, ffn_dim=24, seed=5, t_enc_layers=12),
                   CORPUS)
-    rows = consistency_protocol(model, CORPUS, ("mt", "st"), n=2, repeats=2, seed=0,
+    rows = consistency_protocol(model, ("mt", "st"), n=2, repeats=2, seed=0,
                                 per_layer=True)
     keys = [(r.partition, r.kind, r.layer) for r in rows]
     assert keys == sorted(keys)

@@ -181,19 +181,19 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 1 and "config error" in err and field in err, doc
         assert not (tmp_path / "o").exists(), doc
-    rc = cli.main(["train", "--seed", "-1", "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert rc == 1 and "config error" in err and "seed" in err
-    assert not (tmp_path / "o").exists()
-    # a count option below 1, on a config and checkpoint that would run
+    # a negative seed, or a count option below 1, on a config and checkpoint
+    # that would run
     cfg = tmp_path / "tiny.json"
     save_config(tiny_run_config(), cfg)
     ckpt = tmp_path / "checkpoint.stlab"
     save_checkpoint(ckpt, build_model(tiny_run_config()), extra_meta={"step": 0})
-    for argv, flag in [(["export-corpus", "--count", "-3"], "--count")] + [
-            (["analyze", "--preset", preset, "--checkpoint", str(ckpt), flag, "0"], flag)
+    analyze = ["analyze", "--checkpoint", str(ckpt), "--preset"]
+    for argv, flag in [(["train", "--seed", "-1"], "seed"),
+                       (["export-corpus", "--config", str(cfg), "--count", "-3"], "--count"),
+                       ([*analyze, "modules-bar", "--seed", "-1"], "--seed")] + [
+            ([*analyze, preset, flag, "0"], flag)
             for preset in ("modules-bar", "shrink-eval") for flag in ("--samples", "--repeats")]:
-        rc = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        rc = cli.main([*argv, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert rc == 1 and "config error" in err and flag in err, argv
         assert not (tmp_path / "o").exists(), argv
@@ -213,8 +213,8 @@ def test_cli_config_error_on_an_overflowing_warmup(tmp_path, capsys):
         assert not (tmp_path / "o").exists(), doc
 
 
-def test_cli_runtime_error_exit_code(cfg_path, tmp_path, capsys):
-    rc = cli.main(["analyze", "--preset", "shrink-eval", "--config", str(cfg_path),
+def test_cli_runtime_error_exit_code(tmp_path, capsys):
+    rc = cli.main(["analyze", "--preset", "shrink-eval",
                    "--checkpoint", str(tmp_path / "missing.stlab"),
                    "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -225,7 +225,7 @@ def test_cli_full_pipeline(cfg_path, tmp_path):
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
     ckpt = sorted(out.glob("checkpoint_*.stlab"))[-1]
     rep = tmp_path / "rep"
-    assert cli.main(["analyze", "--config", str(cfg_path), "--preset",
+    assert cli.main(["analyze", "--preset",
                      "modules-bar", "--checkpoint", str(ckpt), "--out", str(rep),
                      "--samples", "3", "--repeats", "2"]) == 0
     csvs = list(rep.glob("*.csv"))
@@ -243,7 +243,7 @@ def test_cli_full_pipeline(cfg_path, tmp_path):
             ("over-training", {"consistency_over_training_asr_st.csv": series,
                                "consistency_over_training_mt_st.csv": series})):
         target = out if preset == "over-training" else ckpt
-        assert cli.main(["analyze", "--config", str(cfg_path), "--preset", preset,
+        assert cli.main(["analyze", "--preset", preset,
                          "--checkpoint", str(target), "--out", str(rep),
                          "--samples", "3", "--repeats", "2"]) == 0, preset
         for name, want in headers.items():
@@ -262,18 +262,37 @@ def test_cli_full_pipeline(cfg_path, tmp_path):
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
 
-def test_cli_analyze_requires_checkpoint(cfg_path, tmp_path):
-    rc = cli.main(["analyze", "--config", str(cfg_path), "--preset",
-                   "modules-bar", "--out", str(tmp_path / "rep")])
+def test_cli_analyze_requires_checkpoint(tmp_path):
+    rc = cli.main(["analyze", "--preset", "modules-bar", "--out", str(tmp_path / "rep")])
     assert rc == 1
 
 
-def test_cli_over_training_refuses_a_checkpoint_file(cfg_path, tmp_path, capsys):
+def test_cli_analyze_seed_picks_the_probe_seed(tmp_path):
+    """A seed-7 run's checkpoint is analysed under any probe seed: --seed 3
+    writes reports that differ from those of the default seed 0, and the
+    same seed writes the same bytes again."""
+    ckpt = tmp_path / "checkpoint_000001.stlab"
+    save_checkpoint(ckpt, build_model(with_seed(tiny_run_config(), 7)), extra_meta={"step": 1})
+
+    def reports(seed, out):
+        argv = ["analyze", "--preset", "modules-bar", "--checkpoint", str(ckpt),
+                "--samples", "2", "--repeats", "1", "--out", str(tmp_path / out)]
+        assert cli.main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+        return {p.name: p.read_bytes() for p in sorted((tmp_path / out).glob("*.csv"))}
+
+    default, three = reports(None, "default"), reports(3, "three")
+    assert len(default) == 2 and default == reports(0, "zero")
+    assert three.keys() == default.keys()
+    assert all(three[name] != default[name] for name in default)
+    assert three == reports(3, "three_again")
+
+
+def test_cli_over_training_refuses_a_checkpoint_file(tmp_path, capsys):
     """over-training's --checkpoint names a run directory: given a checkpoint
     file, it finds no checkpoints in it, exits 2 and writes nothing."""
     ckpt = tmp_path / "checkpoint_000001.stlab"
-    save_checkpoint(ckpt, build_model(load_config(cfg_path)), extra_meta={"step": 1})
-    rc = cli.main(["analyze", "--config", str(cfg_path), "--preset", "over-training",
+    save_checkpoint(ckpt, build_model(tiny_run_config()), extra_meta={"step": 1})
+    rc = cli.main(["analyze", "--preset", "over-training",
                    "--checkpoint", str(ckpt), "--out", str(tmp_path / "rep")])
     assert rc == 2 and "no checkpoints found" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
@@ -332,11 +351,11 @@ def test_cli_export_plots_refuses_two_inputs_with_one_stem(tmp_path, capsys):
 
 
 def test_cli_resume_refuses_a_checkpoint_with_per_tensor_adam_buffers(tmp_path, capsys):
-    """A checkpoint written before Adam's flat buffers (a `param_shapes`
-    header list, one opt_m_XXXX and opt_v_XXXX buffer per parameter) holds
-    no opt_m: --resume exits 2 with one line naming the file and the
-    buffer, before the run directory is made, while the analyze presets
-    still read the file."""
+    """A checkpoint in the layout before Adam's flat buffers (a
+    `param_shapes` header list, one opt_m_XXXX and opt_v_XXXX buffer per
+    parameter) holds no opt_m: --resume exits 2 with one line naming the file and the
+    buffer, before the run directory is made, while the analyze presets,
+    which need no optimizer state, still read the file."""
     cfg = tmp_path / "tiny.json"
     save_config(tiny_run_config(), cfg)
     model = build_model(tiny_run_config())
@@ -364,7 +383,7 @@ def test_cli_resume_refuses_a_checkpoint_with_per_tensor_adam_buffers(tmp_path, 
                   "--samples", "2", "--repeats", "1"],
                  ["analyze", "--preset", "shrink-eval", "--checkpoint", str(ckpt),
                   "--samples", "2", "--repeats", "1"]):
-        assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
+        assert cli.main([*argv, "--out", str(tmp_path / "rep")]) == 0
 
 
 def _trained_tiny_checkpoint(tmp_path, **toggles):

@@ -324,6 +324,28 @@ def test_checkpoint_roundtrip(tmp_path, model, batch):
     np.testing.assert_array_equal(out1, out2)
 
 
+@pytest.mark.parametrize("toggles", [dict(use_l2g=False, use_lbm=False, mt_noise_p=0.3),
+                                     dict(use_l2g=True, use_lbm=False, mt_noise_p=0.3)])
+def test_checkpoint_restores_the_forward_settings(tmp_path, batch, toggles):
+    """A checkpoint records the settings apply_toggles gave the model (MT's
+    noise is 0 with the L2G extractors off), and its model loads with them,
+    forwarding as the saved one did."""
+    model = Model(tiny_config(), CORPUS).apply_toggles(Toggles(**toggles))
+    path = tmp_path / "ckpt.stlab"
+    save_checkpoint(path, model)
+    loaded, _, _ = load_checkpoint(path)
+    settings = [(m.use_l2g, m.use_lbm, m.mt_noise_p) for m in (model, loaded)]
+    want = (toggles["use_l2g"], False, 0.3 if toggles["use_l2g"] else 0.0)
+    assert settings == [want, want]
+
+    def forward(m, task):
+        rngs = [np.random.default_rng((5, b)) for b in range(batch.batch_size)]
+        return m.forward_task(batch, task, use_shrink=True, mt_noise_rngs=rngs).logits.data
+
+    for task in ("st", "mt"):
+        np.testing.assert_array_equal(forward(model, task), forward(loaded, task))
+
+
 def test_checkpoint_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a checkpoint at all")
@@ -378,8 +400,11 @@ def damage_header(path, how):
     """Rewrite a checkpoint's header: flip its first byte, add an unknown
     model_config key, add `dropout` or `translation_rule` (which every
     checkpoint written while ModelConfig or CorpusConfig had it records),
-    give a float field a bool, or drop the corpus config. The sha256 trailer is rewritten to match, so the
-    damage reaches the header parser."""
+    give a float field a bool, drop the corpus config, drop a field of the
+    model config, drop the forward settings (as every checkpoint written
+    before they were recorded lacks them), or add an unknown one. The
+    sha256 trailer is rewritten to match, so the damage reaches the header
+    parser."""
     blob = bytearray(path.read_bytes())
     magic = len(b"STLAB-CKPT-v1\n")
     start = magic + 8
@@ -397,6 +422,12 @@ def damage_header(path, how):
             header["corpus"]["translation_rule"] = "fixed-permutation"
         elif how == "bool frame_noise_std":
             header["corpus"]["frame_noise_std"] = True
+        elif how == "missing field":
+            del header["model_config"]["seed"]
+        elif how == "no forward settings":
+            del header["forward"]
+        elif how == "unknown forward key":
+            header["forward"]["use_asr"] = True
         else:
             del header["corpus"]
         text = json.dumps(header, sort_keys=True).encode()
@@ -405,7 +436,8 @@ def damage_header(path, how):
 
 
 HEADER_DAMAGE = ["corrupt byte", "unknown model key", "dropout key",
-                 "translation_rule key", "bool frame_noise_std", "no corpus"]
+                 "translation_rule key", "bool frame_noise_std", "no corpus",
+                 "missing field", "no forward settings", "unknown forward key"]
 
 
 @pytest.mark.parametrize("how", HEADER_DAMAGE)

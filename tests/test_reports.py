@@ -8,14 +8,15 @@ from collections import Counter
 import pytest
 
 import stlab.model as model_mod
+import stlab.reports as reports_mod
 import stlab.shrink as shrink_mod
-import stlab.train as train_mod
 from stlab import cli
-from stlab.config import RunConfig, Toggles, save_config
+from stlab.config import RunConfig, Toggles
 from stlab.data import CorpusConfig
 from stlab.model import Model, ModelConfig, save_checkpoint
 from stlab.plots import CHARTS, export_plot, read_csv, write_csv
 from stlab.reports import PRESETS, run_preset
+from stlab.train import build_model
 
 from test_model import HEADER_DAMAGE, damage_header
 
@@ -32,13 +33,14 @@ def other_corpus(cfg):
 
 
 def test_every_load_applies_the_run_toggles(tmp_path, monkeypatch):
-    """A use_l2g=False, use_lbm=False run is analysed without extractors,
-    without look-back, and with MT on clean text, as it was trained."""
+    """A use_l2g=False, use_lbm=False run's checkpoint is analysed by every
+    preset without extractors, without look-back, and with MT on clean
+    text, as it was trained: the checkpoint records those settings."""
     cfg = ablation_config()
     run = tmp_path / "run"
     run.mkdir()
     ckpt = run / "checkpoint_000001.stlab"
-    save_checkpoint(ckpt, Model(cfg.model, cfg.corpus), extra_meta={"step": 1})
+    save_checkpoint(ckpt, build_model(cfg), extra_meta={"step": 1})
 
     seen = set()
     t_enc_forward = Model.t_enc_forward
@@ -63,7 +65,7 @@ def test_every_load_applies_the_run_toggles(tmp_path, monkeypatch):
     trained_as = {("use_l2g", False), ("use_lbm", False), ("mt_noise_p", 0.0)}
     for preset in PRESETS:
         target = run if preset == "over-training" else ckpt
-        run_preset(preset, cfg, target, tmp_path / "rep", n=2, repeats=1)
+        run_preset(preset, target, tmp_path / "rep", n=2, repeats=1)
         assert ("use_l2g", False) in seen and seen <= trained_as, (preset, seen)
         seen.clear()
 
@@ -79,7 +81,7 @@ def test_over_training_names_an_unloadable_checkpoint_once(tmp_path, capsys):
                         extra_meta={"step": step})
     torn = run / "checkpoint_000002.stlab"
     torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
-    paths = run_preset("over-training", cfg, run, tmp_path / "rep", n=2, repeats=1)
+    paths = run_preset("over-training", run, tmp_path / "rep", n=2, repeats=1)
     assert len(paths) == 2
     for path in paths:
         rows = path.read_text().splitlines()[1:]
@@ -89,12 +91,12 @@ def test_over_training_names_an_unloadable_checkpoint_once(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage", ["cut to 16 bytes", "4 trailing bytes", *HEADER_DAMAGE,
-                                    "another corpus"])
+                                    "another corpus", "other forward settings"])
 def test_over_training_skips_a_cut_or_padded_checkpoint(tmp_path, capsys, damage):
     """A checkpoint cut inside its header length, with bytes after its last
-    buffer, with a malformed header, or trained on another corpus, is
-    skipped with one stderr line instead of crashing the preset or loading
-    silently."""
+    buffer, with a malformed header, or that differs from the run's first
+    checkpoint in its corpus or its forward settings, is skipped with one
+    stderr line instead of crashing the preset or loading silently."""
     cfg = ablation_config()
     run = tmp_path / "run"
     run.mkdir()
@@ -107,9 +109,11 @@ def test_over_training_skips_a_cut_or_padded_checkpoint(tmp_path, capsys, damage
         damage_header(bad, damage)
     elif damage == "another corpus":
         save_checkpoint(bad, Model(cfg.model, other_corpus(cfg)), extra_meta={"step": 2})
+    elif damage == "other forward settings":
+        save_checkpoint(bad, build_model(cfg), extra_meta={"step": 2})
     else:
         bad.write_bytes(blob[:16] if damage == "cut to 16 bytes" else blob + b"\0\0\0\0")
-    paths = run_preset("over-training", cfg, run, tmp_path / "rep", n=2, repeats=1)
+    paths = run_preset("over-training", run, tmp_path / "rep", n=2, repeats=1)
     for path in paths:
         rows = path.read_text().splitlines()[1:]
         assert rows and {row.split(",")[0] for row in rows} == {"1"}
@@ -118,21 +122,19 @@ def test_over_training_skips_a_cut_or_padded_checkpoint(tmp_path, capsys, damage
 
 
 def test_over_training_refuses_a_run_whose_every_checkpoint_is_skipped(tmp_path, capsys):
-    """When no checkpoint of the run loads (here one of another corpus and a
-    torn one), over-training exits 2 naming the run directory after one
-    stderr line per skipped file, and writes no report, as it does for a
-    run directory without checkpoints."""
+    """When no checkpoint of the run loads (here one written before headers
+    recorded the forward settings and a torn one), over-training exits 2
+    naming the run directory after one stderr line per skipped file, and
+    writes no report, as it does for a run directory without checkpoints."""
     cfg = ablation_config()
-    cfg_path = tmp_path / "cfg.json"
-    save_config(cfg, cfg_path)
     run = tmp_path / "run"
     run.mkdir()
-    save_checkpoint(run / "checkpoint_000001.stlab", Model(cfg.model, other_corpus(cfg)),
-                    extra_meta={"step": 1})
-    torn = run / "checkpoint_000002.stlab"
-    save_checkpoint(torn, Model(cfg.model, cfg.corpus), extra_meta={"step": 2})
+    old, torn = run / "checkpoint_000001.stlab", run / "checkpoint_000002.stlab"
+    for step, path in enumerate((old, torn), 1):
+        save_checkpoint(path, build_model(cfg), extra_meta={"step": step})
+    damage_header(old, "no forward settings")
     torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
-    rc = cli.main(["analyze", "--config", str(cfg_path), "--preset", "over-training",
+    rc = cli.main(["analyze", "--preset", "over-training",
                    "--checkpoint", str(run), "--samples", "2", "--repeats", "1",
                    "--out", str(tmp_path / "rep")])
     err = capsys.readouterr().err.splitlines()
@@ -149,54 +151,52 @@ def test_over_training_loads_each_checkpoint_once(tmp_path, monkeypatch):
         save_checkpoint(run / f"checkpoint_{step:06d}.stlab", Model(cfg.model, cfg.corpus),
                         extra_meta={"step": step})
     loads = Counter()
-    load_checkpoint = train_mod.load_checkpoint
+    load_checkpoint = reports_mod.load_checkpoint
 
     def counting_load(path):
         loads[path.name] += 1
         return load_checkpoint(path)
 
-    monkeypatch.setattr(train_mod, "load_checkpoint", counting_load)
-    paths = run_preset("over-training", cfg, run, tmp_path / "rep", n=2, repeats=1)
+    monkeypatch.setattr(reports_mod, "load_checkpoint", counting_load)
+    paths = run_preset("over-training", run, tmp_path / "rep", n=2, repeats=1)
     assert len(paths) == 2
     assert loads == {"checkpoint_000001.stlab": 1, "checkpoint_000002.stlab": 1}
 
 
-def test_analysis_refuses_a_checkpoint_of_another_corpus(tmp_path, capsys):
+def test_analysis_refuses_a_checkpoint_without_forward_settings(tmp_path, capsys):
     """Every single-checkpoint preset raises ValueError naming a checkpoint
-    trained on another corpus, which the CLI reports with exit code 2,
-    instead of probing it with this config's corpus."""
-    cfg = ablation_config()
+    whose header lacks the forward settings (as every one written before
+    headers recorded them does), which the CLI reports with exit code 2,
+    instead of probing it with the default toggles."""
     ckpt = tmp_path / "checkpoint_000001.stlab"
-    save_checkpoint(ckpt, Model(cfg.model, other_corpus(cfg)), extra_meta={"step": 1})
-    save_config(cfg, tmp_path / "cfg.json")
+    save_checkpoint(ckpt, build_model(ablation_config()), extra_meta={"step": 1})
+    damage_header(ckpt, "no forward settings")
     for preset in PRESETS:
         if preset != "over-training":
             with pytest.raises(ValueError, match=str(ckpt)):
-                run_preset(preset, cfg, ckpt, tmp_path / "rep", n=2, repeats=1)
-            rc = cli.main(["analyze", "--preset", preset, "--config", str(tmp_path / "cfg.json"),
+                run_preset(preset, ckpt, tmp_path / "rep", n=2, repeats=1)
+            rc = cli.main(["analyze", "--preset", preset,
                            "--checkpoint", str(ckpt), "--out", str(tmp_path / "cli")])
             assert rc == 2 and str(ckpt) in capsys.readouterr().err, preset
 
 
 def test_a_refused_checkpoint_leaves_no_report_directory(tmp_path, capsys):
-    """The checkpoint loads and passes the config check before the output
-    directory is made: a refused one leaves no empty report directory, from
-    the presets or the CLI; nor does over-training on a run directory
-    without checkpoints."""
-    cfg = ablation_config()
+    """The checkpoint loads before the output directory is made: a torn one
+    leaves no empty report directory, from the presets or the CLI; nor does
+    over-training on a run directory without checkpoints."""
     ckpt = tmp_path / "checkpoint_000001.stlab"
-    save_checkpoint(ckpt, Model(cfg.model, other_corpus(cfg)), extra_meta={"step": 1})
-    save_config(cfg, tmp_path / "cfg.json")
+    save_checkpoint(ckpt, build_model(ablation_config()), extra_meta={"step": 1})
+    ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
     for preset in PRESETS:
         if preset != "over-training":
             with pytest.raises(ValueError, match=str(ckpt)):
-                run_preset(preset, cfg, ckpt, tmp_path / "rep", n=2, repeats=1)
-            rc = cli.main(["analyze", "--preset", preset, "--config", str(tmp_path / "cfg.json"),
+                run_preset(preset, ckpt, tmp_path / "rep", n=2, repeats=1)
+            rc = cli.main(["analyze", "--preset", preset,
                            "--checkpoint", str(ckpt), "--out", str(tmp_path / "cli")])
             assert rc == 2 and str(ckpt) in capsys.readouterr().err, preset
     (tmp_path / "empty").mkdir()
     with pytest.raises(FileNotFoundError, match="no checkpoints"):
-        run_preset("over-training", cfg, tmp_path / "empty", tmp_path / "ot", n=2, repeats=1)
+        run_preset("over-training", tmp_path / "empty", tmp_path / "ot", n=2, repeats=1)
     assert not any((tmp_path / name).exists() for name in ("rep", "cli", "ot"))
 
 

@@ -133,16 +133,18 @@ def test_resume_replays_exactly(tmp_path):
 
 
 def test_a_checkpoint_header_holds_configs_and_three_adam_buffers(tmp_path):
-    """The header records no parameter shapes, which its configs fix, and
-    the optimizer's state is opt_t and the flat moments opt_m and opt_v,
-    one entry per parameter entry: 71436 for the default config."""
+    """The header records no parameter shapes, which its configs fix, but
+    the model's forward settings, and the optimizer's state is opt_t and
+    the flat moments opt_m and opt_v, one entry per parameter entry: 71436
+    for the default config."""
     cfg = default_config(steps=1)
     blob = train(cfg, tmp_path / "run").final_checkpoint.read_bytes()
     start = len(model_mod.CHECKPOINT_MAGIC) + 8
     header = json.loads(blob[start:start + int.from_bytes(blob[start - 8:start], "little")])
     entries = sum(p.data.size for p in train_mod.build_model(cfg).parameters())
     assert entries == 71436
-    assert sorted(header) == ["corpus", "extra_buffers", "meta", "model_config"]
+    assert sorted(header) == ["corpus", "extra_buffers", "forward", "meta", "model_config"]
+    assert header["forward"] == {"mt_noise_p": 0.2, "use_l2g": True, "use_lbm": True}
     assert header["extra_buffers"] == {"opt_m": [entries], "opt_t": [1], "opt_v": [entries]}
 
 
@@ -457,6 +459,47 @@ def test_nan_abort(tmp_path, monkeypatch):
     assert exc.value.last_checkpoint.name == "checkpoint_000004.stlab"
     assert exc.value.last_checkpoint.exists()
     assert multiprocessing.active_children() == []  # the MT worker stopped too
+
+
+def test_a_resumed_run_that_aborts_names_the_checkpoint_it_resumed_from(tmp_path, monkeypatch):
+    """A resume from step 4 that hits a non-finite loss at step 5, before it
+    writes a checkpoint of its own, names the step-4 checkpoint as the last
+    good one."""
+    cfg = tiny_config(steps=6)
+    ckpt = train(dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, steps=4)),
+                 tmp_path / "first").final_checkpoint
+    real = train_mod.compute_losses
+
+    def poisoned(model, batch, config, weights, step, shrink_active, **kw):
+        bundle, out = real(model, batch, config, weights, step, shrink_active, **kw)
+        if step == 5:
+            bundle.total.data = np.asarray(np.nan)
+        return bundle, out
+
+    monkeypatch.setattr(train_mod, "compute_losses", poisoned)
+    with pytest.raises(NanAbort, match=f"last good checkpoint: {ckpt}") as exc:
+        train(cfg, tmp_path / "resumed", resume_from=ckpt)
+    assert exc.value.step == 5 and exc.value.last_checkpoint == ckpt
+
+
+def test_a_resume_forwards_under_the_run_toggles(tmp_path, monkeypatch):
+    """A resume takes the forward settings of the run's toggles, which may
+    differ from those its checkpoint records, and its own checkpoints record
+    the run's."""
+    first = train(tiny_config(steps=4), tmp_path / "first").final_checkpoint
+    seen = set()
+    real = train_mod.compute_losses
+
+    def recording(model, *args, **kw):
+        seen.add((model.use_l2g, model.use_lbm, model.mt_noise_p))
+        return real(model, *args, **kw)
+
+    monkeypatch.setattr(train_mod, "compute_losses", recording)
+    cfg = tiny_config(steps=5, use_lbm=False, mt_noise_p=0.3)
+    resumed = train(cfg, tmp_path / "resumed", resume_from=first)
+    assert seen == {(True, False, 0.3)}
+    loaded, _, _ = load_checkpoint(resumed.final_checkpoint)
+    assert (loaded.use_l2g, loaded.use_lbm, loaded.mt_noise_p) == (True, False, 0.3)
 
 
 def test_non_finite_gradient_aborts_and_the_last_checkpoint_resumes(tmp_path, monkeypatch):
