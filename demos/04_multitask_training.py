@@ -8,9 +8,8 @@ import json
 import tempfile
 from pathlib import Path
 
-from stlab.config import (RunConfig, SchedulerConfig, TrainingConfig, Toggles)
-from stlab.data import CorpusConfig
-from stlab.model import ModelConfig
+from stlab.config import (CorpusConfig, ModelConfig, RunConfig, SchedulerConfig,
+                          TrainingConfig, Toggles)
 from stlab.train import train
 
 corpus = CorpusConfig(vocab_size=10, max_src_len=5, seed=1)

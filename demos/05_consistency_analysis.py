@@ -5,15 +5,17 @@ attention on each stream?
 Run:  python demos/05_consistency_analysis.py   (about a minute)
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from stlab import analysis
-from stlab.config import (RunConfig, SchedulerConfig, TrainingConfig, Toggles)
-from stlab.data import CorpusConfig, make_batch
-from stlab.model import ModelConfig, load_checkpoint
+from stlab.config import (CorpusConfig, ModelConfig, RunConfig, SchedulerConfig,
+                          TrainingConfig, Toggles)
+from stlab.data import make_batch
+from stlab.model import load_checkpoint
 from stlab.train import train
 
 corpus = CorpusConfig(vocab_size=10, max_src_len=5, seed=2)
@@ -43,7 +45,7 @@ for pair, kwargs in (("asr-st", {"probe_kwargs_a": {"asr_variant": "ce",
 
 print("\nattention entropy (bits) per T-Enc layer:")
 batch = make_batch(corpus, np.arange(16))
-model.mt_noise_p = 0.0  # the clean text stream
+model.apply_toggles(dataclasses.replace(config.toggles, mt_noise_p=0.0))  # clean text
 mt = model.forward_task(batch, "mt")
 st_plain = model.forward_task(batch, "st")
 st_shrunk = model.forward_task(batch, "st", use_shrink=True)

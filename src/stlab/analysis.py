@@ -3,12 +3,12 @@
 For a probe batch fed identically to two tasks, consistency is the cosine
 between their flattened parameter gradients, reported per
 (partition, sublayer kind) or per layer. Entropy reports are base-2
-Shannon entropy of attention rows, padding keys excluded.
+Shannon entropy of attention rows, padding keys excluded. A report row is
+a NamedTuple whose fields are its CSV's columns (ConsistencyRow, EntropyRow).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -18,15 +18,12 @@ from .data import make_batch
 from .losses import ce_loss, ctc_loss, task_loss  # noqa: F401
 
 
-@dataclass
-class ConsistencyRow:
+class ConsistencyRow(NamedTuple):
     partition: str
     kind: str
     layer: int | None    # None for module-level concatenation
     mean: float
     std: float
-    n: int
-    repeats: int
 
 
 def capture_gradients(model, batch, task: str, **forward_kw) -> dict:
@@ -141,8 +138,7 @@ def consistency_protocol(model, task_pair, *, n: int, repeats: int, seed: int,
                     continue
                 for layer, value in res.items():  # ascending layers
                     cosines.setdefault((part, kind, layer), []).append(value)
-    return [ConsistencyRow(part, kind, layer, float(np.mean(values)),
-                           float(np.std(values)), n, len(values))
+    return [ConsistencyRow(part, kind, layer, float(np.mean(values)), float(np.std(values)))
             for (part, kind, layer), values in cosines.items()]
 
 

@@ -49,8 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0, help="seed of every probe batch and its noise")
     p.add_argument("--preset", choices=PRESETS, required=True)
-    p.add_argument("--checkpoint", type=Path, default=None,
-                   help="checkpoint to analyze (over-training: the run directory)")
+    p.add_argument("--checkpoint", type=Path, required=True,
+                   help="checkpoint file to analyze (over-training: the run directory, "
+                        "one point per checkpoint at the step its header records)")
     p.add_argument("--samples", type=int, default=32, help="probe batch size")
     p.add_argument("--repeats", type=int, default=5, help="probe repeats (shrink-eval: batches)")
 
@@ -83,8 +84,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.checkpoint is None:
-        raise ConfigError(f"preset {args.preset!r} needs --checkpoint")
     paths = run_preset(args.preset, args.checkpoint, args.out,
                        n=args.samples, repeats=args.repeats, seed=args.seed)
     for p in paths:

@@ -1,12 +1,12 @@
-"""Analysis presets: each writes CSV reports for the model a checkpoint
-restores, as it was trained, with the protocols of the analysis module.
-The presets are one table: `preset_reports` gives a single-checkpoint
-preset's reports as (CSV name, report) rows, and `run_preset` loads the
-checkpoint and writes each; over-training walks a run's checkpoints."""
+"""Analysis presets: each writes CSV reports for the models checkpoints
+restore, as they were trained, with the protocols of the analysis module.
+The presets are one table, `PRESET_REPORTS`: each preset's reports as
+(CSV name, report) rows. `run_preset` loads the checkpoint a preset reads
+once (for over-training, every checkpoint of a run directory) and computes
+each report of its row on it."""
 
 from __future__ import annotations
 
-import re
 import sys
 from pathlib import Path
 
@@ -28,45 +28,14 @@ def _probe_pairs(shrunk=True):
             "mt_st": (("mt", "st"), {}, st)}
 
 
-PRESETS = ("modules-bar", "per-layer", "asr-variants", "shrink-cl", "shrink-eval",
-           "over-training")
-
-
-def preset_reports(preset: str):
-    """A single-checkpoint preset's reports, as (CSV name, report) rows. Each
-    report(model, step, n=, repeats=, seed=) returns a CSV header and rows."""
-    pairs = _probe_pairs()
-    asr_pair, asr_a, asr_b = pairs["asr_st"]
-    return {
-        # ASR-ST and MT-ST on shrunk speech, per (partition, sublayer kind)
-        "modules-bar": [(f"consistency_modules_{name}.csv", consistency_report([(None, *probe)]))
-                        for name, probe in pairs.items()],
-        # the same pairs, one cosine per T-Enc layer
-        "per-layer": [(f"consistency_layers_{name}.csv", consistency_report(
-                           [(None, *probe)], partitions=("T-Enc",), per_layer=True))
-                      for name, probe in pairs.items()],
-        # ASR-ST with the CTC-after-A-Enc and the CE-after-decoder probes
-        "asr-variants": [("consistency_asr_variants.csv", consistency_report(
-            [(v, asr_pair, {**asr_a, "asr_variant": v}, asr_b) for v in ("ctc", "ce")]))],
-        # MT-ST without and with shrinking, and the T-Enc attention entropy
-        "shrink-cl": [("consistency_shrink_cl.csv", consistency_report(
-                          [("plain", *_probe_pairs(shrunk=False)["mt_st"]),
-                           ("shrink", *pairs["mt_st"])])),
-                      ("entropy_streams.csv", entropy_report)],
-        # the length compression of shrinking
-        "shrink-eval": [("shrink_eval.csv", shrink_report)],
-    }[preset]
-
-
 def consistency_report(variants, **layout):
     """The report of `variants`, (label, task pair, probe kwargs of task a, of
     task b) rows probed under `layout`; a label of None writes no variant column."""
     lead = ("variant",) if variants[0][0] is not None else ()
 
     def report(model, step, *, n, repeats, seed):
-        return lead + ("partition", "kind", "layer", "mean", "std"), [
-            ((label,) if lead else ()) + (r.partition, r.kind, r.layer, r.mean, r.std)
-            for label, pair, kw_a, kw_b in variants
+        return lead + analysis.ConsistencyRow._fields, [
+            ((label,) if lead else ()) + r for label, pair, kw_a, kw_b in variants
             for r in analysis.consistency_protocol(
                 model, pair, n=n, repeats=repeats, seed=seed,
                 probe_kwargs_a=kw_a, probe_kwargs_b=kw_b, **layout)]
@@ -100,55 +69,80 @@ def shrink_report(model, step, *, n, repeats, seed):
     return ("step", "batch", "n_mean", "m_mean", "ratio"), rows
 
 
-def preset_over_training(run_dir, *, n, repeats, seed):
-    """Consistency time series across every checkpoint of a run, as
-    (CSV name, header, rows) reports: each checkpoint is loaded once and
-    probed with both pairs. One that fails to load (OSError or ValueError),
-    or whose configs or forward settings differ from the first loaded one's,
-    is skipped with one line on stderr; when every one is, it raises."""
-    ckpts = sorted((int(m.group(1)), p) for p in Path(run_dir).glob("checkpoint_*.stlab")
-                   if (m := re.match(r"checkpoint_(\d+)\.stlab", p.name)))
-    if not ckpts:
+def _preset_table():
+    """Each preset's reports, as (CSV name, report) rows. A report(model,
+    step, n=, repeats=, seed=) returns a CSV header and rows."""
+    pairs, unshrunk = _probe_pairs(), _probe_pairs(shrunk=False)
+    asr_pair, asr_a, asr_b = pairs["asr_st"]
+
+    def each_pair(tag, probes, **layout):  # one report per pair, without a variant column
+        return [(f"consistency_{tag}_{name}.csv", consistency_report([(None, *probe)], **layout))
+                for name, probe in probes.items()]
+    return {
+        # ASR-ST and MT-ST on shrunk speech, per (partition, sublayer kind)
+        "modules-bar": each_pair("modules", pairs),
+        # the same pairs, one cosine per T-Enc layer
+        "per-layer": each_pair("layers", pairs, partitions=("T-Enc",), per_layer=True),
+        # ASR-ST with the CTC-after-A-Enc and the CE-after-decoder probes
+        "asr-variants": [("consistency_asr_variants.csv", consistency_report(
+            [(v, asr_pair, {**asr_a, "asr_variant": v}, asr_b) for v in ("ctc", "ce")]))],
+        # MT-ST without and with shrinking, and the T-Enc attention entropy
+        "shrink-cl": [("consistency_shrink_cl.csv", consistency_report(
+                          [("plain", *unshrunk["mt_st"]), ("shrink", *pairs["mt_st"])])),
+                      ("entropy_streams.csv", entropy_report)],
+        # the length compression of shrinking
+        "shrink-eval": [("shrink_eval.csv", shrink_report)],
+        # both pairs on unshrunk speech at every checkpoint of a run: a series over steps
+        "over-training": each_pair("over_training", unshrunk),
+    }
+
+
+PRESET_REPORTS = _preset_table()
+PRESETS = tuple(PRESET_REPORTS)
+
+
+def _load_run(run_dir):
+    """(model, meta) of every checkpoint in `run_dir` that loads, ordered by
+    the step its header records. One that fails to load (OSError or
+    ValueError), or whose configs or forward settings differ from the first
+    loaded one's, is skipped with one line on stderr; when every one is, it
+    raises."""
+    paths = sorted(Path(run_dir).glob("checkpoint_*.stlab"))
+    if not paths:
         raise FileNotFoundError(f"no checkpoints found in {run_dir}")
-    pairs = _probe_pairs(shrunk=False)
-    rows = {pair_name: [] for pair_name in pairs}
-    skipped, first = 0, None
-    for step, path in ckpts:
+    loaded, first = [], None
+    for path in paths:
         try:
-            model, _, _ = load_checkpoint(path)
+            model, meta, _ = load_checkpoint(path)
             settings = (model.config, model.corpus, model.use_l2g, model.use_lbm, model.mt_noise_p)
             if settings != (first := first or settings):
                 raise ValueError(f"checkpoint {path} records other configs or forward "
                                  f"settings than the run's first")
         except (OSError, ValueError) as exc:
-            print(f"skipping the step-{step} checkpoint: {exc}", file=sys.stderr)
-            skipped += 1
+            print(f"skipping a checkpoint: {exc}", file=sys.stderr)
             continue
-        for pair_name, (pair, kw_a, kw_b) in pairs.items():
-            rows[pair_name] += [
-                (step, r.partition, r.kind, r.layer, r.mean)
-                for r in analysis.consistency_protocol(
-                    model, pair, n=n, repeats=repeats, seed=seed,
-                    probe_kwargs_a=kw_a, probe_kwargs_b=kw_b)]
-    if skipped == len(ckpts):
+        loaded.append((model, meta))
+    if not loaded:
         raise ValueError(f"no checkpoint in {run_dir} loads")
-    return [(f"consistency_over_training_{pair_name}.csv",
-             ("step", "partition", "kind", "layer", "mean"), pair_rows)
-            for pair_name, pair_rows in rows.items()]
+    return sorted(loaded, key=lambda model_meta: model_meta[1].get("step", 0))
 
 
 def run_preset(preset: str, target, out_dir, *, n, repeats, seed=0):
-    """Run `preset` on the checkpoint `target` (for over-training, the run
-    directory whose checkpoints it walks). Every report is computed before
-    `out_dir` is made, so a checkpoint that fails to load leaves no report
-    directory behind."""
-    if preset not in PRESETS:
+    """Run `preset` on the checkpoint `target`, or for over-training on every
+    checkpoint of the run directory `target`, whose rows lead with the step
+    and drop the std. Every report is computed before `out_dir` is made, so a
+    checkpoint that fails to load leaves no report directory behind."""
+    if preset not in PRESET_REPORTS:
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
-    if preset == "over-training":
-        reports = preset_over_training(target, n=n, repeats=repeats, seed=seed)
-    else:
-        model, meta, _ = load_checkpoint(target)
-        reports = [(name, *report(model, meta.get("step", 0), n=n, repeats=repeats, seed=seed))
-                   for name, report in preset_reports(preset)]
+    series = preset == "over-training"
+    loaded = _load_run(target) if series else [load_checkpoint(target)[:2]]
+    reports = []
+    for name, report in PRESET_REPORTS[preset]:
+        rows = []
+        for model, meta in loaded:
+            step = meta.get("step", 0)
+            header, step_rows = report(model, step, n=n, repeats=repeats, seed=seed)
+            rows += [(step, *row[:-1]) for row in step_rows] if series else step_rows
+        reports.append((name, ("step", *header[:-1]) if series else header, rows))
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     return [write_csv(Path(out_dir) / name, header, rows) for name, header, rows in reports]

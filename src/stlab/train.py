@@ -356,6 +356,9 @@ class StepWorker:
 def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
     tr = config.training
     if resume_from is None:
+        if held := sorted(Path(out_dir).glob("checkpoint_*.stlab")):
+            raise ConfigError(f"{out_dir} holds another run's checkpoints ({held[-1].name}): "
+                              f"train into a fresh directory, or resume from one of them")
         model, meta = build_model(config), {}
     else:
         model, meta, extra = load_checkpoint(resume_from)

@@ -262,9 +262,13 @@ def test_cli_full_pipeline(cfg_path, tmp_path):
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
 
-def test_cli_analyze_requires_checkpoint(tmp_path):
-    rc = cli.main(["analyze", "--preset", "modules-bar", "--out", str(tmp_path / "rep")])
-    assert rc == 1
+def test_cli_analyze_requires_checkpoint(tmp_path, capsys):
+    """--checkpoint is required as --out and --preset are: a missing one is
+    argparse's usage error (exit 2) naming it, and nothing is written."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--preset", "modules-bar", "--out", str(tmp_path / "rep")])
+    assert exc.value.code == 2 and "--checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_cli_analyze_seed_picks_the_probe_seed(tmp_path):

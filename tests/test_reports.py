@@ -163,6 +163,20 @@ def test_over_training_loads_each_checkpoint_once(tmp_path, monkeypatch):
     assert loads == {"checkpoint_000001.stlab": 1, "checkpoint_000002.stlab": 1}
 
 
+def test_over_training_takes_each_step_from_the_checkpoint_header(tmp_path):
+    """A series point carries the step its checkpoint's header records, not
+    the one in its file name, and the rows are ordered by that step."""
+    cfg = ablation_config()
+    run = tmp_path / "run"
+    run.mkdir()
+    for name_step, step in ((1, 30), (2, 20)):
+        save_checkpoint(run / f"checkpoint_{name_step:06d}.stlab", Model(cfg.model, cfg.corpus),
+                        extra_meta={"step": step})
+    for path in run_preset("over-training", run, tmp_path / "rep", n=2, repeats=1):
+        steps = [row.split(",")[0] for row in path.read_text().splitlines()[1:]]
+        assert steps == sorted(steps) and set(steps) == {"20", "30"}, path
+
+
 def test_analysis_refuses_a_checkpoint_without_forward_settings(tmp_path, capsys):
     """Every single-checkpoint preset raises ValueError naming a checkpoint
     whose header lacks the forward settings (as every one written before

@@ -8,6 +8,7 @@ import importlib
 import json
 import multiprocessing
 import os
+import re
 import signal
 import time
 from collections import Counter
@@ -19,6 +20,7 @@ import per_item_reference as reference
 import stlab.model as model_mod
 import stlab.shrink as shrink_mod
 import stlab.train as train_mod
+from stlab import cli
 from stlab import scheduler as sched
 from stlab.config import (ConfigError, RunConfig, SchedulerConfig, Toggles, TrainingConfig,
                           default_config)
@@ -164,6 +166,20 @@ def test_resume_checks_the_recorded_configs(tmp_path):
     assert not (tmp_path / "other").exists() and not (tmp_path / "shorter").exists()
     longer = dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, steps=5))
     assert train(longer, tmp_path / "longer", resume_from=full.final_checkpoint).steps_run == 1
+
+
+def test_a_fresh_run_refuses_a_directory_that_holds_checkpoints(tmp_path):
+    """A run without a checkpoint to resume from, into the directory of an
+    8-step run, is a config error naming the directory and a checkpoint,
+    raised before anything is written: every file there stays as it was,
+    and the CLI exits 1."""
+    train(tiny_config(steps=8), tmp_path / "run")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    with pytest.raises(ConfigError, match=re.escape(f"{tmp_path / 'run'} ") + ".*checkpoint_000008"):
+        train(tiny_config(steps=4), tmp_path / "run")
+    config = tmp_path / "run" / "config.json"
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
 
 
 def test_in_place_resume_rewrites_later_rows(tmp_path):
