@@ -14,6 +14,10 @@ gradient is one GEMM over the flattened rows. The tests bound each kernel
 against its unfused primitive chain (rtol 1e-12) and pin each in-place
 rewrite to its out-of-place form bit for bit. Each kernel has one arithmetic
 path, so a run stays bitwise reproducible from one run to the next.
+
+A stream travels as packed rows, the valid positions of a [B, L] mask in
+the row-major order x[mask] gives; `pad` and `unpad` are the masked copies
+to and from the padded [B, L, ...] form, for the layers that mix positions.
 """
 
 from __future__ import annotations
@@ -172,17 +176,30 @@ def _acc(t, g):
         t.grad = t.grad + g
 
 
+_ones_buffer = np.ones(0)
+
+
+def _ones(n):
+    """A read-only ones vector of length n: a slice of one module buffer,
+    which a longer one replaces when n outgrows it."""
+    global _ones_buffer
+    if n > _ones_buffer.size:
+        _ones_buffer = np.ones(2 * n)
+        _ones_buffer.flags.writeable = False
+    return _ones_buffer[:n]
+
+
 def _rowsum(x):
     """x.sum(axis=-1, keepdims=True) as a product with a ones vector: BLAS
     sums a short last axis several times faster than numpy's reduction."""
-    return np.matmul(x, np.ones(x.shape[-1]))[..., None]
+    return np.matmul(x, _ones(x.shape[-1]))[..., None]
 
 
 def _colsum(x):
     """x.reshape(-1, d).sum(axis=0) for d = x.shape[-1], as a product with a
     ones vector."""
     d = x.shape[-1]
-    return np.ones(x.size // d) @ x.reshape(-1, d)
+    return _ones(x.size // d) @ x.reshape(-1, d)
 
 
 def _unbroadcast(g, shape):
@@ -300,17 +317,27 @@ def transpose(a, axes):
     return _make(out, (a,), bwd)
 
 
-def concat(tensors):
-    """Concatenation along the first axis."""
-    datas = [t.data for t in tensors]
-    out = np.concatenate(datas)
-    offsets = np.cumsum([0] + [d.shape[0] for d in datas])
+def _padded(rows, mask):
+    out = np.zeros(mask.shape + rows.shape[1:])
+    out[mask] = rows
+    return out
 
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _acc(t, g[lo:hi])
 
-    return _make(out, tuple(tensors), bwd)
+def pad(rows, mask):
+    """Packed rows [N, ...] -> [B, L, ...]: row n goes to the n-th true
+    position of the bool mask [B, L] in row-major order, and padding is
+    zero. The backward is unpad's forward."""
+    if rows.data.shape[0] != np.count_nonzero(mask):
+        raise ShapeError("pad", rows.shape, mask.shape)
+    return _make(_padded(rows.data, mask), (rows,), lambda g: _acc(rows, g[mask]))
+
+
+def unpad(x, mask):
+    """[B, L, ...] -> its rows at the true positions of the bool mask [B, L],
+    in row-major order (x[mask]). The backward is pad's forward."""
+    if x.data.shape[:2] != mask.shape:
+        raise ShapeError("unpad", x.shape, mask.shape)
+    return _make(x.data[mask], (x,), lambda g: _acc(x, _padded(g, mask)))
 
 
 def _scatter_add(g, key, shape):

@@ -1,5 +1,7 @@
 """Training objectives: cross-entropy, CTC, contrastive alignment,
-extractor/attention consistency, and the weighted total.
+extractor/attention consistency, and the weighted total. Every loss but
+CTC reads packed rows, the valid positions of a [B, L] mask in row-major
+order, so none multiplies by a mask.
 
 CTC runs one log-space forward-backward over a whole padded batch, so a
 training step makes one CTC call whatever the batch size; a single
@@ -24,18 +26,20 @@ def ce_loss(logits: Tensor, targets, pad_id: int, per_item: bool = False) -> Ten
     """Mean negative log-likelihood over non-pad target positions, or with
     per_item the sum over items of each item's own mean.
 
-    logits: [B, L, V]; targets: int [B, L] with pad_id at padding.
+    logits: rows [N, V], one per non-pad position of targets, in row-major
+    order; targets: int [B, L] with pad_id at padding.
     """
     targets = np.asarray(targets)
     mask = targets != pad_id
     n_valid = int(mask.sum())
     if n_valid == 0:
         raise ValueError("ce_loss: batch contains only padding")
+    if logits.shape[0] != n_valid:
+        raise ag.ShapeError("ce_loss", logits.shape, targets.shape)
     lp = ag.log_softmax(logits)
-    b_idx, l_idx = np.nonzero(mask)
-    picked = lp[(b_idx, l_idx, targets[b_idx, l_idx])]
+    picked = lp[(np.arange(n_valid), targets[mask])]
     if per_item:
-        return (picked * Tensor(-1.0 / mask.sum(axis=1)[b_idx])).sum()
+        return (picked * Tensor(-1.0 / mask.sum(axis=1)[mask.nonzero()[0]])).sum()
     return -picked.sum() / n_valid
 
 
@@ -178,27 +182,28 @@ def ctc_loss_bruteforce(log_probs, target) -> float:
     return -total
 
 
-def masked_mean_pool(seq: Tensor, mask) -> Tensor:
-    """Mean over valid time steps. seq: [B, L, d], mask: bool/float [B, L]."""
-    m = np.asarray(mask, dtype=np.float64)
-    counts = m.sum(axis=1, keepdims=True)
+def masked_mean_pool(rows: Tensor, mask) -> Tensor:
+    """Each item's mean row. rows: [N, d], the valid positions of the bool
+    mask [B, L] in row-major order."""
+    mask = np.asarray(mask, dtype=bool)
+    counts = mask.sum(axis=1, keepdims=True)
     if np.any(counts == 0):
         raise ValueError("masked_mean_pool: a sequence has no valid positions")
-    weighted = ag.mul(seq, Tensor(m[:, :, None]))
-    return ag.mul(weighted.sum(axis=1), Tensor(1.0 / counts))
+    return ag.mul(ag.pad(rows, mask).sum(axis=1), Tensor(1.0 / counts))
 
 
-def contrastive_loss(speech_seq: Tensor, speech_mask, text_seq: Tensor, text_mask) -> Tensor:
-    """Batch-negative contrastive alignment of pooled sequence pairs.
+def contrastive_loss(speech_rows: Tensor, speech_mask, text_rows: Tensor, text_mask) -> Tensor:
+    """Batch-negative contrastive alignment of pooled sequence pairs, each
+    stream given as its rows and their mask [B, L].
 
     Cosine similarity of mean-pooled sequences scaled by 1/CL_TAU; for each
     example the denominator sums over in-batch negatives j != i only.
     """
-    B = speech_seq.shape[0]
+    B = np.shape(speech_mask)[0]
     if B < 2:
         raise ValueError("contrastive loss undefined without negatives (need B >= 2)")
-    s = masked_mean_pool(speech_seq, speech_mask)
-    x = masked_mean_pool(text_seq, text_mask)
+    s = masked_mean_pool(speech_rows, speech_mask)
+    x = masked_mean_pool(text_rows, text_mask)
     s_norm = ag.mul(s, ag.pow_scalar((s * s).sum(axis=1, keepdims=True) + 1e-12, -0.5))
     x_norm = ag.mul(x, ag.pow_scalar((x * x).sum(axis=1, keepdims=True) + 1e-12, -0.5))
     sims = ag.mul_scalar(ag.matmul(s_norm, ag.transpose(x_norm, (1, 0))), 1.0 / CL_TAU)
@@ -209,20 +214,18 @@ def contrastive_loss(speech_seq: Tensor, speech_mask, text_seq: Tensor, text_mas
     return (denom - pos).sum() / B
 
 
-def consistency_loss(extractor_outs, attention_outs, mask) -> Tensor:
-    """MSE between layer-normalized extractor and attention sublayer outputs,
-    averaged over layers, valid positions, and channels."""
+def consistency_loss(extractor_outs, attention_outs) -> Tensor:
+    """MSE between layer-normalized extractor and attention sublayer output
+    rows, averaged over layers, rows (valid positions) and channels."""
     if len(extractor_outs) != len(attention_outs):
         raise ValueError(
             f"layer count mismatch: {len(extractor_outs)} vs {len(attention_outs)}")
-    m = np.asarray(mask, dtype=np.float64)
     per_layer = []
     for e, a in zip(extractor_outs, attention_outs):
         if e.shape != a.shape:
             raise ValueError(f"shape mismatch between streams: {e.shape} vs {a.shape}")
         diff = ag.layer_norm(e) - ag.layer_norm(a)
-        sq = ag.mul(diff * diff, Tensor(m[:, :, None]))
-        per_layer.append(sq.sum() / (m.sum() * e.shape[-1]))
+        per_layer.append((diff * diff).sum() / e.size)
     total = per_layer[0]
     for x in per_layer[1:]:
         total = total + x

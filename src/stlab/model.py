@@ -13,6 +13,15 @@ ST pass (its CTC log-probs, or the source decoded from its T-Enc memory).
 A standalone `forward_task("asr")`, as the impact probes run it, encodes
 the batch itself. Pad and BOS are those of the model's corpus.
 
+Every stream is packed rows [N, d], its valid positions in row-major
+order, carried with its [B, L] mask, and is padded only where positions
+mix: an attention sublayer pads its normed input (cross-attention the
+memory, once per decode) and unpads its output, the L2G extractor pads
+around its convolution, and the CTC log-softmax is padded once to
+[B, T, V] for the lattice and the greedy path. Norms, FFNs, projections,
+heads, embeddings and residual adds run on the rows. The decoder's rows
+are its non-pad prefix positions; greedy decoding makes every one a row.
+
 Each projection is one `autograd.linear` node, each norm one
 `autograd.affine_norm` node and each attention core one
 `autograd.multi_head_attention` node (heads split, masked softmax and heads
@@ -48,7 +57,7 @@ from . import autograd as ag
 from . import shrink as shrink_mod
 from .autograd import Tensor, GroupKey, ParamGroup
 from .config import ASR_VARIANTS, CorpusConfig, ModelConfig, Toggles
-from .data import SyntheticBatch, noise_inject, pad_sequences
+from .data import SyntheticBatch, noise_inject
 
 CHECKPOINT_MAGIC = b"STLAB-CKPT-v1\n"
 FORWARD_SETTINGS = ("use_l2g", "use_lbm", "mt_noise_p")  # set by apply_toggles, saved
@@ -151,10 +160,10 @@ class EncoderLayer(Layer):
         self.ln2 = AffineNorm(d_model)
         self.ffn = Ffn(rng, d_model, ffn_dim)
 
-    def __call__(self, x, bias):
-        normed = self.ln1(x)
+    def __call__(self, x, mask, bias):
+        normed = ag.pad(self.ln1(x), mask)
         h, w = self.attn(normed, normed, bias)
-        a = x + h
+        a = x + ag.unpad(h, mask)
         out = a + self.ffn(self.ln2(a))
         return out, a, w  # a is the attention sublayer output (post-residual)
 
@@ -171,9 +180,8 @@ class L2GExtractor(Layer):
         self.pointwise = Linear(rng, d_model, d_model)
 
     def __call__(self, x, mask):
-        h = ag.mul(self.ln(x), Tensor(mask[:, :, None].astype(np.float64)))
-        h = ag.depthwise_conv1d(h, self.depthwise)
-        return x + self.pointwise(h)
+        h = ag.depthwise_conv1d(ag.pad(self.ln(x), mask), self.depthwise)
+        return x + self.pointwise(ag.unpad(h, mask))
 
 
 class TEncLayer(Layer):
@@ -185,7 +193,7 @@ class TEncLayer(Layer):
 
     def __call__(self, x, mask, bias, use_extractor=True):
         ext = self.extractor(x, mask) if use_extractor else x
-        out, attn_out, w = self.transformer(ext, bias)
+        out, attn_out, w = self.transformer(ext, mask, bias)
         return out, ext, attn_out, w
 
 
@@ -198,20 +206,24 @@ class DecoderLayer(Layer):
         self.ln3 = AffineNorm(d_model)
         self.ffn = Ffn(rng, d_model, ffn_dim)
 
-    def __call__(self, x, memory, self_bias, cross_bias):
-        normed = self.ln1(x)
+    def __call__(self, x, mask, memory, self_bias, cross_bias):
+        """x: the prefix rows under mask; memory: the padded [B, Lk, d]."""
+        normed = ag.pad(self.ln1(x), mask)
         h, _ = self.self_attn(normed, normed, self_bias)
-        x = x + h
-        h, _ = self.cross_attn(self.ln2(x), memory, cross_bias)
-        x = x + h
+        x = x + ag.unpad(h, mask)
+        h, _ = self.cross_attn(ag.pad(self.ln2(x), mask), memory, cross_bias)
+        x = x + ag.unpad(h, mask)
         return x + self.ffn(self.ln3(x))
 
 
 @dataclass
 class TaskOutputs:
-    """Everything the losses and analysis need from one task forward."""
+    """Everything the losses and analysis need from one task forward. The
+    logits are rows, one per non-pad target; the T-Enc input, memory and
+    per-layer outs are rows under tenc_mask [B, L]; the CTC log-probs are
+    padded to [B, T, V], with zeros at padding."""
     logits: Tensor | None = None
-    targets: np.ndarray | None = None
+    targets: np.ndarray | None = None  # [B, L], pad past each length
     ctc_log_probs: Tensor | None = None
     tenc_input: Tensor | None = None
     tenc_mask: np.ndarray | None = None
@@ -315,30 +327,35 @@ class Model(Layer):
 
     # -- building blocks ---------------------------------------------------
 
-    def _pos(self, L):
-        return Tensor(sinusoidal_positions(L, self.config.d_model))
+    def _pos(self, mask):
+        """The position rows of a stream under mask [B, L]: each row's column
+        of the position table."""
+        return Tensor(sinusoidal_positions(mask.shape[1], self.config.d_model)[mask.nonzero()[1]])
 
     def a_enc_forward(self, speech, speech_lens):
-        """speech: [B, T, frame_dim] ndarray. Returns (features, valid mask)."""
+        """speech: [B, T, frame_dim] ndarray. Returns (feature rows [N, d],
+        valid mask [B, T])."""
         B, T, _ = speech.shape
         if T == 0:
             raise ValueError("a_enc_forward: empty time axis")
         mask = np.arange(T)[None, :] < np.asarray(speech_lens)[:, None]
         bias = _key_bias(mask)
-        x = self.in_proj(Tensor(speech)) + self._pos(T)
+        x = self.in_proj(Tensor(speech[mask])) + self._pos(mask)
         for layer in self.a_layers:
-            x, _, _ = layer(x, bias)
+            x, _, _ = layer(x, mask, bias)
         return self.a_final_ln(x), mask
 
-    def ctc_log_probs(self, features):
-        return ag.log_softmax(self.ctc_head(features))
+    def ctc_log_probs(self, features, mask):
+        """The CTC head's log-softmax over feature rows, padded to [B, T, V]
+        under mask for the lattice."""
+        return ag.pad(ag.log_softmax(self.ctc_head(features)), mask)
 
     def t_enc_forward(self, out: TaskOutputs) -> TaskOutputs:
-        """Shared textual encoder on out.tenc_input [B, L, d] under
-        out.tenc_mask [B, L]. Fills out's memory and, per layer, its
+        """Shared textual encoder on the rows out.tenc_input [N, d] under
+        out.tenc_mask [B, L]. Fills out's memory rows and, per layer, its
         extractor outs, attention sublayer outs and attention weights;
         returns out."""
-        x = out.tenc_input + self._pos(out.tenc_input.shape[1])
+        x = out.tenc_input + self._pos(out.tenc_mask)
         bias = _key_bias(out.tenc_mask)
         for layer in self.t_layers:
             x, ext, attn_out, w = layer(x, out.tenc_mask, bias, use_extractor=self.use_l2g)
@@ -349,22 +366,23 @@ class Model(Layer):
         return out
 
     def embed_src(self, tokens):
-        """Clean source embeddings; pad rows are still looked up but masked
-        downstream."""
-        safe = np.where(tokens == self.corpus.pad_id, 0, tokens)
-        return ag.embedding(self.src_embed, safe)
+        """Source embedding rows: one per non-pad token of tokens [B, L]."""
+        return ag.embedding(self.src_embed, tokens[tokens != self.corpus.pad_id])
 
-    def decoder_forward(self, prefix, memory, memory_mask):
-        """Decoder logits for prefix: int [B, L], BOS first, pad masked."""
+    def decoder_forward(self, prefix, mask, memory, memory_mask):
+        """Decoder logit rows for prefix: int [B, L], BOS first, pad keys
+        masked; mask [B, L] picks the positions that are rows. memory: the
+        T-Enc's rows under memory_mask."""
         B, L = prefix.shape
         if L == 0:
             raise ValueError("decoder_forward: empty prefix")
         pad = self.corpus.pad_id
-        x = ag.embedding(self.tgt_embed, np.where(prefix == pad, 0, prefix)) + self._pos(L)
+        x = ag.embedding(self.tgt_embed, np.where(prefix == pad, 0, prefix)[mask]) + self._pos(mask)
         self_bias = _causal_bias(L) + _key_bias(prefix != pad)
         cross_bias = _key_bias(memory_mask)
+        memory = ag.pad(memory, memory_mask)
         for layer in self.dec_layers:
-            x = layer(x, memory, self_bias, cross_bias)
+            x = layer(x, mask, memory, self_bias, cross_bias)
         return self.out_proj(self.dec_final_ln(x))
 
     # -- the two streams into the T-Enc, and the decode --------------------
@@ -373,7 +391,7 @@ class Model(Layer):
         """A-Enc, CTC head, optional CTC-driven shrinking, then the T-Enc:
         the outputs carry the CTC log-probs and the measured length ratio."""
         feats, mask = self.a_enc_forward(batch.speech, batch.speech_lens)
-        out = TaskOutputs(ctc_log_probs=self.ctc_log_probs(feats), tenc_input=feats,
+        out = TaskOutputs(ctc_log_probs=self.ctc_log_probs(feats, mask), tenc_input=feats,
                           tenc_mask=mask, length_ratio=1.0)
         if use_shrink:
             out.tenc_input, out.tenc_mask, _, out.length_ratio = shrink_mod.shrink_batch(
@@ -392,12 +410,12 @@ class Model(Layer):
         if len(mt_noise_rngs) != batch.batch_size:
             raise ValueError(f"mt_noise_rngs holds {len(mt_noise_rngs)} generators "
                              f"for {batch.batch_size} items")
-        tokens, lens = pad_sequences(
-            [noise_inject(batch.src_tokens[b, : batch.src_lens[b]], self.mt_noise_p, rng)
-             for b, rng in enumerate(mt_noise_rngs)], self.corpus.pad_id)
-        mask = np.arange(tokens.shape[1])[None, :] < lens[:, None]
-        return self.t_enc_forward(TaskOutputs(tenc_input=self.embed_src(tokens),
-                                              tenc_mask=mask))
+        noisy = [noise_inject(batch.src_tokens[b, : batch.src_lens[b]], self.mt_noise_p, rng)
+                 for b, rng in enumerate(mt_noise_rngs)]
+        lens = np.array([len(t) for t in noisy])
+        mask = np.arange(lens.max())[None, :] < lens[:, None]
+        return self.t_enc_forward(TaskOutputs(
+            tenc_input=ag.embedding(self.src_embed, np.concatenate(noisy)), tenc_mask=mask))
 
     def decode(self, enc: TaskOutputs, tokens, lens) -> TaskOutputs:
         """Teacher-forced decode of tokens [B, L] attending to enc.memory: the
@@ -408,7 +426,8 @@ class Model(Layer):
         prefix[:, 0] = self.corpus.bos_id
         prefix[:, 1:] = tokens[:, :-1]
         prefix[np.arange(L)[None, :] >= lens[:, None]] = self.corpus.pad_id
-        enc.logits = self.decoder_forward(prefix, enc.memory, enc.tenc_mask)
+        enc.logits = self.decoder_forward(prefix, prefix != self.corpus.pad_id,
+                                          enc.memory, enc.tenc_mask)
         enc.targets = tokens
         return enc
 
@@ -438,8 +457,8 @@ class Model(Layer):
             return self.decode(self.encode_text(batch, mt_noise_rngs),
                                batch.tgt_tokens, batch.tgt_lens)
         if task == "asr" and asr_variant == "ctc":  # the CTC head reads only the A-Enc
-            feats, _ = self.a_enc_forward(batch.speech, batch.speech_lens)
-            return self.asr_outputs(TaskOutputs(ctc_log_probs=self.ctc_log_probs(feats)),
+            feats, mask = self.a_enc_forward(batch.speech, batch.speech_lens)
+            return self.asr_outputs(TaskOutputs(ctc_log_probs=self.ctc_log_probs(feats, mask)),
                                     batch, asr_variant)
         speech = self.encode_speech(batch, use_shrink)
         if task == "asr":
@@ -448,16 +467,18 @@ class Model(Layer):
 
     def greedy_decode(self, batch: SyntheticBatch, *,
                       use_shrink: bool = False) -> np.ndarray:
-        """Greedy autoregressive ST decode for exactly tgt_lens steps."""
+        """Greedy autoregressive ST decode for exactly tgt_lens steps. Every
+        prefix position is a row, a predicted pad too (its key is masked)."""
         enc = self.encode_speech(batch, use_shrink)
         memory = enc.memory.detach()
-        L = int(batch.tgt_lens.max())
+        B, L = batch.batch_size, int(batch.tgt_lens.max())
         # BOS, then each step's prediction, which the next step reads
-        seq = np.full((batch.batch_size, L + 1), self.corpus.pad_id, dtype=np.int64)
+        seq = np.full((B, L + 1), self.corpus.pad_id, dtype=np.int64)
         seq[:, 0] = self.corpus.bos_id
         for i in range(L):
-            logits = self.decoder_forward(seq[:, : i + 1], memory, enc.tenc_mask)
-            seq[:, i + 1] = np.argmax(logits.data[:, i, :], axis=-1)
+            logits = self.decoder_forward(seq[:, : i + 1], np.ones((B, i + 1), dtype=bool),
+                                          memory, enc.tenc_mask)
+            seq[:, i + 1] = np.argmax(logits.data.reshape(B, i + 1, -1)[:, i], axis=-1)
         return np.where(np.arange(L)[None, :] < batch.tgt_lens[:, None], seq[:, 1:],
                         self.corpus.pad_id)
 

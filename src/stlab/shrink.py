@@ -8,10 +8,12 @@ discard:
     s_tilde_i = Softmax(R(s'_i) . R(A)^T) . A        (window A excludes j)
     s_fused_i = FFN(Norm(s'_i + s_tilde_i))          (no residual)
 
-A batch shrinks in one pass: the greedy path of every valid frame is
-merged into runs that never cross an item, one look-back covers all shrunk
-positions with windows inside each item's frames, and one fusion maps
-them; a single sequence is the B = 1 case.
+A batch shrinks in one pass over the A-Enc's packed rows (its valid
+frames, item by item): the greedy path of every valid frame is merged
+into runs that never cross an item, one look-back covers all shrunk
+positions with windows inside each item's rows, and one fusion maps them
+to rows that are packed in turn, the T-Enc's input as they stand. A
+single sequence is the B = 1 case.
 
 `lbm` is the model's `LbmParams`: the map `r_map` and the fusion's `norm`
 and `ffn`, which are the model's own `AffineNorm` and `Ffn` layers.
@@ -117,59 +119,51 @@ def shrink_sequence(features: Tensor, log_probs, lbm, use_lbm: bool = True):
 
     Returns (ShrunkSequence, fused features [m, d], length ratio m/n).
     """
-    n, d = features.shape
     lp = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs)
-    out, _, (shrunk,), ratio = shrink_batch(
-        ag.reshape(features, (1, n, d)), lp[None], [n], lbm, use_lbm, per_item=True)
-    return shrunk, ag.reshape(out, (shrunk.m, d)), ratio
+    out, _, (shrunk,), ratio = shrink_batch(features, lp[None], [features.shape[0]], lbm,
+                                            use_lbm, per_item=True)
+    return shrunk, out, ratio
 
 
 def shrink_batch(features: Tensor, log_probs, lens, lbm,
                  use_lbm: bool = True, per_item: bool = False):
-    """Shrink every item of a padded batch in one pass.
+    """Shrink every item of a batch in one pass.
 
-    features: [B, T, d]; log_probs: [B, T, V] (Tensor or array); lens: valid
-    frames per item. The greedy path of all valid frames is merged into runs
-    that stay inside their item, one look-back over all M shrunk positions
-    reads windows bounded by each item's own frames, one fusion maps the
-    [M, d] rows, and one gather pads them to [B, m_max, d].
-    Returns (padded fused [B, m_max, d], mask [B, m_max], a ShrunkSequence
-    per item if `per_item` else None, mean ratio m/n over items).
+    features: the A-Enc's rows [N, d], item by item (lens[b] rows for item
+    b); log_probs: [B, T, V] (Tensor or array); lens: valid frames per item.
+    The greedy path of all valid frames is merged into runs that stay
+    inside their item, one look-back over all M shrunk positions reads
+    windows bounded by each item's own rows, and one fusion maps the
+    [M, d] rows, which come out item by item, as the T-Enc reads them.
+    Returns (fused rows [M, d], their mask [B, m_max], a ShrunkSequence per
+    item if `per_item` else None, mean ratio m/n over items).
     """
-    B, T, d = features.shape
+    T = np.shape(log_probs)[1]
     lens = np.asarray(lens)
     if np.any(lens < 1):
         raise ValueError("cannot merge an empty path")
     path = ctc_greedy_path(log_probs)
     item, frame = np.nonzero(np.arange(T)[None, :] < lens[:, None])
-    flat = item * T + frame                          # valid frames in [B*T] rows
     tokens = path.tokens[item, frame]
-    starts, ends, origin = _merge_runs(tokens, path.confidences[item, frame], item)
-    run_item = item[starts]
-    first = run_item * T                             # each run's item frame range
+    lo, hi, j = _merge_runs(tokens, path.confidences[item, frame], item)  # row indices
+    run_item = item[lo]
+    first = (np.cumsum(lens) - lens)[run_item]       # each run's item rows
     last = first + lens[run_item] - 1
-    j, lo, hi = flat[origin], flat[starts], flat[ends]
     bound = np.maximum(j - lo, hi - j)
 
-    rows = ag.reshape(features, (B * T, d))
-    fused = rows[(j,)]
+    fused = features[(j,)]
     if use_lbm:
-        s_tilde = _lookback(rows, fused, j, np.maximum(first, j - bound),
+        s_tilde = _lookback(features, fused, j, np.maximum(first, j - bound),
                             np.minimum(last, j + bound), lbm)
         fused = lbm_fuse(fused, s_tilde, lbm)
 
-    counts = np.bincount(run_item, minlength=B)
-    m_max = int(counts.max())
-    mask = np.arange(m_max)[None, :] < counts[:, None]
-    # position (b, i) reads fused row offset_b + i; padding reads the zero row M
-    index = np.full((B, m_max), len(j))
-    index[mask] = np.arange(len(j))
-    padded = ag.concat([fused, Tensor(np.zeros((1, d)))])[(index,)]
+    counts = np.bincount(run_item, minlength=len(lens))
+    mask = np.arange(counts.max())[None, :] < counts[:, None]
 
     shrunks = None
     if per_item:  # per-item fields in item-local frame indices
         split = np.cumsum(counts)[:-1]
-        fields = [np.split(a, split) for a in (tokens[starts], j - first, lo - first,
+        fields = [np.split(a, split) for a in (tokens[lo], j - first, lo - first,
                                                hi - first, bound)]
         shrunks = [ShrunkSequence(*parts) for parts in zip(*fields)]
-    return padded, mask, shrunks, float(np.mean(counts / lens))
+    return fused, mask, shrunks, float(np.mean(counts / lens))

@@ -103,8 +103,8 @@ def mt_terms(model: Model, batch, config: RunConfig, step: int):
     calls it in its own process."""
     mt_rng = np.random.default_rng((config.training.seed, _STREAM_NOISE, step))
     mt_out = model.forward_task(batch, "mt", mt_noise_rngs=[mt_rng] * batch.batch_size)
-    cons = consistency_loss(mt_out.extractor_outs, mt_out.attention_outs,
-                            mt_out.tenc_mask) if config.toggles.use_l2g else None
+    cons = (consistency_loss(mt_out.extractor_outs, mt_out.attention_outs)
+            if config.toggles.use_l2g else None)
     return task_loss(mt_out, batch), cons
 
 
@@ -137,8 +137,7 @@ def compute_losses(model: Model, batch, config: RunConfig, weights: sched.TaskWe
 
     cons_terms = []
     if tg.use_l2g:
-        cons_terms.append(consistency_loss(
-            st_out.extractor_outs, st_out.attention_outs, st_out.tenc_mask))
+        cons_terms.append(consistency_loss(st_out.extractor_outs, st_out.attention_outs))
 
     asr_out = None
     if weights.active("asr"):
@@ -386,7 +385,11 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, out_dir / "config.json")
 
-    # the JSON-lines sidecars; an in-place resume rewrites the rows past its step
+    # an in-place resume removes the checkpoints past its step and rewrites
+    # the JSON-lines sidecars' rows past it
+    for path in out_dir.glob("checkpoint_*.stlab"):
+        if int(path.stem.rpartition("_")[2]) > start_step:
+            path.unlink()
     files = {}
     for name in ("metrics", "timings", "events"):
         path = out_dir / f"{name}.jsonl"

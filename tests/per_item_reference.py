@@ -156,29 +156,27 @@ def shrink_sequence(features: Tensor, log_probs, lbm: LbmParams,
 
 def shrink_batch(features: Tensor, log_probs: Tensor, lens, lbm: LbmParams,
                  use_lbm: bool = True):
-    """Per-item shrinking over a padded batch.
+    """Per-item shrinking over a batch's rows.
 
-    features: [B, T, d]; log_probs: [B, T, V]; lens: valid frames per item.
-    Returns (padded fused [B, m_max, d], mask [B, m_max], shrunk list, mean ratio).
+    features: rows [N, d], item by item (lens[b] rows for item b);
+    log_probs: [B, T, V]; lens: valid frames per item. Returns (fused rows
+    [M, d], item by item; mask [B, m_max]; shrunk list; mean ratio).
     """
-    B, _, d = features.shape
     lens = np.asarray(lens)
     shrunks, fused_items, ratios = [], [], []
-    for b in range(B):
-        n = int(lens[b])
+    for b, (lo, n) in enumerate(zip(np.cumsum(lens) - lens, lens)):
         shrunk, fused, ratio = shrink_sequence(
-            features[b][(slice(0, n),)], log_probs[b][(slice(0, n),)], lbm, use_lbm)
+            features[(slice(lo, lo + n),)], log_probs[b][(slice(0, n),)], lbm, use_lbm)
         shrunks.append(shrunk)
         fused_items.append(fused)
         ratios.append(ratio)
-    m_max = max(f.shape[0] for f in fused_items)
-    padded = []
-    for f in fused_items:
-        if f.shape[0] < m_max:
-            f = ag.concat([f, Tensor(np.zeros((m_max - f.shape[0], d)))])
-        padded.append(ag.reshape(f, (1, m_max, d)))
-    out = ag.concat(padded)
-    mask = np.arange(m_max)[None, :] < np.array([s.m for s in shrunks])[:, None]
+    counts = np.array([s.m for s in shrunks])
+    # item b's rows go to its offset through a 0/1 matrix: exact both ways
+    out = None
+    for f, lo in zip(fused_items, np.cumsum(counts) - counts):
+        placed = ag.matmul(Tensor(np.eye(counts.sum())[:, lo:lo + f.shape[0]]), f)
+        out = placed if out is None else out + placed
+    mask = np.arange(counts.max())[None, :] < counts[:, None]
     return out, mask, shrunks, float(np.mean(ratios))
 
 

@@ -89,8 +89,7 @@ def _loss_builders(model, batch):
 
     def consistency():
         out = model.forward_task(batch, "st")
-        return consistency_loss(out.extractor_outs, out.attention_outs,
-                                out.tenc_mask)
+        return consistency_loss(out.extractor_outs, out.attention_outs)
 
     def total():
         st = model.forward_task(batch, "st", use_shrink=True)
@@ -101,8 +100,7 @@ def _loss_builders(model, batch):
                 + 0.5 * ctc_total()
                 + 0.8 * ce_loss(mt.logits, mt.targets, pad)
                 + 0.3 * contrastive_loss(st.tenc_input, st.tenc_mask, clean, src_mask)
-                + consistency_loss(st.extractor_outs, st.attention_outs,
-                                   st.tenc_mask))
+                + consistency_loss(st.extractor_outs, st.attention_outs))
 
     return {"ce": st_ce, "ctc": ctc_total, "contrastive": contrastive,
             "consistency": consistency, "total": total}

@@ -237,8 +237,8 @@ def test_asr_task_loss_variants():
     batch = make_batch(CORPUS, [4, 5])
     l_ctc, l_ce = (task_loss(model.forward_task(batch, "asr", asr_variant=v), batch)
                    for v in ("ctc", "ce"))
-    feats, _ = model.a_enc_forward(batch.speech, batch.speech_lens)
-    assert l_ctc.item() == ctc_loss(model.ctc_log_probs(feats), batch.src_tokens,
+    feats, mask = model.a_enc_forward(batch.speech, batch.speech_lens)
+    assert l_ctc.item() == ctc_loss(model.ctc_log_probs(feats, mask), batch.src_tokens,
                                     batch.speech_lens, batch.src_lens).item()
     ce = model.asr_outputs(model.encode_speech(batch, False), batch, "ce")
     assert l_ce.item() == ce_loss(ce.logits, batch.src_tokens, batch.pad_id).item()

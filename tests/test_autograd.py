@@ -37,6 +37,10 @@ def test_binary_ops_fd(op):
     fd_check(lambda: op(a, b).sum(), [a, b])
 
 
+# a packing mask [B, L] with an empty item and 5 rows: pad takes [5, ...]
+PACK_MASK = np.array([[True, False, True, True], [False] * 4, [True, True, False, False]])
+
+
 @pytest.mark.parametrize("op", [
     ag.relu,
     lambda a: ag.pow_scalar(a, 3.0),
@@ -49,6 +53,8 @@ def test_binary_ops_fd(op):
     lambda a: a.sum(axis=0),
     lambda a: ag.reshape(a, (4, 3)),
     lambda a: ag.transpose(a, (1, 0)),
+    lambda a: ag.unpad(a, PACK_MASK),
+    lambda a: ag.pad(a, PACK_MASK[:, :2]),
 ])
 def test_unary_ops_fd(op):
     rng = np.random.default_rng(1)
@@ -67,16 +73,52 @@ def test_broadcast_add_unbroadcasts_grad():
     np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
 
 
-def test_concat_take_fd():
+def test_pad_unpad_take_fd():
     rng = np.random.default_rng(3)
-    a, b = rand_tensor(rng, 2, 3), rand_tensor(rng, 4, 3)
+    rows, x = rand_tensor(rng, 5, 3), rand_tensor(rng, 3, 4, 3)
 
     def f():
-        c = ag.concat([a, b])
-        picked = c[(np.array([0, 0, 5]),)]  # repeated index -> scatter-add
-        return picked.sum()
+        c = ag.unpad(ag.pad(rows, PACK_MASK) * x, PACK_MASK)
+        picked = c[(np.array([0, 0, 4]),)]  # repeated index -> scatter-add
+        return (picked * picked).sum()
 
-    fd_check(f, [a, b])
+    fd_check(f, [rows, x])
+
+
+def test_unpad_of_pad_is_the_identity_bit_for_bit():
+    rows = np.random.default_rng(4).normal(size=(5, 3))
+    padded = ag.pad(Tensor(rows), PACK_MASK)
+    assert padded.shape == (3, 4, 3)
+    np.testing.assert_array_equal(padded.data[~PACK_MASK], 0.0)
+    np.testing.assert_array_equal(ag.unpad(padded, PACK_MASK).data, rows)
+    np.testing.assert_array_equal(padded.data[PACK_MASK], rows)  # row-major order
+
+
+def test_pad_and_unpad_backwards_are_each_others_forward():
+    rng = np.random.default_rng(5)
+    rows, x = rand_tensor(rng, 5, 3), rand_tensor(rng, 3, 4, 3)
+    g_padded, g_rows = rng.normal(size=(3, 4, 3)), rng.normal(size=(5, 3))
+    ag.mul(ag.pad(rows, PACK_MASK), Tensor(g_padded)).sum().backward()
+    np.testing.assert_array_equal(rows.grad, ag.unpad(Tensor(g_padded), PACK_MASK).data)
+    ag.mul(ag.unpad(x, PACK_MASK), Tensor(g_rows)).sum().backward()
+    np.testing.assert_array_equal(x.grad, ag.pad(Tensor(g_rows), PACK_MASK).data)
+
+
+def test_pad_and_unpad_shape_errors():
+    with pytest.raises(ShapeError):
+        ag.pad(Tensor(np.zeros((4, 3))), PACK_MASK)  # 5 rows under the mask
+    with pytest.raises(ShapeError):
+        ag.unpad(Tensor(np.zeros((3, 5, 3))), PACK_MASK)
+
+
+def test_ones_is_a_read_only_slice_of_one_buffer():
+    """The sum kernels' ones vector: a longer request replaces the buffer,
+    and every shorter one is a slice of the current one."""
+    big = ag._ones(ag._ones_buffer.size + 1)
+    small = ag._ones(3)
+    np.testing.assert_array_equal(big, 1.0)
+    assert small.shape == (3,) and small.base is big.base
+    assert not big.flags.writeable and not small.flags.writeable
 
 
 def test_embedding_scatter_adds_repeated_ids():

@@ -114,7 +114,7 @@ def test_model_sizes_come_from_the_corpus():
     assert model.out_proj.w.shape == (cfg.model.d_model, n_symbols)
     batch = make_batch(cfg.corpus, [1, 2])
     logits = model.forward_task(batch, "st").logits
-    assert logits.shape == batch.tgt_tokens.shape + (n_symbols,)
+    assert logits.shape == (batch.tgt_lens.sum(), n_symbols)  # one row per target
 
 
 # -- CLI --------------------------------------------------------------------

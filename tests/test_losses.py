@@ -27,7 +27,7 @@ def random_log_probs(rng, T, V):
 
 def test_ce_loss_hand_case():
     # uniform logits over 4 classes -> loss = log 4 at every position
-    logits = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
+    logits = Tensor(np.zeros((3, 4)), requires_grad=True)  # one row per non-pad target
     targets = np.array([[1, 2, 9], [3, 9, 9]])  # 9 = pad
     loss = ce_loss(logits, targets, pad_id=9)
     assert loss.item() == pytest.approx(np.log(4.0), abs=1e-12)
@@ -38,22 +38,28 @@ def test_ce_loss_ignores_pad_positions():
     logits = Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
     t_full = np.array([[1, 2, 3]])
     t_pad = np.array([[1, 2, 9]])
-    l1 = ce_loss(logits, t_pad, pad_id=9)
+    l1 = ce_loss(ag.unpad(logits, t_pad != 9), t_pad, pad_id=9)
     l1.backward()
     assert np.all(logits.grad[0, 2] == 0.0)  # padded position contributes nothing
-    assert l1.item() != ce_loss(Tensor(logits.data), t_full, pad_id=9).item()
+    assert l1.item() != ce_loss(Tensor(logits.data[0]), t_full, pad_id=9).item()
 
 
 def test_ce_loss_all_pad_raises():
     with pytest.raises(ValueError):
-        ce_loss(Tensor(np.zeros((1, 2, 4))), np.array([[9, 9]]), pad_id=9)
+        ce_loss(Tensor(np.zeros((0, 4))), np.array([[9, 9]]), pad_id=9)
+
+
+def test_ce_loss_needs_a_row_per_target():
+    with pytest.raises(ag.ShapeError):
+        ce_loss(Tensor(np.zeros((3, 4))), np.array([[1, 9], [2, 9]]), pad_id=9)
 
 
 def test_ce_loss_fd():
     rng = np.random.default_rng(1)
     logits = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
     targets = np.array([[1, 4, 9], [2, 9, 9]])
-    check_gradients(lambda: ce_loss(logits, targets, pad_id=9), [logits],
+    check_gradients(lambda: ce_loss(ag.unpad(logits, targets != 9), targets, pad_id=9),
+                    [logits],
                     rel_tol=1e-6, step=1e-6)
 
 
@@ -221,12 +227,13 @@ def test_ctc_batch_matches_per_item_dp(data):
 
 
 def test_masked_mean_pool():
-    seq = Tensor(np.arange(12, dtype=float).reshape(1, 4, 3), requires_grad=True)
-    mask = np.array([[1, 1, 0, 0]])
-    out = masked_mean_pool(seq, mask)
-    np.testing.assert_allclose(out.data[0], seq.data[0, :2].mean(axis=0))
+    rows = Tensor(np.arange(15, dtype=float).reshape(5, 3), requires_grad=True)
+    mask = np.array([[1, 1, 0, 0], [1, 1, 1, 0]])
+    out = masked_mean_pool(rows, mask)
+    np.testing.assert_allclose(out.data, [rows.data[:2].mean(axis=0),
+                                          rows.data[2:].mean(axis=0)])
     with pytest.raises(ValueError):
-        masked_mean_pool(seq, np.zeros((1, 4)))
+        masked_mean_pool(rows, np.zeros((1, 4)))
 
 
 def _manual_contrastive(s, x, tau):
@@ -247,7 +254,7 @@ def test_contrastive_matches_manual():
     s = rng.normal(size=(B, L, d))
     x = rng.normal(size=(B, L, d))
     mask = np.ones((B, L), dtype=bool)
-    loss = contrastive_loss(Tensor(s), mask, Tensor(x), mask)
+    loss = contrastive_loss(Tensor(s.reshape(B * L, d)), mask, Tensor(x.reshape(B * L, d)), mask)
     expect = _manual_contrastive(s.mean(axis=1), x.mean(axis=1), CL_TAU)
     assert loss.item() == pytest.approx(expect, abs=1e-8)
 
@@ -257,15 +264,14 @@ def test_contrastive_identical_pairs_can_go_negative():
     pairs and orthogonal negatives drive the loss below zero."""
     B, d = 3, 4
     vecs = np.eye(B, d)
-    seq = Tensor(vecs[:, None, :])
     mask = np.ones((B, 1), dtype=bool)
-    loss = contrastive_loss(seq, mask, Tensor(vecs[:, None, :]), mask)
+    loss = contrastive_loss(Tensor(vecs), mask, Tensor(vecs), mask)
     # positives at sim 1/CL_TAU, negatives at 0: L = log(B-1) - 1/CL_TAU
     assert loss.item() == pytest.approx(np.log(B - 1) - 1.0 / CL_TAU, abs=1e-9)
 
 
 def test_contrastive_needs_negatives():
-    seq = Tensor(np.ones((1, 2, 3)))
+    seq = Tensor(np.ones((2, 3)))
     mask = np.ones((1, 2), dtype=bool)
     with pytest.raises(ValueError):
         contrastive_loss(seq, mask, seq, mask)
@@ -275,8 +281,9 @@ def test_contrastive_fd():
     rng = np.random.default_rng(11)
     s = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
     x = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
-    mask = np.array([[1, 1], [1, 0], [1, 1]])
-    check_gradients(lambda: contrastive_loss(s, mask, x, mask), [s, x],
+    mask = np.array([[1, 1], [1, 0], [1, 1]], dtype=bool)
+    check_gradients(lambda: contrastive_loss(ag.unpad(s, mask), mask, ag.unpad(x, mask), mask),
+                    [s, x],
                     rel_tol=1e-5, step=1e-6)
 
 
@@ -285,43 +292,42 @@ def test_contrastive_fd():
 
 def test_consistency_zero_for_identical_streams():
     rng = np.random.default_rng(12)
-    a = Tensor(rng.normal(size=(2, 3, 4)))
-    mask = np.ones((2, 3))
-    loss = consistency_loss([a], [Tensor(a.data.copy())], mask)
+    a = Tensor(rng.normal(size=(6, 4)))
+    loss = consistency_loss([a], [Tensor(a.data.copy())])
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_consistency_scale_invariant():
     """Layer-norming both streams makes the penalty scale-blind."""
     rng = np.random.default_rng(13)
-    a = rng.normal(size=(1, 2, 5))
-    mask = np.ones((1, 2))
-    loss = consistency_loss([Tensor(a)], [Tensor(100.0 * a)], mask)
+    a = rng.normal(size=(2, 5))
+    loss = consistency_loss([Tensor(a)], [Tensor(100.0 * a)])
     assert loss.item() == pytest.approx(0.0, abs=1e-6)
 
 
 def test_consistency_respects_mask():
+    """Only rows enter the loss: a padded position is no row."""
     rng = np.random.default_rng(14)
     a = rng.normal(size=(1, 3, 4))
     b = a.copy()
     b[0, 2] += 100.0  # only the masked position differs
-    mask = np.array([[1, 1, 0]])
-    loss = consistency_loss([Tensor(a)], [Tensor(b)], mask)
+    mask = np.array([[1, 1, 0]], dtype=bool)
+    loss = consistency_loss([ag.unpad(Tensor(a), mask)], [ag.unpad(Tensor(b), mask)])
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_consistency_layer_count_mismatch():
-    a = Tensor(np.zeros((1, 2, 3)))
+    a = Tensor(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        consistency_loss([a, a], [a], np.ones((1, 2)))
+        consistency_loss([a, a], [a])
 
 
 def test_consistency_fd():
     rng = np.random.default_rng(15)
     e = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    mask = np.array([[1, 1, 1], [1, 1, 0]])
-    check_gradients(lambda: consistency_loss([e], [a], mask), [e, a],
+    mask = np.array([[1, 1, 1], [1, 1, 0]], dtype=bool)
+    check_gradients(lambda: consistency_loss([ag.unpad(e, mask)], [ag.unpad(a, mask)]), [e, a],
                     rel_tol=1e-5, step=1e-6)
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stlab.model as model_mod
+from stlab import autograd as ag
 from stlab.autograd import GroupKey, ParamGroup, Tensor
 from stlab.config import Toggles
 from stlab.data import CorpusConfig, make_batch, noise_inject
@@ -59,18 +60,62 @@ def test_sinusoidal_positions():
 
 
 def test_task_output_shapes(model, batch):
-    st = model.forward_task(batch, "st")
-    B, Ly = batch.tgt_tokens.shape
-    assert st.logits.shape == (B, Ly, CORPUS.n_symbols)
-    assert st.ctc_log_probs.shape[2] == CORPUS.vocab_size + 1
+    """Every stream is packed: the logits hold one row per non-pad target,
+    and the T-Enc input, memory and per-layer outs one row per true entry
+    of the T-Enc mask; only the CTC log-probs are padded, to [B, T, V]."""
+    B, T = batch.speech.shape[:2]
+    n_tgt, n_src = (int((t != batch.pad_id).sum()) for t in (batch.tgt_tokens, batch.src_tokens))
+    d, V = model.config.d_model, CORPUS.n_symbols
+
+    def assert_t_enc_rows(out):
+        n = int(out.tenc_mask.sum())
+        assert out.tenc_mask.shape[0] == B
+        for rows in [out.tenc_input, out.memory, *out.extractor_outs, *out.attention_outs]:
+            assert rows.shape == (n, d)
+        return n
+
+    for use_shrink in (False, True):
+        st = model.forward_task(batch, "st", use_shrink=use_shrink)
+        assert st.logits.shape == (n_tgt, V)
+        assert st.ctc_log_probs.shape == (B, T, CORPUS.vocab_size + 1)
+        n = assert_t_enc_rows(st)
+        assert n <= batch.speech_lens.sum() if use_shrink else n == batch.speech_lens.sum()
+        ce = model.forward_task(batch, "asr", asr_variant="ce", use_shrink=use_shrink)
+        assert ce.logits.shape == (n_src, V)
 
     asr = model.forward_task(batch, "asr", asr_variant="ctc")
     assert asr.logits is None
-    assert asr.ctc_log_probs.shape == (B, batch.speech.shape[1], CORPUS.vocab_size + 1)
+    assert asr.ctc_log_probs.shape == (B, T, CORPUS.vocab_size + 1)
 
     model.mt_noise_p = 0.0  # clean text: no noise generators needed
     mt = model.forward_task(batch, "mt")
-    assert mt.logits.shape == (B, Ly, CORPUS.n_symbols)
+    assert mt.logits.shape == (n_tgt, V)
+    assert assert_t_enc_rows(mt) == n_src
+
+
+def test_an_item_alone_forwards_as_in_a_batch_of_longer_items(model):
+    """Padding reaches no item's rows: an item forwarded alone gives the
+    ST logit rows, CTC log-probs over its own frames and T-Enc memory rows
+    it gets between items longer than it in frames, source and target."""
+    singles = {s: make_batch(CORPUS, [s]) for s in range(200)}
+    short = min(singles, key=lambda s: singles[s].speech_lens[0])
+    alone = singles[short]
+    longer = [s for s, b in singles.items()
+              if b.speech_lens[0] > alone.speech_lens[0] and b.src_lens[0] > alone.src_lens[0]]
+    together = make_batch(CORPUS, [longer[0], short, longer[1]])
+
+    def item_rows(rows, mask):  # item 1's rows
+        return rows.data[mask[:1].sum():mask[:2].sum()]
+
+    for use_shrink in (False, True):
+        one, many = (model.forward_task(b, "st", use_shrink=use_shrink) for b in (alone, together))
+        np.testing.assert_allclose(one.logits.data, item_rows(
+            many.logits, many.targets != CORPUS.pad_id), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(one.memory.data, item_rows(many.memory, many.tenc_mask),
+                                   rtol=0, atol=1e-12)
+        n = int(alone.speech_lens[0])
+        np.testing.assert_allclose(one.ctc_log_probs.data[0],
+                                   many.ctc_log_probs.data[1, :n], rtol=0, atol=1e-12)
 
 
 def test_unknown_task_rejected(model, batch):
@@ -81,14 +126,22 @@ def test_unknown_task_rejected(model, batch):
 
 
 def test_ctc_rows_are_log_probs(model, batch):
+    """Each valid frame holds log-probs; padding holds zeros."""
     out = model.forward_task(batch, "asr", asr_variant="ctc")
-    sums = np.exp(out.ctc_log_probs.data).sum(axis=-1)
+    valid = np.arange(batch.speech.shape[1])[None, :] < batch.speech_lens[:, None]
+    assert not valid.all()
+    sums = np.exp(out.ctc_log_probs.data[valid]).sum(axis=-1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-9)
+    np.testing.assert_array_equal(out.ctc_log_probs.data[~valid], 0.0)
 
 
 def test_decoder_causality(model, batch):
     """Changing a later target token must not move earlier logits."""
-    out1 = model.forward_task(batch, "st").logits.data.copy()
+    def padded_logits(b):
+        out = model.forward_task(b, "st")
+        return ag.pad(out.logits, out.targets != b.pad_id).data
+
+    out1 = padded_logits(batch)
     batch2 = make_batch(CORPUS, [10, 11, 12])
     i = int(batch2.tgt_lens[0]) - 1
     if i == 0:
@@ -96,7 +149,7 @@ def test_decoder_causality(model, batch):
     # token i-1 feeds the decoder at position i (teacher forcing shift):
     # logits before i must stay put, logits at i must move
     batch2.tgt_tokens[0, i - 1] = (batch2.tgt_tokens[0, i - 1] % CORPUS.vocab_size) + 1
-    out2 = model.forward_task(batch2, "st").logits.data
+    out2 = padded_logits(batch2)
     np.testing.assert_allclose(out1[0, :i], out2[0, :i], atol=1e-12)
     assert not np.allclose(out1[0, i], out2[0, i])
 
@@ -173,8 +226,9 @@ def test_a_bare_model_forwards_as_one_with_the_default_toggles(batch):
 
 
 def test_noisy_mt_layout(model):
-    """Row b of the MT T-Enc input embeds item b's own noisy tokens, drawn
-    from item b's generator, and its mask is true for exactly their length."""
+    """The MT T-Enc input's rows embed each item's own noisy tokens, drawn
+    from the item's generator, item by item, and row b of its mask is true
+    for exactly the length of item b's."""
     batch = make_batch(CORPUS, [10, 11, 12, 13])
     p, B = 0.5, batch.batch_size
     model.apply_toggles(Toggles(mt_noise_p=p))
@@ -188,8 +242,8 @@ def test_noisy_mt_layout(model):
     assert L == max(len(w) for w in want)
     for b, toks in enumerate(want):
         np.testing.assert_array_equal(out.tenc_mask[b], np.arange(L) < len(toks))
-        np.testing.assert_array_equal(out.tenc_input.data[b, : len(toks)],
-                                      model.src_embed.data[toks])
+    np.testing.assert_array_equal(out.tenc_input.data,
+                                  model.src_embed.data[np.concatenate(want)])
 
 
 def test_st_and_mt_share_t_enc_parameters(model, batch):
@@ -214,13 +268,13 @@ def test_l2g_extractor_receptive_field():
     layer = model.t_layers[0]
     L = 12
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(1, L, cfg.d_model))
+    x = rng.normal(size=(L, cfg.d_model))
     mask = np.ones((1, L), dtype=bool)
     base = layer.extractor(Tensor(x), mask).data
     probe = x.copy()
-    probe[0, 6] += 10.0
+    probe[6] += 10.0
     moved = layer.extractor(Tensor(probe), mask).data
-    changed = np.flatnonzero(np.abs(moved - base).max(axis=-1)[0] > 1e-9)
+    changed = np.flatnonzero(np.abs(moved - base).max(axis=-1) > 1e-9)
     assert changed.min() >= 4 and changed.max() <= 8
 
 
@@ -234,14 +288,17 @@ def test_use_l2g_toggle_bypasses_extractors(model, batch):
 
 def test_teacher_prefix(model, monkeypatch):
     """decode feeds the decoder BOS, then the tokens shifted by one, pad
-    past each length, and returns the tokens as its targets."""
+    past each length, with a row at every position before each length, and
+    returns the tokens as its targets."""
     pad, bos = model.corpus.pad_id, model.corpus.bos_id
     tokens = np.array([[4, 5, 6], [3, 2, pad]])
     seen = []
     monkeypatch.setattr(model, "decoder_forward",
-                        lambda prefix, memory, mask: seen.append(prefix) or "logits")
+                        lambda prefix, rows, memory, mask: seen.append((prefix, rows)) or "logits")
     out = model.decode(TaskOutputs(), tokens, np.array([3, 1]))
-    np.testing.assert_array_equal(seen, [[[bos, 4, 5], [bos, pad, pad]]])
+    (prefix, rows), = seen
+    np.testing.assert_array_equal(prefix, [[bos, 4, 5], [bos, pad, pad]])
+    np.testing.assert_array_equal(rows, [[True, True, True], [True, False, False]])
     assert out.logits == "logits" and out.targets is tokens
 
 
@@ -254,7 +311,8 @@ def test_greedy_decode_shape_and_padding(model, batch):
 
 def test_greedy_decode_matches_teacher_forcing_argmax(model, batch):
     """With the model's own greedy outputs as prefix, a teacher-forced pass
-    reproduces the same argmax at each step."""
+    with a row at every position to decode reproduces the same argmax at
+    each step."""
     pred = model.greedy_decode(batch)
     pad = batch.pad_id
     prefix = np.full_like(pred, pad)
@@ -263,10 +321,9 @@ def test_greedy_decode_matches_teacher_forcing_argmax(model, batch):
     cols = np.arange(pred.shape[1])[None, :]
     prefix = np.where(cols < batch.tgt_lens[:, None], prefix, pad)
     enc = model.encode_speech(batch, use_shrink=False)
-    logits = model.decoder_forward(prefix, enc.memory, enc.tenc_mask)
-    again = np.argmax(logits.data, axis=-1)
     valid = cols < batch.tgt_lens[:, None]
-    np.testing.assert_array_equal(again[valid], pred[valid])
+    logits = model.decoder_forward(prefix, valid, enc.memory, enc.tenc_mask)
+    np.testing.assert_array_equal(np.argmax(logits.data, axis=-1), pred[valid])
 
 
 def test_model_construction_deterministic():

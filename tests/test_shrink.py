@@ -158,18 +158,19 @@ def test_lookback_and_fuse_fd():
 
 
 def test_shrink_batch_padding_and_mask():
+    """The fused rows are packed, item by item: one row per shrunk
+    position, and row b of the mask is true for exactly item b's."""
     rng = np.random.default_rng(7)
     B, T, d, V = 3, 6, 4, 3
-    feats = Tensor(rng.normal(size=(B, T, d)), requires_grad=True)
-    lp = Tensor(rng.normal(size=(B, T, V)))
     lens = np.array([6, 4, 2])
+    feats = Tensor(rng.normal(size=(lens.sum(), d)), requires_grad=True)
+    lp = Tensor(rng.normal(size=(B, T, V)))
     out, mask, shrunks, ratio = shrink_batch(feats, lp, lens, make_lbm(), per_item=True)
     assert shrink_batch(feats, lp, lens, make_lbm())[2] is None  # per item only on request
-    m_max = max(s.m for s in shrunks)
-    assert out.shape == (B, m_max, d)
+    assert out.shape == (sum(s.m for s in shrunks), d)
+    assert mask.shape == (B, max(s.m for s in shrunks))
     for b, s in enumerate(shrunks):
         assert mask[b, :s.m].all() and not mask[b, s.m:].any()
-        np.testing.assert_array_equal(out.data[b, s.m:], 0.0)
     assert ratio == pytest.approx(np.mean([s.m / n for s, n in zip(shrunks, lens)]))
 
 
@@ -191,7 +192,7 @@ def _shrink_and_backward(shrink_fn, feats, lp, lens, lbm, use_lbm, weights):
     for t in lbm.tensors:
         t.grad = None
     out, mask, shrunks, ratio = shrink_fn(x, Tensor(lp), lens, lbm, use_lbm=use_lbm)
-    ag.mul(out, Tensor(weights[:, :out.shape[1]])).sum().backward()
+    ag.mul(out, Tensor(weights[:out.shape[0]])).sum().backward()
     grads = [x.grad] + [t.grad for t in lbm.tensors]
     return out.data, mask, shrunks, ratio, grads
 
@@ -211,10 +212,10 @@ def test_shrink_batch_matches_per_item_loop(data):
     d = 4
     lens = rng.integers(1, T + 1, size=B)
     lens[rng.integers(B)] = T
-    feats = rng.normal(size=(B, T, d))
+    feats = rng.normal(size=(lens.sum(), d))
     lp = np.log(rng.choice([0.1, 0.3, 0.6], size=(B, T, V)))
     lbm = LbmParams(rng, d, 6)
-    weights = rng.normal(size=(B, T, d))
+    weights = rng.normal(size=(lens.sum(), d))
 
     out, mask, shrunks, ratio, grads = _shrink_and_backward(
         functools.partial(shrink_batch, per_item=True), feats, lp, lens, lbm, use_lbm, weights)
@@ -239,14 +240,14 @@ def test_shrink_batch_fd():
     rng = np.random.default_rng(8)
     B, T, d, V = 3, 7, 4, 3
     lbm = LbmParams(rng, d, 6)
-    feats = Tensor(rng.normal(size=(B, T, d)), requires_grad=True)
-    lp = Tensor(np.log(rng.choice([0.1, 0.3, 0.6], size=(B, T, V))))
     lens = np.array([7, 5, 3])
-    weights = Tensor(rng.normal(size=(B, T, d)))
+    feats = Tensor(rng.normal(size=(lens.sum(), d)), requires_grad=True)
+    lp = Tensor(np.log(rng.choice([0.1, 0.3, 0.6], size=(B, T, V))))
+    weights = Tensor(rng.normal(size=(lens.sum(), d)))
 
     def loss():
         out, _, _, _ = shrink_batch(feats, lp, lens, lbm)
-        return ag.mul(out, weights[(slice(None), slice(0, out.shape[1]))]).sum()
+        return ag.mul(out, weights[(slice(0, out.shape[0]),)]).sum()
 
     shrunks = shrink_batch(feats, lp, lens, lbm, per_item=True)[2]
     assert any(s.m < n for s, n in zip(shrunks, lens))

@@ -195,6 +195,18 @@ def test_in_place_resume_rewrites_later_rows(tmp_path):
     assert [r["step"] for r in timings] == list(range(1, 7))
 
 
+def test_in_place_resume_removes_the_checkpoints_past_its_step(tmp_path):
+    """Resuming from step 4 of an 8-step run's directory to 6 steps removes
+    the step-8 checkpoint of the other trajectory, as it drops that run's
+    later rows."""
+    train(tiny_config(steps=8), tmp_path / "run")
+    train(tiny_config(steps=6), tmp_path / "run",
+          resume_from=tmp_path / "run" / "checkpoint_000004.stlab")
+    assert sorted(p.name for p in (tmp_path / "run").glob("checkpoint_*")) == [
+        "checkpoint_000004.stlab", "checkpoint_000006.stlab"]
+    assert [r["step"] for r in read_metrics(tmp_path / "run" / "metrics.jsonl")][-1] == 6
+
+
 def _exited(pid):
     """Whether process `pid` has exited; a zombie awaiting its reaper has."""
     try:
