@@ -12,7 +12,6 @@ from pathlib import Path
 
 from .config import ConfigError, default_config, load_config, with_seed
 from .data import export_corpus
-from .plots import MalformedCsvError, export_plot
 from .reports import PRESETS, run_preset
 from .train import NanAbort, train
 
@@ -45,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None,
                    help="override training.steps")
 
-    p = sub.add_parser("analyze", help="consistency, entropy and shrink reports")
+    p = sub.add_parser("analyze", help="consistency, entropy and shrink reports: "
+                                       "each a CSV with its SVG chart beside it")
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0, help="seed of every probe batch and its noise")
     p.add_argument("--preset", choices=PRESETS, required=True)
@@ -58,10 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-corpus", help="dump a synthetic corpus sample as JSONL")
     _add_common(p)
     p.add_argument("--count", type=int, default=100, help="number of samples")
-
-    p = sub.add_parser("export-plots", help="render report CSVs to SVG charts")
-    p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("csv", type=Path, nargs="+", help="report CSV files")
     return parser
 
 
@@ -86,8 +82,9 @@ def _cmd_train(args) -> int:
 def _cmd_analyze(args) -> int:
     paths = run_preset(args.preset, args.checkpoint, args.out,
                        n=args.samples, repeats=args.repeats, seed=args.seed)
-    for p in paths:
-        print(f"wrote {p}")
+    for pair in paths:
+        for p in pair:
+            print(f"wrote {p}")
     return EXIT_OK
 
 
@@ -100,25 +97,10 @@ def _cmd_export_corpus(args) -> int:
     return EXIT_OK
 
 
-def _cmd_export_plots(args) -> int:
-    # every chart is drawn before --out is made: a bad CSV leaves nothing behind
-    stems = [p.stem for p in args.csv]
-    same = [str(p) for p in args.csv if stems.count(p.stem) > 1]
-    if same:
-        raise ConfigError(f"inputs with one file stem would write one chart: {' '.join(same)}")
-    svgs = {args.out / (p.stem + ".svg"): export_plot(p) for p in args.csv}
-    args.out.mkdir(parents=True, exist_ok=True)
-    for out_path, svg in svgs.items():
-        out_path.write_text(svg)
-        print(f"wrote {out_path}")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "train": _cmd_train,
     "analyze": _cmd_analyze,
     "export-corpus": _cmd_export_corpus,
-    "export-plots": _cmd_export_plots,
 }
 
 
@@ -136,7 +118,7 @@ def main(argv=None) -> int:
     except NanAbort as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_NAN
-    except (OSError, ValueError, RuntimeError, MalformedCsvError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,14 +1,16 @@
-"""The report CSV format, both ways, and deterministic SVG bar/line charts
-of the reports (no matplotlib: byte-identical output for identical input is
-part of the contract). It imports nothing from stlab, so any module may
-write reports.
+"""The report writer, and deterministic SVG bar/line charts of the reports
+(no matplotlib: byte-identical output for identical input is part of the
+contract). Every report is written once, as a CSV with its chart beside
+it, and the chart is drawn from the cells the CSV holds. It imports
+nothing from stlab, so any module may write reports.
 
-The charts are one table, CHARTS, keyed by a report's first header columns
-(see there). Bars keep the order in which the rows first name their labels.
-A row that lacks a column its chart reads, or a plotted cell that is not a
-number, raises MalformedCsvError naming the file and the line."""
+The charts are one table, CHARTS, keyed by a report's first two header
+columns (see there). Bars keep the order in which the rows first name their
+labels."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 W, H = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 60
@@ -124,64 +126,23 @@ def line_chart_svg(series: dict, title="", xlabel="x", ylabel="y") -> str:
     return "\n".join(parts) + "\n"
 
 
-class MalformedCsvError(ValueError):
-    def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
-
-
-def write_csv(path, header, rows):
-    """A header line, then one comma-joined line per row: a float cell with
-    17 significant digits, so it reads back equal, any other as its str."""
-    with open(path, "w") as fh:
-        for row in [header, *rows]:
-            fh.write(",".join(f"{c:.17g}" if isinstance(c, float) else str(c)
-                              for c in row) + "\n")
-    return path
-
-
-def read_csv(path):
-    """The header, and {line number: {column: cell}} for each non-blank line
-    after it, cells as strings; raises MalformedCsvError with the line number."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines:
-        raise MalformedCsvError(path, 1, "empty file")
-    header = lines[0].split(",")
-    rows = {}
-    for i, ln in enumerate(lines[1:], start=2):
-        if not ln:
-            continue
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise MalformedCsvError(path, i, f"expected {len(header)} cells, got {len(cells)}")
-        rows[i] = dict(zip(header, cells))
-    return header, rows
-
-
 def _module(row):
     """A consistency row's bar label: partition/layer, or partition alone."""
     layer = row["layer"]
-    return row["partition"] if layer in ("", "None") else f'{row["partition"]}/{layer}'
+    return row["partition"] if layer == "None" else f'{row["partition"]}/{layer}'
 
 
-def _number(cell):
-    """The cell as it is, once it reads as a number."""
-    float(cell)
-    return cell
-
-
-# first header columns -> (title, y label, x label, or "" for bars,
+# first two header columns -> (title, y label, x label, or "" for bars,
 # row -> (series, x value or bar label), the column that holds y)
 CHARTS = {
     ("step", "task"): ("Task weights", "weight", "step",
                        lambda r: (r["task"], float(r["step"])), "w"),
     ("partition", "kind"): ("Gradient consistency", "cosine", "",
                             lambda r: (r["kind"], _module(r)), "mean"),
-    ("variant", "partition", "kind"): ("Gradient consistency", "cosine", "",
-                                       lambda r: (f'{r["variant"]}:{r["kind"]}', _module(r)),
-                                       "mean"),
+    ("variant", "partition"): ("Gradient consistency", "cosine", "",
+                               lambda r: (f'{r["variant"]}:{r["kind"]}', _module(r)), "mean"),
     ("layer", "stream"): ("Attention entropy", "bits", "",
-                          lambda r: (r["stream"], _number(r["layer"])), "entropy_bits"),
+                          lambda r: (r["stream"], r["layer"]), "entropy_bits"),
     ("step", "batch"): ("Shrink length ratio", "ratio", "batch",
                         lambda r: ("ratio", float(r["step"]) + float(r["batch"])), "ratio"),
     ("step", "partition"): ("Consistency over training", "cosine", "step",
@@ -190,19 +151,10 @@ CHARTS = {
 }
 
 
-def export_plot(csv_path) -> str:
-    """The SVG chart of a report CSV, chosen by its first header columns."""
-    header, rows = read_csv(csv_path)
-    kind = next((k for k in CHARTS if tuple(header[:len(k)]) == k), None)
-    if kind is None:
-        raise MalformedCsvError(csv_path, 1, f"unrecognized report header {header}")
-    title, ylabel, xlabel, point, y_column = CHARTS[kind]
-    points = []  # (series, x or bar label, y), in row order
-    for line_no, row in rows.items():
-        try:
-            points.append((*point(row), float(row[y_column])))
-        except (KeyError, ValueError) as exc:  # a missing column or a cell that is no number
-            raise MalformedCsvError(csv_path, line_no, f"cannot plot this row: {exc!r}") from exc
+def _chart(header, rows) -> str:
+    """The SVG chart CHARTS assigns to `header`, of rows as {column: cell}."""
+    title, ylabel, xlabel, point, y_column = CHARTS[tuple(header[:2])]
+    points = [(*point(row), float(row[y_column])) for row in rows]  # in row order
     series = {}
     for name, x, y in points:
         series.setdefault(name, []).append((x, y))
@@ -212,3 +164,16 @@ def export_plot(csv_path) -> str:
     bars = {name: dict(pts) for name, pts in series.items()}  # a label's last row wins
     return bar_chart_svg(labels, {name: [v.get(label, 0.0) for label in labels]
                                   for name, v in bars.items()}, title=title, ylabel=ylabel)
+
+
+def write_report(path, header, rows):
+    """Write the CSV `path`, a header line then one comma-joined line per
+    row (a float cell with 17 significant digits, so it reads back equal,
+    any other as its str), and beside it `path` with the suffix .svg, its
+    chart drawn from those cells. Returns (CSV path, SVG path)."""
+    path = Path(path)
+    cells = [[f"{c:.17g}" if isinstance(c, float) else str(c) for c in row] for row in rows]
+    path.write_text("".join(",".join(line) + "\n" for line in [header, *cells]))
+    svg_path = path.with_suffix(".svg")
+    svg_path.write_text(_chart(header, [dict(zip(header, line)) for line in cells]))
+    return path, svg_path

@@ -1,9 +1,10 @@
-"""Analysis presets: each writes CSV reports for the models checkpoints
-restore, as they were trained, with the protocols of the analysis module.
-The presets are one table, `PRESET_REPORTS`: each preset's reports as
-(CSV name, report) rows. `run_preset` loads the checkpoint a preset reads
-once (for over-training, every checkpoint of a run directory) and computes
-each report of its row on it."""
+"""Analysis presets: each writes CSV reports, each with its SVG chart
+beside it, for the models checkpoints restore, as they were trained, with
+the protocols of the analysis module. The presets are one table,
+`PRESET_REPORTS`: each preset's reports as (CSV name, report) rows.
+`run_preset` loads the checkpoint a preset reads once (for over-training,
+every checkpoint of a run directory) and computes each report of its row
+on it."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 from . import analysis
 from .data import make_batch
 from .model import load_checkpoint
-from .plots import write_csv
+from .plots import write_report
 
 
 def _probe_pairs(shrunk=True):
@@ -130,8 +131,10 @@ def _load_run(run_dir):
 def run_preset(preset: str, target, out_dir, *, n, repeats, seed=0):
     """Run `preset` on the checkpoint `target`, or for over-training on every
     checkpoint of the run directory `target`, whose rows lead with the step
-    and drop the std. Every report is computed before `out_dir` is made, so a
-    checkpoint that fails to load leaves no report directory behind."""
+    and drop the std. Writes each report to `out_dir` as a CSV with its chart
+    beside it (plots.write_report) and returns the (CSV, SVG) path pairs.
+    Every report is computed before `out_dir` is made, so a checkpoint that
+    fails to load leaves no report directory behind."""
     if preset not in PRESET_REPORTS:
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
     series = preset == "over-training"
@@ -145,4 +148,4 @@ def run_preset(preset: str, target, out_dir, *, n, repeats, seed=0):
             rows += [(step, *row[:-1]) for row in step_rows] if series else step_rows
         reports.append((name, ("step", *header[:-1]) if series else header, rows))
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    return [write_csv(Path(out_dir) / name, header, rows) for name, header, rows in reports]
+    return [write_report(Path(out_dir) / name, header, rows) for name, header, rows in reports]

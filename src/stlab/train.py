@@ -4,7 +4,9 @@ weights, checkpointing, and JSON-lines metrics.
 Every random draw derives from (seed, purpose, step), so resuming from a
 checkpoint replays the exact remaining trajectory and two identical runs
 produce bitwise-identical outputs. Wall-clock goes to a sidecar timings
-file so the metrics stream itself stays deterministic.
+file so the metrics stream itself stays deterministic. When a call ends,
+the run directory also holds the scheduler's weight_history.csv with its
+chart, weight_history.svg, beside it.
 
 Every train() call forks one step worker (StepWorker) that runs beside
 the trainer. While the trainer runs step s, the worker makes the batch of
@@ -34,7 +36,7 @@ from .losses import (CL_WEIGHT, ce_loss, consistency_loss,  # noqa: F401
                      contrastive_loss, ctc_loss, task_loss, total_loss)
 from .model import Model, load_checkpoint, save_checkpoint
 from .optim import Adam
-from .plots import write_csv
+from .plots import write_report
 
 # rng stream tags; all draws are (seed, tag, step[, index])
 _STREAM_BATCH = 1
@@ -473,7 +475,7 @@ def train(config: RunConfig, out_dir, resume_from=None) -> TrainResult:
         for fh in files.values():
             fh.close()
 
-    history_path = write_csv(out_dir / "weight_history.csv", sched.HistoryRow._fields,
-                             weights.history)
+    history_path, _ = write_report(out_dir / "weight_history.csv", sched.HistoryRow._fields,
+                                   weights.history)
     return TrainResult(out_dir, tr.steps - start_step, last_checkpoint,
                        out_dir / "metrics.jsonl", history_path, last_accuracy, baseline)

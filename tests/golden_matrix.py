@@ -52,9 +52,10 @@ def build_matrix(root):
 
     The runs: a 40-step seed-7 run with four probes, evals and checkpoints;
     the same run resumed in place from step 20; and 12-step runs with the
-    `ce` ASR, without the L2G extractors, and with every toggle off. The
-    reports: every analyze preset on the step-40 checkpoint (over-training
-    on the run), export-corpus, and export-plots over all of their CSVs."""
+    `ce` ASR, without the L2G extractors, and with every toggle off, each
+    with its weight-history chart. The reports: every analyze preset on the
+    step-40 checkpoint (over-training on the run), each CSV with its chart,
+    and export-corpus."""
     root = Path(root)
     cfg = with_seed(default_config(steps=40, eval_every=10, checkpoint_every=10), 7)
     cfg = dataclasses.replace(cfg, scheduler=dataclasses.replace(
@@ -81,9 +82,6 @@ def build_matrix(root):
         for argv in commands:
             if cli.main(argv) != 0:
                 raise RuntimeError(f"stlab {' '.join(argv)} failed")
-        csvs = sorted(map(str, reports.glob("*.csv"))) + [str(main / "weight_history.csv")]
-        if cli.main(["export-plots", "--out", str(root / "plots"), *csvs]) != 0:
-            raise RuntimeError("stlab export-plots failed")
     return {p.relative_to(root).as_posix(): p for p in sorted(root.rglob("*"))
             if p.is_file() and p.name != "timings.jsonl"}
 

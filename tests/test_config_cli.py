@@ -252,14 +252,15 @@ def test_cli_full_pipeline(cfg_path, tmp_path):
     assert cli.main(["export-corpus", "--config", str(cfg_path),
                      "--out", str(rep), "--count", "5"]) == 0
     assert len((rep / "corpus.jsonl").read_text().splitlines()) == 5
-    plots = tmp_path / "plots"
-    args = ["export-plots", "--out", str(plots)]
-    args += [str(p) for p in rep.glob("*.csv")]
-    args.append(str(out / "weight_history.csv"))
-    assert cli.main(args) == 0
-    for svg in plots.glob("*.svg"):
-        text = svg.read_text()
-        assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+    # analyze and train drew each CSV's chart beside it; no command redraws them
+    csvs = [*rep.glob("*.csv"), out / "weight_history.csv"]
+    assert len(csvs) == 11
+    for csv in csvs:
+        text = csv.with_suffix(".svg").read_text()
+        assert text.startswith("<svg") and text.rstrip().endswith("</svg>"), csv.name
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["export-plots", "--out", str(tmp_path / "plots"), str(csvs[0])])
+    assert exc.value.code == 2
 
 
 def test_cli_analyze_requires_checkpoint(tmp_path, capsys):
@@ -308,50 +309,6 @@ def test_cli_seed_override_changes_run(cfg_path, tmp_path):
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out2),
                      "--seed", "123"]) == 0
     assert (out1 / "metrics.jsonl").read_text() != (out2 / "metrics.jsonl").read_text()
-
-
-def test_cli_export_plots_rejects_malformed_csv(tmp_path, capsys):
-    bad = tmp_path / "weird.csv"
-    bad.write_text("who,knows\n1,2\n")
-    rc = cli.main(["export-plots", "--out", str(tmp_path / "p"), str(bad)])
-    assert rc == 2
-    assert "unrecognized" in capsys.readouterr().err
-    # a row its chart cannot read: a missing column, or a layer that is no
-    # number, named by its line, blank lines counted
-    for name, text, line in (("no_w.csv", "step,task\n1,asr\n", 2),
-                             ("no_mean.csv", "partition,kind,layer\nT-Enc,ATTEN,0\n", 2),
-                             ("layer_x.csv", "layer,stream,entropy_bits\nx,mt,1.0\n", 2),
-                             ("blank.csv", "layer,stream,entropy_bits\n\nx,mt,1.0\n", 3)):
-        bad = tmp_path / name
-        bad.write_text(text)
-        rc = cli.main(["export-plots", "--out", str(tmp_path / "p"), str(bad)])
-        assert rc == 2 and f"{bad}:{line}:" in capsys.readouterr().err, name
-
-
-def test_cli_export_plots_writes_nothing_when_a_csv_is_bad(tmp_path):
-    """Every chart is drawn before --out is made: a CSV it cannot read, here
-    the first of two, leaves no directory behind."""
-    bad, good = tmp_path / "weird.csv", tmp_path / "weight_history.csv"
-    bad.write_text("who,knows\n1,2\n")
-    good.write_text("step,task,m,w\n10,asr,0.5,1.0\n")
-    out = tmp_path / "plots"
-    assert cli.main(["export-plots", "--out", str(out), str(bad), str(good)]) == 2
-    assert not out.exists()
-
-
-def test_cli_export_plots_refuses_two_inputs_with_one_stem(tmp_path, capsys):
-    """Two CSVs that would write one SVG are a config error that names both;
-    nothing is written."""
-    paths = []
-    for run in ("r1", "r2"):
-        (tmp_path / run).mkdir()
-        paths.append(tmp_path / run / "weight_history.csv")
-        paths[-1].write_text("step,task,m,w\n10,asr,0.5,1.0\n")
-    out = tmp_path / "plots"
-    assert cli.main(["export-plots", "--out", str(out), *map(str, paths)]) == 1
-    err = capsys.readouterr().err
-    assert str(paths[0]) in err and str(paths[1]) in err
-    assert not out.exists()
 
 
 def test_cli_resume_refuses_a_checkpoint_with_per_tensor_adam_buffers(tmp_path, capsys):

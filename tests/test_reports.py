@@ -14,8 +14,8 @@ from stlab import cli
 from stlab.config import RunConfig, Toggles
 from stlab.data import CorpusConfig
 from stlab.model import Model, ModelConfig, save_checkpoint
-from stlab.plots import CHARTS, export_plot, read_csv, write_csv
-from stlab.reports import PRESETS, run_preset
+from stlab.plots import CHARTS, write_report
+from stlab.reports import PRESET_REPORTS, PRESETS, run_preset
 from stlab.train import build_model
 
 from test_model import HEADER_DAMAGE, damage_header
@@ -83,7 +83,7 @@ def test_over_training_names_an_unloadable_checkpoint_once(tmp_path, capsys):
     torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
     paths = run_preset("over-training", run, tmp_path / "rep", n=2, repeats=1)
     assert len(paths) == 2
-    for path in paths:
+    for path, _ in paths:
         rows = path.read_text().splitlines()[1:]
         assert rows and {row.split(",")[0] for row in rows} == {"1"}
     err = capsys.readouterr().err
@@ -114,7 +114,7 @@ def test_over_training_skips_a_cut_or_padded_checkpoint(tmp_path, capsys, damage
     else:
         bad.write_bytes(blob[:16] if damage == "cut to 16 bytes" else blob + b"\0\0\0\0")
     paths = run_preset("over-training", run, tmp_path / "rep", n=2, repeats=1)
-    for path in paths:
+    for path, _ in paths:
         rows = path.read_text().splitlines()[1:]
         assert rows and {row.split(",")[0] for row in rows} == {"1"}
     err_lines = [line for line in capsys.readouterr().err.splitlines() if line]
@@ -172,7 +172,7 @@ def test_over_training_takes_each_step_from_the_checkpoint_header(tmp_path):
     for name_step, step in ((1, 30), (2, 20)):
         save_checkpoint(run / f"checkpoint_{name_step:06d}.stlab", Model(cfg.model, cfg.corpus),
                         extra_meta={"step": step})
-    for path in run_preset("over-training", run, tmp_path / "rep", n=2, repeats=1):
+    for path, _ in run_preset("over-training", run, tmp_path / "rep", n=2, repeats=1):
         steps = [row.split(",")[0] for row in path.read_text().splitlines()[1:]]
         assert steps == sorted(steps) and set(steps) == {"20", "30"}, path
 
@@ -214,19 +214,45 @@ def test_a_refused_checkpoint_leaves_no_report_directory(tmp_path, capsys):
     assert not any((tmp_path / name).exists() for name in ("rep", "cli", "ot"))
 
 
-def test_write_csv_round_trips_through_read_csv(tmp_path):
+def test_write_report_round_trips_every_float_cell(tmp_path):
     """A float cell reads back equal to the float written; None, int and
-    str cells read back as their str. Rows are keyed by their line."""
+    str cells are written as their str, one line per row after the header."""
     floats = [0.1, 1 / 3, 1e-300, -2.5e17, 123456789.123456789, 5e-324]
-    rows = [(i, "T-Enc", None, x) for i, x in enumerate(floats)]
-    path = write_csv(tmp_path / "r.csv", ("step", "partition", "layer", "mean"), rows)
-    header, by_line = read_csv(path)
-    assert header == ["step", "partition", "layer", "mean"]
-    assert list(by_line) == list(range(2, 2 + len(floats)))
-    read = list(by_line.values())
-    assert [float(r["mean"]) for r in read] == floats
-    assert [(r["step"], r["partition"], r["layer"]) for r in read] == \
-        [(str(i), "T-Enc", "None") for i in range(len(floats))]
+    rows = [(i, "T-Enc", "ATTEN", None, x) for i, x in enumerate(floats)]
+    path, _ = write_report(tmp_path / "r.csv", ("step", "partition", "kind", "layer", "mean"),
+                           rows)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "step,partition,kind,layer,mean"
+    read = [line.split(",") for line in lines[1:]]
+    assert [float(cells[4]) for cells in read] == floats
+    assert [cells[:4] for cells in read] == \
+        [[str(i), "T-Enc", "ATTEN", "None"] for i in range(len(floats))]
+
+
+def test_every_preset_writes_each_chart_beside_its_csv(tmp_path, capsys):
+    """Every analyze preset writes, for each CSV, the SVG of the same stem
+    beside it, drawn from the CSV's cells, and prints both paths."""
+    cfg = ablation_config()
+    run = tmp_path / "run"
+    run.mkdir()
+    ckpt = run / "checkpoint_000001.stlab"
+    save_checkpoint(ckpt, build_model(cfg), extra_meta={"step": 1})
+    for preset in PRESETS:
+        out = tmp_path / preset
+        assert cli.main(["analyze", "--preset", preset, "--samples", "2", "--repeats", "1",
+                         "--out", str(out), "--checkpoint",
+                         str(run if preset == "over-training" else ckpt)]) == 0, preset
+        csvs = sorted(out.glob("*.csv"))
+        assert [p.name for p in csvs] == sorted(name for name, _ in PRESET_REPORTS[preset])
+        assert sorted(out.iterdir()) == sorted([*csvs, *(p.with_suffix(".svg") for p in csvs)])
+        printed = capsys.readouterr().out.splitlines()
+        assert sorted(printed) == sorted(f"wrote {p}" for p in out.iterdir()), preset
+        for csv in csvs:
+            lines = csv.read_text().splitlines()
+            redrawn, svg = write_report(tmp_path / "redrawn.csv", lines[0].split(","),
+                                        [line.split(",") for line in lines[1:]])
+            assert redrawn.read_text() == csv.read_text()
+            assert csv.with_suffix(".svg").read_bytes() == svg.read_bytes(), csv.name
 
 
 # one small report per chart kind, and the sha256 of the SVG it draws
@@ -257,16 +283,17 @@ def test_every_chart_kind_draws_pinned_bytes(tmp_path, kind):
     """Identical input draws a byte-identical SVG: each chart kind's bytes
     are pinned by their sha256, and the cases cover every kind."""
     assert len(CHART_CSVS) == len(CHARTS)
-    path = tmp_path / f"{kind}.csv"
-    path.write_text(CHART_CSVS[kind])
-    assert hashlib.sha256(export_plot(path).encode()).hexdigest() == CHART_SHA256[kind]
+    header, *rows = [line.split(",") for line in CHART_CSVS[kind].splitlines()]
+    csv, svg = write_report(tmp_path / f"{kind}.csv", header, rows)
+    assert csv.read_text() == CHART_CSVS[kind]
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == CHART_SHA256[kind]
 
 
 def test_bars_follow_the_order_the_rows_name_them(tmp_path):
     """Twelve T-Enc layers draw as T-Enc/0 ... T-Enc/11, in numeric order."""
     rows = [("T-Enc", kind, layer, layer / 12, 0.0)
             for kind in ("ATTEN", "FFN") for layer in range(12)]
-    path = write_csv(tmp_path / "consistency_layers_mt_st.csv",
-                     ("partition", "kind", "layer", "mean", "std"), rows)
-    labels = re.findall(r">(T-Enc/\d+)</text>", export_plot(path))
+    _, svg = write_report(tmp_path / "consistency_layers_mt_st.csv",
+                          ("partition", "kind", "layer", "mean", "std"), rows)
+    labels = re.findall(r">(T-Enc/\d+)</text>", svg.read_text())
     assert labels == [f"T-Enc/{layer}" for layer in range(12)]

@@ -207,6 +207,26 @@ def test_in_place_resume_removes_the_checkpoints_past_its_step(tmp_path):
     assert [r["step"] for r in read_metrics(tmp_path / "run" / "metrics.jsonl")][-1] == 6
 
 
+def test_every_run_draws_its_weight_history_beside_the_csv(tmp_path):
+    """A fresh run, an in-place resume and a run that never probes each
+    leave weight_history.svg beside weight_history.csv: one line per task
+    the scheduler weighs, the resume's chart equal to the uninterrupted
+    run's, and an empty chart when no probe ran."""
+    full = train(tiny_config(steps=6), tmp_path / "full")
+    train(tiny_config(steps=6), tmp_path / "run")
+    train(tiny_config(steps=6), tmp_path / "run",
+          resume_from=tmp_path / "run" / "checkpoint_000004.stlab")
+    never = train(tiny_config(steps=3), tmp_path / "never")  # update_every is 4
+    chart = full.weight_history_path.with_suffix(".svg").read_text()
+    tasks = {row.split(",")[1] for row in
+             full.weight_history_path.read_text().splitlines()[1:]}
+    assert tasks and chart.count("<polyline") == len(tasks)
+    assert (tmp_path / "run" / "weight_history.svg").read_text() == chart
+    assert never.weight_history_path.read_text() == "step,task,m,w\n"
+    empty = never.weight_history_path.with_suffix(".svg").read_text()
+    assert empty.startswith("<svg") and "<polyline" not in empty
+
+
 def _exited(pid):
     """Whether process `pid` has exited; a zombie awaiting its reaper has."""
     try:
